@@ -370,9 +370,9 @@ impl Strategy for BranchSweep {
 }
 
 /// Stamps the moment profiling/calibration ends, so the measurement
-/// covers only the scenario-search phase (profiling runs execute once
-/// and are never checkpointed — including them would dilute the
-/// comparison at small budgets).
+/// covers only the scenario-search phase, where the compared speed
+/// mechanisms act (including set-up would dilute the comparison at
+/// small budgets).
 struct SearchPhaseClock {
     search_started: Option<Instant>,
 }
@@ -1109,8 +1109,9 @@ fn bench_sharded_dispatch(simulations: usize) -> Json {
 /// The matrix-reuse scenario: two strategies over one firmware ×
 /// workload pair, run as a `ScenarioMatrix` whose cells share a snapshot
 /// tier. The second strategy's campaign warm-starts from the first one's
-/// checkpoint tree — measured as per-campaign search time with sharing
-/// on vs off, with bit-identical reports asserted.
+/// checkpoint tree, profiling runs included — measured as whole-campaign
+/// wall time with sharing on vs off, with bit-identical reports
+/// asserted.
 fn bench_matrix_reuse(simulations: usize) -> Json {
     println!("scenario `matrix-reuse`: 2 strategies x shared firmware/workload");
     struct CellClock {

@@ -49,7 +49,8 @@ use std::sync::Arc;
 /// [`CampaignObserver`] in commit order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CampaignEvent {
-    /// The campaign is about to start its profiling runs.
+    /// The campaign is about to set up: hydrate its persistent store, if
+    /// any, then fly its profiling runs.
     CampaignStarted {
         /// Display name of the strategy driving the campaign.
         strategy: String,
@@ -102,8 +103,10 @@ pub enum CampaignEvent {
         reason: String,
     },
     /// The persistent snapshot store hydrated the shared tier from disk
-    /// before the search started (see
-    /// [`CampaignBuilder::snapshot_store`]). Like [`DegradedMode`], this
+    /// before the profiling runs, which fork from it too (see
+    /// [`CampaignBuilder::snapshot_store`]), so this arrives between
+    /// [`CampaignEvent::CampaignStarted`] and
+    /// [`CampaignEvent::ProfilingFinished`]. Like [`DegradedMode`], this
     /// is a wall-clock observability event, not a result event: the
     /// final [`CampaignResult`] is bit-identical with or without it.
     ///
@@ -624,44 +627,7 @@ pub(crate) fn execute_campaign(
         budget: spec.budget,
     });
 
-    // Profiling runs: calibrate the invariant monitor and discover the
-    // mode transitions that anchor transition-targeted strategies.
     let mut runner = ExperimentRunner::new(spec.experiment.clone());
-    let mut profiling = Vec::new();
-    let mut cost = 0.0;
-    for i in 0..spec.profiling_runs.max(1) {
-        let run = runner.run_profiling(i as u64);
-        cost += run.simulated_seconds;
-        profiling.push(run);
-    }
-    observer.on_event(&CampaignEvent::ProfilingFinished {
-        runs: profiling.len(),
-        cost_seconds: cost,
-    });
-    let monitor = InvariantMonitor::calibrate(
-        profiling.iter().map(|r| r.trace.clone()).collect(),
-        spec.monitor.clone(),
-    );
-    let golden = profiling[0].trace.clone();
-
-    // Adaptive checkpoint placement: cut snapshots at the golden run's
-    // mode transitions — where SABRE anchors its injections, so forks
-    // resume right at the injection instead of up to one interval
-    // before it. Placement never changes results, only fork depth.
-    let checkpoints = &spec.experiment.checkpoints;
-    let mut engine_experiment = spec.experiment.clone();
-    if checkpoints.enabled && checkpoints.anchor_placement && checkpoints.anchors.is_empty() {
-        let anchors: Vec<f64> = golden
-            .transition_times()
-            .into_iter()
-            .filter(|&t| t > 0.0 && t < spec.experiment.max_duration)
-            .collect();
-        runner.set_checkpoint_anchors(anchors.clone());
-        // Workers normalise (sort + dedup) the list in
-        // `ExperimentRunner::new`, same as `set_checkpoint_anchors` just
-        // did for the main runner.
-        engine_experiment.checkpoints.anchors = anchors;
-    }
 
     // The shared snapshot tier: the caller's cross-campaign tier when
     // one was supplied, otherwise a campaign-local tier as soon as more
@@ -669,7 +635,9 @@ pub(crate) fn execute_campaign(
     // with no caller tier, the per-runner cache alone is strictly
     // better (a second tier would only duplicate memory) — unless a
     // persistent store is configured, which needs a tier to hydrate
-    // into and flush from even single-threaded.
+    // into and flush from even single-threaded. The tier is attached
+    // before profiling, so profiling runs fork from it too.
+    let checkpoints = &spec.experiment.checkpoints;
     let tier: Option<Arc<SharedSnapshotTier>> = if checkpoints.enabled {
         spec.shared.clone().or_else(|| {
             (spec.parallelism > 1 || spec.store.is_some())
@@ -682,11 +650,11 @@ pub(crate) fn execute_campaign(
         runner.set_shared_tier(Arc::clone(tier));
     }
 
-    // The persistent store: hydrate the tier from disk before the search
-    // starts, so the engine forks from last session's chains instead of
-    // re-flying them. Opening can fail (read-only filesystem, bad path);
-    // the campaign then simply runs cold — the store never gates
-    // correctness, only wall-clock.
+    // The persistent store: hydrate the tier from disk before profiling,
+    // so the profiling runs and the engine fork from last session's
+    // chains instead of re-flying them. Opening can fail (read-only
+    // filesystem, bad path); the campaign then simply runs cold — the
+    // store never gates correctness, only wall-clock.
     let store: Option<Arc<Mutex<SnapshotStore>>> = match (&spec.store, &tier) {
         (Some(store_spec), Some(_)) => {
             SnapshotStore::open(&store_spec.root, spec.experiment, store_spec.max_bytes)
@@ -702,6 +670,51 @@ pub(crate) fn execute_campaign(
             snapshots: report.snapshots,
             bytes: report.bytes,
         });
+    }
+
+    // Profiling runs: calibrate the invariant monitor and discover the
+    // mode transitions that anchor transition-targeted strategies. With
+    // a tier attached, each forks from the terminal cut an earlier
+    // campaign over this experiment left for its seed offset, and flies
+    // only the grace tail.
+    let mut profiling = Vec::new();
+    let mut cost = 0.0;
+    for i in 0..spec.profiling_runs.max(1) {
+        let run = runner.run_profiling(i as u64);
+        cost += run.simulated_seconds;
+        profiling.push(run);
+    }
+    // Publish the profiling runs' terminal cuts to the engine's flushes
+    // and to later campaigns sharing this tier.
+    if let Some(tier) = &tier {
+        tier.republish();
+    }
+    observer.on_event(&CampaignEvent::ProfilingFinished {
+        runs: profiling.len(),
+        cost_seconds: cost,
+    });
+    let monitor = InvariantMonitor::calibrate(
+        profiling.iter().map(|r| r.trace.clone()).collect(),
+        spec.monitor.clone(),
+    );
+    let golden = profiling[0].trace.clone();
+
+    // Adaptive checkpoint placement: cut snapshots at the golden run's
+    // mode transitions — where SABRE anchors its injections, so forks
+    // resume right at the injection instead of up to one interval
+    // before it. Placement never changes results, only fork depth.
+    let mut engine_experiment = spec.experiment.clone();
+    if checkpoints.enabled && checkpoints.anchor_placement && checkpoints.anchors.is_empty() {
+        let anchors: Vec<f64> = golden
+            .transition_times()
+            .into_iter()
+            .filter(|&t| t > 0.0 && t < spec.experiment.max_duration)
+            .collect();
+        runner.set_checkpoint_anchors(anchors.clone());
+        // Workers normalise (sort + dedup) the list in
+        // `ExperimentRunner::new`, same as `set_checkpoint_anchors` just
+        // did for the main runner.
+        engine_experiment.checkpoints.anchors = anchors;
     }
 
     let mut state = CampaignState {

@@ -291,7 +291,11 @@ impl ExperimentRunner {
 
     /// Executes the workload with no injected faults (a golden / profiling
     /// run). `profiling_index` varies the sensor-noise seed so profiling
-    /// runs differ the way real repeated flights do.
+    /// runs differ the way real repeated flights do. On a runner with a
+    /// shared tier the run forks from the tier's cut for this index when
+    /// one exists, and records one cut of its own at the first loop top
+    /// after the workload turns terminal (see [`crate::snapshot`]); the
+    /// result is bit-identical either way.
     pub fn run_profiling(&mut self, profiling_index: u64) -> RunResult {
         self.execute(FaultPlan::empty(), profiling_index + 1)
     }
@@ -417,12 +421,18 @@ impl ExperimentRunner {
             // avis-lint: allow(d1, reason = "wall-clock watchdog backstop: only ever converts a hung substrate into RunVerdict::Diverged, never observed by a terminating run")
             .map(|_| std::time::Instant::now());
         let cfg = &self.config;
-        // Only injection runs (seed offset 0) go through the checkpoint
-        // tree: profiling runs each use a distinct sensor-noise seed and
-        // execute exactly once, so snapshotting them is pure overhead.
-        // A tripped checksum breaker (`SnapshotCache::degraded`) forces
-        // cold execution for the rest of the runner's life.
-        let checkpointing = cfg.checkpoints.enabled && seed_offset == 0 && !self.cache.degraded();
+        // Injection runs (seed offset 0) go through the checkpoint tree.
+        // A profiling run (seed offset ≠ 0) has a sensor-noise seed of its
+        // own, so no other run of its campaign resumes from its state: it
+        // goes through the tree only when a shared tier can carry its one
+        // terminal cut to a later campaign over the same experiment (in
+        // this process, or through the persistent store). A tripped
+        // checksum breaker (`SnapshotCache::degraded`) forces cold
+        // execution for the rest of the runner's life.
+        let profiling = seed_offset != 0;
+        let checkpointing = cfg.checkpoints.enabled
+            && (!profiling || self.shared.is_some())
+            && !self.cache.degraded();
 
         // Fork from the deepest cached snapshot whose injection prefix
         // matches the plan — probing both the local cache and the shared
@@ -431,7 +441,8 @@ impl ExperimentRunner {
         // restored state is the exact state a cold run of this plan would
         // reach at the fork time, because the two plans agree on every
         // failure scheduled before it (see `crate::snapshot` for the
-        // argument).
+        // argument). A profiling plan is empty, so every cut at its seed
+        // offset matches; only the tier ever holds one.
         // The delta-chain context: the key + exact snapshot of the last
         // cut this run stored into (or took from) the local cache. The
         // next recorded cut is diffed against it (see
@@ -588,13 +599,16 @@ impl ExperimentRunner {
         // so a plan injecting exactly at the anchor can fork from the cut
         // — a failure scheduled at `t` first fires at the firmware step
         // at `t`, after a snapshot taken at loop-top time `t`.
+        // Profiling runs take neither interval nor anchor cuts: their one
+        // cut is the terminal cut below.
+        let interval_cuts = checkpointing && !profiling;
         let checkpoint_interval = cfg.checkpoints.interval;
-        let mut next_checkpoint = if checkpointing {
+        let mut next_checkpoint = if interval_cuts {
             (sim.time() / checkpoint_interval).floor() * checkpoint_interval + checkpoint_interval
         } else {
             f64::INFINITY
         };
-        let anchors: &[f64] = if checkpointing {
+        let anchors: &[f64] = if interval_cuts {
             &cfg.checkpoints.anchors
         } else {
             &[]
@@ -602,6 +616,12 @@ impl ExperimentRunner {
         // Skip anchors whose cut already lies at or before the resume
         // point (the chain we forked from recorded them).
         let mut anchor_idx = anchors.partition_point(|&a| a < sim.time() + cfg.dt);
+        // A profiling run records exactly one cut, at the first loop top
+        // after its workload turns terminal, so a later profiling run at
+        // the same seed offset forks from it and flies only the grace
+        // tail. A run resumed from that cut is terminal already and
+        // records nothing.
+        let mut terminal_cut_due = checkpointing && profiling && !workload_status.is_terminal();
 
         // How often (in lock-step iterations) the wall-clock backstop is
         // actually consulted — coarse on purpose, so the hot loop never
@@ -635,7 +655,8 @@ impl ExperimentRunner {
             // snapshot captures the state *before* this step's
             // ground-station exchange, firmware step and physics step.
             let anchor_due = anchor_idx < anchors.len() && time + cfg.dt > anchors[anchor_idx];
-            if time >= next_checkpoint || anchor_due {
+            let terminal_due = terminal_cut_due && workload_status.is_terminal();
+            if time >= next_checkpoint || anchor_due || terminal_due {
                 let snapshot = RunSnapshot {
                     sim: sim.snapshot(),
                     firmware: firmware.snapshot(),
@@ -668,17 +689,24 @@ impl ExperimentRunner {
                     // they must be independently restorable.
                     tier.offer(seed_offset, &snapshot);
                 }
-                // The local cache stores the cut as a delta against the
-                // previous cut of this run where the keyframe stride
-                // allows, otherwise as a full keyframe; either way the
-                // stored cut becomes the next cut's chain parent. A
-                // duplicate cell keeps the previous chain context.
-                let parent_candidate = chains_enabled.then(|| snapshot.clone());
-                let stored = self
-                    .cache
-                    .record(seed_offset, snapshot, chain_parent.as_ref());
-                if let (Some(key), Some(snapshot)) = (stored, parent_candidate) {
-                    chain_parent = Some(ChainParent { key, snapshot });
+                if profiling {
+                    // No later run of this runner resumes at a profiling
+                    // seed offset, so its cut goes to the tier alone.
+                    terminal_cut_due = false;
+                } else {
+                    // The local cache stores the cut as a delta against
+                    // the previous cut of this run where the keyframe
+                    // stride allows, otherwise as a full keyframe; either
+                    // way the stored cut becomes the next cut's chain
+                    // parent. A duplicate cell keeps the previous chain
+                    // context.
+                    let parent_candidate = chains_enabled.then(|| snapshot.clone());
+                    let stored = self
+                        .cache
+                        .record(seed_offset, snapshot, chain_parent.as_ref());
+                    if let (Some(key), Some(snapshot)) = (stored, parent_candidate) {
+                        chain_parent = Some(ChainParent { key, snapshot });
+                    }
                 }
                 while time >= next_checkpoint {
                     next_checkpoint += checkpoint_interval;
@@ -874,6 +902,58 @@ mod tests {
         );
         assert!(stats.snapshots_recorded as usize >= stats.snapshots_cached);
         assert!(stats.cached_bytes > 0);
+    }
+
+    #[test]
+    fn profiling_run_records_one_terminal_cut_into_the_tier() {
+        let cfg = quiet_config(BugSet::none());
+        let reference = ExperimentRunner::new(cfg.clone()).run_profiling(1);
+        let tier = Arc::new(SharedSnapshotTier::new(cfg.checkpoints.max_bytes));
+
+        // The first profiling run flies cold and offers exactly one cut,
+        // at the first loop top after its workload turned terminal, to
+        // the tier and not to its local cache.
+        let mut runner = ExperimentRunner::new(cfg.clone());
+        runner.set_shared_tier(Arc::clone(&tier));
+        assert_eq!(runner.run_profiling(1), reference);
+        let stats = runner.checkpoint_stats();
+        assert_eq!((stats.cold_runs, stats.forked_runs), (1, 0));
+        assert_eq!(
+            stats.snapshots_recorded, 0,
+            "no profiling cut is cached locally"
+        );
+        tier.republish();
+        let cuts = tier.export_published();
+        assert_eq!(cuts.len(), 1, "one cut per profiling run: {}", cuts.len());
+        assert_eq!(cuts[0].seed_offset, 2);
+        let cut = &cuts[0].snapshot;
+        let since = cut
+            .terminal_since
+            .expect("the workload is terminal at the cut");
+        assert!(
+            (cut.time - since - cfg.dt).abs() < 1e-9,
+            "cut at {} for a workload terminal since {since}",
+            cut.time
+        );
+
+        // A fresh runner sharing the tier forks from that cut, flies only
+        // the grace tail and returns the same result; it records nothing.
+        let mut fresh = ExperimentRunner::new(cfg.clone());
+        fresh.set_shared_tier(Arc::clone(&tier));
+        assert_eq!(fresh.run_profiling(1), reference);
+        let stats = fresh.checkpoint_stats();
+        assert_eq!(
+            (stats.forked_runs, stats.shared_hits, stats.cold_runs),
+            (1, 1, 0)
+        );
+        assert_eq!(stats.simulated_seconds_skipped, cut.time);
+        tier.republish();
+        assert_eq!(tier.export_published().len(), 1);
+
+        // Without a tier, profiling runs bypass the checkpoint tree.
+        let mut tierless = ExperimentRunner::new(cfg);
+        tierless.run_profiling(1);
+        assert_eq!(tierless.checkpoint_stats(), CheckpointStats::default());
     }
 
     #[test]

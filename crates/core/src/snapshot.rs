@@ -77,9 +77,17 @@
 //! campaign. Sharing never changes a result: a forked run is
 //! bit-identical to a cold one, whichever tier the snapshot came from.
 //!
-//! Snapshots are recorded only for injection runs (`seed_offset == 0`):
-//! profiling runs each use a distinct sensor-noise seed and execute once,
-//! so caching them would only consume budget.
+//! Injection runs (`seed_offset == 0`) record a cut every interval and at
+//! each anchor. Profiling runs (`seed_offset != 0`) each use a distinct
+//! sensor-noise seed, so no other run of their campaign resumes from
+//! them: without a shared tier they are not checkpointed at all. On a
+//! runner with a shared tier, a profiling run forks from the tier's
+//! deepest cut for its seed offset and records exactly one cut, at the
+//! first loop top after its workload turns terminal, into the tier only.
+//! A profiling plan is empty, so every cut at its seed offset matches,
+//! and a later campaign over the same experiment — sharing the tier in
+//! this process, or hydrating it from the [`crate::store`] — flies only
+//! the grace tail of each profiling run.
 
 use crate::protocol::ProtocolTracker;
 use crate::trace::StateSample;

@@ -360,9 +360,9 @@ pub struct SnapshotStore {
     fingerprint: String,
     max_bytes: u64,
     blobs: BlobDir,
-    /// Cut cells `(seed offset, prefix key, time ms)` already persisted
-    /// this session, so repeated flushes (one per engine wavefront)
-    /// re-encode only genuinely new cuts.
+    /// Cut cells `(seed offset, prefix key, time ms)` known to be on
+    /// disk — hydrated, or flushed this session — so a flush encodes only
+    /// the chains holding a cut outside this set.
     persisted: BTreeSet<(u64, String, i64)>,
     stats: StoreStats,
 }
@@ -507,6 +507,9 @@ impl SnapshotStore {
                 }
                 current = current.apply(&delta);
                 tier.offer(chain.seed_offset, &current);
+                // Already on disk: later flushes need not encode it again.
+                self.persisted
+                    .insert((chain.seed_offset, chain.prefix_key.clone(), cut.time_ms));
                 report.snapshots += 1;
                 loaded_any = true;
             }
@@ -526,8 +529,9 @@ impl SnapshotStore {
     /// (concurrent campaigns flush the same store safely — blobs are
     /// content-addressed and the manifest merge is last-writer-wins per
     /// chain, preferring more cuts) and enforces the byte budget with
-    /// hit-weighted GC. Incremental: cuts already persisted this session
-    /// are skipped, so per-wavefront flushes cost only the new cuts.
+    /// hit-weighted GC. Incremental: only chains holding a cut not yet on
+    /// disk (neither hydrated nor flushed before) are encoded; the other
+    /// chains contribute just the fork hits they accrued.
     pub fn flush(
         &mut self,
         tier: &SharedSnapshotTier,
@@ -554,13 +558,15 @@ impl SnapshotStore {
                 _ => chains.push(vec![export]),
             }
         }
-        // Anything new to write?
-        let dirty = chains.iter().flatten().any(|e| {
-            !self
-                .persisted
-                .contains(&(e.seed_offset, e.prefix_key.clone(), e.time_ms))
+        // Anything new to write? A chain is dirty when it holds a cut that
+        // is not on disk yet; only dirty chains are encoded.
+        let persisted = &self.persisted;
+        let (dirty, clean): (Vec<_>, Vec<_>) = chains.into_iter().partition(|chain| {
+            chain
+                .iter()
+                .any(|e| !persisted.contains(&(e.seed_offset, e.prefix_key.clone(), e.time_ms)))
         });
-        if !dirty {
+        if dirty.is_empty() {
             return StoreReport {
                 bytes: self.stats.store_bytes,
                 ..StoreReport::default()
@@ -570,7 +576,8 @@ impl SnapshotStore {
         let mut report = StoreReport::default();
         let mut genesis_cache: BTreeMap<u64, RunSnapshot> = BTreeMap::new();
         let mut new_chains: Vec<ManifestChain> = Vec::new();
-        for chain in &chains {
+        let mut new_cuts = Vec::new();
+        for chain in &dirty {
             let seed_offset = chain[0].seed_offset;
             let genesis = genesis_cache
                 .entry(seed_offset)
@@ -591,8 +598,7 @@ impl SnapshotStore {
                     time_ms: export.time_ms,
                     blob,
                 });
-                self.persisted
-                    .insert((seed_offset, export.prefix_key.clone(), export.time_ms));
+                new_cuts.push((seed_offset, export.prefix_key.clone(), export.time_ms));
                 prev = export.snapshot.clone();
             }
             new_chains.push(ManifestChain {
@@ -641,11 +647,23 @@ impl SnapshotStore {
                 }
             }
         }
+        // Clean chains are on disk already: merge only the fork hits they
+        // accrued, so GC keeps ranking them by use.
+        for chain in &clean {
+            let hits = chain.iter().map(|e| e.hits).max().unwrap_or(0);
+            let key = (chain[0].seed_offset, chain[0].prefix_key.clone());
+            if let Some(existing) = manifest.chains.iter_mut().find(|c| c.key() == key) {
+                existing.hits = existing.hits.max(hits);
+            }
+        }
 
         self.gc(&mut manifest, experiment);
         if self.write_manifest(&manifest).is_err() {
             return StoreReport::default();
         }
+        // The new cuts count as on disk only once the manifest names
+        // them: a failed flush leaves them dirty, so the next one retries.
+        self.persisted.extend(new_cuts);
         self.stats.persisted_chains = manifest.chains.len() as u64;
         self.stats.store_bytes = self.store_bytes();
         report.bytes = self.stats.store_bytes;
@@ -774,8 +792,8 @@ mod tests {
     }
 
     /// A tier holding the chains one fault-free injection run records
-    /// (profiling runs bypass the checkpoint tree, so the fault-free
-    /// *plan* run is the cheapest way to a populated tier).
+    /// (a profiling run records only its terminal cut, so the fault-free
+    /// *plan* run is the cheapest way to a populated chain).
     fn populated_tier(cfg: &ExperimentConfig) -> Arc<SharedSnapshotTier> {
         let tier = Arc::new(SharedSnapshotTier::new(
             CheckpointConfig::default().max_bytes,
@@ -966,6 +984,50 @@ mod tests {
         let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
         assert_eq!(store.hydrate(&foreign, &cfg), StoreReport::default());
         assert!(foreign.export_published().is_empty());
+
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn warm_flush_encodes_only_chains_with_new_cuts() {
+        // A warm session hydrates N cuts, then one run records a new
+        // chain of k cuts: the flush encodes those k alone, while the
+        // manifest keeps all N + k and merges the hit the hydrated chain
+        // served.
+        let cfg = experiment();
+        let root = temp_store("incremental");
+        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+        store.flush(&populated_tier(&cfg), &cfg);
+        drop(store);
+
+        let tier = Arc::new(SharedSnapshotTier::new(
+            CheckpointConfig::default().max_bytes,
+        ));
+        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+        let hydrated = store.hydrate(&tier, &cfg).snapshots;
+        assert!(hydrated > 0);
+        let mut runner = ExperimentRunner::new(cfg.clone());
+        runner.set_shared_tier(Arc::clone(&tier));
+        let gps = avis_sim::SensorInstance::new(avis_sim::SensorKind::Gps, 0);
+        runner.run_with_plan(avis_hinj::FaultPlan::from_specs(vec![
+            avis_hinj::FaultSpec::new(gps, 30.0),
+        ]));
+        assert_eq!(runner.checkpoint_stats().shared_hits, 1);
+        tier.republish();
+        let new_cuts = tier.export_published().len() as u64 - hydrated;
+        assert!(new_cuts > 0);
+
+        let flushed = store.flush(&tier, &cfg);
+        assert_eq!(flushed.chains, 1, "only the new chain is encoded");
+        assert_eq!(flushed.snapshots, new_cuts);
+        let manifest = store.read_manifest().unwrap();
+        let cuts: usize = manifest.chains.iter().map(|c| c.cuts.len()).sum();
+        assert_eq!(cuts as u64, hydrated + new_cuts);
+        assert!(
+            manifest.chains.iter().any(|c| c.hits > 0),
+            "the forked-from chain's hit is merged: {:?}",
+            manifest.chains
+        );
 
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -6,16 +6,23 @@
 //! wall-clock optimisation only; every test here pins that it is
 //! invisible in campaign observables.
 
-use avis::campaign::{Campaign, CampaignEvent, EventLog};
+use avis::campaign::{Campaign, CampaignBuilder, CampaignEvent, EventLog};
 use avis::checker::{Approach, Budget, CampaignResult};
+use avis::json::Json;
 use avis::matrix::ScenarioMatrix;
 use avis::runner::ExperimentConfig;
-use avis::snapshot::CheckpointConfig;
+use avis::snapshot::{CheckpointConfig, CheckpointStats, SharedSnapshotTier};
+use avis::WorkerStatsCollector;
 use avis_firmware::{BugId, BugSet, FirmwareProfile};
 use avis_hinj::{LinkDirection, LinkFaultKind, LinkFaultPlan, LinkFaultSpec, StormCommand};
 use avis_sim::SensorNoise;
 use avis_workload::auto_box_mission;
 use std::path::PathBuf;
+use std::sync::Arc;
+
+/// Profiling runs of the profiling-fork tests: a warm session's set-up
+/// is mostly these flights.
+const PROFILING_RUNS: usize = 3;
 
 fn experiment() -> ExperimentConfig {
     let bugs = BugSet::current_code_base(FirmwareProfile::ArduPilotLike);
@@ -111,22 +118,202 @@ fn persisted_warm_campaign_is_bit_identical_to_cold() {
     }
 }
 
+/// An arm storm on the command link at t = 40 s: the pinned link-fault
+/// environment of the link-fault tests.
+fn arm_storm() -> LinkFaultPlan {
+    LinkFaultPlan::from_specs(vec![LinkFaultSpec::new(
+        LinkFaultKind::Storm {
+            command: StormCommand::Arm,
+            count: 8,
+        },
+        LinkDirection::ToVehicle,
+        40.0,
+    )])
+}
+
+/// A campaign over [`experiment`] calibrated by [`PROFILING_RUNS`]
+/// profiling runs, within a budget of `simulations`.
+fn profiled(parallelism: usize, simulations: usize) -> CampaignBuilder {
+    Campaign::builder()
+        .experiment(experiment())
+        .approach(Approach::Avis)
+        .budget(Budget::simulations(simulations))
+        .profiling_runs(PROFILING_RUNS)
+        .parallelism(parallelism)
+}
+
+/// Runs `builder`, returning its result, its events and its inline
+/// runner's checkpoint statistics. Engine workers push theirs at pool
+/// shutdown, before the campaign pushes the inline runner's (profiling
+/// runs plus serial and fallback commits), so that is the last entry.
+fn session(builder: CampaignBuilder) -> (CampaignResult, Vec<CampaignEvent>, CheckpointStats) {
+    let collector = Arc::new(WorkerStatsCollector::new());
+    let mut log = EventLog::new();
+    let result = builder
+        .worker_stats(Arc::clone(&collector))
+        .build()
+        .run_with_observer(&mut log);
+    let inline = *collector
+        .collected()
+        .last()
+        .expect("the campaign reports its inline runner's statistics");
+    (result, log.into_events(), inline)
+}
+
+/// Simulated seconds the campaign's profiling runs cost.
+fn profiling_cost(events: &[CampaignEvent]) -> f64 {
+    events
+        .iter()
+        .find_map(|e| match e {
+            CampaignEvent::ProfilingFinished { cost_seconds, .. } => Some(*cost_seconds),
+            _ => None,
+        })
+        .expect("every campaign emits ProfilingFinished")
+}
+
+#[test]
+fn warm_sessions_fork_their_profiling_runs_from_the_store() {
+    // A warm session's profiling runs fork from the terminal cuts the
+    // first session persisted and fly only their grace tail, and the
+    // session still reproduces the cold result — at parallelism 1 and 4,
+    // with and without a link-fault environment.
+    const SIMULATIONS: usize = PROFILING_RUNS + 3;
+    for link in [false, true] {
+        let build = |parallelism: usize, simulations: usize, store: Option<&PathBuf>| {
+            let mut builder = profiled(parallelism, simulations);
+            if link {
+                builder = builder.link_faults(arm_storm());
+            }
+            if let Some(root) = store {
+                builder = builder.snapshot_store(root.clone());
+            }
+            session(builder)
+        };
+        let (cold, _, _) = build(1, SIMULATIONS, None);
+        let (cold_profiling, _, _) = build(1, PROFILING_RUNS, None);
+        for parallelism in [1, 4] {
+            let label = format!("parallelism {parallelism}, link faults {link}");
+            let root = temp_root(&format!("profiling-p{parallelism}-{link}"));
+            let (first, _, _) = build(parallelism, SIMULATIONS, Some(&root));
+            assert_eq!(cold, first, "first session ({label}) diverged from cold");
+
+            let (warm, _, stats) = build(parallelism, SIMULATIONS, Some(&root));
+            assert_eq!(cold, warm, "warm session ({label}) diverged from cold");
+            assert!(
+                stats.shared_hits >= PROFILING_RUNS as u64,
+                "warm profiling runs ({label}) should fork from the store: {stats:?}"
+            );
+
+            // A profiling-only session isolates the profiling forks.
+            let (profiling, events, stats) = build(parallelism, PROFILING_RUNS, Some(&root));
+            assert_eq!(
+                cold_profiling, profiling,
+                "warm profiling ({label}) diverged from cold"
+            );
+            assert_eq!(
+                (stats.forked_runs, stats.shared_hits, stats.cold_runs),
+                (PROFILING_RUNS as u64, PROFILING_RUNS as u64, 0),
+                "every warm profiling run ({label}) forks from the store: {stats:?}"
+            );
+            let cost = profiling_cost(&events);
+            assert!(
+                stats.simulated_seconds_skipped >= 0.9 * cost,
+                "profiling forks ({label}) skipped {:.1} of {cost:.1} simulated seconds",
+                stats.simulated_seconds_skipped
+            );
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+}
+
+#[test]
+fn corrupt_profiling_blob_falls_back_to_a_cold_profiling_run() {
+    // Flip one byte of the blob holding the first profiling run's
+    // terminal cut: hydration quarantines it, that profiling run flies
+    // cold, and the session still produces the cold result.
+    let (cold, _, _) = session(profiled(1, PROFILING_RUNS));
+    let root = temp_root("profiling-quarantine");
+    let (first, _, _) = session(profiled(1, PROFILING_RUNS).snapshot_store(root.clone()));
+    assert_eq!(cold, first);
+
+    let cell = std::fs::read_dir(&root)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let manifest =
+        Json::parse(&std::fs::read_to_string(cell.join("manifest.json")).unwrap()).unwrap();
+    let blob = manifest
+        .get("chains")
+        .and_then(Json::as_array)
+        .into_iter()
+        .flatten()
+        .find(|chain| chain.get("seed_offset").and_then(Json::as_u64) == Some(1))
+        .and_then(|chain| {
+            chain
+                .get("cuts")?
+                .as_array()?
+                .first()?
+                .get("blob")?
+                .as_str()
+        })
+        .expect("the first profiling run's terminal cut is persisted")
+        .to_string();
+    let victim = cell.join("blobs").join(format!("{blob}.blob"));
+    let mut bytes = std::fs::read(&victim).unwrap();
+    bytes[16] ^= 0x01; // the first payload byte, past the magic and length
+    std::fs::write(&victim, &bytes).unwrap();
+
+    let (warm, _, stats) = session(profiled(1, PROFILING_RUNS).snapshot_store(root.clone()));
+    assert_eq!(cold, warm, "the cold fallback changed the result");
+    assert!(
+        cell.join("quarantine")
+            .join(format!("{blob}.blob"))
+            .exists(),
+        "the corrupt blob is quarantined"
+    );
+    assert_eq!(
+        (stats.forked_runs, stats.cold_runs),
+        (PROFILING_RUNS as u64 - 1, 1),
+        "only the corrupted profiling run flies cold: {stats:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn campaigns_sharing_a_tier_fork_their_profiling_runs() {
+    // In one process, a second campaign handed the first one's tier
+    // forks its profiling runs from the terminal cuts the first one
+    // recorded; both campaigns still match their tierless runs.
+    const SIMULATIONS: usize = PROFILING_RUNS + 3;
+    let tier = Arc::new(SharedSnapshotTier::new(
+        CheckpointConfig::default().max_bytes,
+    ));
+    let shared = |approach: Approach| {
+        session(
+            profiled(1, SIMULATIONS)
+                .approach(approach)
+                .shared_snapshots(Arc::clone(&tier)),
+        )
+    };
+    let tierless = |approach: Approach| session(profiled(1, SIMULATIONS).approach(approach)).0;
+    let (first, _, _) = shared(Approach::Avis);
+    let (second, _, stats) = shared(Approach::Bfi);
+    assert!(
+        stats.shared_hits >= PROFILING_RUNS as u64,
+        "the second campaign's profiling runs should fork from the tier: {stats:?}"
+    );
+    assert_eq!(first, tierless(Approach::Avis));
+    assert_eq!(second, tierless(Approach::Bfi));
+}
+
 #[test]
 fn persisted_warm_link_fault_campaign_matches_cold() {
     // Same pin under a pinned link-fault environment: persisted chains
     // carry live link-shim state (rng stream, in-flight queues), so a
     // fork from a hydrated snapshot must replay the protocol defect
     // exactly as a cold run does.
-    let arm_storm = || {
-        LinkFaultPlan::from_specs(vec![LinkFaultSpec::new(
-            LinkFaultKind::Storm {
-                command: StormCommand::Arm,
-                count: 8,
-            },
-            LinkDirection::ToVehicle,
-            40.0,
-        )])
-    };
     let proto_experiment = || {
         let mut experiment = ExperimentConfig::new(
             FirmwareProfile::ArduPilotLike,
