@@ -1,76 +1,147 @@
-//! Batched lockstep execution: one worker advances a set of *sibling*
-//! fault-injection scenarios through a single SoA [`LaneBatch`] instead
-//! of running them back to back.
+//! The run loop. Every run in this crate — a profiling flight, one
+//! fault-injection scenario, or a batch of sibling scenarios advanced in
+//! lockstep — steps through [`ExperimentRunner::execute`], the
+//! `RunExperiment` procedure of Algorithm 1 and the step loop of Figure 7.
 //!
-//! The prefix-sharded dispatcher already routes plans that share an
-//! injection prefix to the same worker (see [`crate::engine`]); those
-//! plans execute identical state evolutions until their first divergent
-//! failure fires. Batching exploits exactly that window:
+//! One call flies 1..N plans sharing a seed offset. The prefix-sharded
+//! dispatcher routes plans that share an injection prefix to the same
+//! worker (see [`crate::engine`]); those plans execute identical state
+//! evolutions until their first divergent failure fires, and the loop
+//! exploits exactly that window:
 //!
-//! - The **leader** — the plan whose first divergence from the batch's
-//!   common plan intersection is latest (ties break to the lowest batch
-//!   index) — resumes from the deepest cached checkpoint cut at or
-//!   before the batch's earliest lane-fork time (or cold-starts at
-//!   `t = 0`) and is the only lane that records cuts, exactly as a
-//!   scalar run of that plan would. The resume lookup is capped because
-//!   lane forks are taken from the *live* leader at loop-tops — a
+//! - The **leader** — the plan whose first divergence from the plans'
+//!   common intersection is latest (ties break to the lowest index) — is
+//!   provisioned once: it forks from the deepest cached checkpoint cut at
+//!   or before the earliest lane-fork time, or restores the experiment's
+//!   genesis snapshot at `t = 0`. It is the only lane that records cuts,
+//!   exactly as a lone run of its plan would. The resume lookup is capped
+//!   because lane forks are taken from the *live* leader at loop tops — a
 //!   deeper cut would skip state a sibling still needs.
-//! - Every other lane is **virtual** until its divergence time: its
-//!   state is the leader's, so nothing is simulated for it. At the first
-//!   loop-top at or past its divergence time it **forks from the leader
-//!   lane** — the same capture-and-restore used by checkpoint forks,
-//!   with the plan swapped at restore — and becomes a live SoA lane.
-//! - A live lane is **evicted to the scalar path** when its firmware
-//!   control path departs the leader's
-//!   ([`Firmware::control_path_matches`]): past that point the lanes'
-//!   behaviour has genuinely diverged and lockstep stops paying.
-//! - A lane whose plan never diverges from the common intersection
-//!   (possible only when it equals the leader's plan) simply rides the
-//!   leader's result.
+//! - Every other lane is **virtual** until its divergence time: its state
+//!   is the leader's, so nothing is simulated for it. At the first loop
+//!   top at or past its divergence time it **forks from the leader** —
+//!   the capture-and-restore a checkpoint fork uses, with the plan swapped
+//!   at restore — and becomes a live lane.
+//! - A live lane stays batched until it **retires**: its post-terminal
+//!   grace period elapses, a watchdog trips, or simulated time runs out.
+//!   A lane whose mode or arming departs the leader's keeps stepping with
+//!   the batch; the shared-noise invariant of [`LaneBatch`] keeps it
+//!   bit-identical to its lone run however far the states diverge.
+//! - A lane that has not forked when the leader retires never will (no
+//!   fault its plan disagrees on ever fired) and rides the leader's
+//!   result.
 //!
-//! Batching is bit-identical to scalar execution by construction: the
-//! SoA stepper is byte-equivalent to [`Simulator::step_into`] per lane
-//! (tested in `avis-sim`), all lanes share one experiment seed so their
-//! scalar runs would consume identical sensor-noise streams at equal
-//! simulated time, and forks reuse the snapshot-cut argument from
-//! [`crate::snapshot`] (a failure scheduled at `t` first fires at the
-//! firmware step at `t`, after a fork taken at loop-top time `t`).
-//! Like checkpointing, it is purely a speed knob and is excluded from
-//! the experiment fingerprint.
+//! The physics kernel is picked once per call by plan count: a single
+//! plan steps the scalar [`Simulator`], two or more step one SoA
+//! [`LaneBatch`]. A 1-lane batch costs measurably more per tick than the
+//! scalar stepper (`batched_lockstep.lane1_step_ratio` in
+//! `BENCH_campaign.json`), so lone runs keep the scalar one.
+//!
+//! Batching is bit-identical to lone execution by construction: the SoA
+//! stepper is byte-equivalent to [`Simulator::step_into`] per lane (tested
+//! in `avis-sim`), all lanes share one experiment seed so their lone runs
+//! would consume identical sensor-noise streams at equal simulated time,
+//! and forks reuse the snapshot-cut argument from [`crate::snapshot`] (a
+//! failure scheduled at `t` first fires at the firmware step at `t`, after
+//! a fork taken at loop-top time `t`). Like checkpointing, it is purely a
+//! speed knob and is excluded from the experiment fingerprint.
 
-use crate::contain;
 use crate::protocol::ProtocolTracker;
-use crate::runner::{ExperimentRunner, RunResult, RunVerdict, LINK_RNG_SALT};
-use crate::snapshot::{injection_prefix, ChainParent, RunSnapshot, SnapshotCache, SnapshotKey};
+use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult, RunVerdict};
+use crate::snapshot::{injection_prefix, ChainParent, RunSnapshot, SnapshotKey};
 use crate::trace::{transition_from_code, ModeTransition, StateSample, Trace};
 use avis_firmware::{BugId, Firmware};
-use avis_hinj::{FaultInjector, FaultPlan, FaultyLink, LinkSnapshot, SharedInjector};
+use avis_hinj::{FaultPlan, FaultyLink, LinkSnapshot, SharedInjector};
 use avis_mavlite::{Endpoint, Message};
-use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
-use avis_sim::{CowVec, LaneBatch, MotorCommands, SimRng};
-use avis_workload::WorkloadStatus;
+use avis_sim::simulator::{SimSnapshot, Simulator, StepOutput};
+use avis_sim::{Collision, CowVec, LaneBatch, MotorCommands};
+use avis_workload::{ScriptedWorkload, WorkloadStatus};
 
 /// How often (in lock-step iterations) the wall-clock backstop is
-/// consulted — same coarse stride as the scalar loop in
-/// [`crate::runner`], so the hot loop never syscalls per step.
+/// consulted — coarse on purpose, so the hot loop never syscalls per step.
 const WALL_CLOCK_STRIDE: u64 = 4096;
 
-/// Everything one lane owns besides its simulator state (which lives in
-/// the shared [`LaneBatch`]): the firmware instance, the fault shims,
-/// the protocol tracker, the workload script and the trace-in-progress.
-/// These are exactly the non-`sim` fields of a [`RunSnapshot`], which is
-/// what lets a lane fork from the leader with the standard
-/// capture-and-restore path and finish on the scalar path unchanged.
+/// The physics kernel behind the run loop, picked once per call by plan
+/// count.
+enum Physics {
+    /// One plan: [`Simulator::step_into`] into one output buffer.
+    Scalar(Simulator, StepOutput),
+    /// Two or more plans: one SoA [`LaneBatch`] over every live lane.
+    Lanes(LaneBatch),
+}
+
+impl Physics {
+    /// Wraps the leader's simulator, returning the kernel and the
+    /// leader's lane id.
+    fn new(sim: Simulator, output: StepOutput, plans: usize) -> (Self, u64) {
+        if plans == 1 {
+            (Physics::Scalar(sim, output), 0)
+        } else {
+            let (batch, lane) = LaneBatch::from_simulator(sim, output);
+            (Physics::Lanes(batch), lane)
+        }
+    }
+
+    fn time(&self) -> f64 {
+        match self {
+            Physics::Scalar(sim, _) => sim.time(),
+            Physics::Lanes(batch) => batch.time(),
+        }
+    }
+
+    fn output(&self, lane: u64) -> &StepOutput {
+        match self {
+            Physics::Scalar(_, output) => output,
+            Physics::Lanes(batch) => batch.output(lane),
+        }
+    }
+
+    fn snapshot(&self, lane: u64) -> SimSnapshot {
+        match self {
+            Physics::Scalar(sim, _) => sim.snapshot(),
+            Physics::Lanes(batch) => batch.lane_snapshot(lane),
+        }
+    }
+
+    /// Adds a lane as a bit-exact copy of `lane`, returning its id.
+    fn fork(&mut self, lane: u64) -> u64 {
+        match self {
+            Physics::Scalar(..) => unreachable!("a single-plan run has no lane to fork"),
+            Physics::Lanes(batch) => batch.clone_lane(lane),
+        }
+    }
+
+    /// Advances every lane one step; `commands[i]` drives the lane in
+    /// slot `i`.
+    fn step(&mut self, commands: &[MotorCommands]) {
+        match self {
+            Physics::Scalar(sim, output) => sim.step_into(&commands[0], output),
+            Physics::Lanes(batch) => batch.step_lanes(commands),
+        }
+    }
+
+    /// Takes `lane` out of the kernel, returning its first collision.
+    fn retire(&mut self, lane: u64) -> Option<Collision> {
+        match self {
+            Physics::Scalar(sim, _) => sim.first_collision(),
+            Physics::Lanes(batch) => batch.extract_lane(lane).0.first_collision(),
+        }
+    }
+}
+
+/// Everything one lane owns besides its physics: the firmware instance,
+/// the fault shims, the protocol tracker, the workload script and the
+/// trace-in-progress — the non-`sim` fields of a [`RunSnapshot`].
 struct LaneCtx {
-    /// Position of this lane's plan in the batch's input plan list.
+    /// Position of this lane's plan in the call's plan list.
     index: usize,
-    /// The lane's id inside the shared [`LaneBatch`].
+    /// The lane's id inside the physics kernel.
     lane: u64,
     injector: SharedInjector,
     firmware: Firmware,
     link: FaultyLink,
     tracker: ProtocolTracker,
-    workload: avis_workload::ScriptedWorkload,
+    workload: ScriptedWorkload,
     samples: CowVec<StateSample>,
     fence_violations: usize,
     next_sample_time: f64,
@@ -79,12 +150,81 @@ struct LaneCtx {
 }
 
 impl LaneCtx {
-    /// One ground-station exchange for this lane, transcribed from the
-    /// scalar loop in [`crate::runner`]: telemetry and commands cross
-    /// the lane's own fault shim, the tracker records protocol events,
-    /// and the workload ticks. Returns `true` when the grace period
-    /// after a terminal workload status has elapsed — the lane then
-    /// finishes *before* stepping, exactly where the scalar loop breaks.
+    /// Restores a lane from a cut — a checkpoint, a capture of the
+    /// leader, or the genesis snapshot — with `plan` swapped into both
+    /// fault shims. Returns the lane (id 0 until the kernel assigns one)
+    /// with its simulator and last step output.
+    fn restore(
+        snapshot: RunSnapshot,
+        plan: FaultPlan,
+        index: usize,
+    ) -> (Self, Simulator, StepOutput) {
+        let RunSnapshot {
+            sim,
+            firmware,
+            injector,
+            link,
+            tracker,
+            workload,
+            samples,
+            output,
+            fence_violations,
+            next_sample_time,
+            workload_status,
+            terminal_since,
+            ..
+        } = snapshot;
+        let link = link.into_restored_with_plan(plan.link_plan().clone());
+        let injector = SharedInjector::new(injector.into_restored_with_plan(plan));
+        let firmware = firmware.into_restored(injector.clone());
+        let ctx = LaneCtx {
+            index,
+            lane: 0,
+            injector,
+            firmware,
+            link,
+            tracker,
+            workload,
+            samples,
+            fence_violations,
+            next_sample_time,
+            workload_status,
+            terminal_since,
+        };
+        (ctx, sim.into_restored(), output)
+    }
+
+    /// Captures the lane at loop-top `time`, before that step's
+    /// exchange, firmware step and physics step — the one capture behind
+    /// both a checkpoint cut and a lane fork. The sample tail is sealed
+    /// into a shared chunk, so the capture shares the history with the
+    /// lane structurally: O(1) in the run length.
+    fn capture(&mut self, physics: &Physics, time: f64) -> RunSnapshot {
+        RunSnapshot {
+            sim: physics.snapshot(self.lane),
+            firmware: self.firmware.snapshot(),
+            injector: self.injector.snapshot(),
+            link: LinkSnapshot::capture(&self.link),
+            tracker: self.tracker.clone(),
+            workload: self.workload.clone(),
+            samples: self.samples.sealed_clone(),
+            output: physics.output(self.lane).clone(),
+            fence_violations: self.fence_violations,
+            next_sample_time: self.next_sample_time,
+            workload_status: self.workload_status.clone(),
+            terminal_since: self.terminal_since,
+            time,
+            prefix: injection_prefix(&self.injector.plan(), time),
+        }
+    }
+
+    /// One ground-station exchange, both legs crossing the lane's fault
+    /// shim: vehicle telemetry travels to the GCS, workload commands
+    /// travel back — dropped, duplicated, reordered, corrupted, delayed
+    /// or stormed as the link plan dictates. The tracker records what the
+    /// workload *sent*, before the shim decides what survives. Returns
+    /// `true` when the grace period after a terminal workload status has
+    /// elapsed: the lane then finishes before stepping.
     fn exchange(&mut self, outbox: &mut Vec<Message>, time: f64, grace_period: f64) -> bool {
         self.firmware.drain_outbox_into(outbox);
         for msg in outbox.iter() {
@@ -111,8 +251,7 @@ impl LaneCtx {
     }
 
     /// Post-physics bookkeeping for one step: fence-violation counting
-    /// and trace sampling, against the loop-top `time` exactly like the
-    /// scalar loop.
+    /// and trace sampling, against the loop-top `time`.
     fn post_step(&mut self, output: &StepOutput, time: f64, sample_interval: f64) {
         if !output.violated_fences.is_empty() {
             self.fence_violations += 1;
@@ -128,21 +267,25 @@ impl LaneCtx {
         }
     }
 
-    /// Assembles the lane's [`RunResult`], transcribed from the scalar
-    /// finalisation tail in [`crate::runner`].
-    fn finalize(self, sim: &Simulator, sample_interval: f64, verdict: RunVerdict) -> RunResult {
+    /// Assembles the lane's [`RunResult`] at simulated time `duration`.
+    fn finish(
+        self,
+        duration: f64,
+        collision: Option<Collision>,
+        sample_interval: f64,
+        verdict: RunVerdict,
+    ) -> RunResult {
         let mode_transitions: Vec<ModeTransition> = self
             .injector
             .mode_transitions()
             .into_iter()
             .filter_map(|r| transition_from_code(r.time, r.to))
             .collect();
-        let duration = sim.time();
         let trace = Trace {
             sample_interval,
             samples: self.samples.into_vec(),
             mode_transitions,
-            collision: sim.first_collision(),
+            collision,
             fence_violations: self.fence_violations,
             workload_status: self.workload_status,
             duration,
@@ -156,9 +299,10 @@ impl LaneCtx {
             .collect();
         triggered_defects.sort_unstable();
         triggered_defects.dedup();
-        let plan = self.injector.take_plan();
+        // The injector owned the plan for the duration of the run; take
+        // it back rather than cloning it up front.
         RunResult {
-            plan,
+            plan: self.injector.take_plan(),
             trace,
             simulated_seconds: duration,
             triggered_defects,
@@ -167,580 +311,401 @@ impl LaneCtx {
     }
 }
 
-/// Extracts a lane from the batch and finalises its result, noting the
-/// leader's retirement so virtual lanes can be resolved afterwards.
-#[allow(clippy::too_many_arguments)]
-fn retire(
-    ctx: LaneCtx,
-    batch: &mut LaneBatch,
-    verdict: RunVerdict,
-    sample_interval: f64,
-    results: &mut [Option<RunResult>],
+/// The plans of one call: which one leads, which lanes still wait to
+/// fork from it, and which results are in.
+struct Roster {
+    plans: Vec<FaultPlan>,
+    /// Index of the leader's plan.
     leader: usize,
-    leader_result: &mut Option<RunResult>,
-    leader_live: &mut bool,
-) {
-    let (sim, _output) = batch.extract_lane(ctx.lane);
-    let idx = ctx.index;
-    let result = ctx.finalize(&sim, sample_interval, verdict);
-    if idx == leader {
-        *leader_result = Some(result.clone());
-        *leader_live = false;
+    /// Lanes that have not forked yet, as `(divergence time, plan
+    /// index)` in fork order. A plan that never diverges from the common
+    /// intersection (it equals the leader's) waits at `f64::INFINITY`; a
+    /// plan whose divergence time is NaN forks at the first loop top.
+    pending: Vec<(f64, usize)>,
+    /// Finished results, by plan index.
+    done: Vec<(usize, RunResult)>,
+}
+
+impl Roster {
+    /// The plan algebra: the plans' common intersection, each plan's
+    /// first divergence from it, and the leader (latest divergence, ties
+    /// to the lowest index).
+    fn new(plans: Vec<FaultPlan>) -> Self {
+        let common = plans
+            .iter()
+            .skip(1)
+            .fold(plans[0].clone(), |acc, p| acc.intersection(p));
+        // A strategy may propose any failure time, NaN included. A NaN
+        // divergence orders against nothing, so such a lane forks at the
+        // first loop top, where a fork equals a cold start of its plan.
+        let divergence: Vec<f64> = plans
+            .iter()
+            .map(|p| match p.first_divergence_from(&common) {
+                Some(d) if d.is_nan() => f64::NEG_INFINITY,
+                Some(d) => d,
+                None => f64::INFINITY,
+            })
+            .collect();
+        let mut leader = 0;
+        for (i, &d) in divergence.iter().enumerate() {
+            if d > divergence[leader] {
+                leader = i;
+            }
+        }
+        let mut pending: Vec<(f64, usize)> = divergence
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| i != leader)
+            .map(|(i, d)| (d, i))
+            .collect();
+        // Stable: ties keep plan order.
+        pending.sort_by(|a, b| a.0.total_cmp(&b.0));
+        Roster {
+            done: Vec::with_capacity(plans.len()),
+            plans,
+            leader,
+            pending,
+        }
     }
-    results[idx] = Some(result);
+
+    /// Takes `ctx` out of the physics and files its result. When the
+    /// leader retires, every lane that has not forked yet never will:
+    /// no fault its plan disagrees on ever fired, so its result is the
+    /// leader's with its own plan.
+    fn retire(
+        &mut self,
+        ctx: LaneCtx,
+        physics: &mut Physics,
+        verdict: RunVerdict,
+        sample_interval: f64,
+    ) {
+        let collision = physics.retire(ctx.lane);
+        let index = ctx.index;
+        let result = ctx.finish(physics.time(), collision, sample_interval, verdict);
+        if index == self.leader {
+            for (_, idx) in self.pending.drain(..) {
+                let mut rider = result.clone();
+                rider.plan = self.plans[idx].clone();
+                self.done.push((idx, rider));
+            }
+        }
+        self.done.push((index, result));
+    }
+
+    /// The results in plan order.
+    fn into_results(mut self) -> Vec<RunResult> {
+        debug_assert_eq!(self.done.len(), self.plans.len(), "every plan settles once");
+        self.done.sort_unstable_by_key(|&(index, _)| index);
+        self.done.into_iter().map(|(_, result)| result).collect()
+    }
+}
+
+/// When the leader records checkpoint cuts. Interval cuts fire at the
+/// first multiple of the checkpoint interval strictly after the resume
+/// time, so a forked run extends the tree instead of re-recording the
+/// chain it resumed from. Anchor cuts fire at the *last* loop top at or
+/// before each anchor time (`time + dt > anchor`), so a plan injecting
+/// exactly at the anchor can fork from the cut. A profiling run takes
+/// neither: it records exactly one cut, at the first loop top after its
+/// workload turns terminal, so a later profiling run at the same seed
+/// offset forks from it and flies only the grace tail (a run resumed from
+/// that cut is terminal already and records nothing).
+struct CutSchedule {
+    dt: f64,
+    interval: f64,
+    next: f64,
+    anchors: Vec<f64>,
+    anchor_idx: usize,
+    terminal: bool,
+}
+
+impl CutSchedule {
+    fn anchor_due(&self, time: f64) -> bool {
+        self.anchors
+            .get(self.anchor_idx)
+            .is_some_and(|&anchor| time + self.dt > anchor)
+    }
+
+    /// Whether the leader cuts at loop-top `time`; a due cut moves the
+    /// schedule past it.
+    fn take(&mut self, time: f64, status: &WorkloadStatus) -> bool {
+        let terminal_due = self.terminal && status.is_terminal();
+        if !(time >= self.next || self.anchor_due(time) || terminal_due) {
+            return false;
+        }
+        while time >= self.next {
+            self.next += self.interval;
+        }
+        while self.anchor_due(time) {
+            self.anchor_idx += 1;
+        }
+        self.terminal = false;
+        true
+    }
 }
 
 impl ExperimentRunner {
-    /// Executes a batch of sibling fault-injection scenarios in lockstep
-    /// through one SoA [`LaneBatch`], with the same panic containment as
-    /// [`ExperimentRunner::run_contained`]: a panic anywhere inside the
-    /// batched run quarantines the snapshots it recorded and falls back
-    /// to scalar contained execution of every plan in the batch. Runs
-    /// are pure functions of their plan, so the fallback reproduces the
-    /// non-panicking lanes' results exactly and the panicking lane gets
-    /// its deterministic [`RunVerdict::Crashed`].
-    ///
-    /// Results come back in input order and are bit-identical to
-    /// `plans.map(run_with_plan)` — batching, like checkpointing, is
-    /// purely a speed knob.
-    pub fn run_batch_contained(&mut self, plans: Vec<FaultPlan>) -> Vec<RunResult> {
-        if plans.len() < 2 {
-            return plans.into_iter().map(|p| self.run_contained(p)).collect();
+    /// The run loop: flies `plans` (sharing `seed_offset`) from one
+    /// provisioned leader and returns one result per plan, in input
+    /// order, each bit-identical to a cold lone run of its plan. See the
+    /// module docs for the lane lifecycle. Per loop top the phases run in
+    /// this order: lane forks, watchdogs, the leader's checkpoint cut,
+    /// ground-station exchange (lanes whose grace period elapsed retire
+    /// here), firmware steps, one physics step, trace sampling.
+    pub(crate) fn execute(&mut self, plans: Vec<FaultPlan>, seed_offset: u64) -> Vec<RunResult> {
+        if plans.is_empty() {
+            return Vec::new();
         }
-        let retained = plans.clone();
-        match contain::catch(|| self.execute_batch(plans)) {
-            Ok(results) => results,
-            Err(_payload) => {
-                let tainted = std::mem::take(&mut self.fresh_keys);
-                self.cache.quarantine(&tainted);
-                if let Some(tier) = &self.shared {
-                    tier.retract(&tainted);
-                }
-                // The panic payload is deliberately dropped: the scalar
-                // rerun reproduces the crash in its own containment
-                // boundary, which renders the canonical message with the
-                // per-plan context.
-                retained
-                    .into_iter()
-                    .map(|p| self.run_contained(p))
-                    .collect()
-            }
-        }
-    }
-
-    /// The batched lockstep loop. See the module docs for the lane
-    /// lifecycle; the loop body is a lane-indexed transcription of the
-    /// scalar loop in [`crate::runner`], in the same phase order:
-    /// watchdogs, checkpoint cut (leader only), ground-station exchange,
-    /// terminal/grace retirement, firmware step, physics step, trace
-    /// sampling — plus fork processing at the very top and divergence
-    /// eviction at the very bottom.
-    fn execute_batch(&mut self, plans: Vec<FaultPlan>) -> Vec<RunResult> {
-        debug_assert!(plans.len() >= 2, "a batch needs at least two lanes");
         self.runs += plans.len() as u64;
         self.step_cursor = 0;
         self.fresh_keys.clear();
-
+        // The wall-clock watchdog baseline, compared coarsely (every
+        // `WALL_CLOCK_STRIDE` iterations); see
+        // [`crate::runner::WatchdogConfig::wall_clock_seconds`] for why
+        // this cannot perturb a deterministic run.
         let started = self
             .config
             .watchdog
             .wall_clock_seconds
             // avis-lint: allow(d1, reason = "wall-clock watchdog backstop: only ever converts a hung substrate into RunVerdict::Diverged, never observed by a terminating run")
             .map(|_| std::time::Instant::now());
+        let ExperimentConfig {
+            dt,
+            max_duration,
+            sample_interval,
+            grace_period,
+            watchdog,
+            ..
+        } = self.config;
+        let mut roster = Roster::new(plans);
+        let fork_cap = roster.pending.first().map_or(f64::INFINITY, |&(d, _)| d);
 
-        // Config scalars copied out so no `&self.config` borrow is held
-        // across the cache/eviction calls below.
-        let dt = self.config.dt;
-        let max_duration = self.config.max_duration;
-        let sample_interval = self.config.sample_interval;
-        let grace_period = self.config.grace_period;
-        let max_steps = self.config.watchdog.max_steps;
-        let wall_clock_limit = self.config.watchdog.wall_clock_seconds;
+        // Injection runs (seed offset 0) go through the checkpoint tree.
+        // A profiling run (seed offset ≠ 0) has a sensor-noise seed of
+        // its own, so no other run of its campaign resumes from its
+        // state: it goes through the tree only when a shared tier can
+        // carry its one terminal cut to a later campaign over the same
+        // experiment (in this process, or through the persistent store).
+        // A tripped checksum breaker (`SnapshotCache::degraded`) forces
+        // cold execution for the rest of the runner's life.
+        let profiling = seed_offset != 0;
+        let checkpointing = self.config.checkpoints.enabled
+            && (!profiling || self.shared.is_some())
+            && !self.cache.degraded();
 
-        // Plan algebra: the common intersection, each plan's first
-        // divergence from it, and the leader (latest divergence; `None`
-        // means the plan never diverges, i.e. it *is* the intersection).
-        let common = plans
-            .iter()
-            .skip(1)
-            .fold(plans[0].clone(), |acc, p| acc.intersection(p));
-        let divergences: Vec<Option<f64>> = plans
-            .iter()
-            .map(|p| p.first_divergence_from(&common))
-            .collect();
-        let mut leader = 0usize;
-        for (i, d) in divergences.iter().enumerate().skip(1) {
-            if d.unwrap_or(f64::INFINITY) > divergences[leader].unwrap_or(f64::INFINITY) {
-                leader = i;
-            }
-        }
-        // Virtual lanes never fork (their plan equals the leader's);
-        // pending lanes fork at their divergence time, in time order.
-        let mut virtuals: Vec<usize> = Vec::new();
-        let mut pending: Vec<(f64, usize)> = Vec::new();
-        for (i, d) in divergences.iter().enumerate() {
-            if i == leader {
-                continue;
-            }
-            match d {
-                Some(d) => pending.push((*d, i)),
-                None => virtuals.push(i),
-            }
-        }
-        pending.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-
-        // Provision the leader, mirroring the scalar runner: fork from
-        // the deepest cached cut whose injection prefix matches the
-        // leader's plan — probing both the local cache and the shared
-        // tier — or cold-start from t = 0. The lookup is *capped at the
-        // earliest pending lane-fork time*: lane forks are taken from
-        // the live leader at loop-tops, so a cut past one would skip
-        // state a sibling still needs (the cap keeps the deepest cut at
-        // or before it instead of rejecting resume outright). Either way
-        // the leader records cuts, so later scenarios fork from the
-        // shared prefix it executes.
-        let checkpointing = self.config.checkpoints.enabled && !self.cache.degraded();
-        let chains_enabled = self.config.checkpoints.keyframe_stride > 1;
-        let checkpoint_interval = self.config.checkpoints.interval;
-        let anchors: Vec<f64> = if checkpointing {
-            self.config.checkpoints.anchors.clone()
-        } else {
-            Vec::new()
-        };
-        let fork_cap = pending.first().map_or(f64::INFINITY, |&(d, _)| d);
-        let mut chain_parent: Option<ChainParent> = None;
-        let resumed = if checkpointing {
-            let local = self.cache.peek_deepest(0, &plans[leader], fork_cap);
-            let local_depth = local.as_ref().map(|(t, _)| *t);
-            let shared_probe = self.shared.as_ref().and_then(|tier| {
-                tier.peek_depth(0, &plans[leader], fork_cap)
-                    .map(|d| (d, tier))
-            });
-            let take_local = |cache: &mut SnapshotCache, chain_parent: &mut Option<ChainParent>| {
-                local.clone().and_then(|(time, key)| {
-                    // `take` re-validates record-time checksums; a corrupt
-                    // chain quarantines inside the cache and the batch
-                    // transparently cold-starts.
-                    let snapshot = cache.take(&key, time)?;
-                    if chains_enabled {
-                        *chain_parent = Some(ChainParent {
-                            key,
-                            snapshot: snapshot.clone(),
-                        });
-                    }
-                    Some(snapshot)
-                })
-            };
-            match shared_probe {
-                Some((probed, tier)) if Some(probed) > local_depth => {
-                    match tier.take_deepest(0, &plans[leader], fork_cap) {
-                        Some((depth, snapshot)) => {
-                            self.cache.note_shared_fork(depth);
-                            Some(snapshot)
-                        }
-                        None => take_local(&mut self.cache, &mut chain_parent),
-                    }
-                }
-                _ => take_local(&mut self.cache, &mut chain_parent),
-            }
+        // Provision the leader: fork from the deepest cut its plan may
+        // resume from, or restore the genesis snapshot — the cold start.
+        // Either way the leader's plan is swapped in at restore.
+        let fork = if checkpointing {
+            self.take_deepest_cut(seed_offset, &roster.plans[roster.leader], fork_cap)
         } else {
             None
         };
-
-        let cfg = &self.config;
-        let leader_plan = plans[leader].clone();
-        let leader_link_plan = leader_plan.link_plan().clone();
-        let (
-            sim,
-            injector,
-            firmware,
-            link,
-            tracker,
-            workload,
-            samples,
-            output,
-            fence_violations,
-            next_sample_time,
-            workload_status,
-            terminal_since,
-        );
-        match resumed {
-            Some(snapshot) => {
-                let RunSnapshot {
-                    sim: sim_snap,
-                    firmware: firmware_snap,
-                    injector: injector_snap,
-                    link: link_snap,
-                    tracker: tracker_snap,
-                    workload: workload_snap,
-                    samples: samples_snap,
-                    output: output_snap,
-                    fence_violations: fences_snap,
-                    next_sample_time: sample_time_snap,
-                    workload_status: status_snap,
-                    terminal_since: terminal_snap,
-                    ..
-                } = snapshot;
-                injector = SharedInjector::new(injector_snap.into_restored_with_plan(leader_plan));
-                firmware = firmware_snap.into_restored(injector.clone());
-                sim = sim_snap.into_restored();
-                link = link_snap.into_restored_with_plan(leader_link_plan);
-                tracker = tracker_snap;
-                workload = workload_snap;
-                samples = samples_snap;
-                output = output_snap;
-                fence_violations = fences_snap;
-                next_sample_time = sample_time_snap;
-                workload_status = status_snap;
-                terminal_since = terminal_snap;
-            }
+        let (snapshot, mut chain_parent) = match fork {
+            Some(fork) => fork,
             None => {
                 if checkpointing {
                     self.cache.note_cold_run();
                 }
-                let mut sim_config = SimConfig {
-                    dt: cfg.dt,
-                    seed: cfg.seed,
-                    ..SimConfig::default()
-                };
-                if let Some(noise) = &cfg.noise {
-                    sim_config.sensors.noise = noise.clone();
-                }
-                let mut cold_sim =
-                    Simulator::new_shared(sim_config, cfg.workload.shared_environment());
-                injector = SharedInjector::new(FaultInjector::new(leader_plan));
-                firmware = Firmware::new(cfg.profile, cfg.bugs.clone(), injector.clone());
-                link = FaultyLink::new(
-                    leader_link_plan,
-                    SimRng::seed_from_u64(cfg.seed ^ LINK_RNG_SALT),
-                );
-                samples =
-                    CowVec::with_capacity((cfg.max_duration / cfg.sample_interval) as usize + 2);
-                workload = cfg.workload.fresh();
-                tracker = ProtocolTracker::new();
-                let mut primed = StepOutput::empty();
-                cold_sim.step_into(&MotorCommands::IDLE, &mut primed);
-                sim = cold_sim;
-                output = primed;
-                fence_violations = 0;
-                next_sample_time = 0.0;
-                workload_status = WorkloadStatus::Running;
-                terminal_since = None;
+                (Self::genesis_snapshot(&self.config, seed_offset), None)
             }
-        }
-        let (mut batch, leader_lane) = LaneBatch::from_simulator(sim, output);
-
-        let mut ctxs: Vec<LaneCtx> = Vec::with_capacity(plans.len());
-        ctxs.push(LaneCtx {
-            index: leader,
-            lane: leader_lane,
-            injector,
-            firmware,
-            link,
-            tracker,
-            workload,
-            samples,
-            fence_violations,
-            next_sample_time,
-            workload_status,
-            terminal_since,
-        });
-        let mut next_checkpoint = if checkpointing {
-            (batch.time() / checkpoint_interval).floor() * checkpoint_interval + checkpoint_interval
-        } else {
-            f64::INFINITY
         };
-        let mut anchor_idx = anchors.partition_point(|&a| a < batch.time() + dt);
+        let plan = roster.plans[roster.leader].clone();
+        let (mut lead, sim, output) = LaneCtx::restore(snapshot, plan, roster.leader);
+        let (mut physics, lane) = Physics::new(sim, output, roster.plans.len());
+        lead.lane = lane;
 
-        let mut results: Vec<Option<RunResult>> = plans.iter().map(|_| None).collect();
-        let mut leader_result: Option<RunResult> = None;
-        let mut leader_live = true;
+        let interval_cuts = checkpointing && !profiling;
+        let interval = self.config.checkpoints.interval;
+        let mut cuts = CutSchedule {
+            dt,
+            interval,
+            next: if interval_cuts {
+                (physics.time() / interval).floor() * interval + interval
+            } else {
+                f64::INFINITY
+            },
+            anchors: if interval_cuts {
+                self.config.checkpoints.anchors.clone()
+            } else {
+                Vec::new()
+            },
+            anchor_idx: 0,
+            terminal: checkpointing && profiling && !lead.workload_status.is_terminal(),
+        };
+        // Skip anchors whose cut already lies at or before the resume
+        // point (the chain this run forked from recorded them).
+        cuts.anchor_idx = cuts.anchors.partition_point(|&a| a < physics.time() + dt);
+
+        // Live lanes in the kernel's slot order: a lane joins at the end
+        // of both, and retiring swap-removes it from both.
+        let mut ctxs: Vec<LaneCtx> = Vec::with_capacity(roster.plans.len());
+        ctxs.push(lead);
+        // Reused per iteration, so steady state allocates nothing.
         let mut outbox: Vec<Message> = Vec::new();
-        // Reused per iteration: live lane ids in batch slot order, and
-        // the motor command for each (steady state allocates nothing).
-        let mut lane_order: Vec<u64> = Vec::new();
-        let mut commands: Vec<MotorCommands> = Vec::new();
-
-        'lockstep: loop {
-            if ctxs.is_empty() {
-                break;
-            }
-            let time = batch.time();
+        let mut commands: Vec<MotorCommands> = Vec::with_capacity(roster.plans.len());
+        let verdict = loop {
+            let time = physics.time();
             if time >= max_duration {
-                break;
+                break RunVerdict::Completed;
             }
 
-            // Fork every pending lane whose divergence time has arrived,
-            // while the leader is still live to fork from. A fork at
-            // loop-top `time` is the exact state a scalar run of that
-            // lane's plan would hold here: every fault the two plans
-            // disagree on is scheduled at or after this loop-top, and a
-            // failure scheduled at `t` first fires at the firmware step
-            // at `t`.
-            while leader_live && pending.first().is_some_and(|&(d, _)| time >= d) {
-                let (_, idx) = pending.remove(0);
-                debug_assert_eq!(ctxs[0].index, leader, "leader lane leads the ctx list");
-                let lane = batch.clone_lane(ctxs[0].lane);
-                let forked = {
-                    let leader_ctx = &mut ctxs[0];
-                    let injector = SharedInjector::new(
-                        leader_ctx
-                            .injector
-                            .snapshot()
-                            .into_restored_with_plan(plans[idx].clone()),
-                    );
-                    let firmware = leader_ctx
-                        .firmware
-                        .snapshot()
-                        .into_restored(injector.clone());
-                    let link = LinkSnapshot::capture(&leader_ctx.link)
-                        .into_restored_with_plan(plans[idx].link_plan().clone());
-                    LaneCtx {
-                        index: idx,
-                        lane,
-                        injector,
-                        firmware,
-                        link,
-                        tracker: leader_ctx.tracker.clone(),
-                        workload: leader_ctx.workload.clone(),
-                        samples: leader_ctx.samples.sealed_clone(),
-                        fence_violations: leader_ctx.fence_violations,
-                        next_sample_time: leader_ctx.next_sample_time,
-                        workload_status: leader_ctx.workload_status.clone(),
-                        terminal_since: leader_ctx.terminal_since,
-                    }
+            // Fork every lane whose divergence time has arrived, while
+            // the leader is live to fork from (its retirement settles the
+            // rest). A fork at loop-top `time` is the exact state a lone
+            // run of the lane's plan would hold here: every fault the two
+            // plans disagree on is scheduled at or after this loop top.
+            while roster.pending.first().is_some_and(|&(d, _)| time >= d) {
+                let Some(li) = ctxs.iter().position(|c| c.index == roster.leader) else {
+                    break;
                 };
+                let (_, index) = roster.pending.remove(0);
+                let cut = ctxs[li].capture(&physics, time);
+                let (mut forked, _, _) = LaneCtx::restore(cut, roster.plans[index].clone(), index);
+                forked.lane = physics.fork(ctxs[li].lane);
                 ctxs.push(forked);
             }
 
-            // Scenario watchdogs, shared across lanes: the step cursor
-            // derives from the shared simulated clock, so the step
-            // budget trips every lane at the identical simulated state a
-            // scalar run would trip at.
+            // Scenario watchdogs, shared by every lane. The step cursor
+            // derives from *simulated* time, so the step budget trips at
+            // the identical simulated state cold or forked, at any
+            // parallelism. It also survives on the runner across a panic
+            // unwind, which is how `run_batch_contained` learns the crash
+            // step.
             self.step_cursor = (time / dt).round() as u64;
-            let mut tripped = max_steps.is_some_and(|m| self.step_cursor >= m);
-            if let (Some(limit), Some(started)) = (wall_clock_limit, started) {
+            if watchdog.max_steps.is_some_and(|m| self.step_cursor >= m) {
+                break RunVerdict::Diverged;
+            }
+            if let (Some(limit), Some(started)) = (watchdog.wall_clock_seconds, started) {
                 if self.step_cursor.is_multiple_of(WALL_CLOCK_STRIDE)
                     && started.elapsed().as_secs_f64() > limit
                 {
-                    tripped = true;
-                }
-            }
-            if tripped {
-                while let Some(ctx) = ctxs.pop() {
-                    retire(
-                        ctx,
-                        &mut batch,
-                        RunVerdict::Diverged,
-                        sample_interval,
-                        &mut results,
-                        leader,
-                        &mut leader_result,
-                        &mut leader_live,
-                    );
-                }
-                break 'lockstep;
-            }
-
-            // Checkpoint recording, leader lane only, cut at the top of
-            // the loop body exactly like the scalar runner: the snapshot
-            // captures the leader's state before this step's exchange,
-            // firmware step and physics step.
-            if checkpointing && leader_live {
-                let anchor_due = anchor_idx < anchors.len() && time + dt > anchors[anchor_idx];
-                if time >= next_checkpoint || anchor_due {
-                    debug_assert_eq!(ctxs[0].index, leader);
-                    let leader_ctx = &mut ctxs[0];
-                    let snapshot = RunSnapshot {
-                        sim: batch.lane_snapshot(leader_ctx.lane),
-                        firmware: leader_ctx.firmware.snapshot(),
-                        injector: leader_ctx.injector.snapshot(),
-                        link: LinkSnapshot::capture(&leader_ctx.link),
-                        tracker: leader_ctx.tracker.clone(),
-                        workload: leader_ctx.workload.clone(),
-                        samples: leader_ctx.samples.sealed_clone(),
-                        output: batch.output(leader_ctx.lane).clone(),
-                        fence_violations: leader_ctx.fence_violations,
-                        next_sample_time: leader_ctx.next_sample_time,
-                        workload_status: leader_ctx.workload_status.clone(),
-                        terminal_since: leader_ctx.terminal_since,
-                        time,
-                        prefix: injection_prefix(&leader_ctx.injector.plan(), time),
-                    };
-                    self.fresh_keys
-                        .push(SnapshotKey::for_snapshot(0, &snapshot));
-                    if let Some(tier) = &self.shared {
-                        tier.offer(0, &snapshot);
-                    }
-                    let parent_candidate = chains_enabled.then(|| snapshot.clone());
-                    let stored = self.cache.record(0, snapshot, chain_parent.as_ref());
-                    if let (Some(key), Some(snapshot)) = (stored, parent_candidate) {
-                        chain_parent = Some(ChainParent { key, snapshot });
-                    }
-                    while time >= next_checkpoint {
-                        next_checkpoint += checkpoint_interval;
-                    }
-                    while anchor_idx < anchors.len() && time + dt > anchors[anchor_idx] {
-                        anchor_idx += 1;
-                    }
+                    break RunVerdict::Diverged;
                 }
             }
 
-            // Ground-station exchange per lane; lanes whose post-terminal
-            // grace elapsed retire before stepping, where the scalar loop
-            // breaks. `Vec::remove` keeps the leader at position 0.
-            let mut ci = 0;
-            while ci < ctxs.len() {
-                if ctxs[ci].exchange(&mut outbox, time, grace_period) {
-                    let ctx = ctxs.remove(ci);
-                    retire(
-                        ctx,
-                        &mut batch,
-                        RunVerdict::Completed,
-                        sample_interval,
-                        &mut results,
-                        leader,
-                        &mut leader_result,
-                        &mut leader_live,
-                    );
+            // The leader's checkpoint cut, at the top of the loop body.
+            if let Some(lead) = ctxs.iter_mut().find(|c| c.index == roster.leader) {
+                if cuts.take(time, &lead.workload_status) {
+                    let cut = lead.capture(&physics, time);
+                    self.record_cut(seed_offset, cut, &mut chain_parent);
+                }
+            }
+
+            // Ground-station exchange per lane; a lane whose grace period
+            // elapsed retires before stepping.
+            let mut slot = 0;
+            while slot < ctxs.len() {
+                if ctxs[slot].exchange(&mut outbox, time, grace_period) {
+                    let ctx = ctxs.swap_remove(slot);
+                    roster.retire(ctx, &mut physics, RunVerdict::Completed, sample_interval);
                 } else {
-                    ci += 1;
+                    slot += 1;
                 }
             }
             if ctxs.is_empty() {
-                break;
+                break RunVerdict::Completed;
             }
 
-            // Firmware control step per lane (in batch slot order, which
-            // is what `step_lanes` expects), then one batched physics +
-            // sensor step for every surviving lane.
-            lane_order.clear();
-            lane_order.extend_from_slice(batch.lane_ids());
+            // Firmware control step per lane, then one physics + sensor
+            // step for every lane, then trace bookkeeping against the
+            // loop-top time.
             commands.clear();
-            for &lane in &lane_order {
-                let ctx = ctxs
-                    .iter_mut()
-                    .find(|c| c.lane == lane)
-                    .expect("every live lane has a context");
-                commands.push(ctx.firmware.step(&batch.output(lane).readings, time, dt));
-            }
-            batch.step_lanes(&commands);
-
-            // Trace bookkeeping against the loop-top time, like the
-            // scalar loop.
             for ctx in ctxs.iter_mut() {
-                let output = batch.output(ctx.lane);
-                ctx.post_step(output, time, sample_interval);
+                let readings = &physics.output(ctx.lane).readings;
+                commands.push(ctx.firmware.step(readings, time, dt));
             }
-
-            // Divergence-aware eviction: a lane whose firmware control
-            // path departed the leader's finishes on the scalar path.
-            // Purely a heuristic about where lockstep stops paying —
-            // the scalar continuation is bit-identical wherever the cut
-            // lands (`avis-sim` proves eviction at *every* step matches
-            // the scalar oracle).
-            if leader_live {
-                let mut ei = 1;
-                while ei < ctxs.len() {
-                    if ctxs[ei].firmware.control_path_matches(&ctxs[0].firmware) {
-                        ei += 1;
-                        continue;
-                    }
-                    let ctx = ctxs.remove(ei);
-                    let (lane_sim, lane_output) = batch.extract_lane(ctx.lane);
-                    let idx = ctx.index;
-                    let result = self.run_lane_to_completion(ctx, lane_sim, lane_output, started);
-                    results[idx] = Some(result);
-                }
+            physics.step(&commands);
+            for ctx in ctxs.iter_mut() {
+                ctx.post_step(physics.output(ctx.lane), time, sample_interval);
             }
-        }
+        };
 
-        // Natural end of simulated time: every still-batched lane
-        // completes at the duration cap, like the scalar loop condition.
-        while let Some(ctx) = ctxs.pop() {
-            retire(
-                ctx,
-                &mut batch,
-                RunVerdict::Completed,
-                sample_interval,
-                &mut results,
-                leader,
-                &mut leader_result,
-                &mut leader_live,
-            );
+        // Every lane still flying ends with the loop's verdict: completed
+        // at the duration cap, diverged when a watchdog tripped.
+        for ctx in ctxs {
+            roster.retire(ctx, &mut physics, verdict.clone(), sample_interval);
         }
-
-        // Virtual lanes — and pending lanes whose divergence time lies
-        // beyond the leader's finish — ride the leader's result: their
-        // scalar runs would be step-for-step identical to the leader's
-        // (no fault the plans disagree on ever fired).
-        if let Some(leader_result) = &leader_result {
-            for idx in virtuals
-                .iter()
-                .copied()
-                .chain(pending.iter().map(|&(_, i)| i))
-            {
-                results[idx] = Some(RunResult {
-                    plan: plans[idx].clone(),
-                    ..leader_result.clone()
-                });
-            }
-        }
-
-        // Safety net: any lane the lockstep loop failed to account for
-        // runs scalar. Unreachable by construction; kept because a
-        // silently missing result would corrupt the engine's commit
-        // replay.
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(idx, slot)| slot.unwrap_or_else(|| self.run_with_plan(plans[idx].clone())))
-            .collect()
+        roster.into_results()
     }
 
-    /// Finishes an evicted lane on the scalar path: the same loop as
-    /// [`crate::runner`]'s, continued from the lane's extracted state.
-    /// Evicted lanes record no checkpoints — only the batch leader cuts,
-    /// matching the one-provisioned-run-per-batch accounting.
-    fn run_lane_to_completion(
+    /// The deepest cut a run of `plan` may resume from, at or before
+    /// `cap`: probes the local cache and the shared tier and materialises
+    /// only the deeper of the two. A local fork also returns the chain
+    /// context the run's next cut is diffed against; a fork served by the
+    /// tier starts a fresh chain (its snapshot has no local entry). A
+    /// forked run is bit-identical to a cold one: the restored state is
+    /// the exact state a cold run of this plan would reach at the fork
+    /// time, because the plans agree on every failure scheduled before it
+    /// (see [`crate::snapshot`]).
+    fn take_deepest_cut(
         &mut self,
-        mut ctx: LaneCtx,
-        mut sim: Simulator,
-        mut output: StepOutput,
-        // avis-lint: allow(d1, reason = "wall-clock watchdog handle inherited from the batch; compared, never replayed")
-        started: Option<std::time::Instant>,
-    ) -> RunResult {
-        let dt = self.config.dt;
-        let max_duration = self.config.max_duration;
-        let sample_interval = self.config.sample_interval;
-        let grace_period = self.config.grace_period;
-        let max_steps = self.config.watchdog.max_steps;
-        let wall_clock_limit = self.config.watchdog.wall_clock_seconds;
-        let mut outbox: Vec<Message> = Vec::new();
-        let mut verdict = RunVerdict::Completed;
-        while sim.time() < max_duration {
-            let time = sim.time();
-            self.step_cursor = (time / dt).round() as u64;
-            if max_steps.is_some_and(|m| self.step_cursor >= m) {
-                verdict = RunVerdict::Diverged;
-                break;
+        seed_offset: u64,
+        plan: &FaultPlan,
+        cap: f64,
+    ) -> Option<(RunSnapshot, Option<ChainParent>)> {
+        let local = self.cache.peek_deepest(seed_offset, plan, cap);
+        let shared_depth = self
+            .shared
+            .as_ref()
+            .and_then(|tier| tier.peek_depth(seed_offset, plan, cap));
+        if shared_depth > local.as_ref().map(|&(depth, _)| depth) {
+            // A republish may evict the entry between probe and take;
+            // the local candidate, if any, then serves.
+            let taken = self
+                .shared
+                .as_ref()
+                .and_then(|tier| tier.take_deepest(seed_offset, plan, cap));
+            if let Some((depth, snapshot)) = taken {
+                self.cache.note_shared_fork(depth);
+                return Some((snapshot, None));
             }
-            if let (Some(limit), Some(started)) = (wall_clock_limit, started) {
-                if self.step_cursor.is_multiple_of(WALL_CLOCK_STRIDE)
-                    && started.elapsed().as_secs_f64() > limit
-                {
-                    verdict = RunVerdict::Diverged;
-                    break;
-                }
-            }
-            if ctx.exchange(&mut outbox, time, grace_period) {
-                break;
-            }
-            let motor = ctx.firmware.step(&output.readings, time, dt);
-            sim.step_into(&motor, &mut output);
-            ctx.post_step(&output, time, sample_interval);
         }
-        ctx.finalize(&sim, sample_interval, verdict)
+        let (time, key) = local?;
+        // `take` re-validates the chain's record-time checksums while
+        // materialising. A corrupt chain is quarantined inside the cache
+        // and `None` comes back — the run then cold-starts, which is
+        // always correct, just slower.
+        let snapshot = self.cache.take(&key, time)?;
+        // At stride 1 (keyframes only) no cut is ever delta-encoded, so
+        // the chain context — and the snapshot clone it would keep
+        // resident — is skipped.
+        let parent = (self.config.checkpoints.keyframe_stride > 1).then(|| ChainParent {
+            key,
+            snapshot: snapshot.clone(),
+        });
+        Some((snapshot, parent))
+    }
+
+    /// Files one of the leader's cuts. Its key is remembered first, so a
+    /// contained panic quarantines exactly the cuts the panicked call
+    /// recorded. The shared tier always receives the full snapshot: its
+    /// entries cross worker (and campaign) boundaries, so they must be
+    /// independently restorable. A profiling cut goes to the tier alone —
+    /// no later run of this runner resumes at a profiling seed offset.
+    /// An injection cut is stored in the local cache as a delta against
+    /// the previous cut of this run where the keyframe stride allows,
+    /// otherwise as a keyframe; either way it becomes the next cut's
+    /// chain parent (a duplicate cell keeps the previous context).
+    fn record_cut(
+        &mut self,
+        seed_offset: u64,
+        cut: RunSnapshot,
+        chain_parent: &mut Option<ChainParent>,
+    ) {
+        self.fresh_keys
+            .push(SnapshotKey::for_snapshot(seed_offset, &cut));
+        if let Some(tier) = &self.shared {
+            tier.offer(seed_offset, &cut);
+        }
+        if seed_offset != 0 {
+            return;
+        }
+        let parent = (self.config.checkpoints.keyframe_stride > 1).then(|| cut.clone());
+        let stored = self.cache.record(seed_offset, cut, chain_parent.as_ref());
+        if let (Some(key), Some(snapshot)) = (stored, parent) {
+            *chain_parent = Some(ChainParent { key, snapshot });
+        }
     }
 }
 
@@ -749,7 +714,7 @@ mod tests {
     use super::*;
     use crate::runner::ExperimentConfig;
     use crate::snapshot::CheckpointConfig;
-    use avis_firmware::{BugSet, FirmwareProfile};
+    use avis_firmware::{BugSet, FirmwareProfile, OperatingMode};
     use avis_hinj::{FaultSpec, LinkDirection, LinkFaultKind, LinkFaultSpec};
     use avis_sim::{SensorInstance, SensorKind, SensorNoise};
     use avis_workload::auto_box_mission;
@@ -864,6 +829,35 @@ mod tests {
     }
 
     #[test]
+    fn nan_failure_time_lane_matches_its_lone_run() {
+        // A custom strategy may propose a NaN failure time. The fault
+        // never fires, yet it differs from every sibling's entry, so the
+        // lane's divergence time is NaN: it must fork at once rather
+        // than wait forever (or ride a leader that diverges later). The
+        // battery failures send their lanes home, so riding the leader
+        // would show.
+        let battery = |time| {
+            FaultPlan::from_specs(vec![FaultSpec::new(
+                SensorInstance::new(SensorKind::Battery, 0),
+                time,
+            )])
+        };
+        let plans = vec![battery(15.0), battery(30.0), gps_plan(f64::NAN)];
+        let reference = scalar_reference(&plans);
+        assert_ne!(
+            format!("{:?}", reference[1].trace),
+            format!("{:?}", reference[2].trace)
+        );
+        let mut cfg = quiet_config();
+        cfg.checkpoints = CheckpointConfig::disabled();
+        let mut runner = ExperimentRunner::new(cfg);
+        let batched = runner.run_batch_contained(plans);
+        // NaN != NaN, so the plans make `==` false even between identical
+        // results: compare the renderings instead.
+        assert_eq!(format!("{batched:?}"), format!("{reference:?}"));
+    }
+
+    #[test]
     fn step_budget_trips_batched_lanes_like_scalar() {
         let plans = vec![gps_plan(30.0), gps_plan(45.0)];
         let mut cfg = quiet_config();
@@ -878,6 +872,66 @@ mod tests {
         let mut runner = ExperimentRunner::new(cfg);
         let batched = runner.run_batch_contained(plans);
         assert_eq!(batched, reference);
+    }
+
+    #[test]
+    fn lanes_leaving_the_leaders_control_path_stay_batched() {
+        // One lane collides (APM-16021 with an accelerometer failure just
+        // after takeoff) and flies on to the duration cap; one enters a
+        // failsafe mode (a battery failure mid-mission returns to
+        // launch); the fault-free leader retires between the two. Every
+        // lane stays batched until it retires and equals its cold lone
+        // run, with checkpoints off and on.
+        let mut cfg = quiet_config();
+        cfg.bugs = BugSet::only(BugId::Apm16021);
+        let mut cold = cfg.clone();
+        cold.checkpoints = CheckpointConfig::disabled();
+        let mut lone = ExperimentRunner::new(cold.clone());
+        let takeoff = lone
+            .run_profiling(0)
+            .trace
+            .mode_transitions
+            .iter()
+            .find(|t| t.mode == OperatingMode::Takeoff)
+            .map(|t| t.time)
+            .expect("golden run takes off");
+        let accel0 = SensorInstance::new(SensorKind::Accelerometer, 0);
+        let battery0 = SensorInstance::new(SensorKind::Battery, 0);
+        // The leader is the plan that never diverges, at index 1.
+        let plans = vec![
+            FaultPlan::from_specs(vec![FaultSpec::new(accel0, takeoff + 4.0)]),
+            FaultPlan::empty(),
+            FaultPlan::from_specs(vec![FaultSpec::new(battery0, 15.0)]),
+        ];
+        let reference: Vec<RunResult> = plans
+            .iter()
+            .map(|p| lone.run_with_plan(p.clone()))
+            .collect();
+        assert!(reference[0].crashed(), "the APM-16021 lane collides");
+        assert!(
+            reference[2]
+                .trace
+                .mode_transitions
+                .iter()
+                .any(|t| t.mode == OperatingMode::ReturnToLaunch),
+            "the battery lane enters its failsafe mode"
+        );
+        assert!(
+            reference[2].simulated_seconds < reference[1].simulated_seconds
+                && reference[1].simulated_seconds < reference[0].simulated_seconds,
+            "the leader retires after the failsafe lane and before the crashed one"
+        );
+
+        let batched = ExperimentRunner::new(cold).run_batch_contained(plans.clone());
+        assert_eq!(batched, reference, "cold batch diverged from lone runs");
+        // Checkpointed: the second batch forks its leader from the
+        // first one's cuts.
+        let mut runner = ExperimentRunner::new(cfg);
+        for pass in 0..2 {
+            let batched = runner.run_batch_contained(plans.clone());
+            assert_eq!(batched, reference, "checkpointed batch, pass {pass}");
+        }
+        assert_eq!(runner.checkpoint_stats().forked_runs, 1);
     }
 
     #[test]

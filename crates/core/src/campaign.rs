@@ -26,9 +26,7 @@
 //! `parallelism = 8` emits exactly the events of the same campaign at
 //! `parallelism = 1`, in the same order.
 
-use crate::checker::{
-    Approach, Budget, CampaignResult, CampaignState, Checker, CheckerConfig, UnsafeCondition,
-};
+use crate::checker::{Approach, Budget, CampaignResult, CampaignState, UnsafeCondition};
 use crate::engine::{self, DispatchMode, EngineParams, WorkerStatsCollector};
 use crate::monitor::{InvariantMonitor, MonitorConfig};
 use crate::runner::{ExperimentConfig, ExperimentRunner};
@@ -200,7 +198,13 @@ enum StrategyChoice {
 /// A fully configured campaign, ready to run. Built by
 /// [`Campaign::builder`]; see the [module docs](self) for an example.
 pub struct Campaign {
-    config: CheckerConfig,
+    experiment: ExperimentConfig,
+    budget: Budget,
+    profiling_runs: usize,
+    monitor: MonitorConfig,
+    sabre: SabreConfig,
+    seed: u64,
+    parallelism: usize,
     strategy: StrategyChoice,
     link: LinkFaultPlan,
     shared: Option<Arc<SharedSnapshotTier>>,
@@ -222,7 +226,6 @@ impl Campaign {
 
     /// Runs the campaign to completion, streaming events to `observer`.
     pub fn run_with_observer(self, observer: &mut dyn CampaignObserver) -> CampaignResult {
-        let cfg = self.config;
         let (mut strategy, approach) = match self.strategy {
             StrategyChoice::Approach(approach) => (approach.strategy(), Some(approach)),
             StrategyChoice::Custom(strategy) => (strategy, None),
@@ -236,13 +239,13 @@ impl Campaign {
         }
         execute_campaign(
             CampaignSpec {
-                experiment: &cfg.experiment,
-                budget: cfg.budget,
-                profiling_runs: cfg.profiling_runs,
-                monitor: &cfg.monitor,
-                sabre: cfg.sabre,
-                seed: cfg.seed,
-                parallelism: cfg.parallelism,
+                experiment: &self.experiment,
+                budget: self.budget,
+                profiling_runs: self.profiling_runs,
+                monitor: &self.monitor,
+                sabre: self.sabre,
+                seed: self.seed,
+                parallelism: self.parallelism,
                 shared: self.shared,
                 dispatch: self.dispatch,
                 worker_stats: self.worker_stats,
@@ -252,15 +255,6 @@ impl Campaign {
             approach,
             observer,
         )
-    }
-
-    /// The legacy [`Checker`] equivalent of this campaign, when it runs a
-    /// built-in approach (custom strategies have no legacy counterpart).
-    pub fn as_checker(&self) -> Option<Checker> {
-        match self.strategy {
-            StrategyChoice::Approach(_) => Some(Checker::from_config(self.config.clone())),
-            StrategyChoice::Custom(_) => None,
-        }
     }
 }
 
@@ -529,12 +523,6 @@ impl CampaignBuilder {
 
     /// Finalises the configuration.
     pub fn build(self) -> Campaign {
-        let approach = match &self.strategy {
-            StrategyChoice::Approach(approach) => *approach,
-            // The legacy config field is only read when the campaign runs
-            // a built-in approach; default it for custom strategies.
-            StrategyChoice::Custom(_) => Approach::Avis,
-        };
         let mut experiment = self.experiment.unwrap_or_else(|| {
             ExperimentConfig::new(
                 self.profile,
@@ -556,16 +544,13 @@ impl CampaignBuilder {
             experiment.lockstep_lanes = lanes.max(1);
         }
         Campaign {
-            config: CheckerConfig {
-                approach,
-                experiment,
-                budget: self.budget,
-                profiling_runs: self.profiling_runs,
-                monitor: self.monitor,
-                sabre: self.sabre,
-                seed: self.seed,
-                parallelism: self.parallelism,
-            },
+            experiment,
+            budget: self.budget,
+            profiling_runs: self.profiling_runs,
+            monitor: self.monitor,
+            sabre: self.sabre,
+            seed: self.seed,
+            parallelism: self.parallelism,
             strategy: self.strategy,
             link: self.link,
             shared: self.shared,
@@ -588,9 +573,8 @@ pub(crate) struct StoreSpec {
     pub(crate) max_bytes: u64,
 }
 
-/// The resolved slice of configuration the campaign pipeline needs —
-/// shared by the fluent [`Campaign`] and the legacy [`Checker`] shim so
-/// both drive the byte-for-byte identical engine.
+/// The resolved slice of configuration the campaign pipeline needs (see
+/// [`Campaign::run_with_observer`]).
 pub(crate) struct CampaignSpec<'a> {
     pub(crate) experiment: &'a ExperimentConfig,
     pub(crate) budget: Budget,
@@ -815,13 +799,14 @@ mod tests {
     #[test]
     fn builder_defaults_are_an_avis_campaign() {
         let campaign = Campaign::builder().build();
-        let config = &campaign.config;
-        assert_eq!(config.approach, Approach::Avis);
-        assert_eq!(config.budget, Budget::simulations(50));
-        assert_eq!(config.profiling_runs, 3);
-        assert_eq!(config.experiment.profile, FirmwareProfile::ArduPilotLike);
-        assert_eq!(config.experiment.workload.name(), "auto-box-mission");
-        assert!(campaign.as_checker().is_some());
+        assert!(matches!(
+            campaign.strategy,
+            StrategyChoice::Approach(Approach::Avis)
+        ));
+        assert_eq!(campaign.budget, Budget::simulations(50));
+        assert_eq!(campaign.profiling_runs, 3);
+        assert_eq!(campaign.experiment.profile, FirmwareProfile::ArduPilotLike);
+        assert_eq!(campaign.experiment.workload.name(), "auto-box-mission");
     }
 
     #[test]
@@ -837,18 +822,9 @@ mod tests {
             .noise(SensorNoise::noiseless())
             .parallelism(0)
             .build();
-        let config = &campaign.config;
-        assert_eq!(config.experiment.profile, FirmwareProfile::Px4Like);
-        assert_eq!(config.experiment.max_duration, 90.0);
-        assert_eq!(config.experiment.noise, Some(SensorNoise::noiseless()));
-        assert_eq!(config.parallelism, 1, "parallelism is clamped to >= 1");
-    }
-
-    #[test]
-    fn custom_strategies_have_no_legacy_checker() {
-        let campaign = Campaign::builder()
-            .strategy(crate::strategy::RoundRobinMode::new())
-            .build();
-        assert!(campaign.as_checker().is_none());
+        assert_eq!(campaign.experiment.profile, FirmwareProfile::Px4Like);
+        assert_eq!(campaign.experiment.max_duration, 90.0);
+        assert_eq!(campaign.experiment.noise, Some(SensorNoise::noiseless()));
+        assert_eq!(campaign.parallelism, 1, "parallelism is clamped to >= 1");
     }
 }

@@ -56,7 +56,7 @@ fn install_suppressing_hook() {
 /// `AssertUnwindSafe` is justified by how callers use the closure's
 /// captures after a panic: the runner rebuilds its per-run state from
 /// scratch on the next run and quarantines any snapshots the panicked
-/// run recorded (see `ExperimentRunner::run_contained`), so no state
+/// run recorded (see `ExperimentRunner::run_batch_contained`), so no state
 /// that crossed the boundary is trusted afterwards.
 pub(crate) fn catch<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
     install_suppressing_hook();

@@ -489,8 +489,9 @@ pub(crate) fn run_campaign(
                 // escapes the per-run containment still renders with the
                 // scenario fingerprint (seed + canonical plan key).
                 let in_flight = std::cell::RefCell::new(String::new());
-                // Scenario crashes are contained *inside* `run_contained`
-                // and come back as `RunVerdict::Crashed` results. This
+                // Scenario crashes are contained *inside*
+                // `run_batch_contained` and come back as
+                // `RunVerdict::Crashed` results. This
                 // outer boundary is belt-and-braces for harness faults
                 // (dispatcher, channel, stats code): the worker sends one
                 // final `Err` instead of silently dying with the result
@@ -504,8 +505,10 @@ pub(crate) fn run_campaign(
                     // `crate::batch`). Round-robin deals single-job
                     // batches with no prefix affinity, so batching is
                     // only engaged where the dispatcher actually forms
-                    // families. Bit-identical either way — lockstep,
-                    // like checkpointing, is purely a speed knob.
+                    // families. Every chunk, a lone plan included, goes
+                    // through the one contained entry. Bit-identical
+                    // either way — lockstep, like checkpointing, is
+                    // purely a speed knob.
                     let lanes = runner.config().lockstep_lanes.max(1);
                     let chunk_len = if dispatch == DispatchMode::PrefixSharded {
                         lanes
@@ -514,29 +517,18 @@ pub(crate) fn run_campaign(
                     };
                     'drain: while let Some(batch) = dispatcher.next_batch(me) {
                         for chunk in batch.chunks(chunk_len) {
-                            if chunk.len() >= 2 {
-                                let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) =
-                                    chunk.iter().cloned().unzip();
-                                *in_flight.borrow_mut() = plans
-                                    .iter()
-                                    .map(|p| p.canonical_key())
-                                    .collect::<Vec<_>>()
-                                    .join(" | ");
-                                let results = runner.run_batch_contained(plans);
-                                let degraded = runner.checkpointing_degraded();
-                                for (token, result) in tokens.into_iter().zip(results) {
-                                    if result_tx.send(Ok((token, result, degraded))).is_err() {
-                                        break 'drain;
-                                    }
-                                }
-                            } else {
-                                for (token, plan) in chunk.iter().cloned() {
-                                    *in_flight.borrow_mut() = plan.canonical_key();
-                                    let result = runner.run_contained(plan);
-                                    let degraded = runner.checkpointing_degraded();
-                                    if result_tx.send(Ok((token, result, degraded))).is_err() {
-                                        break 'drain;
-                                    }
+                            let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) =
+                                chunk.iter().cloned().unzip();
+                            *in_flight.borrow_mut() = plans
+                                .iter()
+                                .map(|p| p.canonical_key())
+                                .collect::<Vec<_>>()
+                                .join(" | ");
+                            let results = runner.run_batch_contained(plans);
+                            let degraded = runner.checkpointing_degraded();
+                            for (token, result) in tokens.into_iter().zip(results) {
+                                if result_tx.send(Ok((token, result, degraded))).is_err() {
+                                    break 'drain;
                                 }
                             }
                         }

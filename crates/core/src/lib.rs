@@ -46,16 +46,14 @@
 //! Long campaigns report live through a [`campaign::CampaignObserver`],
 //! custom search orders plug in through the [`strategy::Strategy`] trait,
 //! and firmware × workload × strategy grids run as one
-//! [`matrix::ScenarioMatrix`]. The legacy
-//! `CheckerConfig::new(approach, experiment, budget)` wiring still works
-//! but is deprecated — `MIGRATION.md` at the repository root maps every
-//! old call to the new API.
+//! [`matrix::ScenarioMatrix`]. `MIGRATION.md` at the repository root maps
+//! the removed `CheckerConfig` / `Checker` wiring to the builder.
 //!
 //! ## Module map
 //!
 //! | Module | Paper section | Contents |
 //! |---|---|---|
-//! | [`runner`] | Fig. 7 | provisioning + lock-step execution of one test run |
+//! | [`runner`] | Fig. 7 | experiment configuration, run results, the run entry points |
 //! | [`snapshot`] | — | the CoW checkpoint store: fork-from-snapshot replay, shared tier |
 //! | [`trace`] | §IV.C | the `(P, α, M)` state traces the monitor consumes |
 //! | [`monitor`] | §IV.C | safety + liveliness invariants, mode graph, τ calibration |
@@ -65,7 +63,7 @@
 //! | [`strategy`] | §VI | the pluggable [`strategy::Strategy`] trait + built-ins |
 //! | [`campaign`] | §VI | the fluent campaign builder and streaming observers |
 //! | [`matrix`] | §VI | firmware × workload × strategy scenario matrices |
-//! | [`checker`] | §VI | budgets, unsafe-condition records, the legacy shim |
+//! | [`checker`] | §VI | budgets, approaches, unsafe-condition records |
 //! | [`engine`] | — | the campaign engine (serial + deterministic parallel) |
 //! | [`metrics`] | Tables III/IV | aggregation into the paper's tables |
 //! | [`report`] | §IV.D | bug reports and replay |
@@ -91,8 +89,7 @@
 //!    state; speculative runs the strategy no longer admits are
 //!    discarded.
 //!
-//! [`checker::CheckerConfig::parallelism`] (or
-//! [`campaign::CampaignBuilder::parallelism`]) selects the worker count;
+//! [`campaign::CampaignBuilder::parallelism`] selects the worker count;
 //! `1` executes every run inline.
 
 #![warn(missing_docs)]
@@ -120,9 +117,7 @@ pub mod study;
 pub mod trace;
 
 pub use campaign::{Campaign, CampaignBuilder, CampaignEvent, CampaignObserver, EventLog};
-pub use checker::{
-    Approach, Budget, CampaignResult, Checker, CheckerConfig, CrashRecord, UnsafeCondition,
-};
+pub use checker::{Approach, Budget, CampaignResult, CrashRecord, UnsafeCondition};
 pub use engine::{DispatchMode, WorkerStatsCollector};
 pub use matrix::{MatrixReport, ScenarioMatrix};
 pub use monitor::{

@@ -1,18 +1,18 @@
-//! The experiment runner: provisions a fresh simulator + firmware +
-//! workload per test, executes one fault-injection scenario in lock-step
-//! and records the [`Trace`] (the `RunExperiment` procedure of
-//! Algorithm 1, and the step loop of Figure 7).
+//! The experiment runner: the experiment configuration, run results and
+//! the public run entry points. Every entry provisions a simulator +
+//! firmware + workload per test, executes its fault-injection scenarios
+//! in lock-step and records each [`Trace`] through the one run loop in
+//! [`crate::batch`] (the `RunExperiment` procedure of Algorithm 1, and
+//! the step loop of Figure 7).
 
 use crate::contain;
 use crate::protocol::ProtocolTracker;
 use crate::snapshot::{
-    injection_prefix, ChainParent, CheckpointConfig, CheckpointStats, RunSnapshot,
-    SharedSnapshotTier, SnapshotCache, SnapshotKey,
+    CheckpointConfig, CheckpointStats, RunSnapshot, SharedSnapshotTier, SnapshotCache, SnapshotKey,
 };
-use crate::trace::{transition_from_code, ModeTransition, StateSample, Trace};
+use crate::trace::Trace;
 use avis_firmware::{BugId, BugSet, Firmware, FirmwareProfile};
 use avis_hinj::{FaultInjector, FaultPlan, FaultyLink, LinkSnapshot, SharedInjector};
-use avis_mavlite::{Endpoint, Message};
 use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
 use avis_sim::{CowVec, MotorCommands, SensorNoise, SimRng};
 use avis_workload::{ScriptedWorkload, WorkloadStatus};
@@ -209,8 +209,8 @@ pub struct ExperimentRunner {
     /// for the engine to republish between wavefronts.
     pub(crate) shared: Option<Arc<SharedSnapshotTier>>,
     /// The simulated lock-step index the in-flight run last reached —
-    /// read by [`ExperimentRunner::run_contained`] after a contained
-    /// panic, when the run's locals are gone with the unwind.
+    /// read by [`ExperimentRunner::run_batch_contained`] after a
+    /// contained panic, when the run's locals are gone with the unwind.
     pub(crate) step_cursor: u64,
     /// Local-cache keys the in-flight run recorded, so a contained panic
     /// can quarantine exactly the chain the panicked run tainted.
@@ -297,42 +297,69 @@ impl ExperimentRunner {
     /// after the workload turns terminal (see [`crate::snapshot`]); the
     /// result is bit-identical either way.
     pub fn run_profiling(&mut self, profiling_index: u64) -> RunResult {
-        self.execute(FaultPlan::empty(), profiling_index + 1)
+        self.execute(vec![FaultPlan::empty()], profiling_index + 1)
+            .swap_remove(0)
     }
 
     /// Executes one fault-injection scenario.
     pub fn run_with_plan(&mut self, plan: FaultPlan) -> RunResult {
-        self.execute(plan, 0)
+        self.execute(vec![plan], 0).swap_remove(0)
     }
 
-    /// Executes one fault-injection scenario with panic containment: a
-    /// panic raised anywhere inside the run — simulated firmware, the
-    /// substrate, the workload — is caught at this boundary and reported
-    /// as [`RunVerdict::Crashed`] instead of unwinding into the engine.
-    /// Any snapshots the panicked run recorded are quarantined from the
-    /// local cache and retracted from the shared tier's pending buffer
-    /// (the panicked run's chain is never served to a later fork), so a
-    /// crashing (seed, plan) crashes bit-identically cold, checkpointed
-    /// or sharded.
+    /// Executes one fault-injection scenario with panic containment (see
+    /// [`ExperimentRunner::run_batch_contained`]).
     pub fn run_contained(&mut self, plan: FaultPlan) -> RunResult {
-        let retained = plan.clone();
-        match contain::catch(|| self.execute(plan, 0)) {
-            Ok(result) => result,
-            Err(payload) => {
-                let tainted = std::mem::take(&mut self.fresh_keys);
-                self.cache.quarantine(&tainted);
-                if let Some(tier) = &self.shared {
-                    tier.retract(&tainted);
-                }
+        self.run_batch_contained(vec![plan]).swap_remove(0)
+    }
+
+    /// Executes sibling fault-injection scenarios in lockstep (see
+    /// [`crate::batch`]) with panic containment: a panic raised anywhere
+    /// inside the run — simulated firmware, the substrate, the workload —
+    /// is caught at this boundary instead of unwinding into the engine.
+    /// Any snapshots the panicked call recorded are quarantined from the
+    /// local cache and retracted from the shared tier's pending buffer
+    /// (the panicked run's chain is never served to a later fork). A lone
+    /// plan then reports [`RunVerdict::Crashed`]; a batch re-runs each of
+    /// its plans alone, contained, which reproduces the other lanes'
+    /// results exactly and gives the panicking one its crash. A crashing
+    /// (seed, plan) therefore crashes bit-identically cold, checkpointed,
+    /// batched or sharded.
+    ///
+    /// Results come back in input order and are bit-identical to
+    /// `plans.map(run_with_plan)` — batching, like checkpointing, is
+    /// purely a speed knob.
+    pub fn run_batch_contained(&mut self, plans: Vec<FaultPlan>) -> Vec<RunResult> {
+        let retained = plans.clone();
+        let payload = match contain::catch(|| self.execute(plans, 0)) {
+            Ok(results) => return results,
+            Err(payload) => payload,
+        };
+        let tainted = std::mem::take(&mut self.fresh_keys);
+        self.cache.quarantine(&tainted);
+        if let Some(tier) = &self.shared {
+            tier.retract(&tainted);
+        }
+        if retained.len() > 1 {
+            // The payload is dropped: each lone rerun reproduces the
+            // crash in its own boundary, which renders the canonical
+            // message with the per-plan context.
+            return retained
+                .into_iter()
+                .map(|p| self.run_contained(p))
+                .collect();
+        }
+        let step = self.step_cursor;
+        retained
+            .into_iter()
+            .map(|plan| {
                 let context = format!(
                     "experiment seed {}, plan {}",
                     self.config.seed,
-                    retained.canonical_key()
+                    plan.canonical_key()
                 );
                 let message = contain::render_panic(payload.as_ref(), &context);
-                let step = self.step_cursor;
                 RunResult {
-                    plan: retained,
+                    plan,
                     trace: Trace {
                         sample_interval: self.config.sample_interval,
                         samples: Vec::new(),
@@ -347,8 +374,8 @@ impl ExperimentRunner {
                     triggered_defects: Vec::new(),
                     verdict: RunVerdict::Crashed { message, step },
                 }
-            }
-        }
+            })
+            .collect()
     }
 
     /// Whether the checkpoint breaker has tripped: repeated checksum
@@ -358,15 +385,16 @@ impl ExperimentRunner {
         self.cache.degraded()
     }
 
-    /// The deterministic `t = 0` state of a run of this configuration —
-    /// the *genesis* snapshot the persistent store diffs keyframes
-    /// against. Mirrors the cold-start arm of
-    /// [`ExperimentRunner::execute`] exactly (same construction order,
-    /// same priming step), so a chain persisted as
-    /// `genesis → keyframe-delta → deltas…` re-materialises bit-exactly
-    /// on any host that can rebuild the same [`ExperimentConfig`]. The
-    /// fault plan is irrelevant here: a restore always swaps the plan in
-    /// (see `into_restored_with_plan`), so genesis carries the empty one.
+    /// The deterministic `t = 0` state of a run of this configuration:
+    /// the cold start every run without a fork restores (see
+    /// [`crate::batch`]), and the *genesis* snapshot the persistent store
+    /// diffs keyframes against, so a chain persisted as
+    /// `genesis → keyframe-delta → deltas…` re-materialises bit-exactly on
+    /// any host that can rebuild the same [`ExperimentConfig`]. The fault
+    /// plan is irrelevant here: a restore always swaps the plan in (see
+    /// `into_restored_with_plan`), so genesis carries the empty one. The
+    /// simulator takes one idle priming step, so the first loop top has
+    /// sensor readings.
     pub(crate) fn genesis_snapshot(cfg: &ExperimentConfig, seed_offset: u64) -> RunSnapshot {
         let plan = FaultPlan::empty();
         let link_plan = plan.link_plan().clone();
@@ -395,6 +423,7 @@ impl ExperimentRunner {
             link: LinkSnapshot::capture(&link),
             tracker: ProtocolTracker::new(),
             workload: cfg.workload.fresh(),
+            // Pre-sized for the full run, so the trace never reallocates.
             samples: CowVec::with_capacity((cfg.max_duration / cfg.sample_interval) as usize + 2),
             output,
             fence_violations: 0,
@@ -403,398 +432,6 @@ impl ExperimentRunner {
             terminal_since: None,
             time,
             prefix: crate::snapshot::InjectionPrefix::default(),
-        }
-    }
-
-    fn execute(&mut self, plan: FaultPlan, seed_offset: u64) -> RunResult {
-        self.runs += 1;
-        self.step_cursor = 0;
-        self.fresh_keys.clear();
-        // The wall-clock watchdog baseline. Sampled once per run and
-        // compared coarsely (every `WALL_CLOCK_STRIDE` iterations); see
-        // [`WatchdogConfig::wall_clock_seconds`] for why this cannot
-        // perturb a deterministic run.
-        let started = self
-            .config
-            .watchdog
-            .wall_clock_seconds
-            // avis-lint: allow(d1, reason = "wall-clock watchdog backstop: only ever converts a hung substrate into RunVerdict::Diverged, never observed by a terminating run")
-            .map(|_| std::time::Instant::now());
-        let cfg = &self.config;
-        // Injection runs (seed offset 0) go through the checkpoint tree.
-        // A profiling run (seed offset ≠ 0) has a sensor-noise seed of its
-        // own, so no other run of its campaign resumes from its state: it
-        // goes through the tree only when a shared tier can carry its one
-        // terminal cut to a later campaign over the same experiment (in
-        // this process, or through the persistent store). A tripped
-        // checksum breaker (`SnapshotCache::degraded`) forces cold
-        // execution for the rest of the runner's life.
-        let profiling = seed_offset != 0;
-        let checkpointing = cfg.checkpoints.enabled
-            && (!profiling || self.shared.is_some())
-            && !self.cache.degraded();
-
-        // Fork from the deepest cached snapshot whose injection prefix
-        // matches the plan — probing both the local cache and the shared
-        // tier and taking whichever is deeper — or provision a cold run
-        // from t = 0. A forked run is bit-identical to a cold one: the
-        // restored state is the exact state a cold run of this plan would
-        // reach at the fork time, because the two plans agree on every
-        // failure scheduled before it (see `crate::snapshot` for the
-        // argument). A profiling plan is empty, so every cut at its seed
-        // offset matches; only the tier ever holds one.
-        // The delta-chain context: the key + exact snapshot of the last
-        // cut this run stored into (or took from) the local cache. The
-        // next recorded cut is diffed against it (see
-        // [`SnapshotCache::record`]); forks served by the shared tier
-        // start a fresh chain (their snapshot has no local entry). At
-        // stride 1 (keyframes only) no cut can ever be delta-encoded, so
-        // the context — and the snapshot clone it would keep resident —
-        // is skipped entirely.
-        let chains_enabled = cfg.checkpoints.keyframe_stride > 1;
-        let mut chain_parent: Option<ChainParent> = None;
-        let resumed = if checkpointing {
-            // Probe both tiers for depth first; only the winner is
-            // materialised (snapshot clones are cheap but not free — the
-            // fixed substrate state is copied even under CoW).
-            let local = self.cache.peek_deepest(seed_offset, &plan, f64::INFINITY);
-            let local_depth = local.as_ref().map(|(t, _)| *t);
-            // Carry the tier handle with its probed depth, so the
-            // take-from-shared arm below cannot exist without a tier.
-            let shared_probe = self.shared.as_ref().and_then(|tier| {
-                tier.peek_depth(seed_offset, &plan, f64::INFINITY)
-                    .map(|d| (d, tier))
-            });
-            let take_local = |cache: &mut SnapshotCache, chain_parent: &mut Option<ChainParent>| {
-                local.clone().and_then(|(time, key)| {
-                    // `take` re-validates the chain's record-time
-                    // checksums while materialising. A corrupt chain is
-                    // quarantined inside the cache (counted in
-                    // `CheckpointStats::{quarantined, checksum_failures}`)
-                    // and `None` comes back — the run then transparently
-                    // cold-starts, which is always correct, just slower.
-                    let snapshot = cache.take(&key, time)?;
-                    if chains_enabled {
-                        *chain_parent = Some(ChainParent {
-                            key,
-                            snapshot: snapshot.clone(),
-                        });
-                    }
-                    Some(snapshot)
-                })
-            };
-            match shared_probe {
-                Some((probed, tier)) if Some(probed) > local_depth => {
-                    match tier.take_deepest(seed_offset, &plan, f64::INFINITY) {
-                        Some((depth, snapshot)) => {
-                            self.cache.note_shared_fork(depth);
-                            Some(snapshot)
-                        }
-                        // A republish evicted the entry between probe and
-                        // take: fall back to the local candidate, if any.
-                        None => take_local(&mut self.cache, &mut chain_parent),
-                    }
-                }
-                _ => take_local(&mut self.cache, &mut chain_parent),
-            }
-        } else {
-            None
-        };
-
-        // The workload's commands and the firmware's telemetry cross a
-        // fault shim around the MAVLite link; its plan travels inside the
-        // [`FaultPlan`] and is swapped at restore exactly like the sensor
-        // injector's.
-        let link_plan = plan.link_plan().clone();
-        let mut outbox: Vec<Message> = Vec::new();
-        let (
-            mut sim,
-            injector,
-            mut firmware,
-            mut link,
-            mut tracker,
-            mut workload,
-            mut samples,
-            mut output,
-            mut fence_violations,
-            mut next_sample_time,
-            mut workload_status,
-            mut terminal_since,
-        );
-        match resumed {
-            Some(snapshot) => {
-                let RunSnapshot {
-                    sim: sim_snap,
-                    firmware: firmware_snap,
-                    injector: injector_snap,
-                    link: link_snap,
-                    tracker: tracker_snap,
-                    workload: workload_snap,
-                    samples: samples_snap,
-                    output: output_snap,
-                    fence_violations: fences_snap,
-                    next_sample_time: sample_time_snap,
-                    workload_status: status_snap,
-                    terminal_since: terminal_snap,
-                    ..
-                } = snapshot;
-                injector = SharedInjector::new(injector_snap.into_restored_with_plan(plan));
-                firmware = firmware_snap.into_restored(injector.clone());
-                sim = sim_snap.into_restored();
-                link = link_snap.into_restored_with_plan(link_plan);
-                tracker = tracker_snap;
-                workload = workload_snap;
-                samples = samples_snap;
-                output = output_snap;
-                fence_violations = fences_snap;
-                next_sample_time = sample_time_snap;
-                workload_status = status_snap;
-                terminal_since = terminal_snap;
-            }
-            None => {
-                if checkpointing {
-                    self.cache.note_cold_run();
-                }
-                let mut sim_config = SimConfig {
-                    dt: cfg.dt,
-                    seed: cfg.seed.wrapping_add(seed_offset),
-                    ..SimConfig::default()
-                };
-                if let Some(noise) = &cfg.noise {
-                    sim_config.sensors.noise = noise.clone();
-                }
-                sim = Simulator::new_shared(sim_config, cfg.workload.shared_environment());
-                injector = SharedInjector::new(FaultInjector::new(plan));
-                firmware = Firmware::new(cfg.profile, cfg.bugs.clone(), injector.clone());
-                link = FaultyLink::new(
-                    link_plan,
-                    SimRng::seed_from_u64(cfg.seed.wrapping_add(seed_offset) ^ LINK_RNG_SALT),
-                );
-                tracker = ProtocolTracker::new();
-                workload = cfg.workload.fresh();
-
-                // Pre-size the trace for the full run and reuse the
-                // step/telemetry buffers across iterations: the lock-step
-                // loop below performs no per-step heap allocations in
-                // steady state.
-                samples =
-                    CowVec::with_capacity((cfg.max_duration / cfg.sample_interval) as usize + 2);
-                fence_violations = 0usize;
-                next_sample_time = 0.0;
-                workload_status = WorkloadStatus::Running;
-                terminal_since = None;
-
-                // Prime the loop with one idle simulator step to obtain
-                // readings.
-                output = StepOutput::empty();
-                sim.step_into(&MotorCommands::IDLE, &mut output);
-            }
-        }
-
-        // The next snapshot boundary: the first multiple of the
-        // checkpoint interval strictly after the current (cold or fork)
-        // time, so a forked run extends the tree instead of re-recording
-        // the chain it resumed from. Anchor cuts fire at the *last*
-        // loop-top at or before each anchor time (`time + dt > anchor`),
-        // so a plan injecting exactly at the anchor can fork from the cut
-        // — a failure scheduled at `t` first fires at the firmware step
-        // at `t`, after a snapshot taken at loop-top time `t`.
-        // Profiling runs take neither interval nor anchor cuts: their one
-        // cut is the terminal cut below.
-        let interval_cuts = checkpointing && !profiling;
-        let checkpoint_interval = cfg.checkpoints.interval;
-        let mut next_checkpoint = if interval_cuts {
-            (sim.time() / checkpoint_interval).floor() * checkpoint_interval + checkpoint_interval
-        } else {
-            f64::INFINITY
-        };
-        let anchors: &[f64] = if interval_cuts {
-            &cfg.checkpoints.anchors
-        } else {
-            &[]
-        };
-        // Skip anchors whose cut already lies at or before the resume
-        // point (the chain we forked from recorded them).
-        let mut anchor_idx = anchors.partition_point(|&a| a < sim.time() + cfg.dt);
-        // A profiling run records exactly one cut, at the first loop top
-        // after its workload turns terminal, so a later profiling run at
-        // the same seed offset forks from it and flies only the grace
-        // tail. A run resumed from that cut is terminal already and
-        // records nothing.
-        let mut terminal_cut_due = checkpointing && profiling && !workload_status.is_terminal();
-
-        // How often (in lock-step iterations) the wall-clock backstop is
-        // actually consulted — coarse on purpose, so the hot loop never
-        // syscalls per step.
-        const WALL_CLOCK_STRIDE: u64 = 4096;
-        let mut verdict = RunVerdict::Completed;
-        while sim.time() < cfg.max_duration {
-            let time = sim.time();
-            // Scenario watchdogs, checked at the top of the loop. The
-            // step cursor is derived from *simulated* time, so it is
-            // identical cold or forked — the step budget trips at the
-            // same simulated state at any parallelism. It also survives
-            // on the runner across a panic unwind, which is how
-            // `run_contained` learns the crash step.
-            self.step_cursor = (time / cfg.dt).round() as u64;
-            if let Some(max_steps) = cfg.watchdog.max_steps {
-                if self.step_cursor >= max_steps {
-                    verdict = RunVerdict::Diverged;
-                    break;
-                }
-            }
-            if let (Some(limit), Some(started)) = (cfg.watchdog.wall_clock_seconds, started) {
-                if self.step_cursor.is_multiple_of(WALL_CLOCK_STRIDE)
-                    && started.elapsed().as_secs_f64() > limit
-                {
-                    verdict = RunVerdict::Diverged;
-                    break;
-                }
-            }
-            // Checkpoint recording, cut at the top of the loop body: the
-            // snapshot captures the state *before* this step's
-            // ground-station exchange, firmware step and physics step.
-            let anchor_due = anchor_idx < anchors.len() && time + cfg.dt > anchors[anchor_idx];
-            let terminal_due = terminal_cut_due && workload_status.is_terminal();
-            if time >= next_checkpoint || anchor_due || terminal_due {
-                let snapshot = RunSnapshot {
-                    sim: sim.snapshot(),
-                    firmware: firmware.snapshot(),
-                    injector: injector.snapshot(),
-                    link: LinkSnapshot::capture(&link),
-                    tracker: tracker.clone(),
-                    workload: workload.clone(),
-                    // Seal the sample tail into a shared chunk: the
-                    // snapshot (and every later one along this chain)
-                    // shares the history structurally — recording is
-                    // O(1) in the run length.
-                    samples: samples.sealed_clone(),
-                    output: output.clone(),
-                    fence_violations,
-                    next_sample_time,
-                    workload_status: workload_status.clone(),
-                    terminal_since,
-                    time,
-                    prefix: injection_prefix(&injector.plan(), time),
-                };
-                // Remember the cut's key before the snapshot moves: a
-                // contained panic quarantines exactly these keys from
-                // the local cache and retracts them from the shared
-                // tier's pending buffer.
-                self.fresh_keys
-                    .push(SnapshotKey::for_snapshot(seed_offset, &snapshot));
-                if let Some(tier) = &self.shared {
-                    // The tier always receives the full snapshot: its
-                    // entries cross worker (and campaign) boundaries, so
-                    // they must be independently restorable.
-                    tier.offer(seed_offset, &snapshot);
-                }
-                if profiling {
-                    // No later run of this runner resumes at a profiling
-                    // seed offset, so its cut goes to the tier alone.
-                    terminal_cut_due = false;
-                } else {
-                    // The local cache stores the cut as a delta against
-                    // the previous cut of this run where the keyframe
-                    // stride allows, otherwise as a full keyframe; either
-                    // way the stored cut becomes the next cut's chain
-                    // parent. A duplicate cell keeps the previous chain
-                    // context.
-                    let parent_candidate = chains_enabled.then(|| snapshot.clone());
-                    let stored = self
-                        .cache
-                        .record(seed_offset, snapshot, chain_parent.as_ref());
-                    if let (Some(key), Some(snapshot)) = (stored, parent_candidate) {
-                        chain_parent = Some(ChainParent { key, snapshot });
-                    }
-                }
-                while time >= next_checkpoint {
-                    next_checkpoint += checkpoint_interval;
-                }
-                while anchor_idx < anchors.len() && time + cfg.dt > anchors[anchor_idx] {
-                    anchor_idx += 1;
-                }
-            }
-            // Ground-station exchange, both legs crossing the fault shim:
-            // vehicle telemetry travels to the GCS, workload commands
-            // travel back — dropped, duplicated, reordered, corrupted,
-            // delayed or stormed as the link plan dictates. With no link
-            // faults the shim is a lossless wire round-trip.
-            firmware.drain_outbox_into(&mut outbox);
-            for msg in &outbox {
-                link.send(Endpoint::Vehicle, msg, time);
-            }
-            let telemetry = link.deliver(Endpoint::GroundStation, time);
-            tracker.note_delivered(&telemetry, time, firmware.mission().items());
-            let (commands, status) = workload.tick(&telemetry, time);
-            for msg in &commands {
-                // The tracker records *intent* — what the workload sent —
-                // before the shim decides what survives the link.
-                tracker.note_sent(msg, time);
-                link.send(Endpoint::GroundStation, msg, time);
-            }
-            let inbound = link.deliver(Endpoint::Vehicle, time);
-            firmware.handle_messages(inbound.iter());
-            workload_status = status;
-            if workload_status.is_terminal() {
-                let since = *terminal_since.get_or_insert(time);
-                if time - since >= cfg.grace_period {
-                    break;
-                }
-            }
-
-            // Firmware control step, then physics.
-            let motor = firmware.step(&output.readings, time, cfg.dt);
-            sim.step_into(&motor, &mut output);
-            if !output.violated_fences.is_empty() {
-                fence_violations += 1;
-            }
-
-            // Trace sampling.
-            if time >= next_sample_time {
-                samples.push(StateSample {
-                    time,
-                    position: output.state.position,
-                    acceleration: output.state.acceleration,
-                    mode: firmware.mode(),
-                });
-                next_sample_time += cfg.sample_interval;
-            }
-        }
-
-        let mode_transitions: Vec<ModeTransition> = injector
-            .mode_transitions()
-            .into_iter()
-            .filter_map(|r| transition_from_code(r.time, r.to))
-            .collect();
-
-        let duration = sim.time();
-        let trace = Trace {
-            sample_interval: cfg.sample_interval,
-            samples: samples.into_vec(),
-            mode_transitions,
-            collision: sim.first_collision(),
-            fence_violations,
-            workload_status,
-            duration,
-            protocol: tracker.into_events(),
-        };
-        let mut triggered_defects: Vec<BugId> = firmware
-            .defect_log()
-            .iter()
-            .flat_map(|(_, o)| o.active.iter().copied())
-            .collect();
-        triggered_defects.sort_unstable();
-        triggered_defects.dedup();
-        // The injector owned the plan for the duration of the run; take it
-        // back rather than cloning it up front.
-        let plan = injector.take_plan();
-        RunResult {
-            plan,
-            trace,
-            simulated_seconds: duration,
-            triggered_defects,
-            verdict,
         }
     }
 }

@@ -485,16 +485,6 @@ impl Firmware {
         self.mode
     }
 
-    /// Whether this firmware's control path still matches `other`'s:
-    /// same operating mode and same arming state. Lockstep batching uses
-    /// this as its lane-eviction predicate — once the mode paths split,
-    /// the lanes' estimator and navigation behaviour stops being shared
-    /// work worth advancing together, and the departed lane finishes on
-    /// the scalar path.
-    pub fn control_path_matches(&self, other: &Firmware) -> bool {
-        self.mode == other.mode && self.armed == other.armed
-    }
-
     /// Whether the motors are armed.
     pub fn armed(&self) -> bool {
         self.armed

@@ -21,17 +21,20 @@
 //! line-by-line transcriptions of [`Simulator::step_into`],
 //! `Quadcopter::step`, `MotorBank::step` and `SensorSuite::sample_into`,
 //! and the tests in this module pin byte-equivalence per lane — including
-//! evicting a lane at every possible step and finishing it scalar.
+//! extracting a lane at every possible step and finishing it scalar.
 //!
 //! # Lane lifecycle
 //!
 //! Lanes are created from a scalar simulator ([`LaneBatch::from_simulator`]),
-//! forked by cloning an existing lane ([`LaneBatch::clone_lane`]), and
-//! leave the batch either through [`LaneBatch::extract_lane`] (eviction:
-//! the lane continues on the scalar path) or [`LaneBatch::lane_snapshot`]
-//! (a checkpoint cut of one lane). Lane ids are stable across removals;
-//! slot order (and therefore [`LaneBatch::step_lanes`] command order)
-//! follows [`LaneBatch::lane_ids`].
+//! forked by cloning an existing lane ([`LaneBatch::clone_lane`]), cut
+//! through [`LaneBatch::lane_snapshot`] (a checkpoint of one lane), and
+//! retired through [`LaneBatch::extract_lane`] once their run ends. A
+//! lane stays batched however far its state diverges from its
+//! siblings': the shared-noise invariant holds at any divergence, so
+//! nothing is gained by moving a live lane to the scalar path. Lane ids
+//! are stable across removals; slot order (and therefore
+//! [`LaneBatch::step_lanes`] command order) follows
+//! [`LaneBatch::lane_ids`].
 
 use crate::environment::{Collision, Environment};
 use crate::math::{clamp, Quat, Vec3};
@@ -324,9 +327,9 @@ impl LaneBatch {
         }
     }
 
-    /// Evicts a lane: removes it from the batch and returns it as a
-    /// scalar [`Simulator`] plus its most recent step output, ready to
-    /// continue on the scalar path bit-identically.
+    /// Retires a lane: removes it from the batch and returns it as a
+    /// scalar [`Simulator`] plus its most recent step output — bit-exact,
+    /// so the caller may read its final state or continue it scalar.
     pub fn extract_lane(&mut self, id: u64) -> (Simulator, StepOutput) {
         let slot = self.slot(id);
         let sim = self.compose(slot);

@@ -362,10 +362,10 @@ fn batched_lockstep_campaign_is_bit_identical_to_scalar() {
 fn batched_lockstep_link_fault_campaign_matches_scalar() {
     // Same pin under a pinned link-fault environment: lanes carry live
     // `FaultyLink` shims whose rng streams must stay aligned with the
-    // scalar path, and mid-air arm storms force mode departures that
-    // evict lanes to the scalar loop. Cold and checkpointed batched
-    // execution still reproduce the scalar result — and the seeded
-    // protocol defect — exactly.
+    // scalar path, and mid-air arm storms force mode departures while
+    // the departed lanes keep stepping in the batch. Cold and
+    // checkpointed batched execution still reproduce the scalar result —
+    // and the seeded protocol defect — exactly.
     let run = |lanes: usize, parallelism: usize, checkpoints: CheckpointConfig| {
         Campaign::builder()
             .experiment(proto_experiment())

@@ -5,29 +5,38 @@
 //!
 //! A counting global allocator wraps the system allocator; the tests run
 //! a warm-up phase, snapshot the allocation counter, run the measured
-//! phase and compare.
+//! phase and compare. The counter is per thread, so tests running in
+//! parallel never see each other's allocations.
 
 // The workspace denies `unsafe_code`; a `GlobalAlloc` impl is the one
 // place this test harness genuinely needs it.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so reading it from inside the
+    // allocator never allocates and never fails during thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
 
 // Tracking only allocation events (not frees) is enough: the property
 // under test is "no new allocations per step".
 //
 // SAFETY: every method forwards verbatim to `System`, which upholds the
-// `GlobalAlloc` contract; the counter update is a lock-free side effect
-// with no memory-safety impact.
+// `GlobalAlloc` contract; the counter update is a thread-local side
+// effect with no memory-safety impact.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: delegates to `System.alloc` with the caller's layout.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: same contract as ours; layout passed through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -40,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: delegates to `System.realloc` with the caller's arguments.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: ptr/layout come from a prior `System` allocation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -50,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -82,6 +91,47 @@ fn simulator_step_loop_is_allocation_free_in_steady_state() {
         0,
         "the simulator step loop must not allocate once buffers are warm"
     );
+}
+
+/// Steps a `lanes`-wide [`avis_sim::LaneBatch`] — every batched run's
+/// physics kernel — and asserts the measured phase allocates nothing.
+fn assert_lane_batch_step_is_allocation_free(lanes: usize) {
+    use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
+    use avis_sim::{Environment, LaneBatch, MotorCommands};
+
+    let mut sim = Simulator::new(SimConfig::default(), Environment::open_field());
+    let mut output = StepOutput::empty();
+    sim.step_into(&MotorCommands::IDLE, &mut output);
+    let (mut batch, lead) = LaneBatch::from_simulator(sim, output);
+    for _ in 1..lanes {
+        batch.clone_lane(lead);
+    }
+    // Lanes fly different commands, so their states (and any
+    // state-dependent buffers) diverge.
+    let commands: Vec<MotorCommands> = (0..lanes)
+        .map(|lane| MotorCommands::uniform(0.6 + 0.05 * lane as f64))
+        .collect();
+
+    for _ in 0..1000 {
+        batch.step_lanes(&commands);
+    }
+
+    let before = allocations();
+    for _ in 0..10_000 {
+        batch.step_lanes(&commands);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "the {lanes}-lane batch step must not allocate once buffers are warm"
+    );
+}
+
+#[test]
+fn lane_batch_step_is_allocation_free_in_steady_state() {
+    assert_lane_batch_step_is_allocation_free(1);
+    assert_lane_batch_step_is_allocation_free(4);
 }
 
 #[test]
