@@ -3,20 +3,22 @@
 //! lockstep — steps through [`ExperimentRunner::execute`], the
 //! `RunExperiment` procedure of Algorithm 1 and the step loop of Figure 7.
 //!
-//! One call flies 1..N plans sharing a seed offset. The prefix-sharded
-//! dispatcher routes plans that share an injection prefix to the same
-//! worker (see [`crate::engine`]); those plans execute identical state
+//! One call flies 1..N plans sharing a seed offset. The engine hands a
+//! worker whole prefix families — plans that share an injection prefix
+//! (see [`crate::engine`]); those plans execute identical state
 //! evolutions until their first divergent failure fires, and the loop
 //! exploits exactly that window:
 //!
 //! - The **leader** — the plan whose first divergence from the plans'
 //!   common intersection is latest (ties break to the lowest index) — is
-//!   provisioned once: it forks from the deepest cached checkpoint cut at
-//!   or before the earliest lane-fork time, or restores the experiment's
-//!   genesis snapshot at `t = 0`. It is the only lane that records cuts,
-//!   exactly as a lone run of its plan would. The resume lookup is capped
-//!   because lane forks are taken from the *live* leader at loop tops — a
-//!   deeper cut would skip state a sibling still needs.
+//!   provisioned once: it forks from the deepest cut in the runner's
+//!   snapshot cache at or before the earliest lane-fork time, or restores
+//!   the experiment's genesis snapshot at `t = 0`. It is the only lane
+//!   that records cuts, exactly as a lone run of its plan would. The
+//!   resume lookup is capped because lane forks are taken from the
+//!   *live* leader at loop tops — a deeper cut would skip state a sibling
+//!   still needs. The call buffers its cuts and commits them to the cache
+//!   in one step when it returns, so a call that panics publishes none.
 //! - Every other lane is **virtual** until its divergence time: its state
 //!   is the leader's, so nothing is simulated for it. At the first loop
 //!   top at or past its divergence time it **forks from the leader** —
@@ -48,7 +50,7 @@
 
 use crate::protocol::ProtocolTracker;
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult, RunVerdict};
-use crate::snapshot::{injection_prefix, ChainParent, RunSnapshot, SnapshotKey};
+use crate::snapshot::{injection_prefix, ChainParent, RunSnapshot};
 use crate::trace::{transition_from_code, ModeTransition, StateSample, Trace};
 use avis_firmware::{BugId, Firmware};
 use avis_hinj::{FaultPlan, FaultyLink, LinkSnapshot, SharedInjector};
@@ -451,14 +453,14 @@ impl ExperimentRunner {
     /// module docs for the lane lifecycle. Per loop top the phases run in
     /// this order: lane forks, watchdogs, the leader's checkpoint cut,
     /// ground-station exchange (lanes whose grace period elapsed retire
-    /// here), firmware steps, one physics step, trace sampling.
+    /// here), firmware steps, one physics step, trace sampling. The
+    /// leader's cuts are committed to the cache after the loop.
     pub(crate) fn execute(&mut self, plans: Vec<FaultPlan>, seed_offset: u64) -> Vec<RunResult> {
         if plans.is_empty() {
             return Vec::new();
         }
         self.runs += plans.len() as u64;
         self.step_cursor = 0;
-        self.fresh_keys.clear();
         // The wall-clock watchdog baseline, compared coarsely (every
         // `WALL_CLOCK_STRIDE` iterations); see
         // [`crate::runner::WatchdogConfig::wall_clock_seconds`] for why
@@ -480,18 +482,14 @@ impl ExperimentRunner {
         let mut roster = Roster::new(plans);
         let fork_cap = roster.pending.first().map_or(f64::INFINITY, |&(d, _)| d);
 
-        // Injection runs (seed offset 0) go through the checkpoint tree.
         // A profiling run (seed offset ≠ 0) has a sensor-noise seed of
         // its own, so no other run of its campaign resumes from its
-        // state: it goes through the tree only when a shared tier can
-        // carry its one terminal cut to a later campaign over the same
-        // experiment (in this process, or through the persistent store).
-        // A tripped checksum breaker (`SnapshotCache::degraded`) forces
-        // cold execution for the rest of the runner's life.
+        // state: it records only the one terminal cut a later campaign
+        // over the same experiment forks from (see `CutSchedule`). A
+        // tripped checksum breaker (`SnapshotCache::degraded`) forces
+        // cold execution for the rest of the cache's life.
         let profiling = seed_offset != 0;
-        let checkpointing = self.config.checkpoints.enabled
-            && (!profiling || self.shared.is_some())
-            && !self.cache.degraded();
+        let checkpointing = self.config.checkpoints.enabled && !self.checkpointing_degraded();
 
         // Provision the leader: fork from the deepest cut its plan may
         // resume from, or restore the genesis snapshot — the cold start.
@@ -501,11 +499,11 @@ impl ExperimentRunner {
         } else {
             None
         };
-        let (snapshot, mut chain_parent) = match fork {
+        let (snapshot, chain_parent) = match fork {
             Some(fork) => fork,
             None => {
                 if checkpointing {
-                    self.cache.note_cold_run();
+                    self.run_stats.cold_runs += 1;
                 }
                 (Self::genesis_snapshot(&self.config, seed_offset), None)
             }
@@ -537,6 +535,8 @@ impl ExperimentRunner {
         // point (the chain this run forked from recorded them).
         cuts.anchor_idx = cuts.anchors.partition_point(|&a| a < physics.time() + dt);
 
+        // The leader's cuts, committed to the cache when the loop ends.
+        let mut recorded: Vec<RunSnapshot> = Vec::new();
         // Live lanes in the kernel's slot order: a lane joins at the end
         // of both, and retiring swap-removes it from both.
         let mut ctxs: Vec<LaneCtx> = Vec::with_capacity(roster.plans.len());
@@ -587,8 +587,7 @@ impl ExperimentRunner {
             // The leader's checkpoint cut, at the top of the loop body.
             if let Some(lead) = ctxs.iter_mut().find(|c| c.index == roster.leader) {
                 if cuts.take(time, &lead.workload_status) {
-                    let cut = lead.capture(&physics, time);
-                    self.record_cut(seed_offset, cut, &mut chain_parent);
+                    recorded.push(lead.capture(&physics, time));
                 }
             }
 
@@ -626,85 +625,43 @@ impl ExperimentRunner {
         for ctx in ctxs {
             roster.retire(ctx, &mut physics, verdict.clone(), sample_interval);
         }
+        if !recorded.is_empty() {
+            self.cache.lock().commit(
+                seed_offset,
+                &recorded,
+                chain_parent.as_ref(),
+                self.config.checkpoints.keyframe_stride,
+                self.origin,
+            );
+        }
         roster.into_results()
     }
 
     /// The deepest cut a run of `plan` may resume from, at or before
-    /// `cap`: probes the local cache and the shared tier and materialises
-    /// only the deeper of the two. A local fork also returns the chain
-    /// context the run's next cut is diffed against; a fork served by the
-    /// tier starts a fresh chain (its snapshot has no local entry). A
-    /// forked run is bit-identical to a cold one: the restored state is
-    /// the exact state a cold run of this plan would reach at the fork
-    /// time, because the plans agree on every failure scheduled before it
-    /// (see [`crate::snapshot`]).
+    /// `cap`, plus the chain context its first cut is diffed against (kept
+    /// only when the keyframe stride lets a cut be a delta). A forked run
+    /// is bit-identical to a cold one: the restored state is the exact
+    /// state a cold run of this plan would reach at the fork time,
+    /// because the plans agree on every failure scheduled before it (see
+    /// [`crate::snapshot`]). A corrupt chain is quarantined inside the
+    /// cache and `None` comes back — the run then cold-starts, which is
+    /// always correct, just slower.
     fn take_deepest_cut(
         &mut self,
         seed_offset: u64,
         plan: &FaultPlan,
         cap: f64,
     ) -> Option<(RunSnapshot, Option<ChainParent>)> {
-        let local = self.cache.peek_deepest(seed_offset, plan, cap);
-        let shared_depth = self
-            .shared
-            .as_ref()
-            .and_then(|tier| tier.peek_depth(seed_offset, plan, cap));
-        if shared_depth > local.as_ref().map(|&(depth, _)| depth) {
-            // A republish may evict the entry between probe and take;
-            // the local candidate, if any, then serves.
-            let taken = self
-                .shared
-                .as_ref()
-                .and_then(|tier| tier.take_deepest(seed_offset, plan, cap));
-            if let Some((depth, snapshot)) = taken {
-                self.cache.note_shared_fork(depth);
-                return Some((snapshot, None));
-            }
+        let (parent, origin) = self.cache.lock().take_deepest(seed_offset, plan, cap)?;
+        self.run_stats.forked_runs += 1;
+        self.run_stats.simulated_seconds_skipped += parent.snapshot.time();
+        if origin != self.origin {
+            self.run_stats.shared_hits += 1;
         }
-        let (time, key) = local?;
-        // `take` re-validates the chain's record-time checksums while
-        // materialising. A corrupt chain is quarantined inside the cache
-        // and `None` comes back — the run then cold-starts, which is
-        // always correct, just slower.
-        let snapshot = self.cache.take(&key, time)?;
-        // At stride 1 (keyframes only) no cut is ever delta-encoded, so
-        // the chain context — and the snapshot clone it would keep
-        // resident — is skipped.
-        let parent = (self.config.checkpoints.keyframe_stride > 1).then(|| ChainParent {
-            key,
-            snapshot: snapshot.clone(),
-        });
-        Some((snapshot, parent))
-    }
-
-    /// Files one of the leader's cuts. Its key is remembered first, so a
-    /// contained panic quarantines exactly the cuts the panicked call
-    /// recorded. The shared tier always receives the full snapshot: its
-    /// entries cross worker (and campaign) boundaries, so they must be
-    /// independently restorable. A profiling cut goes to the tier alone —
-    /// no later run of this runner resumes at a profiling seed offset.
-    /// An injection cut is stored in the local cache as a delta against
-    /// the previous cut of this run where the keyframe stride allows,
-    /// otherwise as a keyframe; either way it becomes the next cut's
-    /// chain parent (a duplicate cell keeps the previous context).
-    fn record_cut(
-        &mut self,
-        seed_offset: u64,
-        cut: RunSnapshot,
-        chain_parent: &mut Option<ChainParent>,
-    ) {
-        self.fresh_keys
-            .push(SnapshotKey::for_snapshot(seed_offset, &cut));
-        if let Some(tier) = &self.shared {
-            tier.offer(seed_offset, &cut);
-        }
-        if seed_offset != 0 {
-            return;
-        }
-        let parent = (self.config.checkpoints.keyframe_stride > 1).then(|| cut.clone());
-        let stored = self.cache.record(seed_offset, cut, chain_parent.as_ref());
-        if let (Some(key), Some(snapshot)) = (stored, parent) {
-            *chain_parent = Some(ChainParent { key, snapshot });
+        if self.config.checkpoints.keyframe_stride > 1 {
+            Some((parent.snapshot.clone(), Some(parent)))
+        } else {
+            Some((parent.snapshot, None))
         }
     }
 }

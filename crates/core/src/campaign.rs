@@ -27,7 +27,7 @@
 //! `parallelism = 1`, in the same order.
 
 use crate::checker::{Approach, Budget, CampaignResult, CampaignState, UnsafeCondition};
-use crate::engine::{self, DispatchMode, EngineParams, WorkerStatsCollector};
+use crate::engine::{self, EngineParams, WorkerStatsCollector};
 use crate::monitor::{InvariantMonitor, MonitorConfig};
 use crate::runner::{ExperimentConfig, ExperimentRunner};
 use crate::sabre::SabreConfig;
@@ -100,8 +100,9 @@ pub enum CampaignEvent {
         /// Human-readable explanation of why checkpointing was disabled.
         reason: String,
     },
-    /// The persistent snapshot store hydrated the shared tier from disk
-    /// before the profiling runs, which fork from it too (see
+    /// The persistent snapshot store hydrated the campaign's snapshot
+    /// cache from disk before the profiling runs, which fork from it too
+    /// (see
     /// [`CampaignBuilder::snapshot_store`]), so this arrives between
     /// [`CampaignEvent::CampaignStarted`] and
     /// [`CampaignEvent::ProfilingFinished`]. Like [`DegradedMode`], this
@@ -112,13 +113,13 @@ pub enum CampaignEvent {
     StoreHydrated {
         /// Snapshot chains re-materialised from disk.
         chains: u64,
-        /// Individual snapshots offered to the shared tier.
+        /// Individual cuts loaded into the cache.
         snapshots: u64,
         /// Blob bytes read (and verified) from disk.
         bytes: u64,
     },
-    /// The persistent snapshot store flushed the shared tier's chains to
-    /// disk at campaign end (write-behind flushes also run at engine
+    /// The persistent snapshot store flushed the cache's chains to disk
+    /// at campaign end (write-behind flushes also run at engine
     /// commit boundaries; this event reports the session totals). A
     /// wall-clock observability event, like
     /// [`DegradedMode`](CampaignEvent::DegradedMode).
@@ -208,7 +209,6 @@ pub struct Campaign {
     strategy: StrategyChoice,
     link: LinkFaultPlan,
     shared: Option<Arc<SharedSnapshotTier>>,
-    dispatch: DispatchMode,
     worker_stats: Option<Arc<WorkerStatsCollector>>,
     store: Option<StoreSpec>,
 }
@@ -247,7 +247,6 @@ impl Campaign {
                 seed: self.seed,
                 parallelism: self.parallelism,
                 shared: self.shared,
-                dispatch: self.dispatch,
                 worker_stats: self.worker_stats,
                 store: self.store,
             },
@@ -285,7 +284,6 @@ pub struct CampaignBuilder {
     strategy: StrategyChoice,
     link: LinkFaultPlan,
     shared: Option<Arc<SharedSnapshotTier>>,
-    dispatch: DispatchMode,
     worker_stats: Option<Arc<WorkerStatsCollector>>,
     store_path: Option<PathBuf>,
     store_budget: u64,
@@ -311,7 +309,6 @@ impl Default for CampaignBuilder {
             strategy: StrategyChoice::Approach(Approach::Avis),
             link: LinkFaultPlan::empty(),
             shared: None,
-            dispatch: DispatchMode::default(),
             worker_stats: None,
             store_path: None,
             store_budget: DEFAULT_STORE_BUDGET,
@@ -364,46 +361,45 @@ impl CampaignBuilder {
     /// budget, or [`CheckpointConfig::disabled`] to cold-start every
     /// run), applied on top of the experiment. Checkpointing is purely a
     /// speed/memory trade-off: the campaign result is bit-identical
-    /// either way. The memory budget applies *per engine worker* (each
-    /// owns a lock-free cache), so a campaign holds up to
-    /// `parallelism × max_bytes`. Default: enabled with the
-    /// [`CheckpointConfig::default`] budget.
+    /// either way. The memory budget applies *per campaign*: the inline
+    /// runner and every engine worker share one cache. Default: enabled
+    /// with the [`CheckpointConfig::default`] budget.
     pub fn checkpoints(mut self, checkpoints: CheckpointConfig) -> Self {
         self.checkpoints = Some(checkpoints);
         self
     }
 
-    /// Number of sibling scenarios a worker advances in lockstep through
-    /// one SoA [`avis_sim::LaneBatch`] when the dispatcher hands it a
-    /// prefix-sharded batch (see [`crate::batch`]); `1` disables
-    /// batching. Active wherever [`DispatchMode::PrefixSharded`] dispatch
-    /// is (the default), on workers and on the serial path alike. Purely
-    /// a speed knob — a batched run is bit-identical to a scalar one —
-    /// so it joins neither the experiment fingerprint nor any campaign
-    /// observable. Default: 4.
+    /// Number of sibling scenarios advanced in lockstep through one SoA
+    /// [`avis_sim::LaneBatch`] when a prefix family of speculative plans
+    /// runs (see [`crate::batch`]), on workers and on the serial path
+    /// alike; `1` disables batching. Purely a speed knob — a batched run
+    /// is bit-identical to a scalar one — so it joins neither the
+    /// experiment fingerprint nor any campaign observable. Default: 4.
     pub fn lockstep_lanes(mut self, lanes: usize) -> Self {
         self.lockstep_lanes = Some(lanes);
         self
     }
 
-    /// Attaches a cross-campaign [`SharedSnapshotTier`]: campaigns over
-    /// the *same experiment* (firmware, bugs, workload, simulation
-    /// parameters, seed) handed the same tier share one checkpoint tree
-    /// — the second campaign warm-starts from the first one's snapshots
-    /// instead of re-recording the fault-free chain. This is how a
-    /// [`crate::matrix::ScenarioMatrix`] reuses trees across strategies.
-    /// Sharing never changes results (a forked run is bit-identical to a
-    /// cold one). The tier is claimed by the first experiment that
-    /// attaches; a campaign over a *different* experiment handed the
-    /// same tier simply runs without it rather than forking from foreign
-    /// state — keep one tier per experiment.
+    /// Runs the campaign on a caller's snapshot cache instead of a fresh
+    /// one: campaigns over the *same experiment* (firmware, bugs,
+    /// workload, simulation parameters, seed) handed the same cache share
+    /// one checkpoint tree — the second campaign warm-starts from the
+    /// first one's snapshots instead of re-recording the fault-free
+    /// chain. This is how a [`crate::matrix::ScenarioMatrix`] reuses
+    /// trees across strategies. The cache keeps the memory budget it was
+    /// created with. Sharing never changes results (a forked run is
+    /// bit-identical to a cold one). The cache is claimed by the first
+    /// experiment that attaches; a campaign over a *different*
+    /// experiment handed the same cache runs on a fresh one of its own
+    /// rather than forking from foreign state — keep one cache per
+    /// experiment.
     pub fn shared_snapshots(mut self, tier: Arc<SharedSnapshotTier>) -> Self {
         self.shared = Some(tier);
         self
     }
 
     /// Attaches a persistent [`SnapshotStore`] rooted at `path`: the
-    /// campaign hydrates its shared snapshot tier from whatever chains a
+    /// campaign hydrates its snapshot cache from whatever chains a
     /// previous process persisted for the *same experiment* (warm start),
     /// and flushes new chains back write-behind at engine commit
     /// boundaries and campaign end. The store is content-addressed and
@@ -411,17 +407,16 @@ impl CampaignBuilder {
     /// experiments and many concurrent campaigns. Persistence is purely
     /// a wall-clock optimisation: a warm-started campaign is
     /// bit-identical to a cold one, and any corrupt or torn on-disk
-    /// state quarantines and falls back cold. Configuring a store
-    /// enables the shared tier even at `parallelism = 1`, so
-    /// single-threaded campaigns warm-start too. Default: no store.
+    /// state quarantines and falls back cold. A campaign with
+    /// checkpointing disabled leaves the store untouched. Default: no
+    /// store.
     pub fn snapshot_store(mut self, path: impl Into<PathBuf>) -> Self {
         self.store_path = Some(path.into());
         self
     }
 
     /// On-disk byte budget for the snapshot store, enforced at flush
-    /// time by evicting the least-forked, oldest chains first (the
-    /// in-memory tier's hit-weighted policy, persisted). Default:
+    /// time by evicting the least-forked, oldest chains first. Default:
     /// [`DEFAULT_STORE_BUDGET`].
     ///
     /// [`DEFAULT_STORE_BUDGET`]: crate::store::DEFAULT_STORE_BUDGET
@@ -470,20 +465,12 @@ impl CampaignBuilder {
         self
     }
 
-    /// How speculative jobs are placed onto workers (see
-    /// [`DispatchMode`]). Placement is purely a cache-locality /
-    /// wall-clock knob: results are bit-identical in every mode. Default:
-    /// [`DispatchMode::PrefixSharded`].
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// Attaches a [`WorkerStatsCollector`] that receives every engine
     /// worker's checkpoint statistics (plus the campaign's inline
-    /// runner's) when the campaign finishes — the observability hook for
-    /// cache-locality measurements that the deterministic
-    /// [`crate::checker::CampaignResult`] deliberately excludes.
+    /// runner's, with the cache-wide and store fields) when the campaign
+    /// finishes — the observability hook for cache measurements that the
+    /// deterministic [`crate::checker::CampaignResult`] deliberately
+    /// excludes.
     pub fn worker_stats(mut self, collector: Arc<WorkerStatsCollector>) -> Self {
         self.worker_stats = Some(collector);
         self
@@ -554,7 +541,6 @@ impl CampaignBuilder {
             strategy: self.strategy,
             link: self.link,
             shared: self.shared,
-            dispatch: self.dispatch,
             worker_stats: self.worker_stats,
             store: self.store_path.map(|root| StoreSpec {
                 root,
@@ -583,11 +569,9 @@ pub(crate) struct CampaignSpec<'a> {
     pub(crate) sabre: SabreConfig,
     pub(crate) seed: u64,
     pub(crate) parallelism: usize,
-    /// A caller-supplied cross-campaign snapshot tier, if any (see
+    /// A caller-supplied cross-campaign snapshot cache, if any (see
     /// [`CampaignBuilder::shared_snapshots`]).
     pub(crate) shared: Option<Arc<SharedSnapshotTier>>,
-    /// Speculative-job placement policy (see [`DispatchMode`]).
-    pub(crate) dispatch: DispatchMode,
     /// Sink for per-runner checkpoint statistics, if any (see
     /// [`CampaignBuilder::worker_stats`]).
     pub(crate) worker_stats: Option<Arc<WorkerStatsCollector>>,
@@ -613,42 +597,32 @@ pub(crate) fn execute_campaign(
 
     let mut runner = ExperimentRunner::new(spec.experiment.clone());
 
-    // The shared snapshot tier: the caller's cross-campaign tier when
-    // one was supplied, otherwise a campaign-local tier as soon as more
-    // than one worker would re-record the same chains. At parallelism 1
-    // with no caller tier, the per-runner cache alone is strictly
-    // better (a second tier would only duplicate memory) — unless a
-    // persistent store is configured, which needs a tier to hydrate
-    // into and flush from even single-threaded. The tier is attached
-    // before profiling, so profiling runs fork from it too.
+    // The campaign's one snapshot cache: the caller's when one was
+    // supplied and could be claimed for this experiment, otherwise a
+    // fresh one. The inline runner and every engine worker attach to it,
+    // so they all fork from and commit to one tree under one memory
+    // budget. It is attached before profiling, so profiling runs fork
+    // from it too.
     let checkpoints = &spec.experiment.checkpoints;
-    let tier: Option<Arc<SharedSnapshotTier>> = if checkpoints.enabled {
-        spec.shared.clone().or_else(|| {
-            (spec.parallelism > 1 || spec.store.is_some())
-                .then(|| Arc::new(SharedSnapshotTier::new(checkpoints.max_bytes)))
-        })
-    } else {
-        None
-    };
-    if let Some(tier) = &tier {
-        runner.set_shared_tier(Arc::clone(tier));
-    }
+    let cache = spec
+        .shared
+        .filter(|tier| tier.claim(&spec.experiment.fingerprint()))
+        .unwrap_or_else(|| Arc::new(SharedSnapshotTier::new(checkpoints.max_bytes)));
+    runner.set_shared_tier(Arc::clone(&cache));
 
-    // The persistent store: hydrate the tier from disk before profiling,
-    // so the profiling runs and the engine fork from last session's
-    // chains instead of re-flying them. Opening can fail (read-only
-    // filesystem, bad path); the campaign then simply runs cold — the
-    // store never gates correctness, only wall-clock.
-    let store: Option<Arc<Mutex<SnapshotStore>>> = match (&spec.store, &tier) {
-        (Some(store_spec), Some(_)) => {
-            SnapshotStore::open(&store_spec.root, spec.experiment, store_spec.max_bytes)
-                .ok()
-                .map(|s| Arc::new(Mutex::new(s)))
-        }
-        _ => None,
-    };
-    if let (Some(store), Some(tier)) = (&store, &tier) {
-        let report = store.lock().hydrate(tier, spec.experiment);
+    // The persistent store: hydrate the cache from disk before
+    // profiling, so the profiling runs and the engine fork from last
+    // session's chains instead of re-flying them. Opening can fail
+    // (read-only filesystem, bad path); the campaign then simply runs
+    // cold — the store never gates correctness, only wall-clock.
+    let store: Option<Arc<Mutex<SnapshotStore>>> = spec
+        .store
+        .as_ref()
+        .filter(|_| checkpoints.enabled)
+        .and_then(|s| SnapshotStore::open(&s.root, spec.experiment, s.max_bytes).ok())
+        .map(|s| Arc::new(Mutex::new(s)));
+    if let Some(store) = &store {
+        let report = store.lock().hydrate(&cache, spec.experiment);
         observer.on_event(&CampaignEvent::StoreHydrated {
             chains: report.chains,
             snapshots: report.snapshots,
@@ -657,21 +631,16 @@ pub(crate) fn execute_campaign(
     }
 
     // Profiling runs: calibrate the invariant monitor and discover the
-    // mode transitions that anchor transition-targeted strategies. With
-    // a tier attached, each forks from the terminal cut an earlier
-    // campaign over this experiment left for its seed offset, and flies
-    // only the grace tail.
+    // mode transitions that anchor transition-targeted strategies. Each
+    // forks from the terminal cut an earlier campaign over this
+    // experiment left in the cache for its seed offset, and flies only
+    // the grace tail.
     let mut profiling = Vec::new();
     let mut cost = 0.0;
     for i in 0..spec.profiling_runs.max(1) {
         let run = runner.run_profiling(i as u64);
         cost += run.simulated_seconds;
         profiling.push(run);
-    }
-    // Publish the profiling runs' terminal cuts to the engine's flushes
-    // and to later campaigns sharing this tier.
-    if let Some(tier) = &tier {
-        tier.republish();
     }
     observer.on_event(&CampaignEvent::ProfilingFinished {
         runs: profiling.len(),
@@ -725,8 +694,7 @@ pub(crate) fn execute_campaign(
             experiment: &engine_experiment,
             budget: &spec.budget,
             parallelism: spec.parallelism,
-            shared: tier.clone(),
-            dispatch: spec.dispatch,
+            cache: Arc::clone(&cache),
             worker_stats: spec.worker_stats.clone(),
             store: store.clone(),
         },
@@ -735,17 +703,11 @@ pub(crate) fn execute_campaign(
         observer,
     );
 
-    // Final publish: snapshots recorded after the last wavefront become
-    // visible to the next campaign sharing this tier.
-    if let Some(tier) = &tier {
-        tier.republish();
-    }
-
     // Final write-behind flush + GC: chains recorded after the engine's
     // last commit-boundary flush reach disk before the campaign returns.
-    if let (Some(store), Some(tier)) = (&store, &tier) {
+    if let Some(store) = &store {
         let mut store = store.lock();
-        store.flush(tier, spec.experiment);
+        store.flush(&cache, spec.experiment);
         let stats = store.stats();
         observer.on_event(&CampaignEvent::StoreFlushed {
             chains: stats.persisted_chains,
@@ -755,8 +717,10 @@ pub(crate) fn execute_campaign(
     }
 
     // The campaign's inline runner (profiling + serial / fallback
-    // commits) reports its cache statistics alongside the pool workers',
-    // with the persistent store's session counters merged in.
+    // commits) reports its per-run counters after the pool workers', with
+    // the cache-wide statistics and the persistent store's session
+    // counters merged in — the one entry that carries them, so sums over
+    // the collector count each cached byte and eviction once.
     if let Some(collector) = &spec.worker_stats {
         let mut stats = state.runner.checkpoint_stats();
         if let Some(store) = &store {

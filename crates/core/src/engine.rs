@@ -40,13 +40,26 @@
 //! observable of the campaign match the serial engine exactly — the
 //! determinism suite in `tests/engine_determinism.rs` asserts structural
 //! equality of the full campaign result and of the event stream.
+//!
+//! # Dispatch and the snapshot cache
+//!
+//! Every runner of a campaign — the inline runner and each engine worker
+//! — forks from and commits to the campaign's one snapshot cache (see
+//! [`crate::snapshot`]), so placement never decides which cuts a run can
+//! resume from. One admission and family planner serves both speculative
+//! paths: it groups a wavefront's admitted plans into *prefix families*
+//! (plans that fork from the same chain), and each family is run as
+//! lockstep batches of [`ExperimentConfig::lockstep_lanes`] siblings —
+//! by workers popping whole families off one FIFO queue, or by the
+//! inline runner in the serial engine.
 
 use crate::campaign::{CampaignEvent, CampaignObserver};
 use crate::checker::{Budget, CampaignState};
 use crate::contain;
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult};
 use crate::snapshot::{injection_prefix, prefix_cache_key, CheckpointStats, SharedSnapshotTier};
-use crate::strategy::{Observation, Strategy};
+use crate::store::SnapshotStore;
+use crate::strategy::{Candidate, Observation, Strategy};
 use avis_hinj::FaultPlan;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver};
@@ -59,33 +72,17 @@ pub fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// How the engine places a wavefront's speculative jobs onto workers.
-/// Placement only decides which worker *pre-executes* a run — results are
-/// committed strictly in round order — so the mode can never change a
-/// campaign observable, only cache locality and wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Jobs are dealt one at a time across the workers in wavefront
-    /// order, with idle workers stealing — placement ignores which worker
-    /// already holds a job's ancestor snapshots (the pre-sharding
-    /// behaviour, kept as the locality baseline).
-    RoundRobin,
-    /// Jobs are grouped into *prefix families* — plans that share an
-    /// injection prefix and fork near the same depth — and each family is
-    /// pinned to one worker across the whole campaign, so consecutive
-    /// siblings fork from that worker's hottest local checkpoint chain
-    /// instead of re-pulling ancestors through the shared tier. Idle
-    /// workers steal whole families (never single jobs), preserving
-    /// within-family locality.
-    #[default]
-    PrefixSharded,
-}
-
-/// Collects each engine worker's [`CheckpointStats`] when a campaign
-/// finishes, so callers (benches, tuning tools) can observe cache-tier
-/// behaviour — local-cache vs shared-tier fork shares, fork depths — that
-/// the deterministic [`crate::checker::CampaignResult`] deliberately
-/// excludes (the numbers vary with scheduling; results never do).
+/// Collects checkpoint statistics when a campaign finishes, so callers
+/// (benches, tuning tools) can observe cache behaviour — fork shares and
+/// depths, memory held, evictions — that the deterministic
+/// [`crate::checker::CampaignResult`] deliberately excludes (the numbers
+/// vary with scheduling; results never do).
+///
+/// Each engine worker pushes its per-run counters at pool shutdown; the
+/// campaign's inline runner then pushes its own together with the
+/// cache-wide and persistent-store fields, which appear on that entry
+/// only. Summing a field over [`WorkerStatsCollector::collected`]
+/// therefore counts each cached byte, eviction and quarantine once.
 #[derive(Debug, Default)]
 pub struct WorkerStatsCollector {
     stats: Mutex<Vec<CheckpointStats>>,
@@ -97,30 +94,10 @@ impl WorkerStatsCollector {
         WorkerStatsCollector::default()
     }
 
-    /// The per-runner statistics pushed so far (engine workers at pool
-    /// shutdown, plus the campaign's inline runner at campaign end).
+    /// The statistics pushed so far: one entry per engine worker, then
+    /// the campaign's inline entry, for every campaign that reported here.
     pub fn collected(&self) -> Vec<CheckpointStats> {
         self.stats.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Of all forks served across the collected runners, the share served
-    /// by a runner's *local* cache rather than the shared tier — the
-    /// locality figure prefix-sharded dispatch raises. `None` when no
-    /// forks were served.
-    pub fn local_hit_share(&self) -> Option<f64> {
-        let stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        let forked: u64 = stats.iter().map(|s| s.forked_runs).sum();
-        let shared: u64 = stats.iter().map(|s| s.shared_hits).sum();
-        (forked > 0).then(|| (forked - shared) as f64 / forked as f64)
-    }
-
-    /// Mean fork depth (simulated seconds skipped per forked run) across
-    /// the collected runners. `None` when no forks were served.
-    pub fn mean_fork_depth(&self) -> Option<f64> {
-        let stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        let forked: u64 = stats.iter().map(|s| s.forked_runs).sum();
-        let skipped: f64 = stats.iter().map(|s| s.simulated_seconds_skipped).sum();
-        (forked > 0).then(|| skipped / forked as f64)
     }
 
     pub(crate) fn push(&self, stats: CheckpointStats) {
@@ -139,21 +116,16 @@ pub(crate) struct EngineParams<'a> {
     pub budget: &'a Budget,
     /// Worker count; `1` executes every run inline on the calling thread.
     pub parallelism: usize,
-    /// The read-mostly shared snapshot tier, attached to every worker's
-    /// runner and republished by the engine between speculative
-    /// wavefronts so one worker's cold run warms every worker's cache.
-    pub shared: Option<Arc<SharedSnapshotTier>>,
-    /// Speculative-job placement policy (see [`DispatchMode`]).
-    pub dispatch: DispatchMode,
-    /// Sink for per-worker checkpoint statistics, filled at pool
+    /// The campaign's snapshot cache, attached to every worker's runner.
+    pub cache: Arc<SharedSnapshotTier>,
+    /// Sink for the workers' checkpoint statistics, filled at pool
     /// shutdown.
     pub worker_stats: Option<Arc<WorkerStatsCollector>>,
     /// The persistent snapshot store, if the campaign configured one:
-    /// the engine flushes newly published chains write-behind at each
-    /// commit boundary (right after the tier republish), so a crash
-    /// mid-campaign still leaves the completed wavefronts' chains on
-    /// disk for the next session.
-    pub store: Option<Arc<parking_lot::Mutex<crate::store::SnapshotStore>>>,
+    /// the pool path flushes the cache's new chains write-behind before
+    /// each speculative wavefront, so a crash mid-campaign still leaves
+    /// the completed wavefronts' chains on disk for the next session.
+    pub store: Option<Arc<parking_lot::Mutex<SnapshotStore>>>,
 }
 
 /// Simulations left before the hard budget cap (`usize::MAX` for
@@ -191,14 +163,11 @@ fn take_or_run(
 /// committed under, plus the plan to execute.
 type Job = (u64, FaultPlan);
 
-/// Dispatch-order key grouping plans that share an injection prefix:
-/// earliest failure time first, then failure count, then the canonical
-/// plan key. Sorting a family's speculative jobs this way hands
-/// prefix-sharing siblings to a worker back-to-back, so its per-runner
-/// snapshot cache ([`crate::snapshot`]) forks consecutive jobs off its
-/// hottest checkpoint chain instead of interleaving unrelated prefixes.
-/// Results are keyed by candidate token and committed strictly in round
-/// order, so dispatch order can never change a campaign observable.
+/// Order key within a prefix family: earliest failure time first, then
+/// failure count, then the canonical plan key. Consecutive jobs in this
+/// order are the siblings whose shared prefix one lockstep batch advances
+/// once. Results are keyed by candidate token and committed strictly in
+/// round order, so dispatch order can never change a campaign observable.
 fn prefix_dispatch_key(plan: &FaultPlan) -> (i64, usize, String) {
     let earliest = plan
         .specs()
@@ -211,11 +180,8 @@ fn prefix_dispatch_key(plan: &FaultPlan) -> (i64, usize, String) {
 }
 
 /// The *prefix family* of a plan: the injection prefix shared with its
-/// siblings (every failure except the deepest one). Two plans of one
-/// family fork from the same chain, so pinning a family to one worker
-/// turns that worker's local cache into the family's private checkpoint
-/// tree — under memory pressure, workers cycling through each other's
-/// families evict each other's chains instead.
+/// siblings (every failure except the deepest one). Plans of one family
+/// fork from the same chain and run together in lockstep batches.
 ///
 /// Single-failure plans all share the *empty* parent prefix; one family
 /// would starve the pool, so the empty prefix is split by the checkpoint
@@ -242,72 +208,77 @@ fn family_key(plan: &FaultPlan, bucket_seconds: f64) -> String {
     }
 }
 
-/// What a worker sends back: a completed run (with the worker runner's
-/// checkpoint-breaker flag riding along, so the engine can announce
-/// degraded mode), or the rendered panic of a worker that died *outside*
-/// the per-run containment — a harness fault, not a scenario crash; the
-/// collector then stops waiting and the commit's inline fallback covers
-/// the lost jobs instead of deadlocking the wavefront.
-type WorkerOutcome = Result<(u64, RunResult, bool), String>;
+/// Admission and family planning for one wavefront, shared by the pool
+/// and the serial lockstep path. Admission drops hints the strategy has
+/// withdrawn ([`Strategy::revalidate`]) or rates as probably doomed
+/// ([`Strategy::prune_probability`]) — skipping a doomed job entirely
+/// beats merely shrinking the wavefront around it — and caps speculation
+/// at the remaining simulation budget (`cap`). The admitted jobs are
+/// grouped into prefix families, each sorted by [`prefix_dispatch_key`].
+/// The commit's inline fallback covers any plan these filters wrongly
+/// skip.
+fn plan_families(
+    wavefront: &[Candidate],
+    strategy: &dyn Strategy,
+    cap: usize,
+    bucket_seconds: f64,
+) -> Vec<Vec<Job>> {
+    let mut families: BTreeMap<String, Vec<Job>> = BTreeMap::new();
+    for (token, plan) in wavefront
+        .iter()
+        .filter(|c| strategy.revalidate(c))
+        .filter(|c| strategy.prune_probability(c) < SPECULATION_ADMISSION_CEILING)
+        .filter_map(|c| c.speculative().map(|plan| (c.token(), plan.clone())))
+        .take(cap)
+    {
+        families
+            .entry(family_key(&plan, bucket_seconds))
+            .or_default()
+            .push((token, plan));
+    }
+    families
+        .into_values()
+        .map(|mut family| {
+            family.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
+            family
+        })
+        .collect()
+}
 
-/// The worker-visible placement state: one family-batch deque per
-/// worker, plus the sticky family→worker map and per-worker load
-/// counters the placement policy balances with.
+/// What a worker sends back: a completed run, or the rendered panic of a
+/// worker that died *outside* the per-run containment — a harness fault,
+/// not a scenario crash; the collector then stops waiting and the
+/// commit's inline fallback covers the lost jobs instead of deadlocking
+/// the wavefront.
+type WorkerOutcome = Result<(u64, RunResult), String>;
+
+/// The job queue shared by the engine and its workers: whole prefix
+/// families, first in first out.
 #[derive(Debug, Default)]
-struct ShardState {
-    shards: Vec<VecDeque<Vec<Job>>>,
-    /// Sticky assignment: a family keeps hitting the same worker across
-    /// wavefronts (and rounds), which is what builds the worker's local
-    /// chain depth for that family.
-    family_worker: BTreeMap<String, usize>,
-    /// Total jobs ever placed per worker — the balance criterion for
-    /// first-seen families.
-    placed: Vec<u64>,
+struct Queue {
+    families: VecDeque<Vec<Job>>,
     shutdown: bool,
 }
 
-/// The sharded job queue shared by the engine and its workers. Workers
-/// drain their own shard front-to-back and steal whole *families* from
-/// the richest other shard when idle, so stolen work keeps its internal
-/// prefix locality.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Dispatcher {
-    state: Mutex<ShardState>,
+    queue: Mutex<Queue>,
     ready: Condvar,
 }
 
 impl Dispatcher {
-    fn new(workers: usize) -> Self {
-        Dispatcher {
-            state: Mutex::new(ShardState {
-                shards: (0..workers).map(|_| VecDeque::new()).collect(),
-                family_worker: BTreeMap::new(),
-                placed: vec![0; workers],
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// The next batch for worker `me`: own shard first, then a steal
-    /// from the back (coldest family) of the fullest other shard, else
-    /// block until work arrives or the pool shuts down.
-    fn next_batch(&self, me: usize) -> Option<Vec<Job>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+    /// The next family to run, blocking until one arrives or the pool
+    /// shuts down.
+    fn next_family(&self) -> Option<Vec<Job>> {
+        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(batch) = state.shards[me].pop_front() {
-                return Some(batch);
+            if let Some(family) = queue.families.pop_front() {
+                return Some(family);
             }
-            let richest = (0..state.shards.len())
-                .filter(|&j| j != me && !state.shards[j].is_empty())
-                .max_by_key(|&j| state.shards[j].len());
-            if let Some(victim) = richest {
-                return state.shards[victim].pop_back();
-            }
-            if state.shutdown {
+            if queue.shutdown {
                 return None;
             }
-            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+            queue = self.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -315,7 +286,7 @@ impl Dispatcher {
     /// on unwind (see the guard in [`run_campaign`]) so a panicking
     /// wavefront can never leave workers parked on the condvar.
     fn shutdown(&self) {
-        self.state
+        self.queue
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .shutdown = true;
@@ -338,83 +309,31 @@ impl Drop for ShutdownGuard {
 struct Wavefront {
     dispatcher: Arc<Dispatcher>,
     result_rx: Receiver<WorkerOutcome>,
-    mode: DispatchMode,
-    /// Family bucket width (s): the experiment's checkpoint interval.
-    family_bucket: f64,
 }
 
 impl Wavefront {
-    /// Places one wavefront of plans onto the worker shards and blocks
-    /// until every result is in, returning the results plus whether any
-    /// worker's checkpoint breaker has tripped (degraded mode).
+    /// Queues one wavefront's families and blocks until every result is
+    /// in.
     ///
     /// Scenario crashes never surface here — they come back as ordinary
     /// results carrying [`crate::runner::RunVerdict::Crashed`]. A worker
     /// that dies *outside* the per-run containment (a harness fault)
     /// sends one final `Err`; the collector then stops waiting — its
-    /// in-flight batch is unrecoverable, and results from still-healthy
+    /// in-flight family is unrecoverable, and results from still-healthy
     /// workers keep arriving into later collections, where stale tokens
     /// are ignored by the commit's plan-equality check. Every job whose
     /// speculative result is missing is re-executed inline at commit
     /// (see [`take_or_run`]), so no proposed job is ever leaked.
-    fn execute(&self, jobs: Vec<Job>) -> (BTreeMap<u64, RunResult>, bool) {
-        let expected = jobs.len();
-        {
-            let mut state = self
-                .dispatcher
-                .state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let workers = state.shards.len();
-            match self.mode {
-                DispatchMode::RoundRobin => {
-                    // The pre-sharding baseline kept: the wavefront is
-                    // sorted by shared injection prefix (as the old
-                    // shared-queue engine sorted it) before the jobs are
-                    // dealt out, so prefix-sharing siblings still land
-                    // temporally close — only the family pinning is off.
-                    let mut jobs = jobs;
-                    jobs.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
-                    for (index, job) in jobs.into_iter().enumerate() {
-                        state.shards[index % workers].push_back(vec![job]);
-                    }
-                }
-                DispatchMode::PrefixSharded => {
-                    // Group into prefix families; iteration over the
-                    // BTreeMap keeps placement deterministic for a given
-                    // wavefront composition.
-                    let mut families: BTreeMap<String, Vec<Job>> = BTreeMap::new();
-                    for job in jobs {
-                        families
-                            .entry(family_key(&job.1, self.family_bucket))
-                            .or_default()
-                            .push(job);
-                    }
-                    for (family, mut batch) in families {
-                        batch.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
-                        let worker = match state.family_worker.get(&family) {
-                            Some(&worker) => worker,
-                            None => {
-                                // First sighting: pin the family to the
-                                // least-loaded worker (ties to the lowest
-                                // index).
-                                let worker = (0..workers)
-                                    .min_by_key(|&w| (state.placed[w], w))
-                                    // avis-lint: allow(p1, reason = "pool construction clamps workers >= 1, so the range is never empty")
-                                    .expect("pool has workers");
-                                state.family_worker.insert(family, worker);
-                                worker
-                            }
-                        };
-                        state.placed[worker] += batch.len() as u64;
-                        state.shards[worker].push_back(batch);
-                    }
-                }
-            }
-        }
+    fn execute(&self, families: Vec<Vec<Job>>) -> BTreeMap<u64, RunResult> {
+        let expected: usize = families.iter().map(Vec::len).sum();
+        self.dispatcher
+            .queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .families
+            .extend(families);
         self.dispatcher.ready.notify_all();
         let mut results = BTreeMap::new();
-        let mut degraded = false;
         while results.len() < expected {
             // A closed channel means every worker exited — nothing more
             // can arrive; stop collecting and let the commit repair the
@@ -423,25 +342,23 @@ impl Wavefront {
                 break;
             };
             match outcome {
-                Ok((token, result, worker_degraded)) => {
-                    degraded |= worker_degraded;
+                Ok((token, result)) => {
                     results.insert(token, result);
                 }
                 Err(harness_panic) => {
                     // A worker died outside the per-run containment. Its
-                    // in-flight batch is gone and its queued families
-                    // will be stolen by surviving workers — but waiting
-                    // for the lost batch would hang forever, so stop
-                    // here and let the inline fallback account for every
-                    // undelivered job. The message carries the scenario
-                    // fingerprint (see `run_campaign`), so the surviving
-                    // log identifies which scenario took the worker down.
+                    // in-flight family is gone — waiting for it would
+                    // hang forever, so stop here and let the inline
+                    // fallback account for every undelivered job. The
+                    // message carries the scenario fingerprint (see
+                    // `run_campaign`), so the surviving log identifies
+                    // which scenario took the worker down.
                     eprintln!("avis: campaign worker died: {harness_panic}");
                     break;
                 }
             }
         }
-        (results, degraded)
+        results
     }
 }
 
@@ -461,29 +378,22 @@ pub(crate) fn run_campaign(
         return;
     }
     std::thread::scope(|scope| {
-        let dispatcher = Arc::new(Dispatcher::new(workers));
+        let dispatcher = Arc::new(Dispatcher::default());
         let (result_tx, result_rx) = channel::<WorkerOutcome>();
         for me in 0..workers {
             let dispatcher = Arc::clone(&dispatcher);
             let result_tx = result_tx.clone();
             let experiment = params.experiment.clone();
-            let shared = params.shared.clone();
+            let cache = Arc::clone(&params.cache);
             let collector = params.worker_stats.clone();
-            let dispatch = params.dispatch;
             scope.spawn(move || {
-                // One fresh runner per worker, kept alive across jobs on
-                // purpose: each runner owns a snapshot cache
-                // (`crate::snapshot`) that its later jobs fork from, and
-                // shares the campaign-wide tier with its siblings.
-                // Cache state affects only run *timing* — a forked run is
-                // bit-identical to a cold one — so results stay pure
-                // functions of their plan. Prefix-sharded dispatch keeps
-                // handing one family to the same worker precisely so this
-                // cache accumulates that family's chain.
+                // One runner per worker, kept alive across jobs and
+                // attached to the campaign's snapshot cache, which every
+                // worker forks from and commits to. Cache state affects
+                // only run *timing* — a forked run is bit-identical to a
+                // cold one — so results stay pure functions of their plan.
                 let mut runner = ExperimentRunner::new(experiment);
-                if let Some(tier) = shared {
-                    runner.set_shared_tier(tier);
-                }
+                runner.set_shared_tier(cache);
                 let seed = runner.config().seed;
                 // The plan currently executing, tracked so a panic that
                 // escapes the per-run containment still renders with the
@@ -497,26 +407,16 @@ pub(crate) fn run_campaign(
                 // final `Err` instead of silently dying with the result
                 // channel open, which would hang the wavefront collector.
                 let body = contain::catch(|| {
-                    // Batched lockstep: under prefix-sharded dispatch a
-                    // worker's batch is one *family* of prefix-sharing
-                    // siblings sorted by dispatch key, so consecutive
+                    // A family is sorted by dispatch key, so consecutive
                     // chunks are exactly the plans whose shared prefix a
                     // `LaneBatch` advances once instead of N times (see
-                    // `crate::batch`). Round-robin deals single-job
-                    // batches with no prefix affinity, so batching is
-                    // only engaged where the dispatcher actually forms
-                    // families. Every chunk, a lone plan included, goes
-                    // through the one contained entry. Bit-identical
+                    // `crate::batch`). Every chunk, a lone plan included,
+                    // goes through the one contained entry. Bit-identical
                     // either way — lockstep, like checkpointing, is
                     // purely a speed knob.
                     let lanes = runner.config().lockstep_lanes.max(1);
-                    let chunk_len = if dispatch == DispatchMode::PrefixSharded {
-                        lanes
-                    } else {
-                        1
-                    };
-                    'drain: while let Some(batch) = dispatcher.next_batch(me) {
-                        for chunk in batch.chunks(chunk_len) {
+                    'drain: while let Some(family) = dispatcher.next_family() {
+                        for chunk in family.chunks(lanes) {
                             let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) =
                                 chunk.iter().cloned().unzip();
                             *in_flight.borrow_mut() = plans
@@ -525,9 +425,8 @@ pub(crate) fn run_campaign(
                                 .collect::<Vec<_>>()
                                 .join(" | ");
                             let results = runner.run_batch_contained(plans);
-                            let degraded = runner.checkpointing_degraded();
                             for (token, result) in tokens.into_iter().zip(results) {
-                                if result_tx.send(Ok((token, result, degraded))).is_err() {
+                                if result_tx.send(Ok((token, result))).is_err() {
                                     break 'drain;
                                 }
                             }
@@ -542,7 +441,7 @@ pub(crate) fn run_campaign(
                     let _ = result_tx.send(Err(contain::render_panic(payload.as_ref(), &context)));
                 }
                 if let Some(collector) = collector {
-                    collector.push(runner.checkpoint_stats());
+                    collector.push(runner.run_stats);
                 }
             });
         }
@@ -553,16 +452,10 @@ pub(crate) fn run_campaign(
         let pool = Wavefront {
             dispatcher: Arc::clone(&dispatcher),
             result_rx,
-            mode: params.dispatch,
-            family_bucket: if params.experiment.checkpoints.enabled {
-                params.experiment.checkpoints.interval
-            } else {
-                5.0
-            },
         };
         run_rounds(&params, strategy, state, observer, Some(&pool));
         // The guard (and the normal return path) wake the workers; they
-        // drain any leftover speculative batches and exit, and the scope
+        // drain any leftover speculative families and exit, and the scope
         // joins them.
     })
 }
@@ -655,6 +548,25 @@ impl WavefrontSizer {
     }
 }
 
+/// The DegradedMode event, sent the first time the campaign's cache
+/// breaker is seen tripped.
+fn announce_degraded(
+    state: &CampaignState,
+    announced: &mut bool,
+    observer: &mut dyn CampaignObserver,
+) {
+    if *announced || !state.runner.checkpointing_degraded() {
+        return;
+    }
+    *announced = true;
+    observer.on_event(&CampaignEvent::DegradedMode {
+        reason: "repeated snapshot checksum failures tripped the checkpoint \
+                 breaker; checkpointing is disabled and remaining runs \
+                 cold-start"
+            .to_string(),
+    });
+}
+
 /// The round loop shared by the serial and parallel paths. The only
 /// difference between them is where speculative plans execute; the
 /// commit-order control flow — and with it every campaign observable —
@@ -668,23 +580,21 @@ fn run_rounds(
     pool: Option<&Wavefront>,
 ) {
     let mut sizer = WavefrontSizer::new(params.parallelism.max(1));
-    // Serial lockstep: with no pool, prefix-sharded dispatch and more
-    // than one configured lane, the inline runner pre-executes each
-    // wavefront's admitted plans in lockstep batches — the serial
-    // engine's version of speculative execution, identical in admission
-    // and repair semantics to the pool path, and bit-identical in every
-    // campaign observable (batched results equal scalar results, and a
-    // stale or missing one is re-run inline at commit).
-    let serial_lanes = params.experiment.lockstep_lanes.max(1);
-    let serial_batching =
-        pool.is_none() && serial_lanes > 1 && params.dispatch == DispatchMode::PrefixSharded;
+    // Serial lockstep: with no pool and more than one configured lane,
+    // the inline runner pre-executes each wavefront's admitted families
+    // in lockstep batches — the serial engine's version of speculative
+    // execution, identical in admission and repair semantics to the pool
+    // path, and bit-identical in every campaign observable (batched
+    // results equal scalar results, and a stale or missing one is re-run
+    // inline at commit).
+    let lanes = params.experiment.lockstep_lanes.max(1);
+    let serial_batching = pool.is_none() && lanes > 1;
     let family_bucket = if params.experiment.checkpoints.enabled {
         params.experiment.checkpoints.interval
     } else {
         5.0
     };
-    // Degraded mode is announced at most once per campaign: the first
-    // time any runner's checkpoint breaker trips (worker or inline).
+    // Degraded mode is announced at most once per campaign.
     let mut degraded_announced = false;
     loop {
         if state.out_of_budget(params.budget) {
@@ -702,7 +612,7 @@ fn run_rounds(
                 // Serial lockstep: bounded wavefronts, so a bug found at
                 // commit cancels the speculative batches of the *next*
                 // wavefront instead of the whole round's.
-                None if serial_batching => serial_lanes * BATCH_FACTOR,
+                None if serial_batching => lanes * BATCH_FACTOR,
                 // Serial scalar: no speculation, one "wavefront" per
                 // round.
                 None => usize::MAX,
@@ -710,108 +620,41 @@ fn run_rounds(
             let end = round.len().min(start.saturating_add(wavefront_size));
             let wavefront = &round[start..end];
 
-            // Phase 2: speculative execution of the wavefront's hinted
-            // plans — skipping hints the strategy has since withdrawn
-            // (a bug committed in an earlier wavefront pruned them) and
-            // capping at the remaining simulation budget (running past
-            // it is guaranteed waste). The commit's inline fallback
-            // covers any plan these filters wrongly skip. In a
-            // bug-dense stretch the sizer withdraws speculation
-            // entirely (`speculate()` false) and the commit runs
-            // inline, exactly like the serial engine.
-            let (mut results, workers_degraded): (BTreeMap<u64, RunResult>, bool) = match pool {
-                Some(pool) if sizer.speculate() => {
-                    // Republish the shared snapshot tier before
-                    // dispatching: snapshots recorded since the last
-                    // wavefront (on any worker, or inline) become
-                    // visible to every worker's lock-free lookups.
-                    // Inline wavefronts skip this — republishing is an
-                    // O(published-map) rebuild, and the inline runner's
-                    // own cache already holds what it recorded.
-                    if let Some(tier) = &params.shared {
-                        tier.republish();
-                        // Commit-boundary write-behind: persist chains
-                        // published this wavefront. Incremental (already
-                        // persisted cuts are skipped) and purely
-                        // observational — a flush failure degrades the
-                        // next session's warm start, never this
-                        // campaign's results.
-                        if let Some(store) = &params.store {
-                            store.lock().flush(tier, params.experiment);
-                        }
-                    }
-                    let cap = remaining_simulations(params.budget, state);
-                    // Admission: drop hints the strategy has withdrawn
-                    // (`revalidate`) and hints its pruning state rates as
-                    // probably doomed (`prune_probability`) — skipping a
-                    // doomed job entirely beats merely shrinking the
-                    // wavefront around it.
-                    let jobs: Vec<Job> = wavefront
-                        .iter()
-                        .filter(|c| strategy.revalidate(c))
-                        .filter(|c| strategy.prune_probability(c) < SPECULATION_ADMISSION_CEILING)
-                        .filter_map(|c| c.speculative().map(|plan| (c.token(), plan.clone())))
-                        .take(cap)
-                        .collect();
-                    // The dispatcher groups the jobs into prefix families
-                    // (or deals them round-robin) — either way the *set*
-                    // of speculated plans is fixed here, after the budget
-                    // cap.
-                    pool.execute(jobs)
+            // Phase 2: speculative execution of the wavefront's admitted
+            // families. In a bug-dense stretch the sizer withdraws
+            // speculation entirely (`speculate()` false) and the commit
+            // runs inline, exactly like the serial engine.
+            let mut results = BTreeMap::new();
+            if (pool.is_some() || serial_batching) && sizer.speculate() {
+                if let (Some(_), Some(store)) = (pool, &params.store) {
+                    // Commit-boundary write-behind: persist the chains
+                    // recorded since the last flush. Incremental (already
+                    // persisted cuts are skipped) and purely
+                    // observational — a flush failure degrades the next
+                    // session's warm start, never this campaign's results.
+                    store.lock().flush(&params.cache, params.experiment);
                 }
-                None if serial_batching && sizer.speculate() => {
-                    // Same admission filters as the pool path: withdrawn
-                    // or probably-doomed hints are skipped, speculation
-                    // past the remaining budget is capped.
-                    let cap = remaining_simulations(params.budget, state);
-                    let jobs: Vec<Job> = wavefront
-                        .iter()
-                        .filter(|c| strategy.revalidate(c))
-                        .filter(|c| strategy.prune_probability(c) < SPECULATION_ADMISSION_CEILING)
-                        .filter_map(|c| c.speculative().map(|plan| (c.token(), plan.clone())))
-                        .take(cap)
-                        .collect();
-                    // Group into prefix families and chunk each into
-                    // lockstep batches, exactly how the sharded
-                    // dispatcher would lay the jobs onto a worker.
-                    let mut families: BTreeMap<String, Vec<Job>> = BTreeMap::new();
-                    for job in jobs {
-                        families
-                            .entry(family_key(&job.1, family_bucket))
-                            .or_default()
-                            .push(job);
-                    }
-                    let mut results = BTreeMap::new();
-                    for (_, mut batch) in families {
-                        batch.sort_by_cached_key(|(_, plan)| prefix_dispatch_key(plan));
-                        for chunk in batch.chunks(serial_lanes) {
-                            // Singletons gain nothing from lockstep;
-                            // the commit runs them inline as the serial
-                            // engine always has.
+                let cap = remaining_simulations(params.budget, state);
+                let families = plan_families(wavefront, &*strategy, cap, family_bucket);
+                match pool {
+                    Some(pool) => results = pool.execute(families),
+                    None => {
+                        for chunk in families.iter().flat_map(|family| family.chunks(lanes)) {
+                            // Singletons gain nothing from lockstep; the
+                            // commit runs them inline as the serial engine
+                            // always has.
                             if chunk.len() < 2 {
                                 continue;
                             }
                             let (tokens, plans): (Vec<u64>, Vec<FaultPlan>) =
                                 chunk.iter().cloned().unzip();
-                            let chunk_results = state.runner.run_batch_contained(plans);
-                            for (token, result) in tokens.into_iter().zip(chunk_results) {
-                                results.insert(token, result);
-                            }
+                            let batch = state.runner.run_batch_contained(plans);
+                            results.extend(tokens.into_iter().zip(batch));
                         }
                     }
-                    (results, false)
                 }
-                _ => (BTreeMap::new(), false),
-            };
-            if (workers_degraded || state.runner.checkpointing_degraded()) && !degraded_announced {
-                degraded_announced = true;
-                observer.on_event(&CampaignEvent::DegradedMode {
-                    reason: "repeated snapshot checksum failures tripped the checkpoint \
-                             breaker; checkpointing is disabled and remaining runs \
-                             cold-start"
-                        .to_string(),
-                });
             }
+            announce_degraded(state, &mut degraded_announced, observer);
 
             // Phase 3: sequential commit in round order.
             let mut wavefront_found_bug = false;
@@ -860,19 +703,9 @@ fn run_rounds(
                     is_unsafe,
                 });
             }
-            // Re-check after the commits: the inline runner may have
-            // tripped its breaker while repairing this very wavefront
-            // (relevant on the serial path, where this is the only
-            // runner there is).
-            if state.runner.checkpointing_degraded() && !degraded_announced {
-                degraded_announced = true;
-                observer.on_event(&CampaignEvent::DegradedMode {
-                    reason: "repeated snapshot checksum failures tripped the checkpoint \
-                             breaker; checkpointing is disabled and remaining runs \
-                             cold-start"
-                        .to_string(),
-                });
-            }
+            // Re-check after the commits: an inline repair run may have
+            // tripped the breaker during this very wavefront.
+            announce_degraded(state, &mut degraded_announced, observer);
             sizer.observe_wavefront(wavefront_found_bug);
             start = end;
         }

@@ -54,7 +54,7 @@
 //! | Module | Paper section | Contents |
 //! |---|---|---|
 //! | [`runner`] | Fig. 7 | experiment configuration, run results, the run entry points |
-//! | [`snapshot`] | — | the CoW checkpoint store: fork-from-snapshot replay, shared tier |
+//! | [`snapshot`] | — | the CoW checkpoint store: fork-from-snapshot replay, one cache per campaign |
 //! | [`trace`] | §IV.C | the `(P, α, M)` state traces the monitor consumes |
 //! | [`monitor`] | §IV.C | safety + liveliness invariants, mode graph, τ calibration |
 //! | [`sabre`] | §IV.B, Alg. 1 | the stratified breadth-first transition queue |
@@ -82,8 +82,9 @@
 //!    (a SABRE anchor's candidate failure sets, a batch of BFI sites),
 //!    hinting which plans it expects to run.
 //! 2. **Parallel execution** — the hinted plans run concurrently, one
-//!    fresh [`runner::ExperimentRunner`] per worker. Runs are pure
-//!    functions of their fault plan, so results are order-independent.
+//!    fresh [`runner::ExperimentRunner`] per worker, all sharing the
+//!    campaign's one snapshot cache. Runs are pure functions of their
+//!    fault plan, so results are order-independent.
 //! 3. **Sequential commit** — in round order, the strategy makes its
 //!    authoritative decisions against the *real* budget and pruning
 //!    state; speculative runs the strategy no longer admits are
@@ -118,7 +119,7 @@ pub mod trace;
 
 pub use campaign::{Campaign, CampaignBuilder, CampaignEvent, CampaignObserver, EventLog};
 pub use checker::{Approach, Budget, CampaignResult, CrashRecord, UnsafeCondition};
-pub use engine::{DispatchMode, WorkerStatsCollector};
+pub use engine::WorkerStatsCollector;
 pub use matrix::{MatrixReport, ScenarioMatrix};
 pub use monitor::{
     InvariantMonitor, LivelinessEnvelope, ModeDistanceTable, ModeGraph, MonitorConfig, Violation,
@@ -129,7 +130,7 @@ pub use pruning::{PruningState, RoleSignature};
 pub use report::{replay, BugReport, ReplayOutcome};
 pub use runner::{ExperimentConfig, ExperimentRunner, RunResult, RunVerdict, WatchdogConfig};
 pub use sabre::{QueueEntry, SabreConfig, SabreQueue};
-pub use snapshot::{CheckpointConfig, CheckpointStats, SharedSnapshotTier, SharedTierStats};
+pub use snapshot::{CheckpointConfig, CheckpointStats, SharedSnapshotTier};
 pub use store::{SnapshotStore, StoreReport, StoreStats};
 pub use strategy::{
     BfiStrategy, Candidate, Decision, LinkProbeStrategy, LinkScenarioStrategy, Observation,

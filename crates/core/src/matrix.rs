@@ -7,11 +7,11 @@
 //! the seam future workload and strategy sweeps plug into.
 //!
 //! Cells that share a firmware × workload pair (differing only by
-//! strategy) share one checkpoint tree through a [`SharedSnapshotTier`],
+//! strategy) share one snapshot cache through a [`SharedSnapshotTier`],
 //! so later strategies warm-start from the snapshots earlier ones
 //! recorded instead of rebuilding the tree per campaign — disable with
-//! [`ScenarioMatrix::share_snapshots`]`(false)`. Sharing never changes a
-//! cell result.
+//! [`ScenarioMatrix::share_snapshots`]`(false)`, which gives every cell
+//! a cache of its own. Sharing never changes a cell result.
 //!
 //! ```no_run
 //! use avis::checker::{Approach, Budget};
@@ -226,7 +226,7 @@ impl ScenarioMatrix {
     }
 
     /// Whether cells that share a firmware × workload pair (differing
-    /// only by strategy) share one checkpoint tree through a
+    /// only by strategy) share one snapshot cache through a
     /// [`SharedSnapshotTier`], so the second strategy's campaign
     /// warm-starts from snapshots the first one recorded instead of
     /// rebuilding the tree per campaign. Sharing never changes any cell
@@ -243,9 +243,7 @@ impl ScenarioMatrix {
     /// directory cleanly separates every firmware × workload cell: a
     /// re-run matrix warm-starts each cell from the chains its own
     /// experiment persisted last time, and cells never see foreign
-    /// state. Requires [`ScenarioMatrix::share_snapshots`] (the
-    /// default) — without a shared tier there is nothing to hydrate
-    /// into. Persistence never changes any cell result. Default: no
+    /// state. Persistence never changes any cell result. Default: no
     /// store.
     pub fn snapshot_store(mut self, path: impl Into<PathBuf>) -> Self {
         self.snapshot_store = Some(path.into());
@@ -293,13 +291,13 @@ impl ScenarioMatrix {
         if self.strategies.is_empty() {
             self = self.approaches(Approach::ALL);
         }
-        // One shared snapshot tier per firmware × workload pair: the
-        // outer loop iterates strategies, so by the time the second
-        // strategy reaches a cell, the tier already holds the first
-        // strategy's checkpoint tree and its campaign warm-starts
-        // instead of re-recording the fault-free chain.
-        let mut tiers: BTreeMap<(usize, usize), Arc<SharedSnapshotTier>> = BTreeMap::new();
-        let tier_budget = CheckpointConfig::default().max_bytes;
+        // One snapshot cache per firmware × workload pair: the outer
+        // loop iterates strategies, so by the time the second strategy
+        // reaches a cell, the cache already holds the first strategy's
+        // checkpoint tree and its campaign warm-starts instead of
+        // re-recording the fault-free chain.
+        let mut caches: BTreeMap<(usize, usize), Arc<SharedSnapshotTier>> = BTreeMap::new();
+        let cache_budget = CheckpointConfig::default().max_bytes;
         // An empty protocol-fault axis is one unnamed clean-link cell.
         let link_scenarios: Vec<(Option<String>, LinkFaultPlan)> = if self.link_scenarios.is_empty()
         {
@@ -329,23 +327,23 @@ impl ScenarioMatrix {
                             .link_faults(link_plan.clone());
                         if self.share_snapshots {
                             // Cells over the same firmware × workload pair
-                            // share one tier even across link scenarios:
+                            // share one cache even across link scenarios:
                             // combined injection prefixes keep foreign
                             // snapshots from ever being misapplied, and
                             // the fault-free chain is reusable up to each
                             // scenario's first link fault.
-                            let tier = tiers
+                            let cache = caches
                                 .entry((profile_idx, workload_idx))
-                                .or_insert_with(|| Arc::new(SharedSnapshotTier::new(tier_budget)));
-                            builder = builder.shared_snapshots(Arc::clone(tier));
-                            if let Some(root) = &self.snapshot_store {
-                                // Fingerprint keying inside the store
-                                // separates the cells; every cell can
-                                // share one root directory.
-                                builder = builder
-                                    .snapshot_store(root.clone())
-                                    .snapshot_store_budget(self.store_budget);
-                            }
+                                .or_insert_with(|| Arc::new(SharedSnapshotTier::new(cache_budget)));
+                            builder = builder.shared_snapshots(Arc::clone(cache));
+                        }
+                        if let Some(root) = &self.snapshot_store {
+                            // Fingerprint keying inside the store separates
+                            // the cells; every cell can share one root
+                            // directory.
+                            builder = builder
+                                .snapshot_store(root.clone())
+                                .snapshot_store_budget(self.store_budget);
                         }
                         if let Some(parallelism) = self.parallelism {
                             builder = builder.parallelism(parallelism);

@@ -8,7 +8,7 @@
 use crate::contain;
 use crate::protocol::ProtocolTracker;
 use crate::snapshot::{
-    CheckpointConfig, CheckpointStats, RunSnapshot, SharedSnapshotTier, SnapshotCache, SnapshotKey,
+    next_origin, CheckpointConfig, CheckpointStats, RunSnapshot, SharedSnapshotTier,
 };
 use crate::trace::Trace;
 use avis_firmware::{BugId, BugSet, Firmware, FirmwareProfile};
@@ -62,12 +62,12 @@ pub struct ExperimentConfig {
     /// Scenario watchdog budgets, so a non-terminating scenario cannot
     /// starve a worker forever (see [`WatchdogConfig`]).
     pub watchdog: WatchdogConfig,
-    /// Number of sibling scenarios a worker advances in lockstep through
-    /// one SoA [`avis_sim::LaneBatch`] when the dispatcher hands it a
-    /// prefix-sharded batch (see [`crate::batch`]). `1` disables
-    /// batching. Purely a speed knob: a batched run is bit-identical to
-    /// a scalar one, so this is excluded from the experiment
-    /// fingerprint, exactly like checkpoint placement.
+    /// Number of sibling scenarios advanced in lockstep through one SoA
+    /// [`avis_sim::LaneBatch`] when a prefix family of speculative plans
+    /// runs (see [`crate::batch`]). `1` disables batching. Purely a speed
+    /// knob: a batched run is bit-identical to a scalar one, so this is
+    /// excluded from the experiment fingerprint, exactly like checkpoint
+    /// placement.
     pub lockstep_lanes: usize,
 }
 
@@ -193,28 +193,23 @@ impl RunResult {
 }
 
 /// The experiment runner.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ExperimentRunner {
     pub(crate) config: ExperimentConfig,
     pub(crate) runs: u64,
-    /// The checkpoint tree (see [`crate::snapshot`]): snapshots of
-    /// injection runs keyed by quantised injection prefix, so later
-    /// scenarios fork from the deepest shared prefix. Owned per runner —
-    /// each engine worker holds its own runner, which keeps the parallel
-    /// path lock-free.
-    pub(crate) cache: SnapshotCache,
-    /// The optional cross-worker / cross-campaign second tier: lookups
-    /// probe it lock-free alongside the local cache and take whichever
-    /// snapshot is deeper; newly recorded snapshots are offered to it
-    /// for the engine to republish between wavefronts.
-    pub(crate) shared: Option<Arc<SharedSnapshotTier>>,
+    /// The one snapshot cache this runner forks from and commits to (see
+    /// [`crate::snapshot`]): its own until [`ExperimentRunner::set_shared_tier`]
+    /// attaches a campaign's or a caller's.
+    pub(crate) cache: Arc<SharedSnapshotTier>,
+    /// This runner's identity as the recorder of the cuts it commits.
+    pub(crate) origin: u64,
+    /// The per-run counters of this runner's calls (forked and cold
+    /// runs, shared hits, simulated seconds skipped).
+    pub(crate) run_stats: CheckpointStats,
     /// The simulated lock-step index the in-flight run last reached —
     /// read by [`ExperimentRunner::run_batch_contained`] after a
     /// contained panic, when the run's locals are gone with the unwind.
     pub(crate) step_cursor: u64,
-    /// Local-cache keys the in-flight run recorded, so a contained panic
-    /// can quarantine exactly the chain the panicked run tainted.
-    pub(crate) fresh_keys: Vec<SnapshotKey>,
 }
 
 impl ExperimentRunner {
@@ -231,29 +226,28 @@ impl ExperimentRunner {
         );
         config.checkpoints.normalize_anchors();
         config.checkpoints.keyframe_stride = config.checkpoints.keyframe_stride.max(1);
-        let mut cache = SnapshotCache::new(config.checkpoints.max_bytes);
-        cache.set_keyframe_stride(config.checkpoints.keyframe_stride);
         ExperimentRunner {
+            cache: Arc::new(SharedSnapshotTier::new(config.checkpoints.max_bytes)),
             config,
             runs: 0,
-            cache,
-            shared: None,
+            origin: next_origin(),
+            run_stats: CheckpointStats::default(),
             step_cursor: 0,
-            fresh_keys: Vec::new(),
         }
     }
 
-    /// Attaches the shared snapshot tier this runner publishes to and
-    /// forks from (see [`crate::snapshot::SharedSnapshotTier`]). Sharing
-    /// never changes a run's result — a forked run is bit-identical to a
-    /// cold one whichever tier served the snapshot. The tier is claimed
-    /// for this runner's experiment on first attach; a runner whose
-    /// experiment differs from the claim leaves the tier unattached
-    /// (snapshot keys encode only the injection prefix, so cross-
-    /// experiment reuse would resume foreign state).
+    /// Replaces this runner's snapshot cache with `tier`, which it then
+    /// forks from and commits to alongside every other runner attached
+    /// to it (see [`crate::snapshot::SharedSnapshotTier`]). Sharing never
+    /// changes a run's result — a forked run is bit-identical to a cold
+    /// one whichever runner recorded the cut. The cache is claimed for
+    /// this runner's experiment on first attach; a runner whose
+    /// experiment differs from the claim keeps its own cache (snapshot
+    /// keys encode only the injection prefix, so cross-experiment reuse
+    /// would resume foreign state).
     pub fn set_shared_tier(&mut self, tier: Arc<SharedSnapshotTier>) {
         if tier.claim(&self.config.fingerprint()) {
-            self.shared = Some(tier);
+            self.cache = tier;
         }
     }
 
@@ -275,10 +269,19 @@ impl ExperimentRunner {
         self.runs
     }
 
-    /// Checkpoint-cache statistics (forked vs cold runs, memory held,
-    /// simulated seconds skipped by forking).
+    /// Checkpoint statistics: this runner's per-run counters (forked vs
+    /// cold runs, shared hits, simulated seconds skipped by forking) and
+    /// the statistics of the cache it uses (memory held, evictions,
+    /// quarantines).
     pub fn checkpoint_stats(&self) -> CheckpointStats {
-        self.cache.stats()
+        let own = self.run_stats;
+        CheckpointStats {
+            forked_runs: own.forked_runs,
+            cold_runs: own.cold_runs,
+            shared_hits: own.shared_hits,
+            simulated_seconds_skipped: own.simulated_seconds_skipped,
+            ..self.cache.stats()
+        }
     }
 
     /// Test hook: silently corrupts every cached chain entry, as a stuck
@@ -286,16 +289,16 @@ impl ExperimentRunner {
     /// mismatch, quarantine the chain and fall back to cold execution.
     #[doc(hidden)]
     pub fn corrupt_cached_chains_for_test(&mut self) {
-        self.cache.corrupt_entries_for_test();
+        self.cache.lock().corrupt_entries_for_test();
     }
 
     /// Executes the workload with no injected faults (a golden / profiling
     /// run). `profiling_index` varies the sensor-noise seed so profiling
-    /// runs differ the way real repeated flights do. On a runner with a
-    /// shared tier the run forks from the tier's cut for this index when
-    /// one exists, and records one cut of its own at the first loop top
-    /// after the workload turns terminal (see [`crate::snapshot`]); the
-    /// result is bit-identical either way.
+    /// runs differ the way real repeated flights do. The run forks from
+    /// the cache's cut for this index when one exists, and records one
+    /// cut of its own at the first loop top after the workload turns
+    /// terminal (see [`crate::snapshot`]); the result is bit-identical
+    /// either way.
     pub fn run_profiling(&mut self, profiling_index: u64) -> RunResult {
         self.execute(vec![FaultPlan::empty()], profiling_index + 1)
             .swap_remove(0)
@@ -316,14 +319,14 @@ impl ExperimentRunner {
     /// [`crate::batch`]) with panic containment: a panic raised anywhere
     /// inside the run — simulated firmware, the substrate, the workload —
     /// is caught at this boundary instead of unwinding into the engine.
-    /// Any snapshots the panicked call recorded are quarantined from the
-    /// local cache and retracted from the shared tier's pending buffer
-    /// (the panicked run's chain is never served to a later fork). A lone
-    /// plan then reports [`RunVerdict::Crashed`]; a batch re-runs each of
-    /// its plans alone, contained, which reproduces the other lanes'
-    /// results exactly and gives the panicking one its crash. A crashing
-    /// (seed, plan) therefore crashes bit-identically cold, checkpointed,
-    /// batched or sharded.
+    /// The panicked call's cuts are never committed to the cache (a call
+    /// commits them only when it returns), so no later fork resumes the
+    /// panicked run's state. A lone plan then reports
+    /// [`RunVerdict::Crashed`]; a batch re-runs each of its plans alone,
+    /// contained, which reproduces the other lanes' results exactly and
+    /// gives the panicking one its crash. A crashing (seed, plan)
+    /// therefore crashes bit-identically cold, checkpointed, batched or
+    /// on any worker.
     ///
     /// Results come back in input order and are bit-identical to
     /// `plans.map(run_with_plan)` — batching, like checkpointing, is
@@ -334,11 +337,6 @@ impl ExperimentRunner {
             Ok(results) => return results,
             Err(payload) => payload,
         };
-        let tainted = std::mem::take(&mut self.fresh_keys);
-        self.cache.quarantine(&tainted);
-        if let Some(tier) = &self.shared {
-            tier.retract(&tainted);
-        }
         if retained.len() > 1 {
             // The payload is dropped: each lone rerun reproduces the
             // crash in its own boundary, which renders the canonical
@@ -379,10 +377,10 @@ impl ExperimentRunner {
     }
 
     /// Whether the checkpoint breaker has tripped: repeated checksum
-    /// failures disabled checkpointing for this runner, and every
-    /// subsequent run cold-starts (see [`crate::snapshot`]).
+    /// failures disabled the cache this runner uses, and every subsequent
+    /// run on it cold-starts (see [`crate::snapshot`]).
     pub fn checkpointing_degraded(&self) -> bool {
-        self.cache.degraded()
+        self.cache.lock().degraded()
     }
 
     /// The deterministic `t = 0` state of a run of this configuration:
@@ -544,26 +542,24 @@ mod tests {
     #[test]
     fn profiling_run_records_one_terminal_cut_into_the_tier() {
         let cfg = quiet_config(BugSet::none());
-        let reference = ExperimentRunner::new(cfg.clone()).run_profiling(1);
+        let mut cold = cfg.clone();
+        cold.checkpoints = CheckpointConfig::disabled();
+        let reference = ExperimentRunner::new(cold).run_profiling(1);
         let tier = Arc::new(SharedSnapshotTier::new(cfg.checkpoints.max_bytes));
 
-        // The first profiling run flies cold and offers exactly one cut,
-        // at the first loop top after its workload turned terminal, to
-        // the tier and not to its local cache.
+        // The first profiling run flies cold and records exactly one cut,
+        // at the first loop top after its workload turned terminal.
         let mut runner = ExperimentRunner::new(cfg.clone());
         runner.set_shared_tier(Arc::clone(&tier));
         assert_eq!(runner.run_profiling(1), reference);
         let stats = runner.checkpoint_stats();
         assert_eq!((stats.cold_runs, stats.forked_runs), (1, 0));
-        assert_eq!(
-            stats.snapshots_recorded, 0,
-            "no profiling cut is cached locally"
-        );
-        tier.republish();
-        let cuts = tier.export_published();
-        assert_eq!(cuts.len(), 1, "one cut per profiling run: {}", cuts.len());
-        assert_eq!(cuts[0].seed_offset, 2);
-        let cut = &cuts[0].snapshot;
+        let cache = tier.lock();
+        let keys: Vec<_> = cache.cells().map(|(key, _)| key.clone()).collect();
+        assert_eq!(keys.len(), 1, "one cut per profiling run: {}", keys.len());
+        assert_eq!(keys[0].seed_offset, 2);
+        let cut = cache.export(&keys[0]).expect("the cut materialises");
+        drop(cache);
         let since = cut
             .terminal_since
             .expect("the workload is terminal at the cut");
@@ -573,8 +569,9 @@ mod tests {
             cut.time
         );
 
-        // A fresh runner sharing the tier forks from that cut, flies only
-        // the grace tail and returns the same result; it records nothing.
+        // A fresh runner sharing the cache forks from that cut, flies
+        // only the grace tail and returns the same result; it records
+        // nothing.
         let mut fresh = ExperimentRunner::new(cfg.clone());
         fresh.set_shared_tier(Arc::clone(&tier));
         assert_eq!(fresh.run_profiling(1), reference);
@@ -584,13 +581,12 @@ mod tests {
             (1, 1, 0)
         );
         assert_eq!(stats.simulated_seconds_skipped, cut.time);
-        tier.republish();
-        assert_eq!(tier.export_published().len(), 1);
+        assert_eq!(tier.stats().snapshots_recorded, 1);
 
-        // Without a tier, profiling runs bypass the checkpoint tree.
-        let mut tierless = ExperimentRunner::new(cfg);
-        tierless.run_profiling(1);
-        assert_eq!(tierless.checkpoint_stats(), CheckpointStats::default());
+        // A standalone runner records the cut into its own cache.
+        let mut standalone = ExperimentRunner::new(cfg);
+        standalone.run_profiling(1);
+        assert_eq!(standalone.checkpoint_stats().snapshots_cached, 1);
     }
 
     #[test]

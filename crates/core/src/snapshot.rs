@@ -1,7 +1,7 @@
 //! The checkpoint store: copy-on-write snapshots of mid-run state, held
-//! in a per-runner LRU tree plus an optional cross-worker shared tier, so
-//! a scenario can fork from the deepest cached state whose *injection
-//! prefix* matches instead of replaying the shared prefix from `t = 0`.
+//! in one LRU-evicted delta-chain tree per campaign, so a scenario can
+//! fork from the deepest cached state whose *injection prefix* matches
+//! instead of replaying the shared prefix from `t = 0`.
 //!
 //! # Why this is sound
 //!
@@ -44,10 +44,10 @@
 //!
 //! Copy-on-write removes the *history* cost of dense checkpointing, but
 //! every snapshot still cloned the full fixed-size substrate state
-//! (vehicle + sensors + firmware control stack). The per-runner cache
-//! therefore stores each chain as **one full keyframe plus per-cut
-//! deltas**: every [`CheckpointConfig::keyframe_stride`]-th cut of a run
-//! is held whole, and the cuts between are held as the per-layer dynamic
+//! (vehicle + sensors + firmware control stack). The cache therefore
+//! stores each chain as **one full keyframe plus per-cut deltas**: every
+//! [`CheckpointConfig::keyframe_stride`]-th cut of a run is held whole,
+//! and the cuts between are held as the per-layer dynamic
 //! slice ([`SimSnapshot::diff`], [`avis_firmware::FirmwareSnapshot::diff`],
 //! [`avis_hinj::InjectorSnapshot::diff`]) against the previous cut —
 //! static structure (configuration, parameters, environment, seed-time
@@ -61,33 +61,34 @@
 //! a full snapshot — and memory budgets admit several times more
 //! resident cuts per MiB.
 //!
-//! # The shared tier
+//! # One cache per campaign
 //!
-//! Checkpoint caches are per runner (lock-free by construction), so
-//! without sharing each parallel worker re-records the same fault-free
-//! chain. The [`SharedSnapshotTier`] is a read-mostly second tier: an
-//! `Arc`-swapped immutable snapshot map that the engine republishes
-//! between speculative wavefronts. Workers push newly recorded snapshots
-//! into a pending buffer (a brief mutex on the rare record path); lookups
-//! clone the current `Arc` and probe the immutable map without taking
-//! any lock that a writer can hold — one worker's cold run warms every
-//! worker's cache. A [`crate::matrix::ScenarioMatrix`] keys tiers by
-//! (firmware, workload), so cells differing only by strategy share one
-//! checkpoint tree across campaigns instead of rebuilding it per
-//! campaign. Sharing never changes a result: a forked run is
-//! bit-identical to a cold one, whichever tier the snapshot came from.
+//! A campaign holds exactly one [`SnapshotCache`], behind a
+//! [`SharedSnapshotTier`] handle (an experiment-fingerprint claim plus a
+//! mutex). Its inline runner and every engine worker fork from and
+//! record into that one cache, so one worker's cold run warms every
+//! worker, and one memory budget ([`CheckpointConfig::max_bytes`])
+//! covers the whole campaign. A caller can hand the same handle to
+//! several campaigns over one experiment (a
+//! [`crate::matrix::ScenarioMatrix`] does, per firmware × workload
+//! pair), and the persistent [`crate::store`] hydrates it at campaign
+//! start and flushes it back. A standalone runner owns a private one.
+//!
+//! A run's cuts become visible when the call that recorded them
+//! returns: the runner buffers them and commits them in one step, so a
+//! call that panics never publishes a cut. A delta is stored only
+//! against the exact entry it was diffed from — an entry id checked
+//! under the lock — because another runner may evict that entry (and
+//! re-record a colliding cell) between the fork and the commit.
 //!
 //! Injection runs (`seed_offset == 0`) record a cut every interval and at
 //! each anchor. Profiling runs (`seed_offset != 0`) each use a distinct
 //! sensor-noise seed, so no other run of their campaign resumes from
-//! them: without a shared tier they are not checkpointed at all. On a
-//! runner with a shared tier, a profiling run forks from the tier's
-//! deepest cut for its seed offset and records exactly one cut, at the
-//! first loop top after its workload turns terminal, into the tier only.
-//! A profiling plan is empty, so every cut at its seed offset matches,
-//! and a later campaign over the same experiment — sharing the tier in
-//! this process, or hydrating it from the [`crate::store`] — flies only
-//! the grace tail of each profiling run.
+//! them: each records exactly one cut, at the first loop top after its
+//! workload turns terminal. A profiling plan is empty, so every cut at
+//! its seed offset matches, and a later campaign over the same
+//! experiment — sharing the cache in this process, or hydrating it from
+//! the store — flies only the grace tail of each profiling run.
 
 use crate::protocol::ProtocolTracker;
 use crate::trace::StateSample;
@@ -102,7 +103,6 @@ use avis_sim::{CowDelta, CowVec, PackedStepOutput, SensorReading, SimDelta, SimS
 use avis_workload::{ScriptedWorkload, WorkloadStatus};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Configuration of the runner's checkpoint store.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,16 +114,14 @@ pub struct CheckpointConfig {
     /// give forks a deeper resume point but cost more recording time and
     /// memory.
     pub interval: f64,
-    /// Memory budget for the per-runner cache (approximate bytes). When
-    /// an insert pushes the total past this, the least-recently-used
-    /// snapshots are evicted until it fits again. `Arc`-shared history
-    /// chunks are charged once per distinct chunk, not once per snapshot.
+    /// Memory budget for the campaign's snapshot cache (approximate
+    /// bytes). When an insert pushes the total past this, the
+    /// least-recently-used snapshots are evicted until it fits again.
+    /// `Arc`-shared history chunks are charged once per distinct chunk,
+    /// not once per snapshot.
     ///
-    /// The budget is **per runner**: every engine worker owns its own
-    /// lock-free cache, so a campaign at parallelism `N` may hold up to
-    /// `N × max_bytes` of snapshots in total (plus one shared tier of the
-    /// same budget). Size the budget against the worker count on
-    /// memory-constrained hosts.
+    /// The budget is **per campaign**: the inline runner and every engine
+    /// worker share one cache, whatever the parallelism.
     pub max_bytes: usize,
     /// Extra cut times (simulated seconds), sorted ascending: the runner
     /// snapshots at the *last loop-top at or before* each anchor, in
@@ -548,13 +546,13 @@ impl RunDelta {
 /// which makes deepest-first scans a reverse range iteration.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct SnapshotKey {
-    seed_offset: u64,
-    prefix: String,
-    time_ms: i64,
+    pub(crate) seed_offset: u64,
+    pub(crate) prefix: String,
+    pub(crate) time_ms: i64,
 }
 
 impl SnapshotKey {
-    pub(crate) fn for_snapshot(seed_offset: u64, snapshot: &RunSnapshot) -> Self {
+    fn for_snapshot(seed_offset: u64, snapshot: &RunSnapshot) -> Self {
         SnapshotKey {
             seed_offset,
             prefix: prefix_cache_key(&snapshot.prefix),
@@ -563,8 +561,8 @@ impl SnapshotKey {
     }
 }
 
-/// Reference-counted accounting of the distinct `Arc`-shared chunks a
-/// store's snapshots reference, so the memory budget charges each chunk's
+/// Reference-counted accounting of the distinct `Arc`-shared chunks the
+/// cache's snapshots reference, so the memory budget charges each chunk's
 /// bytes exactly once however many snapshots share it — the accounting
 /// side of copy-on-write.
 #[derive(Debug, Clone, Default)]
@@ -594,91 +592,10 @@ impl ChunkLedger {
             }
         }
     }
-
-    fn add(&mut self, snapshot: &RunSnapshot) {
-        snapshot.for_each_chunk(&mut |id, bytes| self.add_chunk(id, bytes));
-    }
-
-    fn remove(&mut self, snapshot: &RunSnapshot) {
-        snapshot.for_each_chunk(&mut |id, _| self.remove_chunk(id));
-    }
 }
 
-/// Probes for the deepest snapshot in `entries` a run of `plan` may
-/// resume from: among every snapshot whose quantised key matches one of
-/// the plan's own injection prefixes *and* whose exact prefix equals the
-/// plan's exact prefix at the snapshot time, the one with the latest cut
-/// time. Shared by the per-runner cache and the shared tier; the
-/// `meta_of` accessor yields `(cut time, exact prefix)` without
-/// materialising delta-encoded entries.
-/// `cap` bounds the cut time a caller can accept (`f64::INFINITY` for
-/// unbounded): the batch leader may only resume from cuts at or before
-/// its earliest lane-fork time, since forks are taken from the live
-/// leader at loop-tops — a deeper cut would skip past them.
-fn deepest_entry<'a, V>(
-    entries: &'a BTreeMap<SnapshotKey, V>,
-    meta_of: impl for<'v> Fn(&'v V) -> (f64, &'v InjectionPrefix),
-    seed_offset: u64,
-    plan: &FaultPlan,
-    cap: f64,
-) -> Option<(f64, &'a SnapshotKey)> {
-    // The plan's prefix only changes at its own failure times — sensor
-    // *or* link — so there are at most `plan.len() + 1` distinct prefixes
-    // to probe; probe each one's chain from its deepest snapshot down.
-    let mut boundaries: Vec<f64> = plan
-        .specs()
-        .map(|s| s.time)
-        .chain(plan.link_plan().fault_times())
-        .collect();
-    boundaries.sort_by(f64::total_cmp);
-    boundaries.dedup();
-    // `injection_prefix` is strict (`time < probe`), so probing at
-    // boundary `k` selects the prefix *excluding* that boundary's
-    // failures — i.e. the failures before it — and f64::INFINITY probes
-    // the full-plan prefix. Together the probes enumerate every distinct
-    // prefix of the plan.
-    let mut best: Option<(f64, &SnapshotKey)> = None;
-    for k in 0..=boundaries.len() {
-        let probe = if k == boundaries.len() {
-            f64::INFINITY
-        } else {
-            boundaries[k]
-        };
-        let prefix = injection_prefix(plan, probe);
-        let key = prefix_cache_key(&prefix);
-        let lo = SnapshotKey {
-            seed_offset,
-            prefix: key.clone(),
-            time_ms: i64::MIN,
-        };
-        let hi = SnapshotKey {
-            seed_offset,
-            prefix: key,
-            time_ms: i64::MAX,
-        };
-        for (entry_key, entry) in entries.range(lo..=hi).rev() {
-            let (time, recorded_prefix) = meta_of(entry);
-            if time > cap {
-                continue; // too deep for the caller; shallower cuts may fit
-            }
-            // Exact validity guard: the plan's exact prefix at the
-            // snapshot's cut time must equal the recorded prefix. This
-            // rejects both quantisation collisions and snapshots cut
-            // *after* one of the plan's failures that the recording run
-            // did not inject.
-            if injection_prefix(plan, time) == *recorded_prefix {
-                if best.is_none_or(|(t, _)| time > t) {
-                    best = Some((time, entry_key));
-                }
-                break; // deeper entries of this chain are shallower in time
-            }
-        }
-    }
-    best
-}
-
-/// How one cut is physically held by the per-runner cache: a full
-/// snapshot (a chain keyframe) or a delta against its parent cut.
+/// How one cut is physically held by the cache: a full snapshot (a
+/// chain keyframe) or a delta against its parent cut.
 #[derive(Debug, Clone)]
 enum StoredRun {
     Full(Box<RunSnapshot>),
@@ -723,6 +640,22 @@ struct CacheEntry {
     /// A mismatch quarantines the whole chain instead of serving it.
     checksum: u64,
     last_used: u64,
+    /// Unique per insert. A chain parent is named by key *and* id, so a
+    /// delta is never stored against another entry that re-occupied the
+    /// parent's cell after an eviction.
+    id: u64,
+    /// The runner that recorded the cut, or [`STORE_ORIGIN`].
+    origin: u64,
+    /// Forks this entry served; the persistent store's GC ranks chains
+    /// by it.
+    hits: u64,
+}
+
+impl CacheEntry {
+    /// Whether the entry still matches its record-time checksum.
+    fn intact(&self) -> bool {
+        entry_checksum(self.time, &self.prefix, &self.payload) == self.checksum
+    }
 }
 
 /// FNV-1a over `bytes`, continuing from `hash` (seed with
@@ -764,17 +697,24 @@ fn entry_checksum(time: f64, prefix: &InjectionPrefix, payload: &StoredRun) -> u
 
 /// Counters describing how the checkpoint store behaved, surfaced through
 /// [`crate::runner::ExperimentRunner::checkpoint_stats`] and reported by
-/// the campaign-throughput bench.
+/// the campaign-throughput bench. The four per-run counters
+/// ([`forked_runs`](CheckpointStats::forked_runs),
+/// [`cold_runs`](CheckpointStats::cold_runs),
+/// [`shared_hits`](CheckpointStats::shared_hits),
+/// [`simulated_seconds_skipped`](CheckpointStats::simulated_seconds_skipped))
+/// belong to the runner that flew the runs; every other field describes
+/// the one cache the runner shares with the rest of its campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CheckpointStats {
-    /// Injection runs that resumed from a snapshot (either tier).
+    /// Runs that resumed from a snapshot.
     pub forked_runs: u64,
-    /// Injection runs that cold-started from `t = 0`.
+    /// Runs that cold-started from `t = 0` with checkpointing on.
     pub cold_runs: u64,
-    /// Forks served by the cross-worker [`SharedSnapshotTier`] (a subset
-    /// of [`CheckpointStats::forked_runs`]).
+    /// Forks served from a cut that another runner recorded or the
+    /// persistent store hydrated (a subset of
+    /// [`CheckpointStats::forked_runs`]).
     pub shared_hits: u64,
-    /// Snapshots currently held in the per-runner cache.
+    /// Snapshots currently held in the cache.
     pub snapshots_cached: usize,
     /// Approximate bytes currently held (exclusive state plus each
     /// distinct shared chunk counted once).
@@ -790,23 +730,21 @@ pub struct CheckpointStats {
     /// Exclusive bytes held by the delta-encoded cuts alone — the part of
     /// [`CheckpointStats::cached_bytes`] that delta encoding shrinks.
     pub delta_bytes: usize,
-    /// Snapshots recorded over the runner's lifetime.
+    /// Snapshots recorded over the cache's lifetime.
     pub snapshots_recorded: u64,
     /// Snapshots evicted by the memory budget.
     pub snapshots_evicted: u64,
     /// Snapshots removed by quarantine: chain links whose record-time
-    /// checksum no longer matched at materialisation, plus entries
-    /// recorded by a run that later panicked (the panic-tainted chain).
-    /// Quarantined entries are never served again; the affected runs
-    /// transparently cold-start instead.
+    /// checksum no longer matched at materialisation, with every delta
+    /// cut that depends on them. Quarantined entries are never served
+    /// again; the affected runs transparently cold-start instead.
     pub quarantined: u64,
     /// Checksum-validation failures observed while materialising chains
     /// (one per failed fork attempt, however many links the quarantine
     /// then removed). Reaching the breaker threshold disables
-    /// checkpointing for the rest of the runner's life — the campaign is
-    /// notified through `CampaignEvent::DegradedMode`. Panic-taint
-    /// quarantines do *not* count here: a seeded crash is deterministic
-    /// and expected, not evidence of store corruption.
+    /// checkpointing for the rest of the cache's life — for every runner
+    /// on it, so campaign-wide — and the campaign is notified through
+    /// `CampaignEvent::DegradedMode`.
     pub checksum_failures: u64,
     /// Total simulated seconds *not* re-executed thanks to forking (the
     /// sum of fork-point times).
@@ -825,20 +763,32 @@ pub struct CheckpointStats {
     pub dedup_hits: u64,
 }
 
-/// The chain context a runner carries between cuts: the key of the last
-/// cut it stored (or forked from) plus that cut's exact snapshot, which
-/// the next cut's delta is diffed against.
+/// The chain context of a cut about to be committed: the cache entry it
+/// continues (key and id) plus that entry's exact snapshot, which the
+/// cut is diffed against.
 #[derive(Debug, Clone)]
 pub(crate) struct ChainParent {
     pub(crate) key: SnapshotKey,
+    pub(crate) id: u64,
     pub(crate) snapshot: RunSnapshot,
 }
 
-/// The per-runner, memory-budgeted, LRU-evicted snapshot store. Cuts
-/// along one run are held as delta chains — one full keyframe every
+/// The origin of cuts the persistent store hydrated. Runner origins
+/// ([`next_origin`]) start above it.
+pub(crate) const STORE_ORIGIN: u64 = 0;
+
+/// A recorder identity for a new runner, unique in the process.
+pub(crate) fn next_origin() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(STORE_ORIGIN + 1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The memory-budgeted, LRU-evicted snapshot store. Cuts along one run
+/// are held as delta chains — one full keyframe every
 /// [`CheckpointConfig::keyframe_stride`] cuts, per-layer deltas in
 /// between — so a fixed budget keeps several times more cuts resident
-/// (see the module docs).
+/// (see the module docs). Runners reach it through a
+/// [`SharedSnapshotTier`].
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotCache {
     entries: BTreeMap<SnapshotKey, CacheEntry>,
@@ -849,13 +799,14 @@ pub struct SnapshotCache {
     exclusive_bytes: usize,
     ledger: ChunkLedger,
     max_bytes: usize,
-    keyframe_stride: usize,
+    /// The LRU clock, bumped by every insert and fork; an entry's id is
+    /// the clock value at its insert.
     clock: u64,
     stats: CheckpointStats,
     /// The checksum breaker: set once
     /// [`CheckpointStats::checksum_failures`] reaches
     /// [`CHECKSUM_BREAKER_THRESHOLD`]. A tripped breaker disables
-    /// checkpointing for the rest of the runner's life (every run
+    /// checkpointing for the rest of the cache's life (every run
     /// cold-starts) — repeated validation failures mean the store cannot
     /// be trusted, and correctness must not depend on it.
     disabled: bool,
@@ -866,26 +817,20 @@ pub struct SnapshotCache {
 const CHECKSUM_BREAKER_THRESHOLD: u64 = 3;
 
 impl SnapshotCache {
-    /// An empty cache with the given memory budget (bytes) holding only
-    /// full snapshots (keyframe stride 1).
+    /// An empty cache with the given memory budget (bytes).
     pub fn new(max_bytes: usize) -> Self {
         SnapshotCache {
             max_bytes,
-            keyframe_stride: 1,
             ..SnapshotCache::default()
         }
-    }
-
-    /// Sets the delta-chain keyframe stride (clamped to at least 1).
-    pub(crate) fn set_keyframe_stride(&mut self, keyframe_stride: usize) {
-        self.keyframe_stride = keyframe_stride.max(1);
     }
 
     fn total_bytes(&self) -> usize {
         self.exclusive_bytes + self.ledger.bytes
     }
 
-    /// Current statistics.
+    /// Current statistics: the cache-wide fields (the per-run counters
+    /// are the runners').
     pub fn stats(&self) -> CheckpointStats {
         let (delta_snapshots, delta_bytes) = self
             .entries
@@ -902,238 +847,232 @@ impl SnapshotCache {
         }
     }
 
-    /// Notes that a run executed without forking.
-    pub(crate) fn note_cold_run(&mut self) {
-        self.stats.cold_runs += 1;
-    }
-
-    /// Notes a fork served by the shared tier at depth `time`.
-    pub(crate) fn note_shared_fork(&mut self, time: f64) {
-        self.stats.forked_runs += 1;
-        self.stats.shared_hits += 1;
-        self.stats.simulated_seconds_skipped += time;
-    }
-
-    /// The deepest local snapshot a run of `plan` may resume from, as
-    /// `(cut time, key)` — a probe only, touching neither LRU state nor
-    /// statistics, so the runner can compare depths across tiers before
-    /// committing to (and materialising) either.
-    pub(crate) fn peek_deepest(
-        &self,
-        seed_offset: u64,
-        plan: &FaultPlan,
-        cap: f64,
-    ) -> Option<(f64, SnapshotKey)> {
-        deepest_entry(
-            &self.entries,
-            |e| (e.time, &e.prefix),
-            seed_offset,
-            plan,
-            cap,
-        )
-        .map(|(t, k)| (t, k.clone()))
-    }
-
-    /// The chain of keys from `key` down to (and including) its keyframe.
-    fn chain_of(&self, key: &SnapshotKey) -> Vec<SnapshotKey> {
-        let mut chain = vec![key.clone()];
-        loop {
-            let entry = self
-                .entries
-                // avis-lint: allow(p1, reason = "chain starts as vec![key], never empty")
-                .get(chain.last().expect("chain is non-empty"))
-                // avis-lint: allow(p1, reason = "cascade eviction (evict_with_dependents) keeps every chain link resident; a miss is cache corruption, not a recoverable state")
-                .expect("chain links are kept resident by cascade eviction");
-            match &entry.payload {
-                StoredRun::Full(_) => break,
-                StoredRun::Delta { parent, .. } => chain.push(parent.clone()),
-            }
-        }
-        chain
-    }
-
     /// Whether the checksum breaker has tripped (see
     /// [`CheckpointStats::checksum_failures`]).
     pub(crate) fn degraded(&self) -> bool {
         self.disabled
     }
 
-    /// Quarantines the entries at `keys` (plus their dependent delta
-    /// cuts): the panic-taint path, called by the runner after a
-    /// contained crash for every snapshot the panicked run recorded.
-    /// Counts [`CheckpointStats::quarantined`] but *not*
-    /// [`CheckpointStats::checksum_failures`] — a deterministic seeded
-    /// crash is an expected outcome, not store corruption, so it must
-    /// never trip the breaker.
-    pub(crate) fn quarantine(&mut self, keys: &[SnapshotKey]) {
-        for key in keys {
-            let removed = self.remove_with_dependents(key);
-            self.stats.quarantined += removed as u64;
+    /// The deepest entry a run of `plan` may resume from: among every
+    /// entry whose quantised key matches one of the plan's own injection
+    /// prefixes *and* whose exact prefix equals the plan's exact prefix
+    /// at the cut time, the one with the latest cut time at or before
+    /// `cap`. A batch leader passes its earliest lane-fork time as `cap`:
+    /// forks are taken from the live leader at loop tops, so a deeper cut
+    /// would skip past them.
+    fn deepest(&self, seed_offset: u64, plan: &FaultPlan, cap: f64) -> Option<SnapshotKey> {
+        // The plan's prefix only changes at its own failure times — sensor
+        // *or* link — so there are at most `plan.len() + 1` distinct prefixes
+        // to probe; probe each one's chain from its deepest snapshot down.
+        let mut boundaries: Vec<f64> = plan
+            .specs()
+            .map(|s| s.time)
+            .chain(plan.link_plan().fault_times())
+            .collect();
+        boundaries.sort_by(f64::total_cmp);
+        boundaries.dedup();
+        // `injection_prefix` is strict (`time < probe`), so probing at
+        // boundary `k` selects the prefix *excluding* that boundary's
+        // failures — i.e. the failures before it — and f64::INFINITY probes
+        // the full-plan prefix. Together the probes enumerate every distinct
+        // prefix of the plan.
+        let mut best: Option<(f64, &SnapshotKey)> = None;
+        for probe in boundaries.into_iter().chain([f64::INFINITY]) {
+            let prefix = prefix_cache_key(&injection_prefix(plan, probe));
+            let lo = SnapshotKey {
+                seed_offset,
+                prefix: prefix.clone(),
+                time_ms: i64::MIN,
+            };
+            let hi = SnapshotKey {
+                seed_offset,
+                prefix,
+                time_ms: i64::MAX,
+            };
+            for (key, entry) in self.entries.range(lo..=hi).rev() {
+                if entry.time > cap {
+                    continue; // too deep for the caller; shallower cuts may fit
+                }
+                // Exact validity guard: the plan's exact prefix at the
+                // snapshot's cut time must equal the recorded prefix. This
+                // rejects both quantisation collisions and snapshots cut
+                // *after* one of the plan's failures that the recording run
+                // did not inject.
+                if injection_prefix(plan, entry.time) == entry.prefix {
+                    if best.is_none_or(|(t, _)| entry.time > t) {
+                        best = Some((entry.time, key));
+                    }
+                    break; // deeper entries of this chain are shallower in time
+                }
+            }
         }
+        best.map(|(_, key)| key.clone())
     }
 
-    /// Validates every link of `key`'s chain against its record-time
-    /// checksum. On the first mismatch the whole chain is quarantined
-    /// (counted in [`CheckpointStats::quarantined`]), one
+    /// The chain of keys from `key` down to (and including) its keyframe.
+    /// Cascade eviction keeps every link of a resident delta resident.
+    fn chain_of(&self, key: &SnapshotKey) -> Vec<SnapshotKey> {
+        let mut chain = vec![key.clone()];
+        while let Some(StoredRun::Delta { parent, .. }) = chain
+            .last()
+            .and_then(|link| self.entries.get(link))
+            .map(|e| &e.payload)
+        {
+            chain.push(parent.clone());
+        }
+        chain
+    }
+
+    /// Rebuilds the cut at the head of `chain` (as returned by
+    /// [`SnapshotCache::chain_of`]): clones the keyframe at its end and
+    /// applies each delta in order. `None` when a link is missing or
+    /// fails its record-time checksum.
+    fn materialise(&self, chain: &[SnapshotKey]) -> Option<RunSnapshot> {
+        let (root, links) = chain.split_last()?;
+        let root = self.entries.get(root).filter(|e| e.intact())?;
+        let StoredRun::Full(keyframe) = &root.payload else {
+            return None;
+        };
+        let mut snapshot = (**keyframe).clone();
+        for link in links.iter().rev() {
+            let entry = self.entries.get(link).filter(|e| e.intact())?;
+            let StoredRun::Delta { delta, .. } = &entry.payload else {
+                return None;
+            };
+            snapshot = snapshot.apply(delta);
+        }
+        Some(snapshot)
+    }
+
+    /// Takes (a re-materialised copy of) the deepest cut a run of `plan`
+    /// may resume from at or before `cap`, as the chain parent of the
+    /// run's first cut, together with the cut's origin. A keyframe is a
+    /// plain clone; a delta cut is rebuilt by walking its chain. The
+    /// whole chain's LRU stamps are refreshed — materialisation *uses*
+    /// every link, so a hot cut keeps its keyframe alive. Every link is
+    /// checksum-validated: a corrupt chain is quarantined from its
+    /// keyframe (counted in [`CheckpointStats::quarantined`]), one
     /// [`CheckpointStats::checksum_failures`] is charged, the breaker is
-    /// advanced, and `false` comes back — the caller falls back to cold
-    /// execution.
-    fn validate_chain(&mut self, key: &SnapshotKey) -> bool {
-        let chain = self.chain_of(key);
-        let corrupt = chain.iter().any(|link| {
-            let entry = &self.entries[link];
-            entry_checksum(entry.time, &entry.prefix, &entry.payload) != entry.checksum
-        });
-        if corrupt {
-            // Quarantine from the chain's root (the keyframe) so every
-            // dependent delta — including `key` itself — goes with it.
-            // avis-lint: allow(p1, reason = "chain_of starts from `key`, never empty")
-            let root = chain.last().expect("chain is non-empty").clone();
-            let removed = self.remove_with_dependents(&root);
-            self.stats.quarantined += removed as u64;
+    /// advanced, and `None` comes back — the caller cold-starts.
+    pub(crate) fn take_deepest(
+        &mut self,
+        seed_offset: u64,
+        plan: &FaultPlan,
+        cap: f64,
+    ) -> Option<(ChainParent, u64)> {
+        let key = self.deepest(seed_offset, plan, cap)?;
+        let chain = self.chain_of(&key);
+        let Some(snapshot) = self.materialise(&chain) else {
+            if let Some(root) = chain.last() {
+                let removed = self.remove_with_dependents(root);
+                self.stats.quarantined += removed as u64;
+            }
             self.stats.checksum_failures += 1;
             if self.stats.checksum_failures >= CHECKSUM_BREAKER_THRESHOLD {
                 self.disabled = true;
             }
-        }
-        !corrupt
-    }
-
-    /// Takes (a re-materialised copy of) the snapshot a
-    /// [`SnapshotCache::peek_deepest`] probe selected, updating LRU state
-    /// and fork statistics. A keyframe is a plain clone; a delta cut is
-    /// rebuilt by walking its chain from the keyframe and applying each
-    /// delta in order. The whole chain's LRU stamps are refreshed —
-    /// materialisation *uses* every link, so a hot cut keeps its keyframe
-    /// alive. Every link is checksum-validated first: a corrupt chain is
-    /// quarantined and `None` comes back, and the caller cold-starts.
-    pub(crate) fn take(&mut self, key: &SnapshotKey, time: f64) -> Option<RunSnapshot> {
-        if !self.validate_chain(key) {
             return None;
-        }
-        self.clock += 1;
-        let chain = self.chain_of(key);
-        for link in &chain {
-            self.entries
-                .get_mut(link)
-                // avis-lint: allow(p1, reason = "chain_of only returns resident keys; a miss is cache corruption")
-                .expect("chain link present")
-                .last_used = self.clock;
-        }
-        let mut snapshot = match &self
-            .entries
-            // avis-lint: allow(p1, reason = "chain starts as vec![key], never empty")
-            .get(chain.last().expect("chain is non-empty"))
-            // avis-lint: allow(p1, reason = "chain_of only returns resident keys; a miss is cache corruption")
-            .expect("chain link present")
-            .payload
-        {
-            StoredRun::Full(keyframe) => (**keyframe).clone(),
-            StoredRun::Delta { .. } => unreachable!("chain_of terminates at a keyframe"),
         };
-        for link in chain.iter().rev().skip(1) {
-            let StoredRun::Delta { delta, .. } =
-                // avis-lint: allow(p1, reason = "chain_of only returns resident keys; a miss is cache corruption")
-                &self.entries.get(link).expect("chain link present").payload
-            else {
-                unreachable!("inner chain links are deltas")
-            };
-            snapshot = snapshot.apply(delta);
+        self.clock += 1;
+        for link in &chain {
+            if let Some(entry) = self.entries.get_mut(link) {
+                entry.last_used = self.clock;
+            }
         }
-        self.stats.forked_runs += 1;
-        self.stats.simulated_seconds_skipped += time;
-        Some(snapshot)
+        let entry = self.entries.get_mut(&key)?;
+        entry.hits += 1;
+        let (id, origin) = (entry.id, entry.origin);
+        Some((ChainParent { key, id, snapshot }, origin))
     }
 
-    /// Records a snapshot, keeping the earliest recording when the same
-    /// `(seed offset, prefix, time)` cell is already occupied, then
-    /// evicts least-recently-used chains until the memory budget is
-    /// respected again.
-    ///
-    /// When `chain_parent` names a still-resident entry whose chain depth
-    /// leaves room under the keyframe stride, the cut is stored as a
-    /// delta against it; otherwise it is stored as a full keyframe.
-    /// Returns the stored key, or `None` when the cell was already
-    /// occupied (the runner then keeps its previous chain context).
-    pub(crate) fn record(
+    /// Commits the cuts one call recorded, in recording order. Each cut
+    /// is stored as a delta against the previous cut of the call that
+    /// was stored — the fork source `parent` for the first — when that
+    /// entry is still the exact one the cut continues (same key and id)
+    /// and the keyframe stride leaves room; otherwise as a keyframe. A
+    /// cell that is already occupied keeps its earlier recording. After
+    /// each insert, least-recently-used chains are evicted until the
+    /// memory budget is respected again.
+    pub(crate) fn commit(
         &mut self,
         seed_offset: u64,
-        snapshot: RunSnapshot,
-        chain_parent: Option<&ChainParent>,
-    ) -> Option<SnapshotKey> {
-        let key = SnapshotKey::for_snapshot(seed_offset, &snapshot);
-        if self.entries.contains_key(&key) {
-            return None;
-        }
-        let time = snapshot.time;
-        let prefix = snapshot.prefix.clone();
-        let delta_parent = chain_parent.and_then(|parent| {
-            let entry = self.entries.get(&parent.key)?;
-            (entry.depth + 1 < self.keyframe_stride).then_some((parent, entry.depth + 1))
-        });
-        let (payload, depth) = match delta_parent {
-            Some((parent, depth)) => (
-                StoredRun::Delta {
-                    parent: parent.key.clone(),
-                    delta: Box::new(snapshot.diff(&parent.snapshot)),
-                },
-                depth,
-            ),
-            None => (StoredRun::Full(Box::new(snapshot)), 0),
-        };
-        if let StoredRun::Delta { parent, .. } = &payload {
-            self.dependents
-                .entry(parent.clone())
-                .or_default()
-                .push(key.clone());
-        }
-        let bytes = payload.approx_bytes();
-        self.clock += 1;
-        let ledger = &mut self.ledger;
-        payload.for_each_chunk(&mut |id, chunk_bytes| ledger.add_chunk(id, chunk_bytes));
-        let checksum = entry_checksum(time, &prefix, &payload);
-        self.entries.insert(
-            key.clone(),
-            CacheEntry {
-                payload,
-                time,
-                prefix,
-                depth,
-                bytes,
-                checksum,
-                last_used: self.clock,
-            },
-        );
-        self.exclusive_bytes += bytes;
-        self.stats.snapshots_recorded += 1;
-        while self.total_bytes() > self.max_bytes {
-            let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break; // empty cache: only the fixed overhead remains
+        cuts: &[RunSnapshot],
+        parent: Option<&ChainParent>,
+        keyframe_stride: usize,
+        origin: u64,
+    ) {
+        let mut parent = parent.map(|p| (p.key.clone(), p.id, &p.snapshot));
+        for cut in cuts {
+            let key = SnapshotKey::for_snapshot(seed_offset, cut);
+            if self.entries.contains_key(&key) {
+                continue;
+            }
+            let base = parent.as_ref().and_then(|(key, id, snapshot)| {
+                let entry = self.entries.get(key).filter(|e| e.id == *id)?;
+                (entry.depth + 1 < keyframe_stride).then_some((key, *snapshot, entry.depth + 1))
+            });
+            let (payload, depth) = match base {
+                Some((key, snapshot, depth)) => (
+                    StoredRun::Delta {
+                        parent: key.clone(),
+                        delta: Box::new(cut.diff(snapshot)),
+                    },
+                    depth,
+                ),
+                None => (StoredRun::Full(Box::new(cut.clone())), 0),
             };
-            self.evict_with_dependents(&lru);
+            if let StoredRun::Delta { parent, .. } = &payload {
+                self.dependents
+                    .entry(parent.clone())
+                    .or_default()
+                    .push(key.clone());
+            }
+            let bytes = payload.approx_bytes();
+            let ledger = &mut self.ledger;
+            payload.for_each_chunk(&mut |id, chunk_bytes| ledger.add_chunk(id, chunk_bytes));
+            self.clock += 1;
+            let id = self.clock;
+            self.entries.insert(
+                key.clone(),
+                CacheEntry {
+                    checksum: entry_checksum(cut.time, &cut.prefix, &payload),
+                    payload,
+                    time: cut.time,
+                    prefix: cut.prefix.clone(),
+                    depth,
+                    bytes,
+                    last_used: id,
+                    id,
+                    origin,
+                    hits: 0,
+                },
+            );
+            self.exclusive_bytes += bytes;
+            self.stats.snapshots_recorded += 1;
+            while self.total_bytes() > self.max_bytes {
+                let Some(lru) = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| k.clone())
+                else {
+                    break; // empty cache: only the fixed overhead remains
+                };
+                let removed = self.remove_with_dependents(&lru);
+                self.stats.snapshots_evicted += removed as u64;
+            }
+            // The budget is enforced unconditionally: with a budget too
+            // small for even one chain, the fresh entry itself may be gone
+            // again, and the next cut then starts a new chain.
+            if self.entries.contains_key(&key) {
+                parent = Some((key, id, cut));
+            }
         }
-        // The memory budget is enforced unconditionally: with a budget too
-        // small for even one chain, the freshly inserted entry itself is
-        // evicted above, so the key may already be gone again.
-        self.entries.contains_key(&key).then_some(key)
     }
 
-    /// Evicts `key` together with every transitive dependent (delta cuts
-    /// diffed against it — their chains could no longer materialise).
-    fn evict_with_dependents(&mut self, key: &SnapshotKey) {
-        let removed = self.remove_with_dependents(key);
-        self.stats.snapshots_evicted += removed as u64;
-    }
-
-    /// Removes `key` and every transitive dependent from the store,
-    /// returning how many entries went. The statistics-neutral core
-    /// shared by budget eviction ([`CheckpointStats::snapshots_evicted`])
-    /// and quarantine ([`CheckpointStats::quarantined`]).
+    /// Removes `key` and every transitive dependent from the cache,
+    /// returning how many entries went — the core shared by budget
+    /// eviction and quarantine.
     fn remove_with_dependents(&mut self, key: &SnapshotKey) -> usize {
         let mut removed = 0usize;
         let mut pending = vec![key.clone()];
@@ -1164,6 +1103,20 @@ impl SnapshotCache {
         removed
     }
 
+    /// Every cached cut's key and the forks it served, in key order: the
+    /// cuts of one `(seed offset, quantised prefix)` chain are contiguous
+    /// and time-ordered.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (&SnapshotKey, u64)> {
+        self.entries.iter().map(|(key, entry)| (key, entry.hits))
+    }
+
+    /// Re-materialises the cut at `key` for the persistent store's flush,
+    /// leaving LRU state and statistics alone. `None` when the cut is
+    /// gone or a link of its chain fails its checksum.
+    pub(crate) fn export(&self, key: &SnapshotKey) -> Option<RunSnapshot> {
+        self.materialise(&self.chain_of(key))
+    }
+
     /// Test hook: flips the stored cut time of every entry (a silent
     /// single-byte store corruption), leaving the record-time checksums
     /// untouched — the next materialisation must detect the mismatch.
@@ -1175,98 +1128,31 @@ impl SnapshotCache {
     }
 }
 
-/// Aggregate statistics of a [`SharedSnapshotTier`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SharedTierStats {
-    /// Snapshots currently published (visible to lock-free readers).
-    pub published_snapshots: usize,
-    /// Approximate bytes currently published (exclusive state plus each
-    /// distinct shared chunk counted once).
-    pub published_bytes: usize,
-    /// Times the engine republished the map.
-    pub publishes: u64,
-    /// Snapshots accepted into the tier over its lifetime.
-    pub recorded: u64,
-    /// Snapshots evicted by the tier's memory budget.
-    pub evicted: u64,
-    /// Forks served to runners from this tier.
-    pub hits: u64,
-}
-
-/// One published tier entry: the snapshot plus its lock-free hit counter
-/// (bumped by readers on every served fork) and its insertion sequence
-/// number (the eviction tie-break). The `Arc` is shared between the
-/// writer-side map and every published map generation, so hits survive
-/// republishing.
-#[derive(Debug)]
-struct TierEntry {
-    snapshot: RunSnapshot,
-    hits: AtomicU64,
-    seq: u64,
-}
-
-/// The canonical (writer-side) state of a shared tier, behind one mutex
-/// that only the rare record/republish paths touch.
-#[derive(Debug, Default)]
-struct TierState {
-    pending: Vec<(SnapshotKey, Arc<TierEntry>)>,
-    map: BTreeMap<SnapshotKey, Arc<TierEntry>>,
-    exclusive: BTreeMap<SnapshotKey, usize>,
-    ledger: ChunkLedger,
-    exclusive_bytes: usize,
-    next_seq: u64,
-    publishes: u64,
-    recorded: u64,
-    evicted: u64,
-}
-
-/// The read-mostly cross-worker (and cross-campaign) snapshot tier: an
-/// `Arc`-swapped immutable snapshot map (see the [module docs](self)).
-///
-/// *Reads* (`peek_deepest`) clone the published `Arc` and probe the
-/// immutable map — no lock a writer can hold. *Writes* (`offer`) append
-/// to a pending buffer under a brief mutex; nothing becomes visible until
-/// the engine calls [`SharedSnapshotTier::republish`] between speculative
-/// wavefronts, which merges the pending snapshots into a fresh map,
-/// enforces the memory budget (hit-weighted eviction, chunk-aware
-/// accounting) and swaps the `Arc`.
-///
-/// # Hit-weighted eviction
-///
-/// Readers bump a per-entry atomic on every fork the entry serves; when
-/// the budget forces eviction at republish time, the *least-hit* entry
-/// goes first (ties broken oldest-first, which degrades to FIFO while no
-/// hits have accrued). Under a tight budget this keeps the hot fault-free
-/// chain — the snapshots every sibling forks from — alive while one-off
-/// deep branches cycle out.
+/// The handle through which runners share one [`SnapshotCache`]: a
+/// campaign's, a caller's handed to several campaigns, or a standalone
+/// runner's private one (see the [module docs](self)).
 #[derive(Debug)]
 pub struct SharedSnapshotTier {
-    max_bytes: usize,
-    /// Fingerprint of the experiment whose snapshots this tier holds,
-    /// claimed by the first runner that attaches. Snapshot keys encode
-    /// only the injection prefix — state equivalence additionally needs
-    /// the *same experiment* (firmware, bugs, workload, simulation
+    /// Fingerprint of the experiment whose snapshots the cache holds,
+    /// claimed by the first runner or store that attaches. Snapshot keys
+    /// encode only the injection prefix — state equivalence additionally
+    /// needs the *same experiment* (firmware, bugs, workload, simulation
     /// parameters, seed) — so a runner whose experiment fingerprint
     /// differs from the claim refuses to attach.
     fingerprint: parking_lot::Mutex<Option<String>>,
-    state: parking_lot::Mutex<TierState>,
-    published: std::sync::RwLock<Arc<BTreeMap<SnapshotKey, Arc<TierEntry>>>>,
-    hits: AtomicU64,
+    cache: parking_lot::Mutex<SnapshotCache>,
 }
 
 impl SharedSnapshotTier {
-    /// An empty tier with the given memory budget (bytes).
+    /// An empty cache with the given memory budget (bytes).
     pub fn new(max_bytes: usize) -> Self {
         SharedSnapshotTier {
-            max_bytes,
             fingerprint: parking_lot::Mutex::new(None),
-            state: parking_lot::Mutex::new(TierState::default()),
-            published: std::sync::RwLock::new(Arc::new(BTreeMap::new())),
-            hits: AtomicU64::new(0),
+            cache: parking_lot::Mutex::new(SnapshotCache::new(max_bytes)),
         }
     }
 
-    /// Claims the tier for an experiment: the first caller's fingerprint
+    /// Claims the cache for an experiment: the first caller's fingerprint
     /// sticks, later callers get `true` only when theirs matches. A
     /// mismatch means the caller must not attach (its runs would fork
     /// from another experiment's state).
@@ -1281,183 +1167,15 @@ impl SharedSnapshotTier {
         }
     }
 
-    /// Current statistics.
-    pub fn stats(&self) -> SharedTierStats {
-        let state = self.state.lock();
-        SharedTierStats {
-            published_snapshots: state.map.len(),
-            published_bytes: state.exclusive_bytes + state.ledger.bytes,
-            publishes: state.publishes,
-            recorded: state.recorded,
-            evicted: state.evicted,
-            hits: self.hits.load(Ordering::Relaxed),
-        }
+    /// The cache's statistics (see [`SnapshotCache::stats`]).
+    pub fn stats(&self) -> CheckpointStats {
+        self.lock().stats()
     }
 
-    /// The published `Arc` (cheap clone; the read path's only shared
-    /// access).
-    fn current(&self) -> Arc<BTreeMap<SnapshotKey, Arc<TierEntry>>> {
-        Arc::clone(&self.published.read().unwrap_or_else(|e| e.into_inner()))
+    /// Locks the cache.
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, SnapshotCache> {
+        self.cache.lock()
     }
-
-    /// The cut time of the deepest published snapshot a run of `plan`
-    /// may resume from — a probe only (no clone, no hit counted), so the
-    /// runner can compare against its local cache first.
-    pub(crate) fn peek_depth(&self, seed_offset: u64, plan: &FaultPlan, cap: f64) -> Option<f64> {
-        let map = self.current();
-        deepest_entry(
-            &map,
-            |e| (e.snapshot.time, &e.snapshot.prefix),
-            seed_offset,
-            plan,
-            cap,
-        )
-        .map(|(t, _)| t)
-    }
-
-    /// Takes (a clone of) the deepest published snapshot for `plan`,
-    /// counting a served fork — globally and on the entry itself, which
-    /// is what hit-weighted eviction ranks by. Re-probes the current map
-    /// — a concurrent republish between probe and take can only yield an
-    /// equal or deeper snapshot, never an invalid one.
-    pub(crate) fn take_deepest(
-        &self,
-        seed_offset: u64,
-        plan: &FaultPlan,
-        cap: f64,
-    ) -> Option<(f64, RunSnapshot)> {
-        let map = self.current();
-        let (time, key) = deepest_entry(
-            &map,
-            |e| (e.snapshot.time, &e.snapshot.prefix),
-            seed_offset,
-            plan,
-            cap,
-        )?;
-        // `deepest_entry` returned the key by reference out of `map`, so
-        // the lookup cannot miss; `?` keeps the no-hit shape regardless.
-        let entry = map.get(key)?;
-        entry.hits.fetch_add(1, Ordering::Relaxed);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some((time, entry.snapshot.clone()))
-    }
-
-    /// Offers a freshly recorded snapshot to the tier. Cheap: an `Arc`
-    /// bump plus a short mutex on the pending buffer; duplicates of
-    /// already-published or already-pending cells are dropped here.
-    pub(crate) fn offer(&self, seed_offset: u64, snapshot: &RunSnapshot) {
-        let key = SnapshotKey::for_snapshot(seed_offset, snapshot);
-        if self.current().contains_key(&key) {
-            return;
-        }
-        let mut state = self.state.lock();
-        if state.map.contains_key(&key) || state.pending.iter().any(|(k, _)| *k == key) {
-            return;
-        }
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.pending.push((
-            key,
-            Arc::new(TierEntry {
-                snapshot: snapshot.clone(),
-                hits: AtomicU64::new(0),
-                seq,
-            }),
-        ));
-    }
-
-    /// Withdraws still-pending offers whose keys are in `keys` — the
-    /// panic-taint path: a contained crash retracts everything the
-    /// panicked run offered before the engine's next republish could
-    /// make it visible to other workers. (Offers become visible only at
-    /// [`SharedSnapshotTier::republish`], which the engine calls between
-    /// wavefronts — after every contained crash of the wavefront has
-    /// already retracted its offers — so a tainted chain never crosses a
-    /// worker boundary.)
-    pub(crate) fn retract(&self, keys: &[SnapshotKey]) {
-        if keys.is_empty() {
-            return;
-        }
-        let mut state = self.state.lock();
-        state.pending.retain(|(k, _)| !keys.contains(k));
-    }
-
-    /// Merges every pending snapshot into the published map, evicts
-    /// lowest-hit-first (ties oldest-first) past the memory budget and
-    /// swaps the `Arc` readers see. Called by the engine between
-    /// speculative wavefronts and at campaign end; a no-op when nothing
-    /// is pending.
-    pub fn republish(&self) {
-        let mut state = self.state.lock();
-        if state.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut state.pending);
-        for (key, entry) in pending {
-            if state.map.contains_key(&key) {
-                continue;
-            }
-            let bytes = entry.snapshot.approx_bytes();
-            state.ledger.add(&entry.snapshot);
-            state.exclusive_bytes += bytes;
-            state.exclusive.insert(key.clone(), bytes);
-            state.map.insert(key, entry);
-            state.recorded += 1;
-        }
-        while state.exclusive_bytes + state.ledger.bytes > self.max_bytes {
-            // Hit-weighted victim: the entry that served the fewest forks,
-            // oldest first among equals. Fresh fault-free-chain entries
-            // accumulate hits quickly, so under pressure the tier sheds
-            // one-off deep branches instead of the chain everyone shares.
-            let Some(victim) = state
-                .map
-                .iter()
-                .min_by_key(|(_, e)| (e.hits.load(Ordering::Relaxed), e.seq))
-                .map(|(k, _)| k.clone())
-            else {
-                break; // empty tier: only the shared-ledger overhead remains
-            };
-            if let Some(evicted) = state.map.remove(&victim) {
-                let bytes = state.exclusive.remove(&victim).unwrap_or(0);
-                state.exclusive_bytes -= bytes;
-                state.ledger.remove(&evicted.snapshot);
-                state.evicted += 1;
-            }
-        }
-        state.publishes += 1;
-        let next = Arc::new(state.map.clone());
-        *self.published.write().unwrap_or_else(|e| e.into_inner()) = next;
-    }
-
-    /// Exports every *published* snapshot — key parts, snapshot clone and
-    /// accrued hit count — for the persistent store's flush path. Pending
-    /// (not yet republished) offers are deliberately excluded: they have
-    /// not passed the engine's wavefront boundary yet, and the campaign's
-    /// final [`SharedSnapshotTier::republish`] runs before the final
-    /// flush.
-    pub(crate) fn export_published(&self) -> Vec<TierExport> {
-        self.current()
-            .iter()
-            .map(|(key, entry)| TierExport {
-                seed_offset: key.seed_offset,
-                prefix_key: key.prefix.clone(),
-                time_ms: key.time_ms,
-                snapshot: entry.snapshot.clone(),
-                hits: entry.hits.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-}
-
-/// One published tier entry, exported for the persistent store (see
-/// [`SharedSnapshotTier::export_published`]).
-#[derive(Debug, Clone)]
-pub(crate) struct TierExport {
-    pub(crate) seed_offset: u64,
-    pub(crate) prefix_key: String,
-    pub(crate) time_ms: i64,
-    pub(crate) snapshot: RunSnapshot,
-    pub(crate) hits: u64,
 }
 
 #[cfg(test)]
@@ -1555,77 +1273,47 @@ mod tests {
     }
 
     #[test]
-    fn hit_weighted_tier_eviction_keeps_hot_entries_alive() {
+    fn delta_is_stored_only_against_the_entry_it_was_diffed_from() {
         use crate::runner::{ExperimentConfig, ExperimentRunner};
         use avis_firmware::{BugSet, FirmwareProfile};
         use avis_workload::auto_box_mission;
 
-        let mut experiment = ExperimentConfig::new(
+        let cfg = ExperimentConfig::new(
             FirmwareProfile::ArduPilotLike,
             BugSet::none(),
             auto_box_mission(),
         );
-        experiment.noise = Some(avis_sim::SensorNoise::noiseless());
-        experiment.max_duration = 40.0;
-        experiment.checkpoints = CheckpointConfig {
-            anchor_placement: false,
-            ..CheckpointConfig::default()
+        let genesis = ExperimentRunner::genesis_snapshot(&cfg, 0);
+        // A cut at `time` after a GPS failure at `failed`.
+        let cut = |time: f64, failed: f64| RunSnapshot {
+            time,
+            prefix: sensor_prefix(vec![spec(SensorKind::Gps, 0, failed)]),
+            ..genesis.clone()
         };
-
-        // A tier sized to hold the first run's full chain but only part
-        // of what the later runs offer, so the final republish must
-        // evict.
-        let tier = Arc::new(SharedSnapshotTier::new(96 * 1024));
-        let gps = avis_sim::SensorInstance::new(avis_sim::SensorKind::Gps, 1);
-        let plan = |t: f64| FaultPlan::from_specs(vec![FaultSpec::new(gps, t)]);
-
-        // Populate: one run's fault-free chain (cuts at 5, 10, …).
-        let mut warmer = ExperimentRunner::new(experiment.clone());
-        warmer.set_shared_tier(Arc::clone(&tier));
-        let _ = warmer.run_with_plan(plan(35.0));
-        tier.republish();
-
-        // Make the *oldest-but-one* entry hot: two fresh runners (cold
-        // local caches) fork from the deepest published cut at or before
-        // their injection, bumping the t = 10 entry's hit counter. Under
-        // the previous FIFO policy its age would make it an early victim.
-        for probe in [12.0, 11.0] {
-            let mut reader = ExperimentRunner::new(experiment.clone());
-            reader.set_shared_tier(Arc::clone(&tier));
-            let _ = reader.run_with_plan(plan(probe));
-        }
-        assert!(
-            tier.stats().hits >= 2,
-            "tier forks served: {:?}",
-            tier.stats()
-        );
-
-        // Flood the tier with fresh zero-hit branch entries (plans that
-        // diverge mid-chain record whole new prefix branches) until the
-        // budget forces eviction.
-        for t in [17.0, 18.0] {
-            let mut flooder = ExperimentRunner::new(experiment.clone());
-            flooder.set_shared_tier(Arc::clone(&tier));
-            let _ = flooder.run_with_plan(plan(t));
-        }
-        tier.republish();
-
-        let stats = tier.stats();
-        assert!(stats.evicted > 0, "the tiny tier should evict: {stats:?}");
-        assert!(stats.published_bytes <= 96 * 1024);
-        // The hot entry survived the squeeze…
-        let hot_depth = tier.peek_depth(0, &plan(10.5), f64::INFINITY);
-        assert!(
-            hot_depth.is_some_and(|t| t >= 9.9),
-            "the twice-hit t = 10 entry should survive hit-weighted \
-             eviction: {hot_depth:?} ({stats:?})"
-        );
-        // …while the zero-hit t = 5 entry (the oldest) was shed first.
-        assert_eq!(
-            tier.peek_depth(0, &plan(6.0), f64::INFINITY),
-            None,
-            "the cold t = 5 entry should be the first victim ({stats:?})"
-        );
+        let deltas = |fresh_parent: bool| {
+            let mut cache = SnapshotCache::new(usize::MAX);
+            cache.commit(0, &[cut(10.0, 5.0)], None, 8, 1);
+            let key = cache.cells().map(|(key, _)| key.clone()).next();
+            let key = key.expect("the first cut is cached");
+            let id = cache.entries[&key].id;
+            let parent = ChainParent {
+                key: key.clone(),
+                id,
+                snapshot: cut(10.0, 5.0),
+            };
+            if fresh_parent {
+                // Another runner evicts the parent and re-records its
+                // cell from a plan failing 0.4 ms later: same quantised
+                // key, different state.
+                cache.remove_with_dependents(&key);
+                cache.commit(0, &[cut(10.0, 5.0004)], None, 8, 2);
+                assert_ne!(cache.entries[&key].id, id);
+            }
+            cache.commit(0, &[cut(15.0, 5.0)], Some(&parent), 8, 1);
+            cache.stats().delta_snapshots
+        };
+        assert_eq!(deltas(false), 1, "the resident parent takes the delta");
+        assert_eq!(deltas(true), 0, "a re-occupied parent cell gets a keyframe");
     }
 
     #[test]

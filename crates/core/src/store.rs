@@ -1,8 +1,10 @@
 //! The persistent snapshot store: a disk-backed, content-addressed
-//! serialisation of the [`SharedSnapshotTier`]'s keyframe + delta
-//! chains, so a campaign can *warm-start* from the checkpoint tree a
-//! previous process recorded instead of re-flying the shared prefix
-//! from `t = 0`.
+//! serialisation of a campaign's snapshot cache ([`SnapshotCache`],
+//! reached through its [`SharedSnapshotTier`] handle), so a campaign can
+//! *warm-start* from the checkpoint tree a previous process recorded
+//! instead of re-flying the shared prefix from `t = 0`. The campaign
+//! hydrates the cache from the store before its profiling runs and
+//! flushes the cache back at engine commit boundaries and at its end.
 //!
 //! # Layout
 //!
@@ -42,7 +44,7 @@
 //!
 //! - the store directory is keyed by experiment fingerprint **and** the
 //!   manifest records the full fingerprint string, which is compared
-//!   exactly before hydration — the same claim guard the in-memory tier
+//!   exactly before hydration — the same claim guard the in-memory cache
 //!   enforces (`SharedSnapshotTier::claim`);
 //! - every blob carries its payload length and FNV-1a checksum, and its
 //!   file name *is* its content hash; all three are re-verified on
@@ -53,22 +55,21 @@
 //!   written to a temporary file and atomically renamed into place, so
 //!   a torn write leaves at worst a stale store, never a corrupt entry
 //!   that parses;
-//! - hydrated snapshots re-enter the engine through the normal
-//!   [`SharedSnapshotTier::offer`] / `republish` path, so every
-//!   existing guard (exact un-quantised prefix comparison before reuse,
-//!   the checksum breaker, panic-taint retraction) applies unchanged.
+//! - hydrated cuts enter the cache through the same commit path as the
+//!   cuts a run records, so every existing guard (exact un-quantised
+//!   prefix comparison before reuse, record-time checksums, the
+//!   checksum breaker) applies unchanged.
 //!
 //! # GC
 //!
-//! The store enforces a byte budget at flush time with the same
-//! hit-weighted policy as the in-memory tier: chains are ranked by
+//! The store enforces a byte budget at flush time: chains are ranked by
 //! `(accrued fork hits, insertion sequence)` and the least-hit, oldest
 //! chains are dropped first until the budget fits; blobs no longer
 //! referenced by any surviving chain are deleted.
 
 use crate::json::Json;
 use crate::runner::{ExperimentConfig, ExperimentRunner};
-use crate::snapshot::{RunDelta, RunSnapshot, SharedSnapshotTier, TierExport};
+use crate::snapshot::{RunDelta, RunSnapshot, SharedSnapshotTier, SnapshotKey, STORE_ORIGIN};
 use avis_sim::codec::{fnv1a, ByteReader, ByteWriter};
 use avis_sim::cow::{ChunkSink, ChunkSource};
 use std::collections::{BTreeMap, BTreeSet};
@@ -89,7 +90,7 @@ pub const DEFAULT_STORE_BUDGET: u64 = 256 * 1024 * 1024;
 /// merged into [`crate::snapshot::CheckpointStats`] by the campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StoreStats {
-    /// Chains hydrated from disk into the shared tier.
+    /// Chains hydrated from disk into the snapshot cache.
     pub loaded_chains: u64,
     /// Chains flushed to disk (new or extended this session).
     pub persisted_chains: u64,
@@ -238,9 +239,11 @@ fn decode_blob(bytes: &[u8], expected_hash: u64) -> Option<Vec<u8>> {
     if rest.len() < 16 {
         return None;
     }
-    let len = u64::from_le_bytes(rest[..8].try_into().ok()?) as usize;
+    // The length comes from disk: a torn or hostile header may hold any
+    // value, so the size check must not overflow.
+    let len = usize::try_from(u64::from_le_bytes(rest[..8].try_into().ok()?)).ok()?;
     let rest = &rest[8..];
-    if rest.len() != len + 8 {
+    if len.checked_add(8) != Some(rest.len()) {
         return None;
     }
     let payload = &rest[..len];
@@ -461,14 +464,14 @@ impl SnapshotStore {
         total
     }
 
-    /// Hydrates the shared tier from disk: decodes every manifest chain
-    /// (keyframe from genesis, then delta by delta), offers each
-    /// re-materialised snapshot to the tier and republishes. Claims the
-    /// tier for this store's experiment first — the same guard the
-    /// runners use — and returns a zero report if another experiment
-    /// already holds it. Corrupt or truncated blobs quarantine their
-    /// chain's remaining cuts; everything already validated stays
-    /// offered (a shorter warm prefix is still sound).
+    /// Hydrates the snapshot cache from disk: decodes every manifest
+    /// chain (keyframe from genesis, then delta by delta) and commits its
+    /// re-materialised cuts to the cache as one chain. Claims the cache
+    /// for this store's experiment first — the same guard the runners
+    /// use — and returns a zero report if another experiment already
+    /// holds it. Corrupt or truncated blobs quarantine their chain's
+    /// remaining cuts; everything already validated is still loaded (a
+    /// shorter warm prefix is still sound).
     pub fn hydrate(
         &mut self,
         tier: &SharedSnapshotTier,
@@ -483,14 +486,10 @@ impl SnapshotStore {
         let mut report = StoreReport::default();
         let mut genesis_cache: BTreeMap<u64, RunSnapshot> = BTreeMap::new();
         for chain in &manifest.chains {
-            let genesis = genesis_cache
-                .entry(chain.seed_offset)
-                .or_insert_with(|| {
-                    ExperimentRunner::genesis_snapshot(experiment, chain.seed_offset)
-                })
-                .clone();
-            let mut current = genesis;
-            let mut loaded_any = false;
+            let genesis = genesis_cache.entry(chain.seed_offset).or_insert_with(|| {
+                ExperimentRunner::genesis_snapshot(experiment, chain.seed_offset)
+            });
+            let mut cuts: Vec<RunSnapshot> = Vec::with_capacity(chain.cuts.len());
             for cut in &chain.cuts {
                 let Some(payload) = self.blobs.get(cut.blob) else {
                     break; // quarantined: the rest of this chain is gone
@@ -505,24 +504,29 @@ impl SnapshotStore {
                 if reader.finish().is_err() {
                     break;
                 }
-                current = current.apply(&delta);
-                tier.offer(chain.seed_offset, &current);
+                let next = cuts.last().unwrap_or(genesis).apply(&delta);
+                cuts.push(next);
                 // Already on disk: later flushes need not encode it again.
                 self.persisted
                     .insert((chain.seed_offset, chain.prefix_key.clone(), cut.time_ms));
-                report.snapshots += 1;
-                loaded_any = true;
             }
-            if loaded_any {
+            if !cuts.is_empty() {
                 report.chains += 1;
+                report.snapshots += cuts.len() as u64;
+                tier.lock().commit(
+                    chain.seed_offset,
+                    &cuts,
+                    None,
+                    experiment.checkpoints.keyframe_stride,
+                    STORE_ORIGIN,
+                );
             }
         }
-        tier.republish();
         self.stats.loaded_chains += report.chains;
         report
     }
 
-    /// Flushes the tier's published snapshots to disk: groups them into
+    /// Flushes the snapshot cache to disk: groups its cuts into
     /// `(seed offset, quantised prefix)` chains, encodes each chain as
     /// keyframe-from-genesis plus parent-relative deltas, writes new
     /// blobs write-behind, merges the manifest with whatever is on disk
@@ -531,31 +535,26 @@ impl SnapshotStore {
     /// chain, preferring more cuts) and enforces the byte budget with
     /// hit-weighted GC. Incremental: only chains holding a cut not yet on
     /// disk (neither hydrated nor flushed before) are encoded; the other
-    /// chains contribute just the fork hits they accrued.
+    /// chains contribute just the fork hits they accrued. The cache stays
+    /// locked for the flush, which re-materialises one cut at a time.
     pub fn flush(
         &mut self,
         tier: &SharedSnapshotTier,
         experiment: &ExperimentConfig,
     ) -> StoreReport {
-        let mut exports = tier.export_published();
-        exports.sort_by(|a, b| {
-            (a.seed_offset, &a.prefix_key, a.time_ms).cmp(&(
-                b.seed_offset,
-                &b.prefix_key,
-                b.time_ms,
-            ))
-        });
-        // Group into chains.
-        let mut chains: Vec<Vec<TierExport>> = Vec::new();
-        for export in exports {
+        let cache = tier.lock();
+        // Group into chains: the cache lists one chain's cuts
+        // contiguously, in time order.
+        let mut chains: Vec<Vec<(&SnapshotKey, u64)>> = Vec::new();
+        for (key, hits) in cache.cells() {
             match chains.last_mut() {
                 Some(chain)
-                    if chain[0].seed_offset == export.seed_offset
-                        && chain[0].prefix_key == export.prefix_key =>
+                    if chain[0].0.seed_offset == key.seed_offset
+                        && chain[0].0.prefix == key.prefix =>
                 {
-                    chain.push(export);
+                    chain.push((key, hits));
                 }
-                _ => chains.push(vec![export]),
+                _ => chains.push(vec![(key, hits)]),
             }
         }
         // Anything new to write? A chain is dirty when it holds a cut that
@@ -564,7 +563,7 @@ impl SnapshotStore {
         let (dirty, clean): (Vec<_>, Vec<_>) = chains.into_iter().partition(|chain| {
             chain
                 .iter()
-                .any(|e| !persisted.contains(&(e.seed_offset, e.prefix_key.clone(), e.time_ms)))
+                .any(|(k, _)| !persisted.contains(&(k.seed_offset, k.prefix.clone(), k.time_ms)))
         });
         if dirty.is_empty() {
             return StoreReport {
@@ -578,32 +577,38 @@ impl SnapshotStore {
         let mut new_chains: Vec<ManifestChain> = Vec::new();
         let mut new_cuts = Vec::new();
         for chain in &dirty {
-            let seed_offset = chain[0].seed_offset;
-            let genesis = genesis_cache
+            let seed_offset = chain[0].0.seed_offset;
+            let mut prev = genesis_cache
                 .entry(seed_offset)
                 .or_insert_with(|| ExperimentRunner::genesis_snapshot(experiment, seed_offset))
                 .clone();
-            let mut prev = genesis;
             let mut cuts = Vec::with_capacity(chain.len());
             let mut hits = 0;
-            for export in chain {
-                hits = hits.max(export.hits);
-                let delta = export.snapshot.diff(&prev);
+            for &(key, cut_hits) in chain {
+                // A chain link failing its checksum ends the chain here.
+                let Some(snapshot) = cache.export(key) else {
+                    break;
+                };
+                hits = hits.max(cut_hits);
+                let delta = snapshot.diff(&prev);
                 let mut writer = ByteWriter::with_capacity(4096);
                 delta.encode(&mut writer, &mut self.blobs);
                 let payload = writer.into_bytes();
                 let blob = self.blobs.put(&payload);
                 report.snapshots += 1;
                 cuts.push(ManifestCut {
-                    time_ms: export.time_ms,
+                    time_ms: key.time_ms,
                     blob,
                 });
-                new_cuts.push((seed_offset, export.prefix_key.clone(), export.time_ms));
-                prev = export.snapshot.clone();
+                new_cuts.push((seed_offset, key.prefix.clone(), key.time_ms));
+                prev = snapshot;
+            }
+            if cuts.is_empty() {
+                continue;
             }
             new_chains.push(ManifestChain {
                 seed_offset,
-                prefix_key: chain[0].prefix_key.clone(),
+                prefix_key: chain[0].0.prefix.clone(),
                 hits,
                 seq: 0, // assigned at merge below
                 cuts,
@@ -650,12 +655,13 @@ impl SnapshotStore {
         // Clean chains are on disk already: merge only the fork hits they
         // accrued, so GC keeps ranking them by use.
         for chain in &clean {
-            let hits = chain.iter().map(|e| e.hits).max().unwrap_or(0);
-            let key = (chain[0].seed_offset, chain[0].prefix_key.clone());
+            let hits = chain.iter().map(|&(_, hits)| hits).max().unwrap_or(0);
+            let key = (chain[0].0.seed_offset, chain[0].0.prefix.clone());
             if let Some(existing) = manifest.chains.iter_mut().find(|c| c.key() == key) {
                 existing.hits = existing.hits.max(hits);
             }
         }
+        drop(cache);
 
         self.gc(&mut manifest, experiment);
         if self.write_manifest(&manifest).is_err() {
@@ -671,8 +677,7 @@ impl SnapshotStore {
     }
 
     /// Enforces the byte budget: drops whole chains lowest-`(hits, seq)`
-    /// first — the in-memory tier's hit-weighted eviction, persisted —
-    /// then deletes blobs no surviving chain references.
+    /// first, then deletes blobs no surviving chain references.
     fn gc(&mut self, manifest: &mut Manifest, experiment: &ExperimentConfig) {
         let blob_size = |hash: u64| -> u64 {
             std::fs::metadata(self.blobs.blob_path(hash))
@@ -791,7 +796,7 @@ mod tests {
         cfg
     }
 
-    /// A tier holding the chains one fault-free injection run records
+    /// A cache holding the chain one fault-free injection run records
     /// (a profiling run records only its terminal cut, so the fault-free
     /// *plan* run is the cheapest way to a populated chain).
     fn populated_tier(cfg: &ExperimentConfig) -> Arc<SharedSnapshotTier> {
@@ -801,10 +806,9 @@ mod tests {
         let mut runner = ExperimentRunner::new(cfg.clone());
         runner.set_shared_tier(Arc::clone(&tier));
         runner.run_with_plan(avis_hinj::FaultPlan::empty());
-        tier.republish();
         assert!(
-            !tier.export_published().is_empty(),
-            "the profiling run records shared snapshots"
+            tier.stats().snapshots_cached > 0,
+            "the fault-free run records snapshots"
         );
         tier
     }
@@ -836,6 +840,11 @@ mod tests {
         let mut flipped = blob.clone();
         flipped[BLOB_MAGIC.len() + 8] ^= 0x40;
         assert_eq!(decode_blob(&flipped, hash), None);
+        // A length field of u64::MAX must fail the size check, not
+        // overflow it.
+        let mut huge = blob.clone();
+        huge[BLOB_MAGIC.len()..BLOB_MAGIC.len() + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode_blob(&huge, hash), None);
         // Foreign magic.
         let mut foreign = blob;
         foreign[0] ^= 0xff;
@@ -856,7 +865,7 @@ mod tests {
         let first_blobs = blob_names(&store);
         drop(store);
 
-        // A fresh process hydrates a fresh tier from the same root.
+        // A fresh process hydrates a fresh cache from the same root.
         let tier2 = Arc::new(SharedSnapshotTier::new(
             CheckpointConfig::default().max_bytes,
         ));
@@ -866,7 +875,7 @@ mod tests {
         assert_eq!(hydrated.snapshots, flushed.snapshots);
         assert_eq!(store.stats().quarantined_blobs, 0);
 
-        // Re-flushing the hydrated tier into a second root produces the
+        // Re-flushing the hydrated cache into a second root produces the
         // exact same content-addressed blob set: the round trip is
         // bit-identical, not merely structurally similar.
         let root2 = temp_store("round-trip-2");
@@ -975,7 +984,7 @@ mod tests {
         store.flush(&tier, &cfg);
         drop(store);
 
-        // A tier already claimed by a *different* experiment refuses the
+        // A cache already claimed by a *different* experiment refuses the
         // hydration wholesale.
         let foreign = Arc::new(SharedSnapshotTier::new(
             CheckpointConfig::default().max_bytes,
@@ -983,7 +992,7 @@ mod tests {
         assert!(foreign.claim("some other experiment"));
         let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
         assert_eq!(store.hydrate(&foreign, &cfg), StoreReport::default());
-        assert!(foreign.export_published().is_empty());
+        assert_eq!(foreign.stats().snapshots_cached, 0);
 
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1013,8 +1022,7 @@ mod tests {
             avis_hinj::FaultSpec::new(gps, 30.0),
         ]));
         assert_eq!(runner.checkpoint_stats().shared_hits, 1);
-        tier.republish();
-        let new_cuts = tier.export_published().len() as u64 - hydrated;
+        let new_cuts = tier.stats().snapshots_cached as u64 - hydrated;
         assert!(new_cuts > 0);
 
         let flushed = store.flush(&tier, &cfg);

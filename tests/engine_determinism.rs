@@ -14,6 +14,7 @@ use avis::snapshot::{CheckpointConfig, SharedSnapshotTier};
 use avis::strategy::{
     Candidate, Decision, LinkProbeStrategy, Observation, RoundRobinMode, Strategy, StrategyContext,
 };
+use avis::WorkerStatsCollector;
 use avis_firmware::{BugId, BugSet, FirmwareProfile};
 use avis_hinj::{
     FaultPlan, FaultSpec, LinkDirection, LinkFaultKind, LinkFaultPlan, LinkFaultSpec, StormCommand,
@@ -106,13 +107,14 @@ fn round_robin_campaign_is_deterministic_across_engines() {
 
 #[test]
 fn checkpointed_campaign_is_bit_identical_to_cold_execution() {
-    // The two-tier checkpoint store must be invisible in every campaign
+    // The checkpoint cache must be invisible in every campaign
     // observable: a campaign whose runs fork from cached snapshots —
-    // per-runner tree, cross-worker shared tier, anchor-placed or
-    // interval-placed cuts — produces the same `CampaignResult` as one
-    // that cold-starts every run from t = 0, at parallelism 1 (one
-    // runner cache) and at parallelism 4 (independent per-worker caches
-    // in different fill states, warmed through the shared tier).
+    // recorded by the same runner or by another worker, a caller's
+    // cross-campaign cache, anchor-placed or interval-placed cuts —
+    // produces the same `CampaignResult` as one that cold-starts every
+    // run from t = 0, at parallelism 1 (the inline runner alone on the
+    // campaign's cache) and at parallelism 4 (four workers forking from
+    // and committing to that one cache).
     let run = |checkpoints: CheckpointConfig,
                parallelism: usize,
                tier: Option<Arc<SharedSnapshotTier>>| {
@@ -146,10 +148,10 @@ fn checkpointed_campaign_is_bit_identical_to_cold_execution() {
             cold, budgeted,
             "memory-budgeted campaign (parallelism {parallelism}) diverged from cold execution"
         );
-        // An explicit shared tier — including one pre-warmed by an
+        // An explicit shared cache — including one pre-warmed by an
         // earlier campaign over the same experiment — must be equally
         // invisible: the second campaign forks from the first one's
-        // published snapshots and still reproduces the cold result.
+        // snapshots and still reproduces the cold result.
         let tier = Arc::new(SharedSnapshotTier::new(48 * 1024 * 1024));
         let first = run(
             CheckpointConfig::default(),
@@ -158,7 +160,7 @@ fn checkpointed_campaign_is_bit_identical_to_cold_execution() {
         );
         assert_eq!(
             cold, first,
-            "shared-tier campaign (parallelism {parallelism}) diverged from cold execution"
+            "shared-cache campaign (parallelism {parallelism}) diverged from cold execution"
         );
         let warmed = run(
             CheckpointConfig::default(),
@@ -167,11 +169,11 @@ fn checkpointed_campaign_is_bit_identical_to_cold_execution() {
         );
         assert_eq!(
             cold, warmed,
-            "tier-warmed campaign (parallelism {parallelism}) diverged from cold execution"
+            "cache-warmed campaign (parallelism {parallelism}) diverged from cold execution"
         );
         assert!(
-            tier.stats().published_snapshots > 0,
-            "the shared tier should have published snapshots (parallelism {parallelism}): {:?}",
+            tier.stats().snapshots_cached > 0,
+            "the shared cache should hold snapshots (parallelism {parallelism}): {:?}",
             tier.stats()
         );
         // An interval-only placement (anchor placement off) must match too.
@@ -247,38 +249,52 @@ fn bug_dense_campaign_with_pruning_aware_wavefronts_is_deterministic() {
 }
 
 #[test]
-fn dispatch_modes_are_bit_identical_at_every_parallelism() {
-    // Prefix-sharded dispatch pins whole prefix families to workers and
-    // steals across families; round-robin deals jobs out one at a time.
-    // Placement decides only which worker *pre-executes* a run — the
-    // commit path is byte-for-byte shared — so both modes must reproduce
-    // the serial result exactly, on the fixed and the buggy code base.
-    use avis::DispatchMode;
-    let run = |bugs: BugSet, parallelism: usize, dispatch: DispatchMode| {
+fn family_dispatch_is_bit_identical_on_fixed_and_buggy_code() {
+    // Workers pop whole prefix families off one queue, in whatever order
+    // they come free. Placement decides only which worker
+    // *pre-executes* a run — the commit path is byte-for-byte shared —
+    // so parallelism 4 must reproduce the serial result exactly, on the
+    // fixed and the buggy code base.
+    let run = |bugs: BugSet, parallelism: usize| {
         let mut experiment = experiment();
         experiment.bugs = bugs;
-        Campaign::builder()
+        let cache = Arc::new(SharedSnapshotTier::new(
+            CheckpointConfig::default().max_bytes,
+        ));
+        let collector = Arc::new(WorkerStatsCollector::new());
+        let result = Campaign::builder()
             .experiment(experiment)
             .approach(Approach::Avis)
             .budget(Budget::simulations(8))
             .profiling_runs(1)
             .parallelism(parallelism)
-            .dispatch(dispatch)
+            .shared_snapshots(Arc::clone(&cache))
+            .worker_stats(Arc::clone(&collector))
             .build()
-            .run()
+            .run();
+        // Workers report only their per-run counters; the cache-wide
+        // fields ride on the campaign's inline entry alone, so a sum over
+        // the collector counts the one cache once.
+        let collected = collector.collected();
+        let summed: usize = collected.iter().map(|s| s.cached_bytes).sum();
+        let cached = cache.stats().cached_bytes;
+        assert!(cached > 0, "the campaign should cache cuts");
+        assert_eq!(
+            summed, cached,
+            "parallelism {parallelism}: {collected:?} double-counts the cache"
+        );
+        result
     };
     for bugs in [
         BugSet::none(),
         BugSet::current_code_base(FirmwareProfile::ArduPilotLike),
     ] {
-        let serial = run(bugs.clone(), 1, DispatchMode::PrefixSharded);
-        for dispatch in [DispatchMode::PrefixSharded, DispatchMode::RoundRobin] {
-            let parallel = run(bugs.clone(), 4, dispatch);
-            assert_eq!(
-                serial, parallel,
-                "{dispatch:?} at parallelism 4 diverged from the serial engine"
-            );
-        }
+        let serial = run(bugs.clone(), 1);
+        let parallel = run(bugs.clone(), 4);
+        assert_eq!(
+            serial, parallel,
+            "parallelism 4 diverged from the serial engine ({bugs:?})"
+        );
     }
 }
 
@@ -682,7 +698,7 @@ fn crashing_run_is_contained_and_bit_identical_across_engines() {
     // wavefront contains a run that panics the firmware must (a) survive
     // — the panic is converted into a `Crashed` verdict and reported in
     // `CampaignResult::crashes`, (b) keep executing every other proposed
-    // job (a panicking worker must not leak its shard family), and
+    // job (a panicking worker must not leak its prefix family), and
     // (c) stay bit-identical at parallelism 1 and 4, with checkpointing
     // on or off.
     let plans = vec![
@@ -855,6 +871,61 @@ fn step_budget_watchdog_marks_runs_diverged() {
 }
 
 #[test]
+fn crashed_call_never_publishes_its_cuts() {
+    // A call commits its cuts to the cache only when it returns. The
+    // PROTO-102 run panics at ~5 s; with a 1 s interval it has already
+    // cut at 1, 2, 3 and 4 s by then, and none of those cuts may reach
+    // the cache.
+    let mut experiment = panic_experiment();
+    experiment.checkpoints = CheckpointConfig {
+        interval: 1.0,
+        anchor_placement: false,
+        ..CheckpointConfig::default()
+    };
+    let mut crashing = stale_ekf_gps();
+    crashing.set_link_plan(command_delay());
+    let tier = Arc::new(SharedSnapshotTier::new(experiment.checkpoints.max_bytes));
+    let mut first = ExperimentRunner::new(experiment.clone());
+    first.set_shared_tier(Arc::clone(&tier));
+    let crashed = first.run_contained(crashing);
+    let RunVerdict::Crashed { step, .. } = crashed.verdict else {
+        panic!("the PROTO-102 plan should crash: {:?}", crashed.verdict);
+    };
+    assert!(
+        step as f64 * experiment.dt > 3.0,
+        "the run should have cut at 1, 2 and 3 s before crashing at step {step}"
+    );
+    let stats = tier.stats();
+    assert_eq!(
+        (stats.snapshots_recorded, stats.snapshots_cached),
+        (0, 0),
+        "the crashed call published cuts: {stats:?}"
+    );
+
+    // A sibling that shares the crashed plan's prefix up to 3.6 s (the
+    // same command delay, its GPS failure only at 30 s) could fork from
+    // a published 2 s or 3 s cut. On the same cache it must fly cold,
+    // and equal its cold run.
+    let mut sibling = FaultPlan::from_specs(vec![FaultSpec::new(
+        SensorInstance::new(SensorKind::Gps, 0),
+        30.0,
+    )]);
+    sibling.set_link_plan(command_delay());
+    let mut second = ExperimentRunner::new(experiment.clone());
+    second.set_shared_tier(Arc::clone(&tier));
+    let warm = second.run_contained(sibling.clone());
+    let stats = second.checkpoint_stats();
+    assert_eq!(
+        (stats.forked_runs, stats.cold_runs),
+        (0, 1),
+        "the sibling forked from the crashed call's state: {stats:?}"
+    );
+    let mut cold = experiment;
+    cold.checkpoints = CheckpointConfig::disabled();
+    assert_eq!(warm, ExperimentRunner::new(cold).run_contained(sibling));
+}
+
+#[test]
 fn corrupted_snapshot_chain_is_quarantined_with_cold_fallback() {
     // Snapshot quarantine: corrupting a cached delta chain must be
     // detected at materialisation time (checksum mismatch), the chain
@@ -897,7 +968,7 @@ fn corrupted_snapshot_chain_is_quarantined_with_cold_fallback() {
 #[test]
 fn repeated_checksum_failures_trip_the_checkpoint_breaker() {
     // Graceful degradation: after repeated integrity failures the
-    // per-cache breaker disables checkpointing for the rest of the
+    // cache's breaker disables checkpointing for the rest of the
     // campaign; runs keep completing (cold) instead of thrashing on a
     // corrupt store.
     let plan = FaultPlan::from_specs(vec![FaultSpec::new(

@@ -143,9 +143,10 @@ fn profiled(parallelism: usize, simulations: usize) -> CampaignBuilder {
 }
 
 /// Runs `builder`, returning its result, its events and its inline
-/// runner's checkpoint statistics. Engine workers push theirs at pool
-/// shutdown, before the campaign pushes the inline runner's (profiling
-/// runs plus serial and fallback commits), so that is the last entry.
+/// entry's checkpoint statistics. Engine workers push their per-run
+/// counters at pool shutdown, before the campaign pushes the inline
+/// runner's (profiling runs plus serial and fallback commits, with the
+/// cache-wide and store fields), so that is the last entry.
 fn session(builder: CampaignBuilder) -> (CampaignResult, Vec<CampaignEvent>, CheckpointStats) {
     let collector = Arc::new(WorkerStatsCollector::new());
     let mut log = EventLog::new();
@@ -283,9 +284,9 @@ fn corrupt_profiling_blob_falls_back_to_a_cold_profiling_run() {
 
 #[test]
 fn campaigns_sharing_a_tier_fork_their_profiling_runs() {
-    // In one process, a second campaign handed the first one's tier
+    // In one process, a second campaign handed the first one's cache
     // forks its profiling runs from the terminal cuts the first one
-    // recorded; both campaigns still match their tierless runs.
+    // recorded; both campaigns still match their unshared runs.
     const SIMULATIONS: usize = PROFILING_RUNS + 3;
     let tier = Arc::new(SharedSnapshotTier::new(
         CheckpointConfig::default().max_bytes,
@@ -302,7 +303,7 @@ fn campaigns_sharing_a_tier_fork_their_profiling_runs() {
     let (second, _, stats) = shared(Approach::Bfi);
     assert!(
         stats.shared_hits >= PROFILING_RUNS as u64,
-        "the second campaign's profiling runs should fork from the tier: {stats:?}"
+        "the second campaign's profiling runs should fork from the cache: {stats:?}"
     );
     assert_eq!(first, tierless(Approach::Avis));
     assert_eq!(second, tierless(Approach::Bfi));
@@ -432,8 +433,9 @@ fn matrix_with_persistent_store_reproduces_the_storeless_report() {
     // The ScenarioMatrix integration: a matrix re-run against a store
     // root warm-starts every firmware × workload cell from its own
     // fingerprint-keyed chains and still reproduces the storeless
-    // report exactly.
-    let run = |store: Option<&PathBuf>| {
+    // report exactly — with cells sharing one cache, and with every
+    // cell on a cache of its own.
+    let run = |share: bool, store: Option<&PathBuf>| {
         let mut matrix = ScenarioMatrix::new()
             .firmware(FirmwareProfile::ArduPilotLike)
             .workload(auto_box_mission())
@@ -442,32 +444,48 @@ fn matrix_with_persistent_store_reproduces_the_storeless_report() {
             .profiling_runs(1)
             .parallelism(2)
             .max_duration(110.0)
-            .noise(SensorNoise::default());
+            .noise(SensorNoise::default())
+            .share_snapshots(share);
         if let Some(root) = store {
             matrix = matrix.snapshot_store(root.clone());
         }
-        matrix.run()
+        let mut log = EventLog::new();
+        let report = matrix.run_with_observer(&mut log);
+        let hydrated: u64 = log
+            .events()
+            .iter()
+            .map(|e| match e {
+                CampaignEvent::StoreHydrated { chains, .. } => *chains,
+                _ => 0,
+            })
+            .sum();
+        (report, hydrated)
     };
-    let storeless = run(None);
-    let root = temp_root("matrix");
-    let first = run(Some(&root));
-    assert_eq!(
-        storeless, first,
-        "store-backed matrix diverged from the storeless report"
-    );
-    let warm = run(Some(&root));
-    assert_eq!(
-        storeless, warm,
-        "persisted-warm matrix diverged from the storeless report"
-    );
-    let _ = std::fs::remove_dir_all(&root);
+    let (storeless, _) = run(true, None);
+    for share in [true, false] {
+        let root = temp_root(&format!("matrix-share-{share}"));
+        let (first, _) = run(share, Some(&root));
+        assert_eq!(
+            storeless, first,
+            "store-backed matrix (share_snapshots({share})) diverged from the storeless report"
+        );
+        let (warm, hydrated) = run(share, Some(&root));
+        assert_eq!(
+            storeless, warm,
+            "persisted-warm matrix (share_snapshots({share})) diverged from the storeless report"
+        );
+        assert!(
+            hydrated > 0,
+            "the warm matrix (share_snapshots({share})) should hydrate from disk"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 #[test]
 fn store_survives_checkpointing_disabled() {
     // A store configured alongside disabled checkpointing is inert: no
-    // tier exists, so no Store events fire and the campaign still
-    // matches cold execution.
+    // Store events fire and the campaign still matches cold execution.
     let root = temp_root("disabled");
     let mut log = EventLog::new();
     let result = Campaign::builder()
@@ -493,7 +511,7 @@ fn store_survives_checkpointing_disabled() {
         !log.events()
             .iter()
             .any(|e| matches!(e, CampaignEvent::StoreHydrated { .. })),
-        "no tier, no hydration"
+        "no checkpointing, no hydration"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
