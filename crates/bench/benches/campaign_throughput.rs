@@ -33,7 +33,7 @@
 //! invocation gates the cross-process ratio).
 //!
 //! The **delta-density** sweep compares full snapshots (keyframe
-//! stride 1) against delta chains (stride 16) under one dense-anchor,
+//! stride 1) against delta chains (stride 16) under one dense-interval,
 //! tight-budget configuration — resident cuts and mean fork depth must
 //! come out ≥ 3× ahead for delta chains.
 //!
@@ -880,7 +880,7 @@ fn run_warm_smoke() {
     }
 }
 
-/// The delta-chain density sweep: a *dense-anchor* configuration — cuts
+/// The delta-chain density sweep: a *dense-interval* configuration — cuts
 /// every simulated second, a memory budget far too small for them all —
 /// executed once with full snapshots (keyframe stride 1) and once with
 /// delta chains (stride 16), over the same late-injection plans on one
@@ -890,7 +890,9 @@ fn run_warm_smoke() {
 /// result bit-identical to cold execution.
 fn bench_delta_density() -> Json {
     use avis::snapshot::CheckpointStats;
-    println!("scenario `delta-density`: dense-anchor sweep, full vs delta chains at equal budget");
+    println!(
+        "scenario `delta-density`: dense-interval sweep, full vs delta chains at equal budget"
+    );
     const DENSE_BUDGET_BYTES: usize = 128 * 1024;
     let experiment = |checkpoints: CheckpointConfig| {
         let mut experiment = ExperimentConfig::new(
@@ -935,7 +937,6 @@ fn bench_delta_density() -> Json {
         let mut runner = ExperimentRunner::new(experiment(CheckpointConfig {
             interval: 1.0,
             max_bytes: DENSE_BUDGET_BYTES,
-            anchor_placement: false,
             keyframe_stride,
             ..CheckpointConfig::default()
         }));
@@ -944,7 +945,7 @@ fn bench_delta_density() -> Json {
             let result = runner.run_with_plan(plan.clone());
             assert!(
                 result == *reference,
-                "stride {keyframe_stride}: dense-anchor run diverged from cold execution"
+                "stride {keyframe_stride}: dense-interval run diverged from cold execution"
             );
         }
         (runner.checkpoint_stats(), start.elapsed().as_secs_f64())

@@ -1,6 +1,6 @@
 //! Criterion bench: the normalized state-distance computation at the core
 //! of the liveliness check, with and without the mode-graph component
-//! (one of the design-choice ablations called out in DESIGN.md).
+//! (the ablation noted under "Benches" in the README).
 
 use avis::monitor::{InvariantMonitor, ModeGraph, MonitorConfig};
 use avis::trace::{ModeTransition, StateSample, Trace};

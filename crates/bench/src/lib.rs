@@ -2,8 +2,8 @@
 //!
 //! Shared helpers for the benchmark harnesses that regenerate every table
 //! and figure of the paper's evaluation (§VI). Each table/figure has a
-//! dedicated binary under `src/bin/` (see DESIGN.md for the experiment
-//! index); the Criterion benches under `benches/` measure the hot paths
+//! dedicated binary under `src/bin/` (see "Benches" in the README for
+//! the index); the Criterion benches under `benches/` measure the hot paths
 //! and run a scaled-down version of the Table III comparison.
 //!
 //! The harnesses configure campaigns through the fluent

@@ -402,44 +402,30 @@ impl Roster {
     }
 }
 
-/// When the leader records checkpoint cuts. Interval cuts fire at the
-/// first multiple of the checkpoint interval strictly after the resume
+/// When the leader records checkpoint cuts. An injection run cuts at
+/// every multiple of the checkpoint interval strictly after its resume
 /// time, so a forked run extends the tree instead of re-recording the
-/// chain it resumed from. Anchor cuts fire at the *last* loop top at or
-/// before each anchor time (`time + dt > anchor`), so a plan injecting
-/// exactly at the anchor can fork from the cut. A profiling run takes
-/// neither: it records exactly one cut, at the first loop top after its
-/// workload turns terminal, so a later profiling run at the same seed
-/// offset forks from it and flies only the grace tail (a run resumed from
-/// that cut is terminal already and records nothing).
+/// chain it resumed from. A profiling run records exactly one cut, at
+/// the first loop top after its workload turns terminal, so a later
+/// profiling run at the same seed offset forks from it and flies only the
+/// grace tail (a run resumed from that cut is terminal already and
+/// records nothing).
 struct CutSchedule {
-    dt: f64,
     interval: f64,
     next: f64,
-    anchors: Vec<f64>,
-    anchor_idx: usize,
     terminal: bool,
 }
 
 impl CutSchedule {
-    fn anchor_due(&self, time: f64) -> bool {
-        self.anchors
-            .get(self.anchor_idx)
-            .is_some_and(|&anchor| time + self.dt > anchor)
-    }
-
     /// Whether the leader cuts at loop-top `time`; a due cut moves the
     /// schedule past it.
     fn take(&mut self, time: f64, status: &WorkloadStatus) -> bool {
         let terminal_due = self.terminal && status.is_terminal();
-        if !(time >= self.next || self.anchor_due(time) || terminal_due) {
+        if !(time >= self.next || terminal_due) {
             return false;
         }
         while time >= self.next {
             self.next += self.interval;
-        }
-        while self.anchor_due(time) {
-            self.anchor_idx += 1;
         }
         self.terminal = false;
         true
@@ -516,24 +502,14 @@ impl ExperimentRunner {
         let interval_cuts = checkpointing && !profiling;
         let interval = self.config.checkpoints.interval;
         let mut cuts = CutSchedule {
-            dt,
             interval,
             next: if interval_cuts {
                 (physics.time() / interval).floor() * interval + interval
             } else {
                 f64::INFINITY
             },
-            anchors: if interval_cuts {
-                self.config.checkpoints.anchors.clone()
-            } else {
-                Vec::new()
-            },
-            anchor_idx: 0,
             terminal: checkpointing && profiling && !lead.workload_status.is_terminal(),
         };
-        // Skip anchors whose cut already lies at or before the resume
-        // point (the chain this run forked from recorded them).
-        cuts.anchor_idx = cuts.anchors.partition_point(|&a| a < physics.time() + dt);
 
         // The leader's cuts, committed to the cache when the loop ends.
         let mut recorded: Vec<RunSnapshot> = Vec::new();

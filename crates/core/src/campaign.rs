@@ -416,8 +416,10 @@ impl CampaignBuilder {
     }
 
     /// On-disk byte budget for the snapshot store, enforced at flush
-    /// time by evicting the least-forked, oldest chains first. Default:
-    /// [`DEFAULT_STORE_BUDGET`].
+    /// time by evicting the least-forked, oldest chains first. The
+    /// budget counts every blob the store's chains reach: their cut
+    /// blobs and the history-chunk blobs those reference. The manifest
+    /// file is not counted. Default: [`DEFAULT_STORE_BUDGET`].
     ///
     /// [`DEFAULT_STORE_BUDGET`]: crate::store::DEFAULT_STORE_BUDGET
     pub fn snapshot_store_budget(mut self, max_bytes: u64) -> Self {
@@ -652,24 +654,6 @@ pub(crate) fn execute_campaign(
     );
     let golden = profiling[0].trace.clone();
 
-    // Adaptive checkpoint placement: cut snapshots at the golden run's
-    // mode transitions — where SABRE anchors its injections, so forks
-    // resume right at the injection instead of up to one interval
-    // before it. Placement never changes results, only fork depth.
-    let mut engine_experiment = spec.experiment.clone();
-    if checkpoints.enabled && checkpoints.anchor_placement && checkpoints.anchors.is_empty() {
-        let anchors: Vec<f64> = golden
-            .transition_times()
-            .into_iter()
-            .filter(|&t| t > 0.0 && t < spec.experiment.max_duration)
-            .collect();
-        runner.set_checkpoint_anchors(anchors.clone());
-        // Workers normalise (sort + dedup) the list in
-        // `ExperimentRunner::new`, same as `set_checkpoint_anchors` just
-        // did for the main runner.
-        engine_experiment.checkpoints.anchors = anchors;
-    }
-
     let mut state = CampaignState {
         runner,
         monitor,
@@ -691,7 +675,7 @@ pub(crate) fn execute_campaign(
 
     engine::run_campaign(
         EngineParams {
-            experiment: &engine_experiment,
+            experiment: spec.experiment,
             budget: &spec.budget,
             parallelism: spec.parallelism,
             cache: Arc::clone(&cache),

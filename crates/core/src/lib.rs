@@ -121,10 +121,7 @@ pub use campaign::{Campaign, CampaignBuilder, CampaignEvent, CampaignObserver, E
 pub use checker::{Approach, Budget, CampaignResult, CrashRecord, UnsafeCondition};
 pub use engine::WorkerStatsCollector;
 pub use matrix::{MatrixReport, ScenarioMatrix};
-pub use monitor::{
-    InvariantMonitor, LivelinessEnvelope, ModeDistanceTable, ModeGraph, MonitorConfig, Violation,
-    ViolationKind,
-};
+pub use monitor::{InvariantMonitor, ModeGraph, MonitorConfig, Violation, ViolationKind};
 pub use protocol::ProtocolTracker;
 pub use pruning::{PruningState, RoleSignature};
 pub use report::{replay, BugReport, ReplayOutcome};

@@ -16,6 +16,13 @@
 //! Safe modes (landing, return-to-launch, brake) are exempt from the
 //! liveliness comparison but carry their own progress invariants, exactly
 //! as the paper allows safety to be preserved at the expense of liveliness.
+//!
+//! The check is Equation 1 as written. Calibration takes `P̄`, `Ā` and `τ`
+//! as plain maxima over every pair of profiling runs at every step; the
+//! mode graph computes its all-pairs distances once, when it is built. Per
+//! sample, the check probes time offsets outward from 0 and stops at the
+//! first profiling sample within the threshold, so only a violating
+//! sample pays for the exact minimum over the whole window.
 
 use crate::trace::{StateSample, Trace};
 use avis_firmware::OperatingMode;
@@ -25,31 +32,64 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-/// A directed graph over the operating modes observed in profiling runs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The operating modes observed in profiling runs and the shortest-path
+/// distances between them, over the directed graph of observed mode
+/// transitions. Every pairwise distance is computed once, at
+/// construction, so [`ModeGraph::distance`] is a lookup.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModeGraph {
-    nodes: BTreeSet<ModeCode>,
-    edges: BTreeMap<ModeCode, BTreeSet<ModeCode>>,
+    /// Sorted mode codes: the row and column order of `distances`.
+    nodes: Vec<ModeCode>,
+    /// Row-major `nodes.len() × nodes.len()` distance matrix.
+    distances: Vec<f64>,
+    /// The longest shortest path, at least 1.
+    diameter: f64,
 }
+
+impl Default for ModeGraph {
+    fn default() -> Self {
+        ModeGraph::from_traces(std::iter::empty())
+    }
+}
+
+type Edges = BTreeMap<ModeCode, BTreeSet<ModeCode>>;
 
 impl ModeGraph {
     /// Builds the mode graph from the transitions observed in traces.
     pub fn from_traces<'a, I: IntoIterator<Item = &'a Trace>>(traces: I) -> Self {
-        let mut graph = ModeGraph::default();
+        let mut nodes = BTreeSet::new();
+        let mut edges = Edges::new();
         for trace in traces {
             let mut prev: Option<ModeCode> = None;
             for tr in &trace.mode_transitions {
                 let code = tr.mode.code();
-                graph.nodes.insert(code);
+                nodes.insert(code);
                 if let Some(p) = prev {
                     if p != code {
-                        graph.edges.entry(p).or_default().insert(code);
+                        edges.entry(p).or_default().insert(code);
                     }
                 }
                 prev = Some(code);
             }
         }
-        graph
+        // A directed path where one exists, else an undirected one, else
+        // none (the pair is then `diameter + 1` apart).
+        let nodes: Vec<ModeCode> = nodes.into_iter().collect();
+        let hops: Vec<Option<usize>> = nodes
+            .iter()
+            .flat_map(|&a| nodes.iter().map(move |&b| (a, b)))
+            .map(|(a, b)| bfs(&edges, a, b, false).or_else(|| bfs(&edges, a, b, true)))
+            .collect();
+        let diameter = hops.iter().flatten().fold(1, |best, &d| best.max(d)) as f64;
+        let distances = hops
+            .iter()
+            .map(|hop| hop.map_or(diameter + 1.0, |d| d as f64))
+            .collect();
+        ModeGraph {
+            nodes,
+            distances,
+            diameter,
+        }
     }
 
     /// Number of modes in the graph.
@@ -65,141 +105,45 @@ impl ModeGraph {
         if from == to {
             return 0.0;
         }
-        if !self.nodes.contains(&from) || !self.nodes.contains(&to) {
-            return self.diameter() + 1.0;
+        match (
+            self.nodes.binary_search(&from),
+            self.nodes.binary_search(&to),
+        ) {
+            (Ok(i), Ok(j)) => self.distances[i * self.nodes.len() + j],
+            _ => self.diameter + 1.0,
         }
-        match self.bfs(from, to, false) {
-            Some(d) => d as f64,
-            None => match self.bfs(from, to, true) {
-                Some(d) => d as f64,
-                None => self.diameter() + 1.0,
-            },
-        }
-    }
-
-    fn neighbours(&self, node: ModeCode, undirected: bool) -> Vec<ModeCode> {
-        let mut out: Vec<ModeCode> = self
-            .edges
-            .get(&node)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        if undirected {
-            for (src, dsts) in &self.edges {
-                if dsts.contains(&node) {
-                    out.push(*src);
-                }
-            }
-        }
-        out
-    }
-
-    fn bfs(&self, from: ModeCode, to: ModeCode, undirected: bool) -> Option<usize> {
-        let mut visited = BTreeSet::new();
-        let mut queue = VecDeque::new();
-        queue.push_back((from, 0usize));
-        visited.insert(from);
-        while let Some((node, dist)) = queue.pop_front() {
-            if node == to {
-                return Some(dist);
-            }
-            for next in self.neighbours(node, undirected) {
-                if visited.insert(next) {
-                    queue.push_back((next, dist + 1));
-                }
-            }
-        }
-        None
     }
 
     /// The length of the longest shortest-path in the graph (`D` in the
     /// paper's normalization), at least 1.
     pub fn diameter(&self) -> f64 {
-        let mut best = 1usize;
-        for &a in &self.nodes {
-            for &b in &self.nodes {
-                if a == b {
-                    continue;
-                }
-                if let Some(d) = self.bfs(a, b, false).or_else(|| self.bfs(a, b, true)) {
-                    best = best.max(d);
-                }
-            }
-        }
-        best as f64
-    }
-
-    /// Memoizes every pairwise distance into a [`ModeDistanceTable`].
-    pub fn distance_table(&self) -> ModeDistanceTable {
-        ModeDistanceTable::new(self)
-    }
-}
-
-/// All-pairs memoization of [`ModeGraph::distance`]: built once per
-/// campaign (at monitor calibration), consulted in O(1) per state-tuple
-/// comparison. The per-sample liveliness check calls `distance` once per
-/// candidate reference sample, so the repeated BFS it replaces used to
-/// dominate [`InvariantMonitor::check`].
-///
-/// The table reproduces [`ModeGraph::distance`] exactly — including the
-/// directed-then-undirected fallback and the `diameter + 1` answer for
-/// unknown modes — because it is *built from* that function.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ModeDistanceTable {
-    /// Sorted mode codes (row/column order of `distances`).
-    codes: Vec<ModeCode>,
-    /// Row-major `codes.len() × codes.len()` distance matrix.
-    distances: Vec<f64>,
-    /// The distance reported for modes outside the graph.
-    fallback: f64,
-    /// The graph diameter (`D` in the paper's normalization).
-    diameter: f64,
-}
-
-impl ModeDistanceTable {
-    /// Builds the table by evaluating [`ModeGraph::distance`] for every
-    /// pair of known modes.
-    pub fn new(graph: &ModeGraph) -> Self {
-        let codes: Vec<ModeCode> = graph.nodes.iter().copied().collect();
-        let diameter = graph.diameter();
-        let n = codes.len();
-        let mut distances = vec![0.0; n * n];
-        for (i, &a) in codes.iter().enumerate() {
-            for (j, &b) in codes.iter().enumerate() {
-                distances[i * n + j] = graph.distance(a, b);
-            }
-        }
-        ModeDistanceTable {
-            codes,
-            distances,
-            fallback: diameter + 1.0,
-            diameter,
-        }
-    }
-
-    /// Number of modes in the table.
-    pub fn mode_count(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// The memoized graph diameter.
-    pub fn diameter(&self) -> f64 {
         self.diameter
     }
+}
 
-    /// O(1) lookup of [`ModeGraph::distance`] for the pair.
-    pub fn distance(&self, from: ModeCode, to: ModeCode) -> f64 {
-        if from == to {
-            return 0.0;
+/// Breadth-first path length from `from` to `to` over `edges`, following
+/// edges in both directions when `undirected`.
+fn bfs(edges: &Edges, from: ModeCode, to: ModeCode, undirected: bool) -> Option<usize> {
+    let mut visited = BTreeSet::new();
+    let mut queue = VecDeque::new();
+    queue.push_back((from, 0usize));
+    visited.insert(from);
+    while let Some((node, dist)) = queue.pop_front() {
+        if node == to {
+            return Some(dist);
         }
-        match (self.index(from), self.index(to)) {
-            (Some(i), Some(j)) => self.distances[i * self.codes.len() + j],
-            _ => self.fallback,
+        let forward = edges.get(&node).into_iter().flatten().copied();
+        let backward = edges
+            .iter()
+            .filter(|(_, dsts)| undirected && dsts.contains(&node))
+            .map(|(&src, _)| src);
+        for next in forward.chain(backward) {
+            if visited.insert(next) {
+                queue.push_back((next, dist + 1));
+            }
         }
     }
-
-    fn index(&self, code: ModeCode) -> Option<usize> {
-        self.codes.binary_search(&code).ok()
-    }
+    None
 }
 
 /// Why a run was flagged as unsafe.
@@ -332,283 +276,12 @@ impl Default for MonitorConfig {
     }
 }
 
-/// One time-step's aggregate over every profiling sample a test sample at
-/// that step may be compared against (the step's ± window, padded by one
-/// step to absorb `f64` rounding at the window edges).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct EnvelopeCell {
-    pos_min: Vec3,
-    pos_max: Vec3,
-    acc_min: Vec3,
-    acc_max: Vec3,
-    /// Distinct operating-mode codes within the window.
-    modes: Vec<ModeCode>,
-}
-
-/// The per-timestep liveliness envelope: axis-aligned bounds (and mode
-/// sets) over the profiling samples each test sample is compared against
-/// in Equation 1. Precomputed once at calibration; at check time it
-/// yields an O(1) *lower bound* on the min-distance of Eq. 1, which
-/// together with an outward-from-zero upper-bound probe resolves almost
-/// every sample without scanning the full `runs × window` reference set.
-///
-/// The envelope is deliberately a *superset* bound (window padded by one
-/// step, indices clamped like [`Trace::sample_at`] clamps), so its lower
-/// bound can never exceed the true minimum: quick paths only shortcut
-/// when the exact scan would provably reach the same verdict, keeping
-/// [`InvariantMonitor::check`] bit-identical to the brute-force check.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct LivelinessEnvelope {
-    /// Profiling sample interval (s); cell `k` covers time `k × interval`.
-    interval: f64,
-    cells: Vec<EnvelopeCell>,
-}
-
-impl LivelinessEnvelope {
-    fn build(profiling: &[Trace], config: &MonitorConfig, duration: f64) -> Self {
-        let interval = profiling[0].sample_interval.max(1e-6);
-        let steps = (duration / interval).ceil() as i64;
-        let window = (config.time_window / interval).round() as i64;
-        let mut cells = Vec::with_capacity(steps as usize + 1);
-        for k in 0..=steps {
-            let mut cell: Option<EnvelopeCell> = None;
-            let mut modes = BTreeSet::new();
-            for run in profiling {
-                if run.samples.is_empty() {
-                    continue;
-                }
-                let last = run.samples.len() as i64 - 1;
-                // Window padded by one step either side; indices clamped
-                // exactly like `sample_at` clamps times past the end.
-                for idx in (k - window - 1).max(0)..=(k + window + 1) {
-                    let sample = &run.samples[idx.min(last) as usize];
-                    modes.insert(sample.mode.code());
-                    match &mut cell {
-                        None => {
-                            cell = Some(EnvelopeCell {
-                                pos_min: sample.position,
-                                pos_max: sample.position,
-                                acc_min: sample.acceleration,
-                                acc_max: sample.acceleration,
-                                modes: Vec::new(),
-                            })
-                        }
-                        Some(cell) => {
-                            cell.pos_min = component_min(cell.pos_min, sample.position);
-                            cell.pos_max = component_max(cell.pos_max, sample.position);
-                            cell.acc_min = component_min(cell.acc_min, sample.acceleration);
-                            cell.acc_max = component_max(cell.acc_max, sample.acceleration);
-                        }
-                    }
-                }
-            }
-            // Every profiling trace empty: no references exist at any
-            // step, so leave the envelope empty — `cell_at` then yields
-            // no bound and the check falls through to the exact scan,
-            // which finds nothing to compare against (the pre-envelope
-            // behaviour for sample-less profiling runs).
-            let Some(mut cell) = cell else {
-                return LivelinessEnvelope {
-                    interval,
-                    cells: Vec::new(),
-                };
-            };
-            cell.modes = modes.into_iter().collect();
-            cells.push(cell);
-        }
-        LivelinessEnvelope { interval, cells }
-    }
-
-    /// Number of per-timestep cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the envelope holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    fn cell_at(&self, time: f64) -> Option<&EnvelopeCell> {
-        if self.cells.is_empty() {
-            return None;
-        }
-        let idx = (time / self.interval).round() as usize;
-        self.cells.get(idx.min(self.cells.len() - 1))
-    }
-}
-
-/// Per-sample progress envelope over a *test* trace, built lazily (once
-/// per checked trace, on the first safe-mode sample) and consulted in
-/// O(1) per sample — the same quick-accept/quick-reject shape as
-/// [`LivelinessEnvelope`], applied to the safe-mode progress invariant.
-///
-/// The exact check walks `sample_at` and recomputes two horizontal home
-/// distances and an altitude delta per safe-mode sample; in long landing
-/// tails that walk *is* the monitor's remaining hot spot. The envelope
-/// precomputes the per-sample altitude, home-distance and time arrays in
-/// one pass, plus the index of the landed tail (every later sample on
-/// the ground), so almost every safe-mode sample resolves through a
-/// single bounds check and the rest through pure array arithmetic. The
-/// verdict is byte-identical to the exact walk — pinned by the
-/// oracle-equivalence tests below.
-#[derive(Debug, Clone)]
-struct ProgressEnvelope {
-    /// `samples[i].position.z`.
-    alt: Vec<f64>,
-    /// `samples[i].position.horizontal_distance(home)`.
-    home_dist: Vec<f64>,
-    /// `samples[i].time`.
-    time: Vec<f64>,
-    /// First index from which every later sample is on the ground
-    /// (`alt < 0.5`) — the quick-accept for long landing tails: every
-    /// progress invariant short-circuits on `on_ground`.
-    landed_from: usize,
-}
-
-impl ProgressEnvelope {
-    fn build(trace: &Trace, home: Vec3) -> Self {
-        let n = trace.samples.len();
-        let mut alt = Vec::with_capacity(n);
-        let mut home_dist = Vec::with_capacity(n);
-        let mut time = Vec::with_capacity(n);
-        for s in &trace.samples {
-            alt.push(s.position.z);
-            home_dist.push(s.position.horizontal_distance(home));
-            time.push(s.time);
-        }
-        let mut landed_from = n;
-        while landed_from > 0 && alt[landed_from - 1] < 0.5 {
-            landed_from -= 1;
-        }
-        ProgressEnvelope {
-            alt,
-            home_dist,
-            time,
-            landed_from,
-        }
-    }
-}
-
-fn component_min(a: Vec3, b: Vec3) -> Vec3 {
-    Vec3::new(a.x.min(b.x), a.y.min(b.y), a.z.min(b.z))
-}
-
-fn component_max(a: Vec3, b: Vec3) -> Vec3 {
-    Vec3::new(a.x.max(b.x), a.y.max(b.y), a.z.max(b.z))
-}
-
-/// Steps per calibration block (see [`CalibrationBlocks`]).
-const CALIBRATION_BLOCK: usize = 32;
-
-/// Axis-aligned bounds (and mode set) over one block of one profiling
-/// run's step-aligned samples — the calibration-side analogue of the
-/// check-side [`LivelinessEnvelope`] cell.
-#[derive(Debug, Clone)]
-struct CalibrationBlock {
-    pos_min: Vec3,
-    pos_max: Vec3,
-    acc_min: Vec3,
-    acc_max: Vec3,
-    modes: Vec<ModeCode>,
-}
-
-/// Per-run, per-block envelope bounds over the step-aligned samples the
-/// calibration loops compare, built in one O(runs × steps) pass. τ
-/// calibration (and the P̄/Ā normalization pass before it) is a max over
-/// all run pairs at every step — O(runs² × steps) state-tuple distances
-/// brute force, which dominates campaign start-up once profiling counts
-/// grow past a handful. The block bounds give an upper bound on every
-/// pairwise value inside a block pair, so blocks that provably cannot
-/// raise the running maximum are skipped without computing a single
-/// distance; the result is *exactly* the brute-force maximum (skipped
-/// blocks contain no new maximum — pinned by the oracle-equivalence
-/// test).
-#[derive(Debug)]
-struct CalibrationBlocks {
-    /// Step-aligned (clamped, like [`Trace::sample_at`]) samples per run;
-    /// `None` for sample-less runs, which the pairwise loops skip.
-    samples: Vec<Option<Vec<StateSample>>>,
-    blocks: Vec<Vec<CalibrationBlock>>,
-}
-
-impl CalibrationBlocks {
-    fn build(profiling: &[Trace], sample_interval: f64, steps: usize) -> Self {
-        let mut samples = Vec::with_capacity(profiling.len());
-        let mut blocks = Vec::with_capacity(profiling.len());
-        for run in profiling {
-            if run.samples.is_empty() {
-                samples.push(None);
-                blocks.push(Vec::new());
-                continue;
-            }
-            let stepped: Vec<StateSample> = (0..=steps)
-                .map(|k| {
-                    *run.sample_at(k as f64 * sample_interval)
-                        .expect("non-empty run yields clamped samples")
-                })
-                .collect();
-            let run_blocks = stepped
-                .chunks(CALIBRATION_BLOCK)
-                .map(|chunk| {
-                    let first = &chunk[0];
-                    let mut block = CalibrationBlock {
-                        pos_min: first.position,
-                        pos_max: first.position,
-                        acc_min: first.acceleration,
-                        acc_max: first.acceleration,
-                        modes: Vec::new(),
-                    };
-                    let mut modes = BTreeSet::new();
-                    for sample in chunk {
-                        block.pos_min = component_min(block.pos_min, sample.position);
-                        block.pos_max = component_max(block.pos_max, sample.position);
-                        block.acc_min = component_min(block.acc_min, sample.acceleration);
-                        block.acc_max = component_max(block.acc_max, sample.acceleration);
-                        modes.insert(sample.mode.code());
-                    }
-                    block.modes = modes.into_iter().collect();
-                    block
-                })
-                .collect();
-            samples.push(Some(stepped));
-            blocks.push(run_blocks);
-        }
-        CalibrationBlocks { samples, blocks }
-    }
-}
-
-/// The largest per-axis separation between two axis-aligned boxes — an
-/// upper bound on the distance between any point of one and any point of
-/// the other. Componentwise `max(a_max − b_min, b_max − a_min)` is
-/// non-negative and at least the true `|Δ|` on that axis, so the norm
-/// bounds every pairwise distance in the block pair.
-fn aabb_max_distance(a_min: Vec3, a_max: Vec3, b_min: Vec3, b_max: Vec3) -> f64 {
-    let dx = (a_max.x - b_min.x).max(b_max.x - a_min.x);
-    let dy = (a_max.y - b_min.y).max(b_max.y - a_min.y);
-    let dz = (a_max.z - b_min.z).max(b_max.z - a_min.z);
-    (dx * dx + dy * dy + dz * dz).sqrt()
-}
-
-/// Distance from a point to an axis-aligned box (0 inside).
-fn aabb_distance(point: Vec3, lo: Vec3, hi: Vec3) -> f64 {
-    let dx = (lo.x - point.x).max(0.0).max(point.x - hi.x);
-    let dy = (lo.y - point.y).max(0.0).max(point.y - hi.y);
-    let dz = (lo.z - point.z).max(0.0).max(point.z - hi.z);
-    (dx * dx + dy * dy + dz * dz).sqrt()
-}
-
 /// The invariant monitor, calibrated from fault-free profiling runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InvariantMonitor {
     config: MonitorConfig,
     profiling: Vec<Trace>,
     mode_graph: ModeGraph,
-    /// Memoized all-pairs mode distances (built once per campaign).
-    distances: ModeDistanceTable,
-    /// Per-timestep bounds accelerating the Eq. 1 check.
-    envelope: LivelinessEnvelope,
-    diameter: f64,
     position_scale: f64,
     acceleration_scale: f64,
     /// The calibrated threshold `τ` (before the tolerance factor).
@@ -630,56 +303,28 @@ impl InvariantMonitor {
             "at least one profiling run is required"
         );
         let mode_graph = ModeGraph::from_traces(profiling.iter());
-        // All-pairs mode distances, memoized once: every state-tuple
-        // comparison below (and every per-sample check afterwards) is an
-        // O(1) lookup instead of a BFS.
-        let distances = mode_graph.distance_table();
-        let diameter = distances.diameter();
         let duration = profiling.iter().map(|t| t.duration).fold(0.0, f64::max);
         let sample_interval = profiling[0].sample_interval;
-        let envelope = LivelinessEnvelope::build(&profiling, &config, duration);
+        let steps = (duration / sample_interval).ceil() as usize;
+        // Each run's samples at every step offset (clamped past its end,
+        // like `sample_at`); a sample-less run has none, so every pair
+        // involving it is skipped.
+        let aligned: Vec<Vec<StateSample>> = profiling
+            .iter()
+            .map(|run| {
+                (0..=steps)
+                    .filter_map(|k| run.sample_at(k as f64 * sample_interval).copied())
+                    .collect()
+            })
+            .collect();
 
         // Normalization constants P̄ and Ā: the largest pairwise distance at
-        // the same time offset between any two profiling runs — block-
-        // bounded so pairs whose envelopes cannot raise either maximum
-        // are skipped without sampling (see [`CalibrationBlocks`]).
+        // the same time offset between any two profiling runs.
         let mut position_scale = config.min_position_scale;
         let mut acceleration_scale = config.min_acceleration_scale;
-        let steps = (duration / sample_interval).ceil() as usize;
-        let cal = CalibrationBlocks::build(&profiling, sample_interval, steps);
-        for i in 0..profiling.len() {
-            for j in (i + 1)..profiling.len() {
-                let (Some(a_samples), Some(b_samples)) = (&cal.samples[i], &cal.samples[j]) else {
-                    continue;
-                };
-                for (block_index, (a_block, b_block)) in
-                    cal.blocks[i].iter().zip(cal.blocks[j].iter()).enumerate()
-                {
-                    let pos_bound = aabb_max_distance(
-                        a_block.pos_min,
-                        a_block.pos_max,
-                        b_block.pos_min,
-                        b_block.pos_max,
-                    );
-                    let acc_bound = aabb_max_distance(
-                        a_block.acc_min,
-                        a_block.acc_max,
-                        b_block.acc_min,
-                        b_block.acc_max,
-                    );
-                    if pos_bound <= position_scale && acc_bound <= acceleration_scale {
-                        continue; // cannot raise either maximum
-                    }
-                    let lo = block_index * CALIBRATION_BLOCK;
-                    let hi = (lo + CALIBRATION_BLOCK).min(a_samples.len());
-                    for k in lo..hi {
-                        let (a, b) = (&a_samples[k], &b_samples[k]);
-                        position_scale = position_scale.max(a.position.distance(b.position));
-                        acceleration_scale =
-                            acceleration_scale.max(a.acceleration.distance(b.acceleration));
-                    }
-                }
-            }
+        for (a, b) in aligned_pairs(&aligned) {
+            position_scale = position_scale.max(a.position.distance(b.position));
+            acceleration_scale = acceleration_scale.max(a.acceleration.distance(b.acceleration));
         }
 
         let home = profiling[0]
@@ -692,9 +337,6 @@ impl InvariantMonitor {
             config,
             profiling,
             mode_graph,
-            distances,
-            envelope,
-            diameter,
             position_scale,
             acceleration_scale,
             tau: 0.0,
@@ -703,54 +345,10 @@ impl InvariantMonitor {
         };
 
         // τ: the largest distance between any two profiling runs at the
-        // same time offset. Same block-bounded skip as the scales above,
-        // with the mode term bounded by the worst mode pair across the
-        // two blocks' mode sets: a block pair whose distance bound cannot
-        // exceed the running τ is provably maximum-free, so the loop
-        // computes exact state distances only where the envelopes
-        // overlap least — the result equals the brute-force τ bit for
-        // bit (the oracle-equivalence test below pins this).
-        let mut tau: f64 = 0.0;
-        for i in 0..monitor.profiling.len() {
-            for j in (i + 1)..monitor.profiling.len() {
-                let (Some(a_samples), Some(b_samples)) = (&cal.samples[i], &cal.samples[j]) else {
-                    continue;
-                };
-                for (block_index, (a_block, b_block)) in
-                    cal.blocks[i].iter().zip(cal.blocks[j].iter()).enumerate()
-                {
-                    let dp = aabb_max_distance(
-                        a_block.pos_min,
-                        a_block.pos_max,
-                        b_block.pos_min,
-                        b_block.pos_max,
-                    ) * monitor.diameter
-                        / monitor.position_scale;
-                    let da = aabb_max_distance(
-                        a_block.acc_min,
-                        a_block.acc_max,
-                        b_block.acc_min,
-                        b_block.acc_max,
-                    ) * monitor.diameter
-                        / monitor.acceleration_scale;
-                    let mut dm: f64 = 0.0;
-                    for &ma in &a_block.modes {
-                        for &mb in &b_block.modes {
-                            dm = dm.max(monitor.distances.distance(ma, mb));
-                        }
-                    }
-                    let bound = (dp * dp + da * da + dm * dm).sqrt();
-                    if bound <= tau {
-                        continue; // cannot raise τ
-                    }
-                    let lo = block_index * CALIBRATION_BLOCK;
-                    let hi = (lo + CALIBRATION_BLOCK).min(a_samples.len());
-                    for k in lo..hi {
-                        tau = tau.max(monitor.state_distance(&a_samples[k], &b_samples[k]));
-                    }
-                }
-            }
-        }
+        // same time offset.
+        let tau = aligned_pairs(&aligned)
+            .map(|(a, b)| monitor.state_distance(a, b))
+            .fold(0.0, f64::max);
         // With a single profiling run (or perfectly identical runs) τ would
         // be zero; fall back to one mode-graph hop as the minimum
         // meaningful deviation.
@@ -768,16 +366,6 @@ impl InvariantMonitor {
         &self.mode_graph
     }
 
-    /// The memoized all-pairs mode-distance table.
-    pub fn distance_table(&self) -> &ModeDistanceTable {
-        &self.distances
-    }
-
-    /// The per-timestep liveliness envelope.
-    pub fn envelope(&self) -> &LivelinessEnvelope {
-        &self.envelope
-    }
-
     /// The fault-free profiling runs the monitor was calibrated from.
     pub fn profiling(&self) -> &[Trace] {
         &self.profiling
@@ -785,78 +373,37 @@ impl InvariantMonitor {
 
     /// The normalization constants `(P̄, Ā, D)`.
     pub fn normalization(&self) -> (f64, f64, f64) {
-        (self.position_scale, self.acceleration_scale, self.diameter)
+        (
+            self.position_scale,
+            self.acceleration_scale,
+            self.mode_graph.diameter(),
+        )
     }
 
     /// The normalized distance between two state tuples (the `d(S_i, S_j)`
     /// of §IV.C.2).
     pub fn state_distance(&self, a: &StateSample, b: &StateSample) -> f64 {
-        let dp = a.position.distance(b.position) * self.diameter / self.position_scale;
-        let da = a.acceleration.distance(b.acceleration) * self.diameter / self.acceleration_scale;
-        let dm = self.distances.distance(a.mode.code(), b.mode.code());
+        let diameter = self.mode_graph.diameter();
+        let dp = a.position.distance(b.position) * diameter / self.position_scale;
+        let da = a.acceleration.distance(b.acceleration) * diameter / self.acceleration_scale;
+        let dm = self.mode_graph.distance(a.mode.code(), b.mode.code());
         (dp * dp + da * da + dm * dm).sqrt()
     }
 
-    /// A lower bound on the Eq. 1 minimum for `sample`: the distance to
-    /// the envelope cell's bounds can only under-estimate the distance to
-    /// any actual profiling sample in the window.
-    fn envelope_lower_bound(&self, sample: &StateSample) -> Option<f64> {
-        let cell = self.envelope.cell_at(sample.time)?;
-        let dp = aabb_distance(sample.position, cell.pos_min, cell.pos_max) * self.diameter
-            / self.position_scale;
-        let da = aabb_distance(sample.acceleration, cell.acc_min, cell.acc_max) * self.diameter
-            / self.acceleration_scale;
-        let dm = cell
-            .modes
-            .iter()
-            .map(|&m| self.distances.distance(sample.mode.code(), m))
-            .fold(f64::INFINITY, f64::min);
-        if dm.is_finite() {
-            Some((dp * dp + da * da + dm * dm).sqrt())
-        } else {
-            None
-        }
-    }
-
-    /// The exact Eq. 1 minimum: the smallest normalized distance between
-    /// `sample` and any profiling sample within the configured time
-    /// window (infinite when no reference exists).
-    fn min_profiling_distance(&self, sample: &StateSample, interval: f64, window: i64) -> f64 {
-        let mut min_distance = f64::INFINITY;
-        for reference_run in &self.profiling {
-            for offset in -window..=window {
-                let t = sample.time + offset as f64 * interval;
-                if t < 0.0 {
-                    continue;
-                }
-                if let Some(reference) = reference_run.sample_at(t) {
-                    min_distance = min_distance.min(self.state_distance(sample, reference));
-                }
-            }
-        }
-        min_distance
-    }
-
-    /// Amortised-O(1) resolution of "is some reference within the
-    /// threshold?" — the envelope lower bound proves divergence without
-    /// scanning, and an outward-from-zero probe proves conformance after
-    /// computing only a handful of real distances (the nearest reference
-    /// is almost always at, or a benign timing shift away from, the same
-    /// time offset). Returns `true` only when an actual in-window
-    /// reference sits within the threshold, so the verdict always equals
-    /// the brute-force scan's.
-    fn within_threshold(
+    /// Equation 1 for one sample: `None` when some profiling sample within
+    /// the time window lies within `threshold`, otherwise the smallest
+    /// distance to any of them (infinite when none exists). Offsets are
+    /// probed outward from 0, where the nearest reference almost always
+    /// sits, so a conforming sample returns after a handful of distances
+    /// and only a violating one scans the whole window.
+    fn divergence(
         &self,
         sample: &StateSample,
         threshold: f64,
         interval: f64,
         window: i64,
-    ) -> bool {
-        if let Some(lower_bound) = self.envelope_lower_bound(sample) {
-            if lower_bound > threshold {
-                return false;
-            }
-        }
+    ) -> Option<f64> {
+        let mut min_distance = f64::INFINITY;
         for step in 0..=window {
             for offset in [step, -step] {
                 let t = sample.time + offset as f64 * interval;
@@ -865,9 +412,11 @@ impl InvariantMonitor {
                 }
                 for reference_run in &self.profiling {
                     if let Some(reference) = reference_run.sample_at(t) {
-                        if self.state_distance(sample, reference) <= threshold {
-                            return true;
+                        let distance = self.state_distance(sample, reference);
+                        if distance <= threshold {
+                            return None;
                         }
+                        min_distance = min_distance.min(distance);
                     }
                 }
                 if step == 0 {
@@ -875,7 +424,7 @@ impl InvariantMonitor {
                 }
             }
         }
-        false
+        Some(min_distance)
     }
 
     /// Checks a test run against the calibrated invariants and returns the
@@ -901,19 +450,12 @@ impl InvariantMonitor {
         }
 
         // Liveliness (Equation 1) for non-safe modes; progress invariants
-        // for safe modes. The per-sample Eq. 1 check is resolved through
-        // the precomputed envelope + outward probe in amortised O(1); the
-        // full `runs × window` scan only runs to compute the exact
-        // distance of an actual violation (at most once — the check stops
-        // at the first one).
+        // for safe modes. The check stops at the first violation.
         let threshold = self.tau * self.config.tolerance_factor;
         let interval = self.profiling[0].sample_interval.max(1e-6);
         let window_steps = (self.config.time_window / interval).round() as i64;
         let mut safe_mode_entry: Option<(OperatingMode, f64)> = None;
-        // Built lazily on the first safe-mode sample; traces that never
-        // enter a safe mode pay nothing.
-        let mut progress: Option<ProgressEnvelope> = None;
-        for (index, sample) in trace.samples.iter().enumerate() {
+        for sample in &trace.samples {
             if sample.time > self.duration {
                 break;
             }
@@ -926,30 +468,18 @@ impl InvariantMonitor {
                         sample.time
                     }
                 };
-                let envelope =
-                    progress.get_or_insert_with(|| ProgressEnvelope::build(trace, self.home));
-                if let Some(v) = self.check_safe_mode_progress(
-                    envelope,
-                    trace.sample_interval,
-                    mode,
-                    entry,
-                    index,
-                    sample,
-                ) {
+                if let Some(v) = self.check_safe_mode_progress(trace, mode, entry, sample) {
                     violations.push(v);
                     break;
                 }
                 continue;
             }
             safe_mode_entry = None;
-            if self.within_threshold(sample, threshold, interval, window_steps) {
-                continue;
-            }
-            let min_distance = self.min_profiling_distance(sample, interval, window_steps);
-            if min_distance.is_finite() && min_distance > threshold {
+            let divergence = self.divergence(sample, threshold, interval, window_steps);
+            if let Some(distance) = divergence.filter(|d| d.is_finite()) {
                 violations.push(Violation {
                     kind: ViolationKind::LivelinessDivergence {
-                        distance: min_distance,
+                        distance,
                         threshold,
                     },
                     time: sample.time,
@@ -998,76 +528,8 @@ impl InvariantMonitor {
 
     /// Progress invariant for safe modes — landing must keep descending,
     /// return-to-launch must keep approaching home (or descending once
-    /// above it) — evaluated against the precomputed [`ProgressEnvelope`]
-    /// in O(1) per sample: a landed-tail quick-accept, then pure array
-    /// arithmetic. Byte-identical to the exact per-sample walk (kept
-    /// below as the test oracle).
+    /// above it).
     fn check_safe_mode_progress(
-        &self,
-        envelope: &ProgressEnvelope,
-        sample_interval: f64,
-        mode: OperatingMode,
-        entered_at: f64,
-        index: usize,
-        sample: &StateSample,
-    ) -> Option<Violation> {
-        let cfg = &self.config;
-        if sample.time - entered_at < cfg.safe_mode_grace {
-            return None;
-        }
-        // Quick-accept: inside the landed tail `on_ground` holds, and
-        // every safe mode's invariant short-circuits on it (modes
-        // without an invariant answer `None` regardless).
-        if index >= envelope.landed_from {
-            return None;
-        }
-        // The exact walk's `trace.sample_at(t)` lookup, replayed on the
-        // precomputed arrays: same rounding, same clamping.
-        let earlier = (((sample.time - cfg.progress_window) / sample_interval).round() as usize)
-            .min(envelope.time.len() - 1);
-        // Only compare windows fully inside the same safe-mode stretch.
-        if envelope.time[earlier] < entered_at {
-            return None;
-        }
-        let descended = envelope.alt[earlier] - envelope.alt[index];
-        let on_ground = envelope.alt[index] < 0.5;
-        match mode {
-            OperatingMode::Land | OperatingMode::Brake => {
-                if on_ground || descended >= cfg.min_progress {
-                    None
-                } else {
-                    Some(Violation {
-                        kind: ViolationKind::SafeModeStalled { mode: mode.name() },
-                        time: sample.time,
-                        mode,
-                    })
-                }
-            }
-            OperatingMode::ReturnToLaunch => {
-                let approach = envelope.home_dist[earlier] - envelope.home_dist[index];
-                let near_home = envelope.home_dist[index] < 3.0;
-                if on_ground
-                    || near_home
-                    || approach >= cfg.min_progress
-                    || descended >= cfg.min_progress
-                {
-                    None
-                } else {
-                    Some(Violation {
-                        kind: ViolationKind::SafeModeStalled { mode: mode.name() },
-                        time: sample.time,
-                        mode,
-                    })
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// The pre-envelope progress invariant, verbatim: the oracle the
-    /// equivalence tests compare [`InvariantMonitor::check`] against.
-    #[cfg(test)]
-    fn check_safe_mode_progress_exact(
         &self,
         trace: &Trace,
         mode: OperatingMode,
@@ -1118,6 +580,16 @@ impl InvariantMonitor {
             _ => None,
         }
     }
+}
+
+/// Every pair of same-offset samples from two distinct profiling runs, in
+/// run-pair order.
+fn aligned_pairs(
+    aligned: &[Vec<StateSample>],
+) -> impl Iterator<Item = (&StateSample, &StateSample)> {
+    (0..aligned.len()).flat_map(move |i| {
+        ((i + 1)..aligned.len()).flat_map(move |j| aligned[i].iter().zip(&aligned[j]))
+    })
 }
 
 #[cfg(test)]
@@ -1352,8 +824,8 @@ mod tests {
     #[test]
     fn calibrate_tolerates_sample_less_profiling_runs() {
         // A degenerate but previously-accepted input: profiling traces
-        // with no samples. The envelope must stay empty (not panic) and
-        // the check must keep reporting nothing, reference-free.
+        // with no samples. Calibration must not panic and the check must
+        // keep reporting nothing, reference-free.
         let empty = Trace {
             sample_interval: 0.5,
             samples: Vec::new(),
@@ -1365,14 +837,13 @@ mod tests {
             protocol: Vec::new(),
         };
         let monitor = InvariantMonitor::calibrate(vec![empty], MonitorConfig::default());
-        assert!(monitor.envelope().is_empty());
         let run = synthetic_run(0.0);
         assert_eq!(monitor.check(&run), brute_force_check(&monitor, &run));
         assert!(monitor.check(&run).is_empty());
     }
 
-    /// The pre-envelope check, kept verbatim as the oracle: a straight
-    /// `runs × window` scan per sample with no quick paths.
+    /// The reference scan: Eq. 1 as a straight `runs × window` minimum
+    /// per sample, with no early exit.
     fn brute_force_check(monitor: &InvariantMonitor, trace: &Trace) -> Vec<Violation> {
         let mut violations = Vec::new();
         if let Some(collision) = trace.collision {
@@ -1405,8 +876,7 @@ mod tests {
                         sample.time
                     }
                 };
-                if let Some(v) = monitor.check_safe_mode_progress_exact(trace, mode, entry, sample)
-                {
+                if let Some(v) = monitor.check_safe_mode_progress(trace, mode, entry, sample) {
                     violations.push(v);
                     break;
                 }
@@ -1443,32 +913,9 @@ mod tests {
     }
 
     #[test]
-    fn distance_table_memoizes_the_graph_exactly() {
-        let traces = [synthetic_run(0.0), synthetic_run(0.4)];
-        let graph = ModeGraph::from_traces(traces.iter());
-        let table = graph.distance_table();
-        assert_eq!(table.mode_count(), graph.node_count());
-        assert_eq!(table.diameter(), graph.diameter());
-        // Every known pair, plus unknown modes on both sides.
-        let mut codes: Vec<ModeCode> = graph.nodes.iter().copied().collect();
-        codes.push(OperatingMode::PosHold.code());
-        codes.push(OperatingMode::Stabilize.code());
-        for &a in &codes {
-            for &b in &codes {
-                assert_eq!(
-                    table.distance(a, b),
-                    graph.distance(a, b),
-                    "table diverged from BFS at ({a}, {b})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn envelope_check_matches_brute_force_on_perturbed_runs() {
+    fn outward_probe_matches_full_scan_on_perturbed_runs() {
         use avis_sim::SimRng;
         let monitor = calibrated_monitor();
-        assert!(!monitor.envelope().is_empty());
         let mut rng = SimRng::seed_from_u64(2024);
         for case in 0..40 {
             let mut run = synthetic_run(rng.uniform_range(-0.5, 0.5));
@@ -1492,16 +939,16 @@ mod tests {
             assert_eq!(
                 monitor.check(&run),
                 brute_force_check(&monitor, &run),
-                "case {case}: envelope-accelerated check diverged (drift {drift}, start {start}, wrong_mode {wrong_mode})"
+                "case {case}: outward probe diverged from the full scan (drift {drift}, start {start}, wrong_mode {wrong_mode})"
             );
         }
     }
 
     #[test]
-    fn envelope_check_matches_brute_force_on_existing_scenarios() {
+    fn outward_probe_matches_full_scan_on_existing_scenarios() {
         let monitor = calibrated_monitor();
         // The named scenarios the other tests exercise, pinned one-by-one
-        // against the oracle.
+        // against the full scan.
         let mut fly_away = synthetic_run(0.0);
         for s in fly_away.samples.iter_mut().filter(|s| s.time >= 20.0) {
             s.position.y = (s.time - 20.0) * 5.0;
@@ -1525,12 +972,12 @@ mod tests {
     }
 
     #[test]
-    fn progress_envelope_matches_exact_walk_on_safe_mode_stretches() {
+    fn outward_probe_matches_full_scan_on_safe_mode_stretches() {
         use avis_sim::SimRng;
         // Randomised safe-mode behaviour — clean landings, stalls,
-        // hovering RTLs, approaches, late descents, landed tails — must
-        // produce byte-identical violations through the amortised
-        // envelope path and the exact per-sample walk.
+        // hovering RTLs, approaches, late descents, landed tails — between
+        // liveliness-checked stretches must produce byte-identical
+        // violations through the outward probe and the full scan.
         let monitor = calibrated_monitor();
         let mut rng = SimRng::seed_from_u64(77);
         for case in 0..60 {
@@ -1562,93 +1009,7 @@ mod tests {
             assert_eq!(
                 monitor.check(&run),
                 brute_force_check(&monitor, &run),
-                "case {case}: progress envelope diverged (mode {mode:?}, behaviour {behaviour}, start {start}, rate {rate})"
-            );
-        }
-    }
-
-    /// The pre-envelope calibration maxima, verbatim: the oracle the
-    /// block-bounded calibration must reproduce bit for bit.
-    fn brute_force_calibration(
-        monitor: &InvariantMonitor,
-        profiling: &[Trace],
-        config: &MonitorConfig,
-    ) -> (f64, f64, f64) {
-        let interval = profiling[0].sample_interval;
-        let steps = (monitor.duration / interval).ceil() as usize;
-        let mut position_scale = config.min_position_scale;
-        let mut acceleration_scale = config.min_acceleration_scale;
-        for i in 0..profiling.len() {
-            for j in (i + 1)..profiling.len() {
-                for k in 0..=steps {
-                    let t = k as f64 * interval;
-                    let (Some(a), Some(b)) = (profiling[i].sample_at(t), profiling[j].sample_at(t))
-                    else {
-                        continue;
-                    };
-                    position_scale = position_scale.max(a.position.distance(b.position));
-                    acceleration_scale =
-                        acceleration_scale.max(a.acceleration.distance(b.acceleration));
-                }
-            }
-        }
-        let mut tau: f64 = 0.0;
-        for i in 0..profiling.len() {
-            for j in (i + 1)..profiling.len() {
-                for k in 0..=steps {
-                    let t = k as f64 * interval;
-                    let (Some(a), Some(b)) = (profiling[i].sample_at(t), profiling[j].sample_at(t))
-                    else {
-                        continue;
-                    };
-                    tau = tau.max(monitor.state_distance(a, b));
-                }
-            }
-        }
-        let tau = if tau > 1e-9 { tau } else { 1.0 };
-        (position_scale, acceleration_scale, tau)
-    }
-
-    #[test]
-    fn block_bounded_calibration_matches_brute_force_exactly() {
-        use avis_sim::SimRng;
-        let mut rng = SimRng::seed_from_u64(404);
-        for case in 0..6 {
-            // A mixed population: clustered runs, spread runs, a run with
-            // a divergent stretch (mode + trajectory), and — in half the
-            // cases — a sample-less degenerate run.
-            let mut profiling: Vec<Trace> = (0..5)
-                .map(|_| synthetic_run(rng.uniform_range(-1.5, 1.5)))
-                .collect();
-            let mut divergent = synthetic_run(rng.uniform_range(-0.5, 0.5));
-            let start = rng.uniform_range(10.0, 60.0);
-            for s in divergent.samples.iter_mut().filter(|s| s.time >= start) {
-                s.position.y += (s.time - start) * rng.uniform_range(0.2, 1.5);
-                s.acceleration.x += rng.uniform_range(-1.0, 1.0);
-            }
-            profiling.push(divergent);
-            if case % 2 == 0 {
-                profiling.push(Trace {
-                    sample_interval: 0.5,
-                    samples: Vec::new(),
-                    mode_transitions: Vec::new(),
-                    collision: None,
-                    fence_violations: 0,
-                    workload_status: WorkloadStatus::Passed,
-                    duration: 100.0,
-                    protocol: Vec::new(),
-                });
-            }
-            let config = MonitorConfig::default();
-            let monitor = InvariantMonitor::calibrate(profiling.clone(), config.clone());
-            let (p, a, tau) = brute_force_calibration(&monitor, &profiling, &config);
-            let (mp, ma, _) = monitor.normalization();
-            assert_eq!(mp, p, "case {case}: P̄ diverged from the brute force");
-            assert_eq!(ma, a, "case {case}: Ā diverged from the brute force");
-            assert_eq!(
-                monitor.tau(),
-                tau,
-                "case {case}: τ diverged from the brute force"
+                "case {case}: outward probe diverged from the full scan (mode {mode:?}, behaviour {behaviour}, start {start}, rate {rate})"
             );
         }
     }

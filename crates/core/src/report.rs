@@ -12,7 +12,8 @@ use crate::json::{self, Json, JsonError};
 use crate::monitor::{InvariantMonitor, Violation, ViolationKind};
 use crate::runner::ExperimentRunner;
 use avis_firmware::{BugId, FirmwareProfile, OperatingMode};
-use avis_hinj::{FaultPlan, FaultSpec, ModeCode};
+use avis_hinj::{FaultPlan, FaultSpec, LinkFaultSpec, ModeCode};
+use avis_sim::codec::{ByteReader, ByteWriter};
 use avis_sim::{SensorInstance, SensorKind};
 use serde::{Deserialize, Serialize};
 
@@ -48,9 +49,11 @@ impl BugReport {
         }
     }
 
-    /// Serialises the report to pretty JSON (the artefact format).
+    /// Serialises the report to pretty JSON (the artefact format). Link
+    /// faults, when the plan has any, go in a `link` array of hex strings,
+    /// each one [`LinkFaultSpec::encode`]'s bytes.
     pub fn to_json(&self) -> String {
-        json::object(vec![
+        let mut fields = vec![
             ("profile", Json::String(self.profile.name().to_string())),
             ("workload", Json::String(self.workload.clone())),
             (
@@ -81,8 +84,13 @@ impl BugReport {
                         .collect(),
                 ),
             ),
-        ])
-        .to_pretty()
+        ];
+        let link = self.plan.link_plan();
+        if !link.is_empty() {
+            let specs = link.specs().iter().map(|s| Json::String(link_to_hex(s)));
+            fields.push(("link", Json::Array(specs.collect())));
+        }
+        json::object(fields).to_pretty()
     }
 
     /// Parses a report back from JSON.
@@ -107,9 +115,22 @@ impl BugReport {
                 .into_iter()
                 .find(|k| k.name() == sensor_name)
                 .ok_or_else(|| schema_error(format!("unknown sensor kind `{sensor_name}`")))?;
-            let index = require_f64(entry, "index")? as u8;
+            let index = require_f64(entry, "index")?;
+            if index.fract() != 0.0 || !(0.0..=255.0).contains(&index) {
+                return Err(schema_error(format!(
+                    "sensor index {index} is not an integer in 0..=255"
+                )));
+            }
             let time = require_f64(entry, "time")?;
-            plan.add(FaultSpec::new(SensorInstance::new(kind, index), time));
+            plan.add(FaultSpec::new(SensorInstance::new(kind, index as u8), time));
+        }
+        if doc.get("link").is_some() {
+            for entry in require_array(&doc, "link")? {
+                let hex = entry
+                    .as_str()
+                    .ok_or_else(|| schema_error("link entries must be strings"))?;
+                plan.add_link(link_from_hex(hex)?);
+            }
         }
 
         let violations = require_array(&doc, "violations")?
@@ -169,6 +190,34 @@ fn require_array<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], JsonError> 
     require(doc, key)?
         .as_array()
         .ok_or_else(|| schema_error(format!("field `{key}` must be an array")))
+}
+
+fn link_to_hex(spec: &LinkFaultSpec) -> String {
+    let mut writer = ByteWriter::new();
+    spec.encode(&mut writer);
+    writer
+        .into_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+fn link_from_hex(hex: &str) -> Result<LinkFaultSpec, JsonError> {
+    let malformed = || schema_error(format!("malformed link fault `{hex}`"));
+    let nibble = |c: u8| char::from(c).to_digit(16);
+    let bytes = hex
+        .as_bytes()
+        .chunks(2)
+        .map(|pair| match pair {
+            [hi, lo] => Some((nibble(*hi)? << 4 | nibble(*lo)?) as u8),
+            _ => None,
+        })
+        .collect::<Option<Vec<u8>>>()
+        .ok_or_else(malformed)?;
+    let mut reader = ByteReader::new(&bytes);
+    let spec = LinkFaultSpec::decode(&mut reader).map_err(|_| malformed())?;
+    reader.finish().map_err(|_| malformed())?;
+    Ok(spec)
 }
 
 fn violation_to_json(v: &Violation) -> Json {
@@ -279,7 +328,7 @@ mod tests {
     use crate::checker::UnsafeCondition;
     use crate::monitor::ViolationKind;
     use avis_firmware::{ModeCategory, OperatingMode};
-    use avis_hinj::FaultSpec;
+    use avis_hinj::{FaultSpec, LinkDirection, LinkFaultKind};
     use avis_sim::{SensorInstance, SensorKind};
 
     fn condition() -> UnsafeCondition {
@@ -303,17 +352,52 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
+        // A sensor-only plan, and the same plan plus the link half of the
+        // PROTO-102 trigger: commands to the vehicle delayed by 1.5 s.
+        let mut link_fault = condition();
+        link_fault.plan.add_link(LinkFaultSpec::new(
+            LinkFaultKind::Delay {
+                duration: 5.0,
+                seconds: 1.5,
+            },
+            LinkDirection::ToVehicle,
+            1.0,
+        ));
+        for c in [condition(), link_fault] {
+            let report = BugReport::from_unsafe_condition(
+                FirmwareProfile::ArduPilotLike,
+                "auto-box-mission",
+                &c,
+            );
+            let json = report.to_json();
+            assert!(json.to_lowercase().contains("gps"));
+            assert!(json.contains("auto-box-mission"));
+            assert_eq!(json.contains("\"link\""), !c.plan.link_plan().is_empty());
+            let parsed = BugReport::from_json(&json).expect("round trip");
+            assert_eq!(parsed, report);
+        }
+        assert!(BugReport::from_json("{not json").is_err());
+    }
+
+    #[test]
+    fn report_rejects_malformed_plan_entries() {
         let report = BugReport::from_unsafe_condition(
             FirmwareProfile::ArduPilotLike,
             "auto-box-mission",
             &condition(),
         );
         let json = report.to_json();
-        assert!(json.to_lowercase().contains("gps"));
-        assert!(json.contains("auto-box-mission"));
-        let parsed = BugReport::from_json(&json).expect("round trip");
-        assert_eq!(parsed, report);
-        assert!(BugReport::from_json("{not json").is_err());
+        for index in ["256", "-1", "0.5"] {
+            let bad = json.replacen("\"index\": 0", &format!("\"index\": {index}"), 1);
+            assert_ne!(bad, json);
+            assert!(BugReport::from_json(&bad).is_err(), "index {index}");
+        }
+        let trailing = json.replacen(
+            "\"suspected_bugs\"",
+            "\"link\": [\"0\"], \"suspected_bugs\"",
+            1,
+        );
+        assert!(BugReport::from_json(&trailing).is_err());
     }
 
     #[test]

@@ -224,7 +224,6 @@ impl ExperimentRunner {
             config.checkpoints.interval > 0.0,
             "checkpoint interval must be positive"
         );
-        config.checkpoints.normalize_anchors();
         config.checkpoints.keyframe_stride = config.checkpoints.keyframe_stride.max(1);
         ExperimentRunner {
             cache: Arc::new(SharedSnapshotTier::new(config.checkpoints.max_bytes)),
@@ -249,14 +248,6 @@ impl ExperimentRunner {
         if tier.claim(&self.config.fingerprint()) {
             self.cache = tier;
         }
-    }
-
-    /// Replaces the checkpoint anchor times (sorted, de-duplicated). The
-    /// campaign calls this after profiling with the golden run's mode
-    /// transitions when [`CheckpointConfig::anchor_placement`] is on.
-    pub fn set_checkpoint_anchors(&mut self, anchors: Vec<f64>) {
-        self.config.checkpoints.anchors = anchors;
-        self.config.checkpoints.normalize_anchors();
     }
 
     /// The runner's configuration.

@@ -17,10 +17,9 @@
 //! The store exploits exactly that: while a run executes, the runner
 //! records a [`RunSnapshot`] (simulator + firmware + injector +
 //! workload + trace bookkeeping) every [`CheckpointConfig::interval`]
-//! simulated seconds — and at each configured anchor time (see
-//! [`CheckpointConfig::anchors`]) — keyed by the quantised injection
-//! prefix at the snapshot time. A later run looks up the deepest snapshot
-//! whose key matches one of its own prefixes, *verifies the un-quantised
+//! simulated seconds, keyed by the quantised injection prefix at the
+//! snapshot time. A later run looks up the deepest snapshot whose key
+//! matches one of its own prefixes, *verifies the un-quantised
 //! prefixes match exactly* (quantisation is a hash key, never a
 //! correctness argument) and resumes from there with its own plan swapped
 //! in. Runs that fork mid-scenario extend the tree with deeper,
@@ -81,8 +80,8 @@
 //! under the lock — because another runner may evict that entry (and
 //! re-record a colliding cell) between the fork and the commit.
 //!
-//! Injection runs (`seed_offset == 0`) record a cut every interval and at
-//! each anchor. Profiling runs (`seed_offset != 0`) each use a distinct
+//! Injection runs (`seed_offset == 0`) record a cut every interval, and
+//! nowhere else. Profiling runs (`seed_offset != 0`) each use a distinct
 //! sensor-noise seed, so no other run of their campaign resumes from
 //! them: each records exactly one cut, at the first loop top after its
 //! workload turns terminal. A profiling plan is empty, so every cut at
@@ -123,19 +122,6 @@ pub struct CheckpointConfig {
     /// The budget is **per campaign**: the inline runner and every engine
     /// worker share one cache, whatever the parallelism.
     pub max_bytes: usize,
-    /// Extra cut times (simulated seconds), sorted ascending: the runner
-    /// snapshots at the *last loop-top at or before* each anchor, in
-    /// addition to the fixed interval. Campaigns populate this with the
-    /// golden run's mode-transition times (where SABRE actually anchors
-    /// injections, see [`CheckpointConfig::anchor_placement`]), which
-    /// raises fork depth at equal memory budget: a fork resumes right at
-    /// the injection instead of up to one interval before it.
-    pub anchors: Vec<f64>,
-    /// Whether a campaign should auto-populate [`CheckpointConfig::anchors`]
-    /// from the golden trace's mode transitions after profiling (only
-    /// when `anchors` was left empty). Placement is purely a speed/memory
-    /// trade-off — results are bit-identical either way.
-    pub anchor_placement: bool,
     /// Delta-chain keyframe stride: along one recording run, every
     /// `keyframe_stride`-th cut stores a *full* snapshot (a keyframe) and
     /// the cuts between them store per-layer deltas against the previous
@@ -154,8 +140,6 @@ impl Default for CheckpointConfig {
             enabled: true,
             interval: 5.0,
             max_bytes: 64 * 1024 * 1024,
-            anchors: Vec::new(),
-            anchor_placement: true,
             keyframe_stride: 8,
         }
     }
@@ -175,38 +159,6 @@ impl CheckpointConfig {
         CheckpointConfig {
             max_bytes,
             ..CheckpointConfig::default()
-        }
-    }
-
-    /// A configuration with explicit anchor cut times (disables the
-    /// campaign's automatic golden-transition placement).
-    pub fn with_anchors(anchors: Vec<f64>) -> Self {
-        let mut config = CheckpointConfig {
-            anchors,
-            anchor_placement: false,
-            ..CheckpointConfig::default()
-        };
-        config.normalize_anchors();
-        config
-    }
-
-    /// Sorts and de-duplicates the anchor list — the single
-    /// normalization chokepoint every anchor-accepting entry point
-    /// funnels through, so runners and engine workers always key
-    /// snapshots off the identical cut list.
-    pub fn normalize_anchors(&mut self) {
-        self.anchors.sort_by(f64::total_cmp);
-        self.anchors.dedup();
-    }
-
-    /// A configuration recording only at anchors (no interval cadence):
-    /// the interval is pushed past any realistic run duration, isolating
-    /// anchor placement for comparisons at equal memory budget.
-    pub fn anchors_only(anchors: Vec<f64>, max_bytes: usize) -> Self {
-        CheckpointConfig {
-            interval: 1e9,
-            max_bytes,
-            ..CheckpointConfig::with_anchors(anchors)
         }
     }
 
@@ -1260,16 +1212,12 @@ mod tests {
         assert!(cfg.enabled);
         assert!(cfg.interval > 0.0);
         assert!(cfg.max_bytes > 0);
-        assert!(cfg.anchors.is_empty());
-        assert!(cfg.anchor_placement);
         assert!(!CheckpointConfig::disabled().enabled);
         assert_eq!(CheckpointConfig::with_max_bytes(123).max_bytes, 123);
-        let anchored = CheckpointConfig::with_anchors(vec![8.0, 2.0, 8.0]);
-        assert_eq!(anchored.anchors, vec![2.0, 8.0]);
-        assert!(!anchored.anchor_placement);
-        let only = CheckpointConfig::anchors_only(vec![5.0], 1024);
-        assert!(only.interval > 1e8);
-        assert_eq!(only.max_bytes, 1024);
+        assert_eq!(
+            CheckpointConfig::with_keyframe_stride(16).keyframe_stride,
+            16
+        );
     }
 
     #[test]

@@ -62,10 +62,12 @@
 //!
 //! # GC
 //!
-//! The store enforces a byte budget at flush time: chains are ranked by
-//! `(accrued fork hits, insertion sequence)` and the least-hit, oldest
-//! chains are dropped first until the budget fits; blobs no longer
-//! referenced by any surviving chain are deleted.
+//! The store enforces a byte budget at flush time over every blob the
+//! manifest reaches: each chain's cut blobs and the chunk blobs those
+//! reference (the manifest file itself is not counted). Chains are
+//! ranked by `(accrued fork hits, insertion sequence)` and the least-hit,
+//! oldest chains are dropped first until the budget fits; blobs no longer
+//! reached by any surviving chain are deleted.
 
 use crate::json::Json;
 use crate::runner::{ExperimentConfig, ExperimentRunner};
@@ -676,80 +678,68 @@ impl SnapshotStore {
         report
     }
 
-    /// Enforces the byte budget: drops whole chains lowest-`(hits, seq)`
-    /// first, then deletes blobs no surviving chain references.
+    /// Enforces the byte budget over every blob the manifest reaches —
+    /// each chain's cut blobs and the chunk blobs their payloads
+    /// reference — by dropping whole chains lowest-`(hits, seq)` first,
+    /// then deletes blobs no surviving chain reaches.
     fn gc(&mut self, manifest: &mut Manifest, experiment: &ExperimentConfig) {
-        let blob_size = |hash: u64| -> u64 {
-            std::fs::metadata(self.blobs.blob_path(hash))
-                .map(|m| m.len())
-                .unwrap_or(0)
-        };
-        loop {
-            let referenced: BTreeSet<u64> = manifest
-                .chains
-                .iter()
-                .flat_map(|c| c.cuts.iter().map(|cut| cut.blob))
-                .collect();
-            let total: u64 = referenced.iter().map(|&h| blob_size(h)).sum();
-            if total <= self.max_bytes || manifest.chains.is_empty() {
-                break;
+        // Each chain's blobs, and whether all of them are known. Chunk
+        // blobs are referenced by hash from inside cut payloads, so each
+        // cut is decoded once through a source that records which chunks
+        // it was asked for; a cut that fails to decode leaves its chunks
+        // unknown.
+        let mut reach: Vec<(BTreeSet<u64>, bool)> = Vec::with_capacity(manifest.chains.len());
+        for chain in &manifest.chains {
+            let mut blobs = BTreeSet::new();
+            let mut complete = true;
+            for cut in &chain.cuts {
+                blobs.insert(cut.blob);
+                let Some(payload) = self.blobs.get(cut.blob) else {
+                    complete = false;
+                    continue;
+                };
+                let mut collector = ChunkRefCollector {
+                    inner: &mut self.blobs,
+                    seen: BTreeSet::new(),
+                };
+                let mut reader = ByteReader::new(&payload);
+                complete &=
+                    RunDelta::decode(&mut reader, &mut collector, &experiment.workload).is_ok();
+                blobs.extend(collector.seen);
             }
-            let Some(victim_idx) = manifest
+            reach.push((blobs, complete));
+        }
+        let sizes: BTreeMap<u64, u64> = reach
+            .iter()
+            .flat_map(|(blobs, _)| blobs)
+            .map(|&hash| {
+                let size = std::fs::metadata(self.blobs.blob_path(hash)).map_or(0, |m| m.len());
+                (hash, size)
+            })
+            .collect();
+        let live = loop {
+            let live: BTreeSet<u64> = reach.iter().flat_map(|(blobs, _)| blobs).copied().collect();
+            let total: u64 = live.iter().map(|hash| sizes[hash]).sum();
+            let victim = manifest
                 .chains
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, c)| (c.hits, c.seq))
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
-            manifest.chains.remove(victim_idx);
-        }
-        // Delete orphaned blobs (chunk blobs referenced from inside cut
-        // payloads are found by decoding nothing: chunk hashes appear in
-        // cut blobs, so sweep conservatively — only blobs that are
-        // neither a referenced cut nor a chunk referenced by a surviving
-        // cut payload are removed).
-        let mut live: BTreeSet<u64> = manifest
-            .chains
-            .iter()
-            .flat_map(|c| c.cuts.iter().map(|cut| cut.blob))
-            .collect();
-        // Chunk blobs are referenced by hash from inside cut payloads;
-        // collect them by scanning each surviving cut blob for its chunk
-        // references (the codec writes chunk hashes as u64s the sink
-        // returned, so re-reading the payload through a collecting
-        // source would be circular — instead, decode each cut's delta
-        // and record which chunks the source was asked for).
-        let cut_hashes: Vec<u64> = live.iter().copied().collect();
-        let mut reachability_complete = true;
-        for hash in cut_hashes {
-            match self.blobs.get(hash) {
-                Some(payload) => {
-                    let mut collector = ChunkRefCollector {
-                        inner: &mut self.blobs,
-                        seen: BTreeSet::new(),
-                    };
-                    let mut reader = ByteReader::new(&payload);
-                    let seen = {
-                        let decoded =
-                            RunDelta::decode(&mut reader, &mut collector, &experiment.workload);
-                        if decoded.is_err() {
-                            reachability_complete = false;
-                        }
-                        collector.seen
-                    };
-                    live.extend(seen);
+                .map(|(i, _)| i);
+            match victim {
+                Some(victim) if total > self.max_bytes => {
+                    manifest.chains.remove(victim);
+                    reach.remove(victim);
                 }
-                None => reachability_complete = false,
+                _ => break live,
             }
-        }
-        // Sweep only with a *complete* live set: if any cut failed to
-        // decode, its chunk references are unknown, and deleting
-        // "orphans" on partial knowledge could break chains a concurrent
-        // campaign is still publishing. Skipping a sweep costs bytes
-        // until the next clean flush, never correctness.
-        if !reachability_complete {
+        };
+        // Sweep only when every surviving chain's blobs are known: if a
+        // cut failed to decode, its chunk references are unknown, and
+        // deleting "orphans" on partial knowledge could break chains a
+        // concurrent campaign is still publishing. Skipping a sweep costs
+        // bytes until the next clean flush, never correctness.
+        if reach.iter().any(|&(_, complete)| !complete) {
             return;
         }
         let on_disk: Vec<u64> = self.blobs.known.iter().copied().collect();
@@ -956,23 +946,59 @@ mod tests {
     }
 
     #[test]
-    fn gc_enforces_a_zero_budget_by_dropping_everything() {
+    fn gc_enforces_the_byte_budget() {
         let cfg = experiment();
         let tier = populated_tier(&cfg);
-        let root = temp_store("gc");
-        let mut store = SnapshotStore::open(&root, &cfg, 0).unwrap();
+        let blob_bytes = |store: &SnapshotStore, names: &BTreeSet<String>| -> u64 {
+            names
+                .iter()
+                .map(|name| {
+                    let path = store.dir().join("blobs").join(name);
+                    std::fs::metadata(path).unwrap().len()
+                })
+                .sum()
+        };
+
+        // Unbounded: the chain's cut blobs, and every blob in all (its
+        // cut blobs plus the chunk blobs they reference).
+        let root = temp_store("gc-unbounded");
+        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
         store.flush(&tier, &cfg);
-        assert_eq!(store.stats().persisted_chains, 0);
-        assert!(blob_names(&store).is_empty(), "all blobs swept");
+        let cut_names: BTreeSet<String> = store
+            .read_manifest()
+            .unwrap()
+            .chains
+            .iter()
+            .flat_map(|c| c.cuts.iter().map(|cut| format!("{:016x}.blob", cut.blob)))
+            .collect();
+        let cut_bytes = blob_bytes(&store, &cut_names);
+        let all_bytes = blob_bytes(&store, &blob_names(&store));
+        assert!(cut_bytes < all_bytes, "the chain references chunk blobs");
         drop(store);
-
-        let tier2 = Arc::new(SharedSnapshotTier::new(
-            CheckpointConfig::default().max_bytes,
-        ));
-        let mut store = SnapshotStore::open(&root, &cfg, 0).unwrap();
-        assert_eq!(store.hydrate(&tier2, &cfg), StoreReport::default());
-
         let _ = std::fs::remove_dir_all(&root);
+
+        // A budget the cut blobs alone fit but the whole chain does not,
+        // and a zero budget: either way the chain is dropped and the
+        // blobs left on disk fit the budget.
+        for budget in [(cut_bytes + all_bytes) / 2, 0] {
+            let root = temp_store(&format!("gc-{budget}"));
+            let mut store = SnapshotStore::open(&root, &cfg, budget).unwrap();
+            store.flush(&tier, &cfg);
+            let on_disk = blob_bytes(&store, &blob_names(&store));
+            assert!(
+                on_disk <= budget,
+                "{on_disk} blob bytes on disk exceed the {budget}-byte budget"
+            );
+            assert_eq!(store.stats().persisted_chains, 0);
+            drop(store);
+
+            let tier2 = Arc::new(SharedSnapshotTier::new(
+                CheckpointConfig::default().max_bytes,
+            ));
+            let mut store = SnapshotStore::open(&root, &cfg, budget).unwrap();
+            assert_eq!(store.hydrate(&tier2, &cfg), StoreReport::default());
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]

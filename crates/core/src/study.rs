@@ -6,8 +6,8 @@
 //! and its manual labels are not available, so this module ships (a) the
 //! classification pipeline and (b) a deterministic synthetic corpus whose
 //! marginals match the published findings; the Figure-3 harness then runs
-//! the pipeline over that corpus. This substitution is recorded in
-//! DESIGN.md.
+//! the pipeline over that corpus. This substitution is recorded under
+//! "Deviations from the paper" in the README.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -11,7 +11,7 @@
 //!    fence-checking path without requiring avoidance manoeuvres. (The
 //!    paper's fence overlaps the route; our firmware substrate does not
 //!    implement automatic fence avoidance, so the fence is placed adjacent
-//!    — the substitution is documented in DESIGN.md.)
+//!    — see "Deviations from the paper" in the README.)
 
 use crate::script::{ScriptedWorkload, WorkloadBuilder};
 use avis_mavlite::{square_mission, ProtocolMode};

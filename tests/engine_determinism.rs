@@ -109,12 +109,11 @@ fn round_robin_campaign_is_deterministic_across_engines() {
 fn checkpointed_campaign_is_bit_identical_to_cold_execution() {
     // The checkpoint cache must be invisible in every campaign
     // observable: a campaign whose runs fork from cached snapshots —
-    // recorded by the same runner or by another worker, a caller's
-    // cross-campaign cache, anchor-placed or interval-placed cuts —
-    // produces the same `CampaignResult` as one that cold-starts every
-    // run from t = 0, at parallelism 1 (the inline runner alone on the
-    // campaign's cache) and at parallelism 4 (four workers forking from
-    // and committing to that one cache).
+    // recorded by the same runner or by another worker, or a caller's
+    // cross-campaign cache — produces the same `CampaignResult` as one
+    // that cold-starts every run from t = 0, at parallelism 1 (the inline
+    // runner alone on the campaign's cache) and at parallelism 4 (four
+    // workers forking from and committing to that one cache).
     let run = |checkpoints: CheckpointConfig,
                parallelism: usize,
                tier: Option<Arc<SharedSnapshotTier>>| {
@@ -175,19 +174,6 @@ fn checkpointed_campaign_is_bit_identical_to_cold_execution() {
             tier.stats().snapshots_cached > 0,
             "the shared cache should hold snapshots (parallelism {parallelism}): {:?}",
             tier.stats()
-        );
-        // An interval-only placement (anchor placement off) must match too.
-        let interval_only = run(
-            CheckpointConfig {
-                anchor_placement: false,
-                ..CheckpointConfig::default()
-            },
-            parallelism,
-            None,
-        );
-        assert_eq!(
-            cold, interval_only,
-            "interval-only campaign (parallelism {parallelism}) diverged from cold execution"
         );
         // Delta-chain encoding at either extreme — keyframes only
         // (stride 1) and delta-encoding nearly every cut under budget
@@ -879,7 +865,6 @@ fn crashed_call_never_publishes_its_cuts() {
     let mut experiment = panic_experiment();
     experiment.checkpoints = CheckpointConfig {
         interval: 1.0,
-        anchor_placement: false,
         ..CheckpointConfig::default()
     };
     let mut crashing = stale_ekf_gps();

@@ -363,84 +363,6 @@ fn firmware_defect_log_prefix_is_immutable_under_forks() {
 }
 
 #[test]
-fn anchor_placement_raises_fork_depth_at_equal_memory_budget() {
-    // Adaptive checkpoint placement: cuts at the golden run's mode
-    // transitions (where SABRE anchors injections) must serve deeper
-    // forks than the fixed 5 s interval alone, at the same memory
-    // budget — measured through `checkpoint_stats()` as simulated
-    // seconds skipped per fork — while every result stays bit-identical
-    // to cold execution.
-    let budget = 16 * 1024 * 1024;
-    let mut base = ExperimentConfig::new(
-        FirmwareProfile::ArduPilotLike,
-        BugSet::none(),
-        auto_box_mission(),
-    );
-    base.noise = Some(SensorNoise::noiseless());
-    base.max_duration = 100.0;
-
-    // Golden transitions from a profiling run (what a campaign feeds
-    // `set_checkpoint_anchors` after calibration).
-    let mut profiler = ExperimentRunner::new(base.clone());
-    let golden = profiler.run_profiling(0);
-    let anchors: Vec<f64> = golden
-        .trace
-        .transition_times()
-        .into_iter()
-        .filter(|&t| t > 0.0 && t < base.max_duration)
-        .collect();
-    assert!(anchors.len() >= 4, "the golden run has several transitions");
-
-    // SABRE-style plans: single failures injected exactly at (a subset
-    // of) the anchors — the regime anchor placement is built for.
-    let instances = [
-        SensorInstance::new(SensorKind::Gps, 1),
-        SensorInstance::new(SensorKind::Barometer, 1),
-    ];
-    let mut plans = Vec::new();
-    for &t in anchors.iter().skip(1) {
-        for instance in instances {
-            plans.push(FaultPlan::from_specs(vec![FaultSpec::new(instance, t)]));
-        }
-    }
-
-    let run_all = |checkpoints: CheckpointConfig| {
-        let mut experiment = base.clone();
-        experiment.checkpoints = checkpoints;
-        let mut runner = ExperimentRunner::new(experiment);
-        let results: Vec<_> = plans
-            .iter()
-            .map(|p| runner.run_with_plan(p.clone()))
-            .collect();
-        (results, runner.checkpoint_stats())
-    };
-
-    let mut interval_only = CheckpointConfig::with_max_bytes(budget);
-    interval_only.anchor_placement = false;
-    let (interval_results, interval_stats) = run_all(interval_only);
-
-    let mut anchored = CheckpointConfig::with_max_bytes(budget);
-    anchored.anchors = anchors.clone();
-    anchored.anchor_placement = false;
-    let (anchored_results, anchored_stats) = run_all(anchored);
-
-    assert_eq!(
-        interval_results, anchored_results,
-        "checkpoint placement must never change results"
-    );
-    assert!(interval_stats.forked_runs > 0 && anchored_stats.forked_runs > 0);
-    let interval_depth =
-        interval_stats.simulated_seconds_skipped / interval_stats.forked_runs as f64;
-    let anchored_depth =
-        anchored_stats.simulated_seconds_skipped / anchored_stats.forked_runs as f64;
-    assert!(
-        anchored_depth > interval_depth,
-        "anchor placement should raise mean fork depth: anchored {anchored_depth:.2}s vs interval {interval_depth:.2}s \
-         (anchored {anchored_stats:?}, interval {interval_stats:?})"
-    );
-}
-
-#[test]
 fn sim_delta_restore_is_bit_identical_to_full_restore() {
     // Layer property: `base.apply(&cut.diff(&base))` must rebuild the
     // exact capture, so a run resumed from the re-materialised snapshot
@@ -668,11 +590,11 @@ fn keyframe_stride_never_changes_results() {
 
 #[test]
 fn delta_chains_keep_more_cuts_resident_at_equal_budget() {
-    // The memory-density property the dense-anchor bench measures at
+    // The memory-density property the dense-interval bench measures at
     // full scale: under one tight budget, delta chains must keep several
     // times more cuts resident than full snapshots — here gated
-    // conservatively at 2× (the bench asserts 3× with its denser anchor
-    // set) — while results stay bit-identical to cold execution.
+    // conservatively at 2× (the bench asserts 3× over its larger
+    // late-injection sweep) — while results stay bit-identical to cold execution.
     let gps1 = SensorInstance::new(SensorKind::Gps, 1);
     let budget = 192 * 1024;
     let mut base = ExperimentConfig::new(
@@ -693,7 +615,6 @@ fn delta_chains_keep_more_cuts_resident_at_equal_budget() {
         experiment.checkpoints = CheckpointConfig {
             interval: 1.0,
             max_bytes: budget,
-            anchor_placement: false,
             keyframe_stride,
             ..CheckpointConfig::default()
         };
