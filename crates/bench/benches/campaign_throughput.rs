@@ -44,15 +44,14 @@
 //! must reproduce the seeded protocol defect bit-identically at
 //! parallelism 1 and 2).
 //!
-//! Unlike the Criterion-style micro-benches this harness owns its `main`
-//! (`harness = false`): one campaign is seconds of work, so it runs each
-//! configuration once and reports wall-clock plus speedup directly, and
-//! it emits the machine-readable `BENCH_campaign.json` consumed by CI as
-//! the perf-trajectory artefact. With `AVIS_BENCH_BASELINE` set, the
-//! harness compares the measured checkpoint speedup against the
-//! committed baseline and exits non-zero on a >20% regression —
-//! the speedup is a ratio of two runs on the same host, so the gate is
-//! robust to slow CI machines.
+//! The harness owns its `main` (`harness = false`): one campaign is
+//! seconds of work, so it runs each configuration once and reports
+//! wall-clock plus speedup directly, and it emits the machine-readable
+//! `BENCH_campaign.json` consumed by CI as the perf-trajectory artefact.
+//! With `AVIS_BENCH_BASELINE` set, the harness compares the measured
+//! checkpoint speedup against the committed baseline and exits non-zero
+//! on a >20% regression — the speedup is a ratio of two runs on the same
+//! host, so the gate is robust to slow CI machines.
 //!
 //! Environment knobs:
 //! - `AVIS_BENCH_SIMS` — simulation budget per campaign (default 64)

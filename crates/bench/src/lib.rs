@@ -3,8 +3,8 @@
 //! Shared helpers for the benchmark harnesses that regenerate every table
 //! and figure of the paper's evaluation (§VI). Each table/figure has a
 //! dedicated binary under `src/bin/` (see "Benches" in the README for
-//! the index); the Criterion benches under `benches/` measure the hot paths
-//! and run a scaled-down version of the Table III comparison.
+//! the index). The one bench under `benches/`, `campaign_throughput`,
+//! gates the campaign engine's speed-ups against a committed baseline.
 //!
 //! The harnesses configure campaigns through the fluent
 //! [`avis::campaign::Campaign`] builder and the

@@ -18,11 +18,10 @@
 use avis_firmware::ModeCategory;
 use avis_hinj::{FaultPlan, FaultSpec};
 use avis_sim::{SensorInstance, SensorKind, SensorSuiteConfig, SimRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One labelled example for the BFI model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingExample {
     /// Sensor kind that failed.
     pub sensor: SensorKind,
@@ -34,7 +33,7 @@ pub struct TrainingExample {
 
 /// The Bayesian fault-injection model: a smoothed probability of "unsafe"
 /// per `(sensor, mode-category)` feature pair.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BfiModel {
     counts: BTreeMap<(SensorKind, ModeCategory), (u32, u32)>,
     /// Seconds of (budget) time one model inference costs.

@@ -27,6 +27,7 @@
 //! `parallelism = 1`, in the same order.
 
 use crate::checker::{Approach, Budget, CampaignResult, CampaignState, UnsafeCondition};
+use crate::contain;
 use crate::engine::{self, EngineParams, WorkerStatsCollector};
 use crate::monitor::{InvariantMonitor, MonitorConfig};
 use crate::runner::{ExperimentConfig, ExperimentRunner};
@@ -38,14 +39,12 @@ use avis_firmware::{BugSet, FirmwareProfile};
 use avis_hinj::{FaultPlan, LinkFaultPlan};
 use avis_sim::{SensorNoise, SensorSuiteConfig};
 use avis_workload::{auto_box_mission, ScriptedWorkload};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One checkpoint in a campaign's life, streamed to the
 /// [`CampaignObserver`] in commit order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CampaignEvent {
     /// The campaign is about to set up: hydrate its persistent store, if
     /// any, then fly its profiling runs.
@@ -624,7 +623,7 @@ pub(crate) fn execute_campaign(
         .and_then(|s| SnapshotStore::open(&s.root, spec.experiment, s.max_bytes).ok())
         .map(|s| Arc::new(Mutex::new(s)));
     if let Some(store) = &store {
-        let report = store.lock().hydrate(&cache, spec.experiment);
+        let report = contain::lock(store).hydrate(&cache, spec.experiment);
         observer.on_event(&CampaignEvent::StoreHydrated {
             chains: report.chains,
             snapshots: report.snapshots,
@@ -690,7 +689,7 @@ pub(crate) fn execute_campaign(
     // Final write-behind flush + GC: chains recorded after the engine's
     // last commit-boundary flush reach disk before the campaign returns.
     if let Some(store) = &store {
-        let mut store = store.lock();
+        let mut store = contain::lock(store);
         store.flush(&cache, spec.experiment);
         let stats = store.stats();
         observer.on_event(&CampaignEvent::StoreFlushed {
@@ -708,7 +707,7 @@ pub(crate) fn execute_campaign(
     if let Some(collector) = &spec.worker_stats {
         let mut stats = state.runner.checkpoint_stats();
         if let Some(store) = &store {
-            let store_stats = store.lock().stats();
+            let store_stats = contain::lock(store).stats();
             stats.loaded_chains = store_stats.loaded_chains;
             stats.persisted_chains = store_stats.persisted_chains;
             stats.store_bytes = store_stats.store_bytes;

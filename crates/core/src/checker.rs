@@ -15,14 +15,13 @@ use crate::strategy::{BfiStrategy, RandomStrategy, SabreStrategy, Strategy};
 use crate::trace::Trace;
 use avis_firmware::{BugId, FirmwareProfile, ModeCategory, OperatingMode};
 use avis_hinj::FaultPlan;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The fault-injection approaches compared in the paper (Table I), kept
 /// as a thin factory over the [`Strategy`] implementations in
 /// [`crate::strategy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Approach {
     /// Avis: SABRE ordering, no learned model, redundancy elimination.
     Avis,
@@ -98,7 +97,7 @@ impl fmt::Display for Approach {
 /// on [`Budget::max_cost_seconds`] still completes. Both engines (serial
 /// and parallel) stop at the identical boundary — pinned by
 /// `tests/budget_accounting.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
     /// Maximum number of simulated test runs (profiling included). The
     /// campaign never starts an *injection* run that would exceed this
@@ -162,7 +161,7 @@ impl Budget {
 }
 
 /// One unsafe condition discovered by a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnsafeCondition {
     /// The fault plan that exposed it.
     pub plan: FaultPlan,
@@ -188,7 +187,7 @@ pub struct UnsafeCondition {
 /// runner boundary and reported here — the paper's `Serious` symptom
 /// class — instead of aborting the campaign. Deterministic: the same
 /// (seed, plan) produces the identical record at any parallelism.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashRecord {
     /// The fault plan whose run crashed.
     pub plan: FaultPlan,
@@ -203,7 +202,7 @@ pub struct CrashRecord {
 }
 
 /// The outcome of one campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Display name of the strategy that was run (an [`Approach`] name
     /// for the built-ins, [`Strategy::name`] for custom strategies).
@@ -231,14 +230,11 @@ pub struct CampaignResult {
     /// cell of a [`crate::matrix::ScenarioMatrix`] link-fault sweep
     /// (`None` for standalone campaigns, including ones configured
     /// through [`crate::campaign::CampaignBuilder::link_faults`]).
-    #[serde(default)]
     pub link_scenario: Option<String>,
     /// Contained crashes, in discovery order: runs whose simulated
     /// firmware panicked, reported as first-class
     /// [`crate::runner::RunVerdict::Crashed`] outcomes instead of
-    /// aborting the campaign. Serde-defaulted so results serialised
-    /// before this field existed deserialise as crash-free.
-    #[serde(default)]
+    /// aborting the campaign.
     pub crashes: Vec<CrashRecord>,
 }
 

@@ -22,11 +22,21 @@
 //! current thread is inside a containment scope and forwards to the
 //! previous hook otherwise — uncontained panics keep their full
 //! diagnostics.
+//!
+//! # Locks survive contained panics
+//!
+//! A contained panic can unwind while its thread holds one of the
+//! campaign's mutexes (the snapshot cache, the store, the engine's
+//! queue), which poisons it. The campaign keeps running past the panic,
+//! so every such mutex is taken through [`lock`], which recovers the
+//! guard instead of propagating the poison. That is sound because the
+//! panicked run's snapshots are quarantined and no other state it
+//! touched is trusted afterwards.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 
 thread_local! {
     /// Containment-scope depth of the current thread. Non-zero means a
@@ -64,6 +74,12 @@ pub(crate) fn catch<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> 
     let result = panic::catch_unwind(AssertUnwindSafe(f));
     CONTAIN_DEPTH.with(|depth| depth.set(depth.get() - 1));
     result
+}
+
+/// Locks `mutex`, recovering the guard if a contained panic poisoned it
+/// (see the [module docs](self)).
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Renders a caught panic payload into the human-readable message a
@@ -123,5 +139,19 @@ mod tests {
         });
         assert!(outer.is_err());
         assert_eq!(CONTAIN_DEPTH.with(Cell::get), 0);
+    }
+
+    #[test]
+    fn lock_recovers_a_mutex_poisoned_inside_catch() {
+        let data = Mutex::new(vec![1]);
+        let caught = catch(|| {
+            let mut guard = lock(&data);
+            guard.push(2);
+            panic!("panics while holding the guard")
+        });
+        assert!(caught.is_err());
+        assert!(data.is_poisoned());
+        lock(&data).push(3);
+        assert_eq!(*lock(&data), [1, 2, 3]);
     }
 }

@@ -97,14 +97,11 @@ impl WorkerStatsCollector {
     /// The statistics pushed so far: one entry per engine worker, then
     /// the campaign's inline entry, for every campaign that reported here.
     pub fn collected(&self) -> Vec<CheckpointStats> {
-        self.stats.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        contain::lock(&self.stats).clone()
     }
 
     pub(crate) fn push(&self, stats: CheckpointStats) {
-        self.stats
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(stats);
+        contain::lock(&self.stats).push(stats);
     }
 }
 
@@ -125,7 +122,7 @@ pub(crate) struct EngineParams<'a> {
     /// the pool path flushes the cache's new chains write-behind before
     /// each speculative wavefront, so a crash mid-campaign still leaves
     /// the completed wavefronts' chains on disk for the next session.
-    pub store: Option<Arc<parking_lot::Mutex<SnapshotStore>>>,
+    pub store: Option<Arc<Mutex<SnapshotStore>>>,
 }
 
 /// Simulations left before the hard budget cap (`usize::MAX` for
@@ -270,7 +267,7 @@ impl Dispatcher {
     /// The next family to run, blocking until one arrives or the pool
     /// shuts down.
     fn next_family(&self) -> Option<Vec<Job>> {
-        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let mut queue = contain::lock(&self.queue);
         loop {
             if let Some(family) = queue.families.pop_front() {
                 return Some(family);
@@ -286,10 +283,7 @@ impl Dispatcher {
     /// on unwind (see the guard in [`run_campaign`]) so a panicking
     /// wavefront can never leave workers parked on the condvar.
     fn shutdown(&self) {
-        self.queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .shutdown = true;
+        contain::lock(&self.queue).shutdown = true;
         self.ready.notify_all();
     }
 }
@@ -326,10 +320,7 @@ impl Wavefront {
     /// (see [`take_or_run`]), so no proposed job is ever leaked.
     fn execute(&self, families: Vec<Vec<Job>>) -> BTreeMap<u64, RunResult> {
         let expected: usize = families.iter().map(Vec::len).sum();
-        self.dispatcher
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        contain::lock(&self.dispatcher.queue)
             .families
             .extend(families);
         self.dispatcher.ready.notify_all();
@@ -632,7 +623,7 @@ fn run_rounds(
                     // persisted cuts are skipped) and purely
                     // observational — a flush failure degrades the next
                     // session's warm start, never this campaign's results.
-                    store.lock().flush(&params.cache, params.experiment);
+                    contain::lock(store).flush(&params.cache, params.experiment);
                 }
                 let cap = remaining_simulations(params.budget, state);
                 let families = plan_families(wavefront, &*strategy, cap, family_bucket);

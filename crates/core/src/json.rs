@@ -1,10 +1,9 @@
-//! A minimal, dependency-free JSON value with a parser and pretty
-//! printer.
+//! The workspace's JSON format: a minimal JSON value with a parser and
+//! pretty printer.
 //!
-//! The build environment has no crates.io access, so `serde_json` is not
-//! available; the artefacts this workspace emits (bug reports, bench
-//! result files) go through this module instead. The subset implemented
-//! is complete standard JSON minus `\u` surrogate-pair edge cases beyond
+//! Every JSON artefact the workspace emits or reads (bug reports, bench
+//! result files) goes through this module. The subset implemented is
+//! complete standard JSON minus `\u` surrogate-pair edge cases beyond
 //! the Basic Multilingual Plane, which none of the artefacts use.
 
 use std::fmt;

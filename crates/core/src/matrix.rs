@@ -38,7 +38,6 @@ use avis_firmware::{BugId, BugSet, FirmwareProfile};
 use avis_hinj::LinkFaultPlan;
 use avis_sim::SensorNoise;
 use avis_workload::ScriptedWorkload;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -374,7 +373,7 @@ impl ScenarioMatrix {
 
 /// The aggregated outcome of a [`ScenarioMatrix`] run: every cell's
 /// [`CampaignResult`], plus summary helpers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixReport {
     /// One result per cell, in strategy → firmware → workload →
     /// link-scenario order.

@@ -2,11 +2,10 @@
 
 use crate::checker::{Approach, CampaignResult};
 use avis_firmware::{FirmwareProfile, ModeCategory};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One row of Table III: unsafe scenarios per approach, split by firmware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnsafeScenarioRow {
     /// The approach.
     pub approach: Approach,
@@ -47,7 +46,7 @@ pub fn unsafe_scenario_table(results: &[CampaignResult]) -> Vec<UnsafeScenarioRo
 }
 
 /// One row of Table IV: unsafe scenarios per approach per mode category.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerModeRow {
     /// The approach.
     pub approach: Approach,

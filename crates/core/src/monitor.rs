@@ -28,7 +28,6 @@ use crate::trace::{StateSample, Trace};
 use avis_firmware::OperatingMode;
 use avis_hinj::ModeCode;
 use avis_sim::Vec3;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -36,7 +35,7 @@ use std::fmt;
 /// distances between them, over the directed graph of observed mode
 /// transitions. Every pairwise distance is computed once, at
 /// construction, so [`ModeGraph::distance`] is a lookup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModeGraph {
     /// Sorted mode codes: the row and column order of `distances`.
     nodes: Vec<ModeCode>,
@@ -147,7 +146,7 @@ fn bfs(edges: &Edges, from: ModeCode, to: ModeCode, undirected: bool) -> Option<
 }
 
 /// Why a run was flagged as unsafe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ViolationKind {
     /// Safety violation: physical collision.
     Collision {
@@ -226,7 +225,7 @@ impl fmt::Display for ViolationKind {
 }
 
 /// An unsafe condition detected by the monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// What was violated.
     pub kind: ViolationKind,
@@ -237,7 +236,7 @@ pub struct Violation {
 }
 
 /// Monitor configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
     /// Multiplier applied to the profiling-derived threshold `τ`; values
     /// above 1 add safety margin against false positives.
@@ -277,7 +276,7 @@ impl Default for MonitorConfig {
 }
 
 /// The invariant monitor, calibrated from fault-free profiling runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvariantMonitor {
     config: MonitorConfig,
     profiling: Vec<Trace>,

@@ -13,13 +13,12 @@
 
 use avis_hinj::FaultPlan;
 use avis_sim::{SensorInstance, SensorKind, SensorRole, SensorSuiteConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A role-level signature of one scheduled failure: kind, role and
 /// millisecond-quantised start time. Backup indices are erased, which is
 /// exactly the symmetry the pruning exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoleFailure {
     /// The failed sensor kind.
     pub kind: SensorKind,
@@ -31,7 +30,7 @@ pub struct RoleFailure {
 
 /// The role-level signature of a complete fault plan (a multiset of
 /// [`RoleFailure`]s, kept sorted).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RoleSignature(Vec<RoleFailure>);
 
 impl RoleSignature {
@@ -151,7 +150,7 @@ pub fn candidate_failure_sets(config: &SensorSuiteConfig) -> Vec<Vec<SensorInsta
 }
 
 /// Tracks explored scenarios and found bugs to implement `CanPrune`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PruningState {
     explored: BTreeSet<RoleSignature>,
     bug_signatures: Vec<RoleSignature>,

@@ -15,10 +15,9 @@ use avis_firmware::{BugId, FirmwareProfile, OperatingMode};
 use avis_hinj::{FaultPlan, FaultSpec, LinkFaultSpec, ModeCode};
 use avis_sim::codec::{ByteReader, ByteWriter};
 use avis_sim::{SensorInstance, SensorKind};
-use serde::{Deserialize, Serialize};
 
 /// A reproducible bug report generated from an unsafe condition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BugReport {
     /// Firmware the report applies to.
     pub profile: FirmwareProfile,
@@ -297,7 +296,7 @@ fn violation_from_json(doc: &Json) -> Result<Violation, JsonError> {
 }
 
 /// The result of replaying a report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Violations observed during the replay.
     pub violations: Vec<Violation>,

@@ -16,7 +16,6 @@ use avis_hinj::{FaultInjector, FaultPlan, FaultyLink, LinkSnapshot, SharedInject
 use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
 use avis_sim::{CowVec, MotorCommands, SensorNoise, SimRng};
 use avis_workload::{ScriptedWorkload, WorkloadStatus};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Salt folded into the link fault shim's RNG seed so its stream is
@@ -140,7 +139,7 @@ impl ExperimentConfig {
 }
 
 /// How a run ended, beyond what the trace itself records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum RunVerdict {
     /// The run executed to its natural end (workload terminal state,
     /// grace period, or the simulated-duration cap).
@@ -166,7 +165,7 @@ pub enum RunVerdict {
 }
 
 /// The outcome of one simulated test run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// The fault plan that was injected.
     pub plan: FaultPlan,
@@ -179,9 +178,7 @@ pub struct RunResult {
     /// conditions back to the bugs of Tables II and V).
     pub triggered_defects: Vec<BugId>,
     /// How the run ended: completed, crashed (contained panic) or
-    /// diverged (watchdog). Serde-defaulted so records serialised before
-    /// this field existed deserialise as [`RunVerdict::Completed`].
-    #[serde(default)]
+    /// diverged (watchdog).
     pub verdict: RunVerdict,
 }
 

@@ -11,12 +11,11 @@
 use crate::pruning::PruningState;
 use avis_hinj::{FaultPlan, FaultSpec};
 use avis_sim::SensorInstance;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One entry of the transition queue: inject new failures at `timestamp`
 /// on top of the failures already present in `base_plan`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueEntry {
     /// The anchored injection time (s).
     pub timestamp: f64,
@@ -25,7 +24,7 @@ pub struct QueueEntry {
 }
 
 /// Configuration of the SABRE queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SabreConfig {
     /// Increment applied when re-enqueueing a dequeued anchor (the
     /// "timestamp + 1" of Algorithm 1, in seconds).

@@ -89,6 +89,7 @@
 //! experiment — sharing the cache in this process, or hydrating it from
 //! the store — flies only the grace tail of each profiling run.
 
+use crate::contain;
 use crate::protocol::ProtocolTracker;
 use crate::trace::StateSample;
 use avis_firmware::{FirmwareDelta, FirmwareSnapshot};
@@ -102,6 +103,7 @@ use avis_sim::{CowDelta, CowVec, PackedStepOutput, SensorReading, SimDelta, SimS
 use avis_workload::{ScriptedWorkload, WorkloadStatus};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Configuration of the runner's checkpoint store.
 #[derive(Debug, Clone, PartialEq)]
@@ -1091,16 +1093,16 @@ pub struct SharedSnapshotTier {
     /// needs the *same experiment* (firmware, bugs, workload, simulation
     /// parameters, seed) — so a runner whose experiment fingerprint
     /// differs from the claim refuses to attach.
-    fingerprint: parking_lot::Mutex<Option<String>>,
-    cache: parking_lot::Mutex<SnapshotCache>,
+    fingerprint: Mutex<Option<String>>,
+    cache: Mutex<SnapshotCache>,
 }
 
 impl SharedSnapshotTier {
     /// An empty cache with the given memory budget (bytes).
     pub fn new(max_bytes: usize) -> Self {
         SharedSnapshotTier {
-            fingerprint: parking_lot::Mutex::new(None),
-            cache: parking_lot::Mutex::new(SnapshotCache::new(max_bytes)),
+            fingerprint: Mutex::new(None),
+            cache: Mutex::new(SnapshotCache::new(max_bytes)),
         }
     }
 
@@ -1109,7 +1111,7 @@ impl SharedSnapshotTier {
     /// mismatch means the caller must not attach (its runs would fork
     /// from another experiment's state).
     pub(crate) fn claim(&self, fingerprint: &str) -> bool {
-        let mut claimed = self.fingerprint.lock();
+        let mut claimed = contain::lock(&self.fingerprint);
         match claimed.as_deref() {
             Some(existing) => existing == fingerprint,
             None => {
@@ -1124,9 +1126,9 @@ impl SharedSnapshotTier {
         self.lock().stats()
     }
 
-    /// Locks the cache.
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, SnapshotCache> {
-        self.cache.lock()
+    /// Locks the cache (see [`contain::lock`]).
+    pub(crate) fn lock(&self) -> MutexGuard<'_, SnapshotCache> {
+        contain::lock(&self.cache)
     }
 }
 

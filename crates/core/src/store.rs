@@ -51,10 +51,13 @@
 //!   load. A mismatch quarantines the blob (moved to `quarantine/`) and
 //!   drops the rest of that chain — the affected scenarios transparently
 //!   cold-start, exactly like an in-memory checksum failure;
-//! - writes are write-behind and crash-safe: blobs and the manifest are
-//!   written to a temporary file and atomically renamed into place, so
-//!   a torn write leaves at worst a stale store, never a corrupt entry
-//!   that parses;
+//! - writes are write-behind and atomic, but not durable: blobs and the
+//!   manifest are written to a temporary file and renamed into place, so
+//!   a crashed process leaves at worst a stale store. Nothing is
+//!   fsync'd, so after a power loss a renamed blob or manifest can be
+//!   empty. The blob then fails its length and checksum check and is
+//!   quarantined, or the manifest fails to parse and the session
+//!   hydrates nothing; either costs only warm-start speed;
 //! - hydrated cuts enter the cache through the same commit path as the
 //!   cuts a run records, so every existing guard (exact un-quantised
 //!   prefix comparison before reuse, record-time checksums, the
@@ -919,30 +922,35 @@ mod tests {
 
     #[test]
     fn truncated_blob_is_rejected_not_panicked() {
+        // Half a blob, and an empty one: what a power loss leaves of a
+        // blob whose rename reached the disk before its data.
         let cfg = experiment();
         let tier = populated_tier(&cfg);
-        let root = temp_store("truncated");
-        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
-        store.flush(&tier, &cfg);
-        let blobs_dir = store.dir().join("blobs");
-        drop(store);
+        for empty in [false, true] {
+            let root = temp_store("truncated");
+            let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+            store.flush(&tier, &cfg);
+            let blobs_dir = store.dir().join("blobs");
+            drop(store);
 
-        let victim = std::fs::read_dir(&blobs_dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .max()
-            .unwrap();
-        let bytes = std::fs::read(&victim).unwrap();
-        std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+            let victim = std::fs::read_dir(&blobs_dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .max()
+                .unwrap();
+            let bytes = std::fs::read(&victim).unwrap();
+            let kept = if empty { 0 } else { bytes.len() / 2 };
+            std::fs::write(&victim, &bytes[..kept]).unwrap();
 
-        let tier2 = Arc::new(SharedSnapshotTier::new(
-            CheckpointConfig::default().max_bytes,
-        ));
-        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
-        let _ = store.hydrate(&tier2, &cfg);
-        assert_eq!(store.stats().quarantined_blobs, 1);
+            let tier2 = Arc::new(SharedSnapshotTier::new(
+                CheckpointConfig::default().max_bytes,
+            ));
+            let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+            let _ = store.hydrate(&tier2, &cfg);
+            assert_eq!(store.stats().quarantined_blobs, 1, "empty: {empty}");
 
-        let _ = std::fs::remove_dir_all(&root);
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! the pipeline over that corpus. This substitution is recorded under
 //! "Deviations from the paper" in the README.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Root-cause classes used by the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RootCause {
     /// Logically incorrect behaviour without a preceding hardware fault.
     Semantic,
@@ -38,7 +37,7 @@ impl fmt::Display for RootCause {
 }
 
 /// Reproducibility classes (Figure 3B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Reproducibility {
     /// Reproducible with standard environment and hardware configuration.
     DefaultSettings,
@@ -49,7 +48,7 @@ pub enum Reproducibility {
 }
 
 /// Symptom classes (Figure 3C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Outcome {
     /// Crash or fly-away.
     Serious,
@@ -60,7 +59,7 @@ pub enum Outcome {
 }
 
 /// One (synthetic) bug report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BugReportRecord {
     /// Stable identifier within the corpus.
     pub id: u32,
@@ -75,7 +74,7 @@ pub struct BugReportRecord {
 }
 
 /// Aggregated study statistics (the content of Figure 3 and Findings 1–3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyStatistics {
     /// Total reports analysed.
     pub total: usize,

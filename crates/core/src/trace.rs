@@ -12,10 +12,9 @@ use avis_hinj::ModeCode;
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use avis_sim::{Collision, Vec3};
 use avis_workload::WorkloadStatus;
-use serde::{Deserialize, Serialize};
 
 /// One sampled state tuple `(P, α, M)` at a fixed time offset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateSample {
     /// Time offset from the start of the run (s).
     pub time: f64,
@@ -48,7 +47,7 @@ impl StateSample {
 }
 
 /// A mode transition observed during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeTransition {
     /// Time of the transition (s).
     pub time: f64,
@@ -59,7 +58,7 @@ pub struct ModeTransition {
 /// A protocol-level anomaly observed on the GCS ↔ vehicle link during a
 /// run, recorded by the runner's protocol tracker and mapped to
 /// violations by the invariant monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolEvent {
     /// Time of the observation (s).
     pub time: f64,
@@ -68,7 +67,7 @@ pub struct ProtocolEvent {
 }
 
 /// The kinds of protocol anomalies the runner tracks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolEventKind {
     /// The GCS observed the vehicle disarm (heartbeat armed → disarmed)
     /// while telemetry showed it airborne — an in-air reboot/disarm.
@@ -161,7 +160,7 @@ impl ProtocolEventKind {
 }
 
 /// The complete record of one simulated test run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Sampling interval (s).
     pub sample_interval: f64,
@@ -179,7 +178,6 @@ pub struct Trace {
     pub duration: f64,
     /// Protocol anomalies observed on the link, in time order (empty for
     /// runs without link-fault instrumentation).
-    #[serde(default)]
     pub protocol: Vec<ProtocolEvent>,
 }
 

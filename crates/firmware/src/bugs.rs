@@ -19,12 +19,11 @@ use crate::modes::ModeCategory;
 use crate::params::FirmwareProfile;
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use avis_sim::SensorKind;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Symptom classes used throughout the paper's tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BugSymptom {
     /// The vehicle collides with the ground or an obstacle.
     Crash,
@@ -46,7 +45,7 @@ impl fmt::Display for BugSymptom {
 }
 
 /// Identifier of one injectable defect, named after the paper's report ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum BugId {
     // Previously-unknown bugs (Table II).
@@ -417,7 +416,7 @@ impl fmt::Display for BugId {
 }
 
 /// Structured metadata about one defect (the row content of Tables II/V).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BugInfo {
     /// The defect identifier.
     pub id: BugId,
@@ -463,7 +462,7 @@ impl BugInfo {
 }
 
 /// The set of defects compiled into a firmware instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BugSet {
     enabled: BTreeSet<BugId>,
 }

@@ -24,7 +24,6 @@ use crate::nav::Setpoint;
 use crate::params::FirmwareProfile;
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
 use avis_sim::{SensorKind, Vec3};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Everything a defect needs to decide whether it triggers this step.
@@ -94,7 +93,7 @@ impl DefectOverrides {
 
 /// Tracks trigger state for the enabled defects and produces per-step
 /// overrides.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefectEngine {
     bugs: BugSet,
     /// Time at which each bug first triggered.

@@ -23,10 +23,9 @@ use crate::frontend::{SelectedSensors, SensorHealth};
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
 use avis_sim::math::wrap_angle;
 use avis_sim::{Quat, Vec3, GRAVITY};
-use serde::{Deserialize, Serialize};
 
 /// A snapshot of the estimator outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorState {
     /// Estimated roll angle (rad).
     pub roll: f64,
@@ -105,7 +104,7 @@ impl EstimatorState {
 }
 
 /// Filter gains for the complementary estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorGains {
     /// Attitude correction toward the accelerometer gravity direction (1/s).
     pub attitude_correction: f64,
@@ -141,7 +140,7 @@ impl Default for EstimatorGains {
 }
 
 /// The complementary-filter state estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateEstimator {
     gains: EstimatorGains,
     state: EstimatorState,
@@ -156,7 +155,7 @@ impl Default for StateEstimator {
 
 /// The per-run mutable slice of a [`StateEstimator`] (see
 /// [`StateEstimator::dynamics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorDynamics {
     state: EstimatorState,
     baro_reference: Option<f64>,

@@ -16,11 +16,10 @@ use crate::modes::OperatingMode;
 use crate::params::{FailsafeAction, FirmwareParams};
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use avis_sim::SensorKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a failsafe fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailsafeCause {
     /// Horizontal position lost (all GPS failed or estimate timed out).
     PositionLoss,
@@ -79,7 +78,7 @@ impl fmt::Display for FailsafeCause {
 }
 
 /// A failsafe decision: the cause and the action to take.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailsafeEvent {
     /// Why the failsafe fired.
     pub cause: FailsafeCause,
@@ -109,7 +108,7 @@ impl FailsafeEvent {
 
 /// The failsafe engine. Stateful so that each cause fires once per run
 /// (matching the latch-style behaviour of real firmware).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailsafeEngine {
     fired: Vec<FailsafeEvent>,
 }

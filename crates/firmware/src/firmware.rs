@@ -23,10 +23,9 @@ use avis_mavlite::{AckResult, CommandKind, Message, MissionCommand, ProtocolMode
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use avis_sim::cow::{ChunkSink, ChunkSource};
 use avis_sim::{CowVec, MotorCommands, SensorKind, SensorReading, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Compact telemetry snapshot (also broadcast as MAVLite status messages).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Telemetry {
     /// Simulation time of the snapshot (s).
     pub time: f64,
@@ -47,7 +46,7 @@ pub struct Telemetry {
 }
 
 /// Internal phase of a return-to-launch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum RtlPhase {
     Travel { cruise_altitude: f64 },
     Landing,

@@ -11,11 +11,10 @@
 use avis_hinj::SharedInjector;
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
 use avis_sim::{SensorInstance, SensorKind, SensorReading, SensorValue, Vec3};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A GPS solution selected by the frontend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsSolution {
     /// Position in the local frame (m).
     pub position: Vec3,
@@ -24,7 +23,7 @@ pub struct GpsSolution {
 }
 
 /// Battery status selected by the frontend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryState {
     /// Terminal voltage (V).
     pub voltage: f64,
@@ -35,7 +34,7 @@ pub struct BatteryState {
 /// The per-step output of the sensor frontend: one selected measurement
 /// per sensor kind (from the active instance), or `None` if every instance
 /// of that kind has failed.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SelectedSensors {
     /// Body-frame specific force (m/s²).
     pub accel: Option<Vec3>,
@@ -92,7 +91,7 @@ impl SelectedSensors {
 }
 
 /// Health summary per sensor kind.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SensorHealth {
     failed_instances: BTreeSet<SensorInstance>,
     active: Vec<(SensorKind, SensorInstance)>,

@@ -2,7 +2,6 @@
 
 use avis_mavlite::{Message, MissionCommand, MissionItem};
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 
 /// Serialise a mission command as a stable one-byte tag plus payload.
 ///
@@ -54,7 +53,7 @@ pub fn decode_mission_item(r: &mut ByteReader<'_>) -> CodecResult<MissionItem> {
 }
 
 /// State of the vehicle-side mission upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UploadPhase {
     Idle,
     /// Receiving items; the value is the next sequence number expected.
@@ -64,7 +63,7 @@ enum UploadPhase {
 /// The mission manager: stores uploaded mission items, runs the
 /// vehicle-driven upload protocol and tracks the active item during Auto
 /// flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionManager {
     items: Vec<MissionItem>,
     staged: Vec<MissionItem>,

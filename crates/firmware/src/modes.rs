@@ -12,11 +12,10 @@
 use avis_hinj::ModeCode;
 use avis_mavlite::ProtocolMode;
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The firmware's operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatingMode {
     /// On the ground, disarmed, running pre-flight checks.
     PreFlight,
@@ -160,7 +159,7 @@ impl fmt::Display for OperatingMode {
 }
 
 /// Coarse mode categories, matching the columns of the paper's Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ModeCategory {
     /// Pre-flight and takeoff.
     Takeoff,

@@ -8,10 +8,9 @@ use crate::params::FirmwareParams;
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use avis_sim::math::{clamp, wrap_angle};
 use avis_sim::{MotorCommands, Vec3, GRAVITY};
-use serde::{Deserialize, Serialize};
 
 /// What the active mode asks the navigator to do this step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Setpoint {
     /// Motors off (disarmed or crashed).
     Idle,
@@ -152,7 +151,7 @@ impl Setpoint {
 }
 
 /// Navigation gains (inner and outer loop).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NavGains {
     /// Position error → velocity demand (1/s).
     pub kp_pos: f64,
@@ -195,7 +194,7 @@ impl Default for NavGains {
 
 /// The per-run mutable slice of a [`Navigator`] (see
 /// [`Navigator::dynamics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NavDynamics {
     hover_trim: f64,
     yaw_hold: f64,
@@ -218,7 +217,7 @@ impl NavDynamics {
 }
 
 /// The navigation controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Navigator {
     gains: NavGains,
     max_tilt: f64,

@@ -9,11 +9,10 @@
 //! tunables the failsafe and navigation code reads.
 
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which control-firmware stack the substrate is modelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FirmwareProfile {
     /// ArduPilot / ArduCopter-like behaviour.
     ArduPilotLike,
@@ -42,7 +41,7 @@ impl fmt::Display for FirmwareProfile {
 }
 
 /// The action a failsafe takes when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailsafeAction {
     /// Continue the mission (report only).
     Warn,
@@ -97,7 +96,7 @@ impl fmt::Display for FailsafeAction {
 
 /// Tunable firmware parameters (the equivalent of ArduPilot's parameter
 /// table, reduced to what the reproduction needs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FirmwareParams {
     /// Default takeoff / mission altitude (m).
     pub default_takeoff_altitude: f64,

@@ -1,10 +1,8 @@
 //! A small PID controller used by the navigation cascade.
 
-use serde::{Deserialize, Serialize};
-
 /// A proportional-integral-derivative controller with output clamping and
 /// integral anti-windup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pid {
     /// Proportional gain.
     pub kp: f64,

@@ -50,18 +50,16 @@ pub use link::{
 
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
 use avis_sim::{ChunkSink, ChunkSource, CowDelta, CowVec, SensorInstance};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An opaque operating-mode code reported by the firmware.
 ///
 /// The firmware maps its mode enumeration onto these codes; the injector
 /// does not interpret them, it only records transitions between them —
 /// exactly the information `hinj_update_mode()` carries in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModeCode(pub u32);
 
 impl fmt::Display for ModeCode {
@@ -72,7 +70,7 @@ impl fmt::Display for ModeCode {
 
 /// A single clean sensor failure: `instance` stops communicating at `time`
 /// (seconds of simulation time) and never recovers within the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// The sensor instance that fails.
     pub instance: SensorInstance,
@@ -120,73 +118,10 @@ impl fmt::Display for FaultSpec {
 /// `should_fail` path, link faults through the [`FaultyLink`] shim — but
 /// they travel in one plan so the campaign engine's de-duplication,
 /// prefix dispatch and snapshot forking treat a scenario as one unit.
-///
-/// Plans serialise as a list of [`FaultSpec`]s (so they can be embedded in
-/// JSON bug reports) and deserialise back through [`FaultPlan::from_specs`];
-/// when link faults are present the serialised form is a struct carrying
-/// both lists, and both forms deserialise.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(from = "PlanRepr", into = "PlanRepr")]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     faults: BTreeMap<SensorInstance, f64>,
     link: LinkFaultPlan,
-}
-
-/// The serialised shape of a [`FaultPlan`]: the historical bare list of
-/// sensor specs, or (once link faults are involved) a struct with both
-/// fault surfaces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(untagged)]
-enum PlanRepr {
-    /// Pre-PR-6 form: a bare list of sensor fault specs.
-    Specs(Vec<FaultSpec>),
-    /// Full form: sensor and link fault specs.
-    Full {
-        #[serde(default)]
-        faults: Vec<FaultSpec>,
-        #[serde(default)]
-        link: Vec<LinkFaultSpec>,
-    },
-}
-
-impl From<PlanRepr> for FaultPlan {
-    fn from(repr: PlanRepr) -> Self {
-        match repr {
-            PlanRepr::Specs(specs) => FaultPlan::from_specs(specs),
-            PlanRepr::Full { faults, link } => {
-                let mut plan = FaultPlan::from_specs(faults);
-                plan.link = LinkFaultPlan::from_specs(link);
-                plan
-            }
-        }
-    }
-}
-
-impl From<FaultPlan> for PlanRepr {
-    fn from(plan: FaultPlan) -> Self {
-        if plan.link.is_empty() {
-            // Keep the historical wire form when no link faults are set,
-            // so sensor-only reports stay byte-compatible.
-            PlanRepr::Specs(plan.specs().collect())
-        } else {
-            PlanRepr::Full {
-                faults: plan.specs().collect(),
-                link: plan.link.specs().to_vec(),
-            }
-        }
-    }
-}
-
-impl From<Vec<FaultSpec>> for FaultPlan {
-    fn from(specs: Vec<FaultSpec>) -> Self {
-        FaultPlan::from_specs(specs)
-    }
-}
-
-impl From<FaultPlan> for Vec<FaultSpec> {
-    fn from(plan: FaultPlan) -> Self {
-        plan.specs().collect()
-    }
 }
 
 impl FaultPlan {
@@ -372,7 +307,7 @@ impl fmt::Display for FaultPlan {
 }
 
 /// A record of one injected failure actually delivered to a driver read.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionRecord {
     /// The failed instance.
     pub instance: SensorInstance,
@@ -381,7 +316,7 @@ pub struct InjectionRecord {
 }
 
 /// A record of one operating-mode transition reported by the firmware.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeTransitionRecord {
     /// Simulation time of the transition (s).
     pub time: f64,
@@ -738,45 +673,53 @@ impl SharedInjector {
         SharedInjector::new(FaultInjector::passthrough())
     }
 
+    /// Locks the injector, recovering the guard if a panic poisoned it.
+    /// The checker contains firmware panics and discards the panicked
+    /// run, injector state included, so the poison carries nothing a
+    /// later caller must act on.
+    fn lock(&self) -> MutexGuard<'_, FaultInjector> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Driver-side query: should this read fail?
     pub fn should_fail(&self, instance: SensorInstance, time: f64) -> bool {
-        self.inner.lock().should_fail(instance, time)
+        self.lock().should_fail(instance, time)
     }
 
     /// Firmware-side mode report.
     pub fn report_mode(&self, time: f64, mode: ModeCode) {
-        self.inner.lock().report_mode(time, mode);
+        self.lock().report_mode(time, mode);
     }
 
     /// Runs a closure with exclusive access to the underlying injector.
     pub fn with<R>(&self, f: impl FnOnce(&mut FaultInjector) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut self.lock())
     }
 
     /// Snapshot of the mode transitions recorded so far.
     pub fn mode_transitions(&self) -> Vec<ModeTransitionRecord> {
-        self.inner.lock().mode_transitions().to_vec()
+        self.lock().mode_transitions().to_vec()
     }
 
     /// Snapshot of the injections delivered so far.
     pub fn injections(&self) -> Vec<InjectionRecord> {
-        self.inner.lock().injections().to_vec()
+        self.lock().injections().to_vec()
     }
 
     /// The plan being executed.
     pub fn plan(&self) -> FaultPlan {
-        self.inner.lock().plan().clone()
+        self.lock().plan().clone()
     }
 
     /// Removes and returns the plan (see [`FaultInjector::take_plan`]).
     pub fn take_plan(&self) -> FaultPlan {
-        self.inner.lock().take_plan()
+        self.lock().take_plan()
     }
 
     /// Captures the underlying injector's state (see
     /// [`FaultInjector::snapshot`]).
     pub fn snapshot(&self) -> InjectorSnapshot {
-        self.inner.lock().snapshot()
+        self.lock().snapshot()
     }
 }
 
@@ -891,6 +834,24 @@ mod tests {
         assert_eq!(other.mode_transitions().len(), 1);
         assert_eq!(other.injections().len(), 1);
         assert_eq!(shared.plan().len(), 1);
+    }
+
+    #[test]
+    fn shared_injector_survives_a_panic_holding_its_lock() {
+        let shared = SharedInjector::new(FaultInjector::new(FaultPlan::from_specs(vec![
+            FaultSpec::new(gps(0), 1.0),
+        ])));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.with(|injector| {
+                injector.report_mode(0.1, ModeCode(7));
+                panic!("firmware panic while holding the injector")
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(shared.inner.is_poisoned());
+        assert!(shared.should_fail(gps(0), 2.0));
+        assert_eq!(shared.mode_transitions().len(), 1);
+        assert_eq!(shared.injections().len(), 1);
     }
 
     #[test]

@@ -18,12 +18,11 @@
 use avis_mavlite::{Endpoint, Link, LinkParts, Message, ProtocolMode};
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use avis_sim::SimRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Which of the link's two byte streams a fault applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LinkDirection {
     /// GCS → vehicle (commands and mission uploads).
     ToVehicle,
@@ -82,7 +81,7 @@ impl LinkDirection {
 }
 
 /// The command a [`LinkFaultKind::Storm`] floods the link with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StormCommand {
     /// A burst of `ArmDisarm { arm: true }` requests.
     Arm,
@@ -131,7 +130,7 @@ impl StormCommand {
 /// on every frame sent on their stream while `spec.time <= now <
 /// spec.time + duration`; `Storm` fires once, at the first delivery on
 /// its stream at or after `spec.time`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkFaultKind {
     /// Silently discard frames (the sender's sequence counter still
     /// advances, so the receiver observes the gap).
@@ -273,7 +272,7 @@ impl LinkFaultKind {
 
 /// One scheduled protocol fault: `kind` applied to `direction` starting
 /// at simulation time `time`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultSpec {
     /// The fault behaviour.
     pub kind: LinkFaultKind,
@@ -360,22 +359,9 @@ impl fmt::Display for LinkFaultSpec {
 /// Specs are kept sorted by `(start time, canonical part)` so two plans
 /// built from the same specs in any order compare equal, display the
 /// same, and produce the same canonical key and injection prefixes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(from = "Vec<LinkFaultSpec>", into = "Vec<LinkFaultSpec>")]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkFaultPlan {
     specs: Vec<LinkFaultSpec>,
-}
-
-impl From<Vec<LinkFaultSpec>> for LinkFaultPlan {
-    fn from(specs: Vec<LinkFaultSpec>) -> Self {
-        LinkFaultPlan::from_specs(specs)
-    }
-}
-
-impl From<LinkFaultPlan> for Vec<LinkFaultSpec> {
-    fn from(plan: LinkFaultPlan) -> Self {
-        plan.specs
-    }
 }
 
 impl LinkFaultPlan {
@@ -586,7 +572,7 @@ impl FaultyLink {
     pub fn send(&mut self, from: Endpoint, msg: &Message, now: f64) {
         let dir = LinkDirection::from_sender(from);
         self.release_due(dir, now);
-        let frame = self.link.encode_next(from, msg).to_vec();
+        let frame = self.link.encode_next(from, msg);
         let mut frames: Vec<Vec<u8>> = vec![frame];
         let mut delay: Option<f64> = None;
         let mut reorder_window: Option<usize> = None;
@@ -715,7 +701,7 @@ impl FaultyLink {
             }
             let msg = command.message();
             for _ in 0..count {
-                let frame = self.link.encode_next(dir.sender(), &msg).to_vec();
+                let frame = self.link.encode_next(dir.sender(), &msg);
                 self.link.inject_frame(dir.receiver(), &frame);
                 self.stats.storm_frames += 1;
             }

@@ -1,7 +1,7 @@
 //! `lint.toml` — the lint's rule-scoping configuration.
 //!
-//! The vendored workspace has no TOML crate, so this module includes a
-//! minimal hand-rolled parser for the subset the config uses: `[table]`
+//! The workspace has no external crates, so no TOML crate: this module
+//! includes a minimal hand-rolled parser for the subset the config uses: `[table]`
 //! and `[[array-of-table]]` headers, `key = "string"`,
 //! `key = ["array", "of", "strings"]` (single- or multi-line) and
 //! `key = true/false`. Anything else is a hard error — config drift
@@ -29,8 +29,8 @@ pub struct SnapshotPair {
 /// The parsed `lint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
-    /// Workspace-relative path prefixes never scanned (vendored code,
-    /// build output, the lint's own deliberately-bad fixtures).
+    /// Workspace-relative path prefixes never scanned (build output, the
+    /// lint's own deliberately-bad fixtures).
     pub exclude: Vec<String>,
     /// Crate directory names under `crates/` whose non-test code is in
     /// scope for D1 (banned nondeterminism APIs) and D2 (RNG hygiene).

@@ -1,7 +1,7 @@
 //! A hand-rolled Rust lexer for lint-grade analysis.
 //!
-//! The vendored workspace has no `syn`/`proc-macro2`, so the lint works
-//! on a token stream produced here instead of a real AST. The lexer is
+//! The workspace has no external crates, so no `syn`/`proc-macro2`: the
+//! lint works on a token stream produced here instead of a real AST. The lexer is
 //! comment-, string- and attribute-aware: banned identifiers inside
 //! string literals or comments never produce findings, while comments
 //! are kept (with line numbers) so suppression directives

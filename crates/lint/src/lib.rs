@@ -5,9 +5,9 @@
 //! otherwise enforced only dynamically, by determinism tests that must
 //! happen to exercise a broken path. This crate makes the determinism
 //! contract machine-checked: an offline, dependency-free static
-//! analysis over a hand-rolled Rust token stream (no `syn` in the
-//! vendored workspace) that walks all workspace crates and enforces
-//! the rule set in [`rules`]:
+//! analysis over a hand-rolled Rust token stream (the workspace has no
+//! external crates, so no `syn`) that walks all workspace crates and
+//! enforces the rule set in [`rules`]:
 //!
 //! - **D1** — banned nondeterminism APIs (`HashMap`, `Instant`,
 //!   `SystemTime`, `thread_rng`, `std::env`, ...) in non-test code of

@@ -8,7 +8,6 @@
 //! corruption, resynchronisation — are exercised realistically by tests.
 
 use crate::message::{AckResult, CommandKind, Message, MissionCommand, MissionItem, ProtocolMode};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Start-of-frame marker.
@@ -54,7 +53,15 @@ pub fn crc16_x25(data: &[u8]) -> u16 {
     !crc
 }
 
-fn put_mode(buf: &mut BytesMut, mode: ProtocolMode) {
+fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+fn put_mode(buf: &mut Vec<u8>, mode: ProtocolMode) {
     let v = match mode {
         ProtocolMode::Stabilize => 0u8,
         ProtocolMode::AltHold => 1,
@@ -64,81 +71,29 @@ fn put_mode(buf: &mut BytesMut, mode: ProtocolMode) {
         ProtocolMode::Land => 5,
         ProtocolMode::ReturnToLaunch => 6,
     };
-    buf.put_u8(v);
+    buf.push(v);
 }
 
-fn get_mode(buf: &mut Bytes) -> Result<ProtocolMode, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(match buf.get_u8() {
-        0 => ProtocolMode::Stabilize,
-        1 => ProtocolMode::AltHold,
-        2 => ProtocolMode::PosHold,
-        3 => ProtocolMode::Auto,
-        4 => ProtocolMode::Guided,
-        5 => ProtocolMode::Land,
-        6 => ProtocolMode::ReturnToLaunch,
-        _ => return Err(CodecError::InvalidField("mode")),
-    })
-}
-
-fn put_mission_item(buf: &mut BytesMut, item: &MissionItem) {
-    buf.put_u16(item.seq);
-    match item.command {
-        MissionCommand::Takeoff { altitude } => {
-            buf.put_u8(0);
-            buf.put_f64(altitude);
-            buf.put_f64(0.0);
-            buf.put_f64(0.0);
-        }
-        MissionCommand::Waypoint { x, y, z } => {
-            buf.put_u8(1);
-            buf.put_f64(x);
-            buf.put_f64(y);
-            buf.put_f64(z);
-        }
-        MissionCommand::Land => {
-            buf.put_u8(2);
-            buf.put_f64(0.0);
-            buf.put_f64(0.0);
-            buf.put_f64(0.0);
-        }
-        MissionCommand::ReturnToLaunch => {
-            buf.put_u8(3);
-            buf.put_f64(0.0);
-            buf.put_f64(0.0);
-            buf.put_f64(0.0);
-        }
-    }
-}
-
-fn get_mission_item(buf: &mut Bytes) -> Result<MissionItem, CodecError> {
-    if buf.remaining() < 2 + 1 + 24 {
-        return Err(CodecError::Truncated);
-    }
-    let seq = buf.get_u16();
-    let kind = buf.get_u8();
-    let a = buf.get_f64();
-    let b = buf.get_f64();
-    let c = buf.get_f64();
-    let command = match kind {
-        0 => MissionCommand::Takeoff { altitude: a },
-        1 => MissionCommand::Waypoint { x: a, y: b, z: c },
-        2 => MissionCommand::Land,
-        3 => MissionCommand::ReturnToLaunch,
-        _ => return Err(CodecError::InvalidField("mission command")),
+fn put_mission_item(buf: &mut Vec<u8>, item: &MissionItem) {
+    put_u16(buf, item.seq);
+    let (kind, [a, b, c]) = match item.command {
+        MissionCommand::Takeoff { altitude } => (0u8, [altitude, 0.0, 0.0]),
+        MissionCommand::Waypoint { x, y, z } => (1, [x, y, z]),
+        MissionCommand::Land => (2, [0.0; 3]),
+        MissionCommand::ReturnToLaunch => (3, [0.0; 3]),
     };
-    Ok(MissionItem { seq, command })
+    buf.push(kind);
+    put_f64(buf, a);
+    put_f64(buf, b);
+    put_f64(buf, c);
 }
 
-/// Encodes a message payload (without frame header or checksum).
-fn encode_payload(msg: &Message) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(64);
+/// Appends a message payload (without frame header or checksum).
+fn encode_payload(msg: &Message, buf: &mut Vec<u8>) {
     match *msg {
         Message::Heartbeat { mode, armed } => {
-            put_mode(&mut buf, mode);
-            buf.put_u8(u8::from(armed));
+            put_mode(buf, mode);
+            buf.push(u8::from(armed));
         }
         Message::Status {
             x,
@@ -148,132 +103,149 @@ fn encode_payload(msg: &Message) -> BytesMut {
             mission_seq,
             landed,
         } => {
-            buf.put_f64(x);
-            buf.put_f64(y);
-            buf.put_f64(altitude);
-            buf.put_f64(climb_rate);
-            buf.put_u16(mission_seq);
-            buf.put_u8(u8::from(landed));
+            put_f64(buf, x);
+            put_f64(buf, y);
+            put_f64(buf, altitude);
+            put_f64(buf, climb_rate);
+            put_u16(buf, mission_seq);
+            buf.push(u8::from(landed));
         }
-        Message::ArmDisarm { arm } => buf.put_u8(u8::from(arm)),
-        Message::SetMode { mode } => put_mode(&mut buf, mode),
-        Message::CommandTakeoff { altitude } => buf.put_f64(altitude),
+        Message::ArmDisarm { arm } => buf.push(u8::from(arm)),
+        Message::SetMode { mode } => put_mode(buf, mode),
+        Message::CommandTakeoff { altitude } => put_f64(buf, altitude),
         Message::CommandGoto { x, y, z } => {
-            buf.put_f64(x);
-            buf.put_f64(y);
-            buf.put_f64(z);
+            put_f64(buf, x);
+            put_f64(buf, y);
+            put_f64(buf, z);
         }
         Message::CommandAck { command, result } => {
-            buf.put_u8(match command {
+            buf.push(match command {
                 CommandKind::Arm => 0,
                 CommandKind::SetMode => 1,
                 CommandKind::Takeoff => 2,
             });
-            buf.put_u8(match result {
+            buf.push(match result {
                 AckResult::Accepted => 0,
                 AckResult::Rejected => 1,
             });
         }
-        Message::MissionCount { count } => buf.put_u16(count),
-        Message::MissionRequest { seq } => buf.put_u16(seq),
-        Message::MissionItemMsg { item } => put_mission_item(&mut buf, &item),
-        Message::MissionAck { accepted } => buf.put_u8(u8::from(accepted)),
-        Message::StatusText { severity } => buf.put_u8(severity),
+        Message::MissionCount { count } => put_u16(buf, count),
+        Message::MissionRequest { seq } => put_u16(buf, seq),
+        Message::MissionItemMsg { item } => put_mission_item(buf, &item),
+        Message::MissionAck { accepted } => buf.push(u8::from(accepted)),
+        Message::StatusText { severity } => buf.push(severity),
     }
-    buf
 }
 
-fn decode_payload(id: u8, mut buf: Bytes) -> Result<Message, CodecError> {
-    let need = |buf: &Bytes, n: usize| {
-        if buf.remaining() < n {
-            Err(CodecError::Truncated)
-        } else {
-            Ok(())
-        }
-    };
+/// Big-endian reads over the payload of a frame whose length and
+/// checksum already verified. Running past the end is therefore a
+/// malformed payload, never a frame still arriving: reporting it as
+/// [`CodecError::Truncated`] would make [`crate::Link::recv`] wait
+/// forever for bytes that belong to the next frame.
+struct PayloadReader<'a> {
+    buf: &'a [u8],
+}
+
+impl PayloadReader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::InvalidField("payload length"))?;
+        self.buf = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, CodecError> {
+        self.take().map(u8::from_be_bytes)
+    }
+
+    fn u16(&mut self) -> Result<u16, CodecError> {
+        self.take().map(u16::from_be_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, CodecError> {
+        self.take().map(f64::from_be_bytes)
+    }
+
+    fn bool(&mut self) -> Result<bool, CodecError> {
+        Ok(self.u8()? != 0)
+    }
+
+    fn mode(&mut self) -> Result<ProtocolMode, CodecError> {
+        Ok(match self.u8()? {
+            0 => ProtocolMode::Stabilize,
+            1 => ProtocolMode::AltHold,
+            2 => ProtocolMode::PosHold,
+            3 => ProtocolMode::Auto,
+            4 => ProtocolMode::Guided,
+            5 => ProtocolMode::Land,
+            6 => ProtocolMode::ReturnToLaunch,
+            _ => return Err(CodecError::InvalidField("mode")),
+        })
+    }
+
+    fn mission_item(&mut self) -> Result<MissionItem, CodecError> {
+        let seq = self.u16()?;
+        let kind = self.u8()?;
+        let (a, b, c) = (self.f64()?, self.f64()?, self.f64()?);
+        let command = match kind {
+            0 => MissionCommand::Takeoff { altitude: a },
+            1 => MissionCommand::Waypoint { x: a, y: b, z: c },
+            2 => MissionCommand::Land,
+            3 => MissionCommand::ReturnToLaunch,
+            _ => return Err(CodecError::InvalidField("mission command")),
+        };
+        Ok(MissionItem { seq, command })
+    }
+}
+
+fn decode_payload(id: u8, payload: &[u8]) -> Result<Message, CodecError> {
+    let mut r = PayloadReader { buf: payload };
     let msg = match id {
-        0 => {
-            let mode = get_mode(&mut buf)?;
-            need(&buf, 1)?;
-            Message::Heartbeat {
-                mode,
-                armed: buf.get_u8() != 0,
-            }
-        }
-        1 => {
-            need(&buf, 8 * 4 + 2 + 1)?;
-            Message::Status {
-                x: buf.get_f64(),
-                y: buf.get_f64(),
-                altitude: buf.get_f64(),
-                climb_rate: buf.get_f64(),
-                mission_seq: buf.get_u16(),
-                landed: buf.get_u8() != 0,
-            }
-        }
-        2 => {
-            need(&buf, 1)?;
-            Message::ArmDisarm {
-                arm: buf.get_u8() != 0,
-            }
-        }
-        3 => Message::SetMode {
-            mode: get_mode(&mut buf)?,
+        0 => Message::Heartbeat {
+            mode: r.mode()?,
+            armed: r.bool()?,
         },
-        4 => {
-            need(&buf, 8)?;
-            Message::CommandTakeoff {
-                altitude: buf.get_f64(),
-            }
-        }
+        1 => Message::Status {
+            x: r.f64()?,
+            y: r.f64()?,
+            altitude: r.f64()?,
+            climb_rate: r.f64()?,
+            mission_seq: r.u16()?,
+            landed: r.bool()?,
+        },
+        2 => Message::ArmDisarm { arm: r.bool()? },
+        3 => Message::SetMode { mode: r.mode()? },
+        4 => Message::CommandTakeoff { altitude: r.f64()? },
         5 => {
-            need(&buf, 2)?;
-            let command = match buf.get_u8() {
+            let command = match r.u8()? {
                 0 => CommandKind::Arm,
                 1 => CommandKind::SetMode,
                 2 => CommandKind::Takeoff,
                 _ => return Err(CodecError::InvalidField("command kind")),
             };
-            let result = match buf.get_u8() {
+            let result = match r.u8()? {
                 0 => AckResult::Accepted,
                 1 => AckResult::Rejected,
                 _ => return Err(CodecError::InvalidField("ack result")),
             };
             Message::CommandAck { command, result }
         }
-        6 => {
-            need(&buf, 2)?;
-            Message::MissionCount {
-                count: buf.get_u16(),
-            }
-        }
-        7 => {
-            need(&buf, 2)?;
-            Message::MissionRequest { seq: buf.get_u16() }
-        }
+        6 => Message::MissionCount { count: r.u16()? },
+        7 => Message::MissionRequest { seq: r.u16()? },
         8 => Message::MissionItemMsg {
-            item: get_mission_item(&mut buf)?,
+            item: r.mission_item()?,
         },
-        9 => {
-            need(&buf, 1)?;
-            Message::MissionAck {
-                accepted: buf.get_u8() != 0,
-            }
-        }
-        10 => {
-            need(&buf, 1)?;
-            Message::StatusText {
-                severity: buf.get_u8(),
-            }
-        }
-        11 => {
-            need(&buf, 24)?;
-            Message::CommandGoto {
-                x: buf.get_f64(),
-                y: buf.get_f64(),
-                z: buf.get_f64(),
-            }
-        }
+        9 => Message::MissionAck {
+            accepted: r.bool()?,
+        },
+        10 => Message::StatusText { severity: r.u8()? },
+        11 => Message::CommandGoto {
+            x: r.f64()?,
+            y: r.f64()?,
+            z: r.f64()?,
+        },
         other => return Err(CodecError::UnknownMessageId(other)),
     };
     Ok(msg)
@@ -282,18 +254,18 @@ fn decode_payload(id: u8, mut buf: Bytes) -> Result<Message, CodecError> {
 /// Encodes a message into a complete frame with the given sequence number.
 ///
 /// Frame layout: `magic | seq | msg_id | payload_len | payload | crc16`.
-pub fn encode_frame(msg: &Message, seq: u8) -> Bytes {
-    let payload = encode_payload(msg);
-    let mut frame = BytesMut::with_capacity(payload.len() + 6);
-    frame.put_u8(FRAME_MAGIC);
-    frame.put_u8(seq);
-    frame.put_u8(msg.message_id());
-    debug_assert!(payload.len() <= u8::MAX as usize, "payload too large");
-    frame.put_u8(payload.len() as u8);
-    frame.extend_from_slice(&payload);
+pub fn encode_frame(msg: &Message, seq: u8) -> Vec<u8> {
+    // The largest frame, a `Status`, is 41 bytes: one allocation holds
+    // any frame.
+    let mut frame = Vec::with_capacity(64);
+    frame.extend_from_slice(&[FRAME_MAGIC, seq, msg.message_id(), 0]);
+    encode_payload(msg, &mut frame);
+    let payload_len = frame.len() - 4;
+    debug_assert!(payload_len <= usize::from(u8::MAX), "payload too large");
+    frame[3] = payload_len as u8;
     let crc = crc16_x25(&frame[1..]);
-    frame.put_u16(crc);
-    frame.freeze()
+    frame.extend_from_slice(&crc.to_be_bytes());
+    frame
 }
 
 /// Decodes one frame from the front of `data`, returning the message, its
@@ -301,8 +273,9 @@ pub fn encode_frame(msg: &Message, seq: u8) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns [`CodecError`] if the buffer does not hold a complete, valid
-/// frame.
+/// Returns [`CodecError::Truncated`] only when `data` ends before the
+/// frame does; a complete frame that fails to decode returns another
+/// [`CodecError`].
 pub fn decode_frame(data: &[u8]) -> Result<(Message, u8, usize), CodecError> {
     if data.is_empty() {
         return Err(CodecError::Truncated);
@@ -325,8 +298,7 @@ pub fn decode_frame(data: &[u8]) -> Result<(Message, u8, usize), CodecError> {
     if expected_crc != actual_crc {
         return Err(CodecError::ChecksumMismatch);
     }
-    let payload = Bytes::copy_from_slice(&data[4..4 + payload_len]);
-    let msg = decode_payload(msg_id, payload)?;
+    let msg = decode_payload(msg_id, &data[4..4 + payload_len])?;
     Ok((msg, seq, total))
 }
 
@@ -397,17 +369,43 @@ mod tests {
     }
 
     #[test]
+    fn frame_bytes_are_stable() {
+        // Store blobs embed encoded frames, so the wire bytes are pinned:
+        // magic, seq, id, length, big-endian payload, CRC.
+        let heartbeat = Message::Heartbeat {
+            mode: ProtocolMode::Auto,
+            armed: true,
+        };
+        assert_eq!(encode_frame(&heartbeat, 7), [253, 7, 0, 2, 3, 1, 113, 242]);
+        let waypoint = Message::MissionItemMsg {
+            item: MissionItem::new(
+                2,
+                MissionCommand::Waypoint {
+                    x: 20.0,
+                    y: -4.5,
+                    z: 20.0,
+                },
+            ),
+        };
+        assert_eq!(
+            encode_frame(&waypoint, 7),
+            [
+                253, 7, 8, 27, 0, 2, 1, 64, 52, 0, 0, 0, 0, 0, 0, 192, 18, 0, 0, 0, 0, 0, 0, 64,
+                52, 0, 0, 0, 0, 0, 0, 36, 237
+            ]
+        );
+    }
+
+    #[test]
     fn decode_rejects_bad_magic() {
-        let frame = encode_frame(&Message::ArmDisarm { arm: true }, 0);
-        let mut bytes = frame.to_vec();
+        let mut bytes = encode_frame(&Message::ArmDisarm { arm: true }, 0);
         bytes[0] = 0x00;
         assert_eq!(decode_frame(&bytes), Err(CodecError::BadMagic(0)));
     }
 
     #[test]
     fn decode_rejects_corrupted_payload() {
-        let frame = encode_frame(&Message::MissionCount { count: 300 }, 9);
-        let mut bytes = frame.to_vec();
+        let mut bytes = encode_frame(&Message::MissionCount { count: 300 }, 9);
         let idx = bytes.len() - 3;
         bytes[idx] ^= 0xFF;
         assert_eq!(decode_frame(&bytes), Err(CodecError::ChecksumMismatch));
@@ -424,10 +422,8 @@ mod tests {
 
     #[test]
     fn decode_consumes_exactly_one_frame() {
-        let a = encode_frame(&Message::ArmDisarm { arm: true }, 1);
-        let b = encode_frame(&Message::MissionAck { accepted: false }, 2);
-        let mut stream = a.to_vec();
-        stream.extend_from_slice(&b);
+        let mut stream = encode_frame(&Message::ArmDisarm { arm: true }, 1);
+        stream.extend_from_slice(&encode_frame(&Message::MissionAck { accepted: false }, 2));
         let (m1, _, used1) = decode_frame(&stream).unwrap();
         assert_eq!(m1, Message::ArmDisarm { arm: true });
         let (m2, _, used2) = decode_frame(&stream[used1..]).unwrap();
@@ -437,8 +433,7 @@ mod tests {
 
     #[test]
     fn unknown_message_id_reported() {
-        let frame = encode_frame(&Message::StatusText { severity: 1 }, 0);
-        let mut bytes = frame.to_vec();
+        let mut bytes = encode_frame(&Message::StatusText { severity: 1 }, 0);
         bytes[2] = 200; // overwrite msg id
                         // Fix the checksum so only the id is wrong.
         let total = bytes.len();

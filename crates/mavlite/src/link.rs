@@ -10,7 +10,6 @@
 
 use crate::codec::{decode_frame, encode_frame, CodecError};
 use crate::message::Message;
-use bytes::Bytes;
 use std::collections::VecDeque;
 
 /// Which side of the link an endpoint represents.
@@ -56,7 +55,7 @@ impl Link {
     /// The sequence counter advances even if the frame is never injected,
     /// so a dropped frame leaves an observable gap at the receiver (see
     /// [`Link::seq_gaps`]). Pair with [`Link::inject_frame`] to deliver.
-    pub fn encode_next(&mut self, from: Endpoint, msg: &Message) -> Bytes {
+    pub fn encode_next(&mut self, from: Endpoint, msg: &Message) -> Vec<u8> {
         let seq = match from {
             Endpoint::GroundStation => {
                 let s = self.seq_gcs;
@@ -352,6 +351,24 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert!(matches!(got[0], Message::MissionItemMsg { .. }));
         assert!(link.decode_error_count() >= 1);
+    }
+
+    #[test]
+    fn short_payload_in_a_complete_frame_is_dropped_not_waited_on() {
+        // A Status frame whose length and checksum agree on an empty
+        // payload: complete on the wire, but too short for its message.
+        let mut frame = vec![crate::codec::FRAME_MAGIC, 0, 1, 0];
+        let crc = crate::codec::crc16_x25(&frame[1..]);
+        frame.extend_from_slice(&crc.to_be_bytes());
+        let mut link = Link::new();
+        link.inject_frame(Endpoint::Vehicle, &frame);
+        link.send(Endpoint::GroundStation, &Message::ArmDisarm { arm: true });
+        assert_eq!(
+            link.recv(Endpoint::Vehicle),
+            Some(Message::ArmDisarm { arm: true })
+        );
+        assert_eq!(link.decode_error_count(), 1);
+        assert_eq!(link.pending_bytes(Endpoint::Vehicle), 0);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! from the ground-control station, including the vehicle-driven mission
 //! upload handshake (count → request → item → ack).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A navigation command carried by a mission item.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MissionCommand {
     /// Take off and climb to the given altitude (m above home).
     Takeoff {
@@ -33,7 +32,7 @@ pub enum MissionCommand {
 }
 
 /// One item of an uploaded mission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MissionItem {
     /// Sequence number (0-based).
     pub seq: u16,
@@ -52,7 +51,7 @@ impl MissionItem {
 ///
 /// The firmware maps these onto its richer internal operating modes; the
 /// protocol only needs the handful a ground station can command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolMode {
     /// Manual attitude stabilisation.
     Stabilize,
@@ -86,7 +85,7 @@ impl fmt::Display for ProtocolMode {
 }
 
 /// Result carried by a [`Message::CommandAck`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckResult {
     /// The command was accepted.
     Accepted,
@@ -95,7 +94,7 @@ pub enum AckResult {
 }
 
 /// Commands acknowledged by [`Message::CommandAck`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandKind {
     /// Arm or disarm request.
     Arm,
@@ -109,7 +108,7 @@ pub enum CommandKind {
 ///
 /// Messages flow in both directions over a [`crate::link::Link`]:
 /// vehicle → GCS for telemetry, GCS → vehicle for commands.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Message {
     /// Periodic vehicle heartbeat.
     Heartbeat {

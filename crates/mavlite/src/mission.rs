@@ -12,7 +12,6 @@
 //! rather than deadlocking the checker.
 
 use crate::message::{Message, MissionItem};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The ground-station side of a mission upload.
@@ -26,7 +25,7 @@ pub struct MissionUploader {
 }
 
 /// Progress of an upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UploadState {
     /// The `MissionCount` announcement has not been sent yet.
     NotStarted,

@@ -7,10 +7,9 @@
 //! obstacles.
 
 use crate::math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned box obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxObstacle {
     /// Minimum corner (m).
     pub min: Vec3,
@@ -40,7 +39,7 @@ impl BoxObstacle {
 ///
 /// Fences are used both to keep the vehicle *inside* an allowed area and to
 /// keep it *out of* restricted airspace (the paper's second workload).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FenceRegion {
     /// A circular region centred at `center` with the given radius (m).
     Circle {
@@ -79,7 +78,7 @@ impl FenceRegion {
 
 /// A geofence with a policy: either the vehicle must stay inside the region
 /// (containment) or must stay out of it (exclusion / restricted airspace).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fence {
     /// The fenced region.
     pub region: FenceRegion,
@@ -116,7 +115,7 @@ impl Fence {
 }
 
 /// A simple wind model: a constant mean wind plus a sinusoidal gust.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wind {
     /// Mean wind velocity in the world frame (m/s).
     pub mean: Vec3,
@@ -162,7 +161,7 @@ impl Wind {
 }
 
 /// What the vehicle collided with, if anything.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CollisionKind {
     /// Impact with the ground plane above the crash-speed threshold.
     Ground,
@@ -176,7 +175,7 @@ pub enum CollisionKind {
 /// "rapidly (de)accelerates but has the same position as another simulated
 /// object, e.g. the ground"; we reproduce that as an impact-speed threshold
 /// at the contact point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Collision {
     /// What was hit.
     pub kind: CollisionKind,
@@ -187,7 +186,7 @@ pub struct Collision {
 }
 
 /// The simulated world: ground plane, obstacles, fences and wind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     obstacles: Vec<BoxObstacle>,
     fences: Vec<Fence>,

@@ -4,7 +4,6 @@
 //! `y` north, `z` up. Attitude is represented by unit [`Quat`]ernions
 //! rotating vectors from the body frame into the world frame.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component vector of `f64`.
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// let v = Vec3::new(3.0, 4.0, 0.0);
 /// assert_eq!(v.norm(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// East / body-forward component.
     pub x: f64,
@@ -174,7 +173,7 @@ impl Neg for Vec3 {
 /// let v = q.rotate(Vec3::new(1.0, 0.0, 0.0));
 /// assert!((v.y - 1.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     /// Scalar part.
     pub w: f64,

@@ -14,11 +14,10 @@
 use crate::math::Vec3;
 use crate::rng::SimRng;
 use crate::vehicle::{RigidBodyState, GRAVITY};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kinds of sensors carried by the simulated vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SensorKind {
     /// Linear accelerometer (part of the IMU).
     Accelerometer,
@@ -65,7 +64,7 @@ impl fmt::Display for SensorKind {
 }
 
 /// Whether a sensor instance is the primary for its kind or a backup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SensorRole {
     /// The instance the firmware prefers when healthy.
     Primary,
@@ -85,7 +84,7 @@ impl fmt::Display for SensorRole {
 /// Identifies one physical sensor instance: a kind plus an index.
 ///
 /// Index 0 is always the primary instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SensorInstance {
     /// The sensor type.
     pub kind: SensorKind,
@@ -116,7 +115,7 @@ impl fmt::Display for SensorInstance {
 }
 
 /// The measurement carried by a sensor reading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SensorValue {
     /// Specific force in the body frame (m/s²).
     Acceleration(Vec3),
@@ -145,7 +144,7 @@ pub enum SensorValue {
 }
 
 /// One sample from one sensor instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorReading {
     /// Which instance produced the reading.
     pub instance: SensorInstance,
@@ -156,7 +155,7 @@ pub struct SensorReading {
 }
 
 /// Noise configuration for the sensor suite (standard deviations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorNoise {
     /// Accelerometer noise (m/s²).
     pub accel: f64,
@@ -209,7 +208,7 @@ impl SensorNoise {
 }
 
 /// Static description of the on-board sensor complement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorSuiteConfig {
     /// Number of accelerometer instances.
     pub accelerometers: u8,

@@ -11,11 +11,10 @@ use crate::environment::{Collision, Environment};
 use crate::math::Vec3;
 use crate::sensors::{SensorReading, SensorSuite, SensorSuiteConfig};
 use crate::vehicle::{MotorCommands, Quadcopter, RigidBodyState, VehicleParams};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration for a simulation instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Fixed simulation time-step (s). The paper uses 1 ms.
     pub dt: f64,
@@ -40,7 +39,7 @@ impl Default for SimConfig {
 
 /// A compact snapshot of the physical state exposed to the invariant
 /// monitor: the `(P, α, ·)` part of the state tuple in §IV.C.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalState {
     /// Simulation time (s).
     pub time: f64,

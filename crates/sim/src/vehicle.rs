@@ -9,7 +9,6 @@
 //! position, acceleration and attitude, all of which this model produces.
 
 use crate::math::{clamp, Quat, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Standard gravitational acceleration (m/s²).
 pub const GRAVITY: f64 = 9.80665;
@@ -21,7 +20,7 @@ pub const MOTOR_COUNT: usize = 4;
 ///
 /// Defaults approximate the 3DR Iris used in the paper's evaluation
 /// (≈1.5 kg all-up weight, ~0.25 m arm length).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VehicleParams {
     /// Vehicle mass in kilograms.
     pub mass: f64,
@@ -73,7 +72,7 @@ impl VehicleParams {
 }
 
 /// Commanded throttle for each motor, each in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MotorCommands {
     /// Per-motor throttle commands in X-configuration order:
     /// front-right, back-left, front-left, back-right.
@@ -125,7 +124,7 @@ impl MotorCommands {
 }
 
 /// First-order motor dynamics: the realized thrust lags the command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MotorBank {
     /// Current realized throttle of each motor (0..1).
     pub(crate) realized: [f64; MOTOR_COUNT],
@@ -162,7 +161,7 @@ impl MotorBank {
 }
 
 /// Instantaneous rigid-body state of the vehicle in the world (ENU) frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RigidBodyState {
     /// Position (m). `z` is altitude above ground level.
     pub position: Vec3,
@@ -213,7 +212,7 @@ impl RigidBodyState {
 }
 
 /// The rigid-body quadcopter: parameters, motors and dynamic state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quadcopter {
     pub(crate) params: VehicleParams,
     pub(crate) motors: MotorBank,
@@ -225,7 +224,7 @@ pub struct Quadcopter {
 /// rigid-body state and ground contact. The physical parameters are
 /// static per run and excluded, so a delta-encoded snapshot chain stores
 /// them once in its base keyframe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuadDynamics {
     motors: MotorBank,
     state: RigidBodyState,

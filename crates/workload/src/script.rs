@@ -10,12 +10,11 @@
 use avis_mavlite::{Message, MissionItem, MissionUploader, ProtocolMode, UploadState};
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use avis_sim::Environment;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Result of ticking a workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadStatus {
     /// The workload has more steps to run.
     Running,

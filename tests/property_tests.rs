@@ -174,8 +174,7 @@ fn mavlite_detects_single_byte_corruption() {
     let mut rng = SimRng::seed_from_u64(0xA5);
     for _ in 0..CASES {
         let msg = arb_message(&mut rng);
-        let frame = encode_frame(&msg, 7);
-        let mut bytes = frame.to_vec();
+        let mut bytes = encode_frame(&msg, 7);
         let idx = (1 + rng.index(63)) % bytes.len();
         let bit = rng.index(8) as u8;
         if idx == 0 {
@@ -217,7 +216,7 @@ fn mavlite_decoder_never_panics_on_adversarial_bytes() {
             // A real frame with several random bytes flipped.
             _ => {
                 let msg = arb_message(&mut rng);
-                let mut frame = encode_frame(&msg, rng.index(256) as u8).to_vec();
+                let mut frame = encode_frame(&msg, rng.index(256) as u8);
                 for _ in 0..1 + rng.index(4) {
                     let idx = rng.index(frame.len());
                     frame[idx] ^= rng.index(256) as u8;
@@ -289,7 +288,7 @@ fn mavlite_link_recovers_from_adversarial_damage() {
         link.inject_frame(Endpoint::Vehicle, &garbage);
         // A damaged frame: encode then flip one non-magic byte.
         let damaged_msg = arb_message(&mut rng);
-        let mut damaged = encode_frame(&damaged_msg, 0).to_vec();
+        let mut damaged = encode_frame(&damaged_msg, 0);
         let idx = 1 + rng.index(damaged.len() - 1);
         damaged[idx] ^= 1 + rng.index(255) as u8;
         link.inject_frame(Endpoint::Vehicle, &damaged);

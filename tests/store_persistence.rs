@@ -118,6 +118,41 @@ fn persisted_warm_campaign_is_bit_identical_to_cold() {
     }
 }
 
+#[test]
+fn empty_manifest_after_a_power_loss_costs_only_the_warm_start() {
+    // The store renames its writes into place but never fsyncs them, so
+    // a power loss can leave `manifest.json` empty. The next session
+    // hydrates nothing and returns the storeless result; the manifest it
+    // writes warms the session after it.
+    let (cold, _) = campaign(1, None);
+    let root = temp_root("empty-manifest");
+    let (first, _) = campaign(1, Some(&root));
+    assert_eq!(cold, first);
+    let cell = std::fs::read_dir(&root)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    std::fs::write(cell.join("manifest.json"), b"").unwrap();
+
+    let (torn, torn_events) = campaign(1, Some(&root));
+    assert_eq!(cold, torn, "an empty manifest changed the result");
+    assert_eq!(
+        hydrated_chains(&torn_events),
+        0,
+        "an empty manifest hydrates nothing"
+    );
+
+    let (next, next_events) = campaign(1, Some(&root));
+    assert_eq!(cold, next);
+    assert!(
+        hydrated_chains(&next_events) > 0,
+        "the rewritten manifest should warm the next session: {next_events:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// An arm storm on the command link at t = 40 s: the pinned link-fault
 /// environment of the link-fault tests.
 fn arm_storm() -> LinkFaultPlan {
