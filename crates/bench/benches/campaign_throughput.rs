@@ -32,11 +32,6 @@
 //! `AVIS_BENCH_STORE` root (CI invokes the binary twice and the second
 //! invocation gates the cross-process ratio).
 //!
-//! The **delta-density** sweep compares full snapshots (keyframe
-//! stride 1) against delta chains (stride 16) under one dense-interval,
-//! tight-budget configuration — resident cuts and mean fork depth must
-//! come out ≥ 3× ahead for delta chains.
-//!
 //! Finally, two PR-6 sections cover the protocol layer: a **codec
 //! microbench** (per-message encode/decode cost plus the `Link` burst
 //! drain rate, guarding the linear-time `recv` path) and a
@@ -68,7 +63,7 @@ use avis::campaign::Campaign;
 use avis::checker::{Approach, Budget, CampaignResult};
 use avis::json::{self, Json};
 use avis::matrix::ScenarioMatrix;
-use avis::runner::{ExperimentConfig, ExperimentRunner};
+use avis::runner::ExperimentConfig;
 use avis::snapshot::CheckpointConfig;
 use avis::strategy::{Candidate, Decision, Observation, Strategy, StrategyContext};
 use avis_firmware::{BugId, BugSet, FirmwareProfile};
@@ -879,138 +874,6 @@ fn run_warm_smoke() {
     }
 }
 
-/// The delta-chain density sweep: a *dense-interval* configuration — cuts
-/// every simulated second, a memory budget far too small for them all —
-/// executed once with full snapshots (keyframe stride 1) and once with
-/// delta chains (stride 16), over the same late-injection plans on one
-/// runner each. At the shared budget, delta chains must keep ≥ 3× more
-/// cuts resident (equivalently, serve ≥ 3× deeper mean forks when full
-/// snapshots evict the deep cuts a late injection needs), with every
-/// result bit-identical to cold execution.
-fn bench_delta_density() -> Json {
-    use avis::snapshot::CheckpointStats;
-    println!(
-        "scenario `delta-density`: dense-interval sweep, full vs delta chains at equal budget"
-    );
-    const DENSE_BUDGET_BYTES: usize = 128 * 1024;
-    let experiment = |checkpoints: CheckpointConfig| {
-        let mut experiment = ExperimentConfig::new(
-            FirmwareProfile::ArduPilotLike,
-            BugSet::none(),
-            auto_box_mission(),
-        );
-        experiment.max_duration = 110.0;
-        experiment.checkpoints = checkpoints;
-        experiment
-    };
-    // The late-injection plan set (the prefix-sharing regime SABRE's
-    // deep anchors live in), taken from a golden run like LateSweep's.
-    let mut profiler = ExperimentRunner::new(experiment(CheckpointConfig::disabled()));
-    let golden = profiler.run_profiling(0);
-    let duration = golden.trace.duration;
-    let instances = [
-        SensorInstance::new(SensorKind::Accelerometer, 0),
-        SensorInstance::new(SensorKind::Gps, 0),
-        SensorInstance::new(SensorKind::Barometer, 0),
-        SensorInstance::new(SensorKind::Compass, 0),
-    ];
-    // Slots are visited in SABRE's actual order — anchors are *not*
-    // swept monotonically, the queue jumps between transition depths —
-    // so a store whose residency window only covers the most recent
-    // depth keeps thrashing while a delta store's several-times-wider
-    // window keeps serving deep forks.
-    let mut plans = Vec::new();
-    for slot in [7usize, 2, 5, 0, 6, 3, 1, 4] {
-        let time = duration * 0.6 + duration * 0.35 * slot as f64 / 8.0;
-        for instance in instances {
-            plans.push(FaultPlan::from_specs(vec![FaultSpec::new(instance, time)]));
-        }
-    }
-
-    let mut cold = ExperimentRunner::new(experiment(CheckpointConfig::disabled()));
-    let cold_results: Vec<_> = plans
-        .iter()
-        .map(|p| cold.run_with_plan(p.clone()))
-        .collect();
-    let sweep = |keyframe_stride: usize| -> (CheckpointStats, f64) {
-        let mut runner = ExperimentRunner::new(experiment(CheckpointConfig {
-            interval: 1.0,
-            max_bytes: DENSE_BUDGET_BYTES,
-            keyframe_stride,
-            ..CheckpointConfig::default()
-        }));
-        let start = Instant::now();
-        for (plan, reference) in plans.iter().zip(&cold_results) {
-            let result = runner.run_with_plan(plan.clone());
-            assert!(
-                result == *reference,
-                "stride {keyframe_stride}: dense-interval run diverged from cold execution"
-            );
-        }
-        (runner.checkpoint_stats(), start.elapsed().as_secs_f64())
-    };
-    let (full, full_seconds) = sweep(1);
-    let (delta, delta_seconds) = sweep(16);
-    let mean_depth = |s: &CheckpointStats| {
-        let runs = s.forked_runs + s.cold_runs;
-        if runs == 0 {
-            0.0
-        } else {
-            s.simulated_seconds_skipped / runs as f64
-        }
-    };
-    let cuts_ratio = delta.snapshots_cached as f64 / full.snapshots_cached.max(1) as f64;
-    let depth_ratio = mean_depth(&delta) / mean_depth(&full).max(1e-9);
-    println!(
-        "  full  (stride 1):  {:>3} resident cuts, {:>4} KiB, mean fork depth {:>5.1}s/run, {full_seconds:.2}s wall",
-        full.snapshots_cached,
-        full.cached_bytes / 1024,
-        mean_depth(&full)
-    );
-    println!(
-        "  delta (stride 16): {:>3} resident cuts ({} delta-encoded, {} KiB of deltas), {:>4} KiB, mean fork depth {:>5.1}s/run, {delta_seconds:.2}s wall",
-        delta.snapshots_cached,
-        delta.delta_snapshots,
-        delta.delta_bytes / 1024,
-        delta.cached_bytes / 1024,
-        mean_depth(&delta)
-    );
-    println!(
-        "  at equal {} KiB budget: {cuts_ratio:.1}x resident cuts, {depth_ratio:.1}x mean fork depth",
-        DENSE_BUDGET_BYTES / 1024
-    );
-    assert!(
-        cuts_ratio >= 3.0 || depth_ratio >= 3.0,
-        "delta chains should keep >=3x more cuts (or serve >=3x deeper forks) at equal budget: \
-         cuts {cuts_ratio:.2}x, depth {depth_ratio:.2}x (full {full:?}, delta {delta:?})"
-    );
-    json::object(vec![
-        ("scenario", Json::String("delta-density".to_string())),
-        ("budget_bytes", Json::Number(DENSE_BUDGET_BYTES as f64)),
-        ("plans", Json::Number(plans.len() as f64)),
-        (
-            "full_resident_cuts",
-            Json::Number(full.snapshots_cached as f64),
-        ),
-        (
-            "delta_resident_cuts",
-            Json::Number(delta.snapshots_cached as f64),
-        ),
-        (
-            "delta_encoded_cuts",
-            Json::Number(delta.delta_snapshots as f64),
-        ),
-        ("delta_bytes", Json::Number(delta.delta_bytes as f64)),
-        ("full_mean_fork_depth_s", Json::Number(mean_depth(&full))),
-        ("delta_mean_fork_depth_s", Json::Number(mean_depth(&delta))),
-        ("resident_cuts_ratio", Json::Number(cuts_ratio)),
-        ("mean_fork_depth_ratio", Json::Number(depth_ratio)),
-        ("full_wall_seconds", Json::Number(full_seconds)),
-        ("delta_wall_seconds", Json::Number(delta_seconds)),
-        ("result_identical", Json::Bool(true)),
-    ])
-}
-
 /// The matrix-reuse scenario: two strategies over one firmware ×
 /// workload pair, run as a `ScenarioMatrix` whose cells share a snapshot
 /// cache. The second strategy's campaign warm-starts from the first one's
@@ -1334,7 +1197,6 @@ fn main() {
     let (checkpoint_report, checkpoint_speedup) = bench_checkpointing(simulations);
     let (warm_report, warm_speedup) = bench_warm_start();
     let (batched_report, batched_speedup) = bench_batched_lockstep(simulations);
-    let delta_report = bench_delta_density();
     let matrix_report = bench_matrix_reuse(simulations);
     let codec_report = bench_codec_cost();
     let link_fault_report = bench_link_fault_smoke();
@@ -1352,7 +1214,6 @@ fn main() {
         ("checkpoint", checkpoint_report),
         ("warm_start", warm_report),
         ("batched_lockstep", batched_report),
-        ("delta_chain", delta_report),
         ("matrix_reuse", matrix_report),
         ("codec_microbench", codec_report),
         ("link_fault_smoke", link_fault_report),

@@ -50,7 +50,7 @@
 
 use crate::protocol::ProtocolTracker;
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult, RunVerdict};
-use crate::snapshot::{injection_prefix, ChainParent, RunSnapshot};
+use crate::snapshot::{injection_prefix, RunSnapshot};
 use crate::trace::{transition_from_code, ModeTransition, StateSample, Trace};
 use avis_firmware::{BugId, Firmware};
 use avis_hinj::{FaultPlan, FaultyLink, LinkSnapshot, SharedInjector};
@@ -485,13 +485,13 @@ impl ExperimentRunner {
         } else {
             None
         };
-        let (snapshot, chain_parent) = match fork {
-            Some(fork) => fork,
+        let snapshot = match fork {
+            Some(snapshot) => snapshot,
             None => {
                 if checkpointing {
                     self.run_stats.cold_runs += 1;
                 }
-                (Self::genesis_snapshot(&self.config, seed_offset), None)
+                Self::genesis_snapshot(&self.config, seed_offset)
             }
         };
         let plan = roster.plans[roster.leader].clone();
@@ -602,43 +602,31 @@ impl ExperimentRunner {
             roster.retire(ctx, &mut physics, verdict.clone(), sample_interval);
         }
         if !recorded.is_empty() {
-            self.cache.lock().commit(
-                seed_offset,
-                &recorded,
-                chain_parent.as_ref(),
-                self.config.checkpoints.keyframe_stride,
-                self.origin,
-            );
+            self.cache.lock().commit(seed_offset, recorded, self.origin);
         }
         roster.into_results()
     }
 
     /// The deepest cut a run of `plan` may resume from, at or before
-    /// `cap`, plus the chain context its first cut is diffed against (kept
-    /// only when the keyframe stride lets a cut be a delta). A forked run
-    /// is bit-identical to a cold one: the restored state is the exact
-    /// state a cold run of this plan would reach at the fork time,
-    /// because the plans agree on every failure scheduled before it (see
-    /// [`crate::snapshot`]). A corrupt chain is quarantined inside the
-    /// cache and `None` comes back — the run then cold-starts, which is
-    /// always correct, just slower.
+    /// `cap`. A forked run is bit-identical to a cold one: the restored
+    /// state is the exact state a cold run of this plan would reach at
+    /// the fork time, because the plans agree on every failure scheduled
+    /// before it (see [`crate::snapshot`]). A corrupt cut is quarantined
+    /// inside the cache and `None` comes back — the run then cold-starts,
+    /// which is always correct, just slower.
     fn take_deepest_cut(
         &mut self,
         seed_offset: u64,
         plan: &FaultPlan,
         cap: f64,
-    ) -> Option<(RunSnapshot, Option<ChainParent>)> {
-        let (parent, origin) = self.cache.lock().take_deepest(seed_offset, plan, cap)?;
+    ) -> Option<RunSnapshot> {
+        let (snapshot, origin) = self.cache.lock().take_deepest(seed_offset, plan, cap)?;
         self.run_stats.forked_runs += 1;
-        self.run_stats.simulated_seconds_skipped += parent.snapshot.time();
+        self.run_stats.simulated_seconds_skipped += snapshot.time();
         if origin != self.origin {
             self.run_stats.shared_hits += 1;
         }
-        if self.config.checkpoints.keyframe_stride > 1 {
-            Some((parent.snapshot.clone(), Some(parent)))
-        } else {
-            Some((parent.snapshot, None))
-        }
+        Some(snapshot)
     }
 }
 

@@ -118,9 +118,9 @@ pub enum CampaignEvent {
         bytes: u64,
     },
     /// The persistent snapshot store flushed the cache's chains to disk
-    /// at campaign end (write-behind flushes also run at engine
-    /// commit boundaries; this event reports the session totals). A
-    /// wall-clock observability event, like
+    /// at campaign end (a parallel campaign also flushes write-behind
+    /// before each speculative wavefront; this event reports the session
+    /// totals). A wall-clock observability event, like
     /// [`DegradedMode`](CampaignEvent::DegradedMode).
     StoreFlushed {
         /// Chains now persisted for this experiment.
@@ -400,13 +400,14 @@ impl CampaignBuilder {
     /// Attaches a persistent [`SnapshotStore`] rooted at `path`: the
     /// campaign hydrates its snapshot cache from whatever chains a
     /// previous process persisted for the *same experiment* (warm start),
-    /// and flushes new chains back write-behind at engine commit
-    /// boundaries and campaign end. The store is content-addressed and
-    /// fingerprint-keyed, so one root directory safely serves many
-    /// experiments and many concurrent campaigns. Persistence is purely
-    /// a wall-clock optimisation: a warm-started campaign is
-    /// bit-identical to a cold one, and any corrupt or torn on-disk
-    /// state quarantines and falls back cold. A campaign with
+    /// and flushes new chains back write-behind at campaign end — and, at
+    /// parallelism ≥ 2, before each speculative wavefront, so a crash
+    /// mid-campaign keeps the finished wavefronts' chains. The store is
+    /// content-addressed and fingerprint-keyed, so one root directory
+    /// safely serves many experiments and many concurrent campaigns.
+    /// Persistence is purely a wall-clock optimisation: a warm-started
+    /// campaign is bit-identical to a cold one, and any corrupt or torn
+    /// on-disk state quarantines and falls back cold. A campaign with
     /// checkpointing disabled leaves the store untouched. Default: no
     /// store.
     pub fn snapshot_store(mut self, path: impl Into<PathBuf>) -> Self {
@@ -687,7 +688,8 @@ pub(crate) fn execute_campaign(
     );
 
     // Final write-behind flush + GC: chains recorded after the engine's
-    // last commit-boundary flush reach disk before the campaign returns.
+    // last wavefront flush (a serial campaign has none) reach disk before
+    // the campaign returns.
     if let Some(store) = &store {
         let mut store = contain::lock(store);
         store.flush(&cache, spec.experiment);

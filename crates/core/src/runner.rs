@@ -211,7 +211,7 @@ pub struct ExperimentRunner {
 
 impl ExperimentRunner {
     /// Creates a runner for the given configuration.
-    pub fn new(mut config: ExperimentConfig) -> Self {
+    pub fn new(config: ExperimentConfig) -> Self {
         assert!(config.dt > 0.0, "dt must be positive");
         assert!(
             config.sample_interval >= config.dt,
@@ -221,7 +221,6 @@ impl ExperimentRunner {
             config.checkpoints.interval > 0.0,
             "checkpoint interval must be positive"
         );
-        config.checkpoints.keyframe_stride = config.checkpoints.keyframe_stride.max(1);
         ExperimentRunner {
             cache: Arc::new(SharedSnapshotTier::new(config.checkpoints.max_bytes)),
             config,
@@ -272,9 +271,9 @@ impl ExperimentRunner {
         }
     }
 
-    /// Test hook: silently corrupts every cached chain entry, as a stuck
-    /// bit in the store would. The next fork attempt must detect the
-    /// mismatch, quarantine the chain and fall back to cold execution.
+    /// Test hook: silently corrupts every cached cut, as a stuck bit in
+    /// the store would. The next fork attempt must detect the mismatch,
+    /// quarantine the cut and fall back to cold execution.
     #[doc(hidden)]
     pub fn corrupt_cached_chains_for_test(&mut self) {
         self.cache.lock().corrupt_entries_for_test();
@@ -394,7 +393,7 @@ impl ExperimentRunner {
         }
         let mut sim = Simulator::new_shared(sim_config, cfg.workload.shared_environment());
         let injector = SharedInjector::new(FaultInjector::new(plan));
-        let mut firmware = Firmware::new(cfg.profile, cfg.bugs.clone(), injector.clone());
+        let firmware = Firmware::new(cfg.profile, cfg.bugs.clone(), injector.clone());
         let link = FaultyLink::new(
             link_plan,
             SimRng::seed_from_u64(cfg.seed.wrapping_add(seed_offset) ^ LINK_RNG_SALT),
@@ -546,7 +545,7 @@ mod tests {
         let keys: Vec<_> = cache.cells().map(|(key, _)| key.clone()).collect();
         assert_eq!(keys.len(), 1, "one cut per profiling run: {}", keys.len());
         assert_eq!(keys[0].seed_offset, 2);
-        let cut = cache.export(&keys[0]).expect("the cut materialises");
+        let cut = cache.export(&keys[0]).expect("the cut is intact").clone();
         drop(cache);
         let since = cut
             .terminal_since

@@ -1,5 +1,5 @@
 //! The checkpoint store: copy-on-write snapshots of mid-run state, held
-//! in one LRU-evicted delta-chain tree per campaign, so a scenario can
+//! in one LRU-evicted checkpoint tree per campaign, so a scenario can
 //! fork from the deepest cached state whose *injection prefix* matches
 //! instead of replaying the shared prefix from `t = 0`.
 //!
@@ -29,36 +29,16 @@
 //! # Copy-on-write recording
 //!
 //! Recording is O(1) in the run length. Every growing history that a
-//! snapshot captures — the trace samples (runner), the defect log
-//! (firmware), the injection/transition records (injector) — is backed
-//! by an [`avis_sim::CowVec`]: at snapshot time the mutable tail is
-//! sealed into an immutable `Arc`-shared chunk and the snapshot clones
-//! the chunk *list*, not the elements. Snapshots along one run (and forks
-//! off it) share the sealed prefix structurally; the memory budget
-//! charges each distinct chunk exactly once (a chunk ledger tracks
-//! chunk identities), so dense checkpoint intervals no longer multiply
-//! the sample history.
-//!
-//! # Delta-encoded chains
-//!
-//! Copy-on-write removes the *history* cost of dense checkpointing, but
-//! every snapshot still cloned the full fixed-size substrate state
-//! (vehicle + sensors + firmware control stack). The cache therefore
-//! stores each chain as **one full keyframe plus per-cut deltas**: every
-//! [`CheckpointConfig::keyframe_stride`]-th cut of a run is held whole,
-//! and the cuts between are held as the per-layer dynamic
-//! slice ([`SimSnapshot::diff`], [`avis_firmware::FirmwareSnapshot::diff`],
-//! [`avis_hinj::InjectorSnapshot::diff`]) against the previous cut —
-//! static structure (configuration, parameters, environment, seed-time
-//! biases, unchanged mission/failsafe/defect state) lives once per
-//! keyframe. Restoring a delta cut walks the chain from its keyframe and
-//! applies each delta in order (bounded by the stride); eviction is
-//! chain-aware (evicting an entry also evicts the deltas diffed against
-//! it) and the ledger charges delta bytes exactly like full-snapshot
-//! bytes. Encoding never changes a result: re-materialisation is
-//! bit-exact, so a fork from a delta cut is bit-identical to a fork from
-//! a full snapshot — and memory budgets admit several times more
-//! resident cuts per MiB.
+//! snapshot captures — the trace samples (runner) and the
+//! injection/transition records (injector) — is backed by an
+//! [`avis_sim::CowVec`]: at snapshot time the mutable tail is sealed into
+//! an immutable `Arc`-shared chunk and the snapshot clones the chunk
+//! *list*, not the elements. Snapshots along one run (and forks off it)
+//! share the sealed prefix structurally; the memory budget charges each
+//! distinct chunk exactly once (a chunk ledger tracks chunk identities),
+//! so dense checkpoint intervals do not multiply the sample history.
+//! The firmware's defect log needs no sharing: it holds one entry per
+//! triggered bug, so it stays a few entries long however long the run.
 //!
 //! # One cache per campaign
 //!
@@ -72,13 +52,12 @@
 //! [`crate::matrix::ScenarioMatrix`] does, per firmware × workload
 //! pair), and the persistent [`crate::store`] hydrates it at campaign
 //! start and flushes it back. A standalone runner owns a private one.
+//! The cache holds every cut whole: a fork is one clone of its cut, and
+//! a cut that fails its checksum is removed alone.
 //!
 //! A run's cuts become visible when the call that recorded them
 //! returns: the runner buffers them and commits them in one step, so a
-//! call that panics never publishes a cut. A delta is stored only
-//! against the exact entry it was diffed from — an entry id checked
-//! under the lock — because another runner may evict that entry (and
-//! re-record a colliding cell) between the fork and the commit.
+//! call that panics never publishes a cut.
 //!
 //! Injection runs (`seed_offset == 0`) record a cut every interval, and
 //! nowhere else. Profiling runs (`seed_offset != 0`) each use a distinct
@@ -92,14 +71,11 @@
 use crate::contain;
 use crate::protocol::ProtocolTracker;
 use crate::trace::StateSample;
-use avis_firmware::{FirmwareDelta, FirmwareSnapshot};
-use avis_hinj::{
-    FaultPlan, FaultSpec, InjectorDelta, InjectorSnapshot, LinkDelta, LinkFaultSpec, LinkSnapshot,
-};
+use avis_firmware::FirmwareSnapshot;
+use avis_hinj::{FaultPlan, FaultSpec, InjectorSnapshot, LinkFaultSpec, LinkSnapshot};
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
-use avis_sim::cow::{ChunkSink, ChunkSource};
 use avis_sim::simulator::StepOutput;
-use avis_sim::{CowDelta, CowVec, PackedStepOutput, SensorReading, SimDelta, SimSnapshot};
+use avis_sim::{CowVec, SensorReading, SimSnapshot};
 use avis_workload::{ScriptedWorkload, WorkloadStatus};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,16 +100,6 @@ pub struct CheckpointConfig {
     /// The budget is **per campaign**: the inline runner and every engine
     /// worker share one cache, whatever the parallelism.
     pub max_bytes: usize,
-    /// Delta-chain keyframe stride: along one recording run, every
-    /// `keyframe_stride`-th cut stores a *full* snapshot (a keyframe) and
-    /// the cuts between them store per-layer deltas against the previous
-    /// cut (see [`RunSnapshot::diff`]). Restoring a delta cut walks the
-    /// chain from its keyframe, so larger strides trade a little restore
-    /// work for far more resident cuts per MiB of budget. `1` stores only
-    /// full snapshots (the pre-delta behaviour). Encoding never changes a
-    /// result — a run forked from a re-materialised delta cut is
-    /// bit-identical to one forked from a full snapshot.
-    pub keyframe_stride: usize,
 }
 
 impl Default for CheckpointConfig {
@@ -142,7 +108,6 @@ impl Default for CheckpointConfig {
             enabled: true,
             interval: 5.0,
             max_bytes: 64 * 1024 * 1024,
-            keyframe_stride: 8,
         }
     }
 }
@@ -160,15 +125,6 @@ impl CheckpointConfig {
     pub fn with_max_bytes(max_bytes: usize) -> Self {
         CheckpointConfig {
             max_bytes,
-            ..CheckpointConfig::default()
-        }
-    }
-
-    /// A configuration with the given delta-chain keyframe stride
-    /// (`1` = full snapshots only, the pre-delta behaviour).
-    pub fn with_keyframe_stride(keyframe_stride: usize) -> Self {
-        CheckpointConfig {
-            keyframe_stride,
             ..CheckpointConfig::default()
         }
     }
@@ -276,7 +232,7 @@ pub struct RunSnapshot {
     /// Workload runtime state (script progress, seen telemetry).
     pub(crate) workload: ScriptedWorkload,
     /// Trace samples recorded so far (chunk-shared with the recording
-    /// run and with every other snapshot along the same chain).
+    /// run and with every other snapshot along it).
     pub(crate) samples: CowVec<StateSample>,
     /// The step/telemetry output buffer as of the last simulator step.
     pub(crate) output: StepOutput,
@@ -309,7 +265,7 @@ impl RunSnapshot {
     /// Approximate heap bytes *exclusively owned* by this snapshot (the
     /// fixed-size substrate state and unsealed tails). `Arc`-shared
     /// history chunks are visited through [`RunSnapshot::for_each_chunk`]
-    /// and charged once per distinct chunk by the stores.
+    /// and charged once per distinct chunk by the cache.
     pub fn approx_bytes(&self) -> usize {
         self.sim.approx_bytes()
             + self.firmware.approx_bytes()
@@ -326,171 +282,12 @@ impl RunSnapshot {
     }
 
     /// Visits every `Arc`-shared block the snapshot references —
-    /// sample-history chunks, firmware defect-log chunks, injector
-    /// record chunks and the environment — as `(identity, bytes)` pairs.
+    /// sample-history chunks, injector record chunks and the environment
+    /// — as `(identity, bytes)` pairs.
     pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
         self.samples.for_each_chunk(f);
-        self.firmware.for_each_chunk(f);
         self.injector.for_each_chunk(f);
         self.sim.for_each_chunk(f);
-    }
-
-    /// The delta from `prev` (an earlier cut of the same run, or the cut
-    /// this run forked from) to this snapshot: each substrate layer
-    /// contributes its own delta (see [`SimSnapshot::diff`],
-    /// [`FirmwareSnapshot::diff`], [`InjectorSnapshot::diff`]) and the
-    /// runner-level bookkeeping rides along — the sample history as an
-    /// `Arc`-chunk-shared list, everything else by value. A delta is a
-    /// fraction of a full snapshot's exclusive bytes, which is what lets
-    /// dense chains stay resident under a fixed memory budget.
-    pub fn diff(&self, prev: &RunSnapshot) -> RunDelta {
-        RunDelta {
-            sim: self.sim.diff(&prev.sim),
-            firmware: self.firmware.diff(&prev.firmware),
-            injector: self.injector.diff(&prev.injector),
-            link: self.link.diff(&prev.link),
-            tracker: self.tracker.clone(),
-            workload: self.workload.clone(),
-            samples: self.samples.delta_from(&prev.samples),
-            output: PackedStepOutput::pack(&self.output),
-            fence_violations: self.fence_violations,
-            next_sample_time: self.next_sample_time,
-            workload_status: self.workload_status.clone(),
-            terminal_since: self.terminal_since,
-            time: self.time,
-            prefix: self.prefix.clone(),
-        }
-    }
-
-    /// Re-materialises the snapshot `delta` was diffed *to*, using `self`
-    /// as the base it was diffed *from* — the restore step of a delta
-    /// chain walk. Bit-exact: `base.apply(&cut.diff(&base)) == cut` for
-    /// every pair of cuts along one run.
-    pub fn apply(&self, delta: &RunDelta) -> RunSnapshot {
-        RunSnapshot {
-            sim: self.sim.apply(&delta.sim),
-            firmware: self.firmware.apply(&delta.firmware),
-            injector: self.injector.apply(&delta.injector),
-            link: self.link.apply(&delta.link),
-            tracker: delta.tracker.clone(),
-            workload: delta.workload.clone(),
-            samples: CowVec::apply_delta(&self.samples, &delta.samples),
-            output: delta.output.unpack(),
-            fence_violations: delta.fence_violations,
-            next_sample_time: delta.next_sample_time,
-            workload_status: delta.workload_status.clone(),
-            terminal_since: delta.terminal_since,
-            time: delta.time,
-            prefix: delta.prefix.clone(),
-        }
-    }
-}
-
-/// The delta-encoded form of a [`RunSnapshot`]: the dynamic slice of
-/// every substrate layer relative to the previous cut of the same chain
-/// (see [`RunSnapshot::diff`]). The static structure — configuration,
-/// parameters, environment, seed-time biases — lives once in the chain's
-/// base keyframe.
-#[derive(Debug, Clone)]
-pub struct RunDelta {
-    sim: SimDelta,
-    firmware: FirmwareDelta,
-    injector: InjectorDelta,
-    link: LinkDelta,
-    tracker: ProtocolTracker,
-    workload: ScriptedWorkload,
-    samples: CowDelta<StateSample>,
-    output: PackedStepOutput,
-    fence_violations: usize,
-    next_sample_time: f64,
-    workload_status: WorkloadStatus,
-    terminal_since: Option<f64>,
-    time: f64,
-    prefix: InjectionPrefix,
-}
-
-impl RunDelta {
-    /// Simulation time of the encoded cut (s).
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// Approximate heap + inline bytes *exclusively owned* by the delta.
-    /// `Arc`-shared history chunks are visited through
-    /// [`RunDelta::for_each_chunk`] and charged once per distinct chunk
-    /// by the stores.
-    pub fn approx_bytes(&self) -> usize {
-        self.sim.approx_bytes()
-            + self.firmware.approx_bytes()
-            + self.injector.approx_bytes()
-            + self.link.approx_bytes()
-            + self.tracker.approx_bytes()
-            + self.samples.exclusive_bytes()
-            + self.output.approx_bytes()
-            + self.prefix.sensor.len() * std::mem::size_of::<FaultSpec>()
-            + self.prefix.link.len() * std::mem::size_of::<LinkFaultSpec>()
-            // Workload runtime state plus per-delta bookkeeping (the
-            // script itself is Arc-shared, not copied).
-            + 256
-    }
-
-    /// Visits every `Arc`-shared block the delta references as
-    /// `(identity, bytes)` pairs (see [`RunSnapshot::for_each_chunk`]).
-    pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
-        self.samples.for_each_chunk(f);
-        self.firmware.for_each_chunk(f);
-        self.injector.for_each_chunk(f);
-    }
-
-    /// Serialises the delta for the persistent store. History chunks
-    /// (trace samples, firmware defect log, injector records) go to
-    /// `sink` content-addressed; everything else is written inline.
-    pub fn encode(&self, w: &mut ByteWriter, sink: &mut dyn ChunkSink) {
-        self.sim.encode(w);
-        self.firmware.encode(w, sink);
-        self.injector.encode(w, sink);
-        self.link.encode(w);
-        self.tracker.encode(w);
-        self.workload.encode_runtime(w);
-        self.samples
-            .encode_chunked(w, sink, &mut |w, s: &StateSample| s.encode(w));
-        self.output.encode(w);
-        w.usize(self.fence_violations);
-        w.f64(self.next_sample_time);
-        self.workload_status.encode(w);
-        w.option(self.terminal_since.as_ref(), |w, t| w.f64(*t));
-        w.f64(self.time);
-        self.prefix.encode(w);
-    }
-
-    /// Restores a delta serialised by [`RunDelta::encode`].
-    ///
-    /// `workload_template` supplies the static script structure (steps,
-    /// name, environment, timeout), which is derived from the experiment
-    /// configuration and never persisted — only the runtime progress is
-    /// read from the byte stream (see
-    /// [`ScriptedWorkload::decode_runtime`]).
-    pub fn decode(
-        r: &mut ByteReader<'_>,
-        source: &mut dyn ChunkSource,
-        workload_template: &ScriptedWorkload,
-    ) -> CodecResult<RunDelta> {
-        Ok(RunDelta {
-            sim: SimDelta::decode(r)?,
-            firmware: FirmwareDelta::decode(r, source)?,
-            injector: InjectorDelta::decode(r, source)?,
-            link: LinkDelta::decode(r)?,
-            tracker: ProtocolTracker::decode(r)?,
-            workload: workload_template.decode_runtime(r)?,
-            samples: CowDelta::decode_chunked(r, source, &mut StateSample::decode)?,
-            output: PackedStepOutput::decode(r)?,
-            fence_violations: r.usize()?,
-            next_sample_time: r.f64()?,
-            workload_status: WorkloadStatus::decode(r)?,
-            terminal_since: r.option(|r| r.f64())?,
-            time: r.f64()?,
-            prefix: InjectionPrefix::decode(r)?,
-        })
     }
 }
 
@@ -548,56 +345,16 @@ impl ChunkLedger {
     }
 }
 
-/// How one cut is physically held by the cache: a full snapshot (a
-/// chain keyframe) or a delta against its parent cut.
-#[derive(Debug, Clone)]
-enum StoredRun {
-    Full(Box<RunSnapshot>),
-    Delta {
-        /// The cut this delta was diffed against. Materialising walks
-        /// parent links until it reaches a [`StoredRun::Full`] keyframe;
-        /// the walk is bounded by [`CheckpointConfig::keyframe_stride`].
-        parent: SnapshotKey,
-        delta: Box<RunDelta>,
-    },
-}
-
-impl StoredRun {
-    fn approx_bytes(&self) -> usize {
-        match self {
-            StoredRun::Full(snapshot) => snapshot.approx_bytes(),
-            StoredRun::Delta { delta, .. } => delta.approx_bytes(),
-        }
-    }
-
-    fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
-        match self {
-            StoredRun::Full(snapshot) => snapshot.for_each_chunk(f),
-            StoredRun::Delta { delta, .. } => delta.for_each_chunk(f),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    payload: StoredRun,
-    /// Cut time (s) — duplicated out of the payload so probes never
-    /// materialise a delta chain.
-    time: f64,
-    /// Exact injection prefix at the cut — the probe's validity guard.
-    prefix: InjectionPrefix,
-    /// Chain depth: 0 for a keyframe, parent depth + 1 for a delta.
-    depth: usize,
+    /// The cut, held whole (boxed: the map moves entries on insert).
+    snapshot: Box<RunSnapshot>,
     bytes: usize,
-    /// Record-time checksum over the entry's identity and payload shape
-    /// (see [`entry_checksum`]), re-validated on every materialisation.
-    /// A mismatch quarantines the whole chain instead of serving it.
+    /// Record-time checksum over the cut's identity and size (see
+    /// [`entry_checksum`]), re-validated before every fork. A mismatch
+    /// quarantines the cut instead of serving it.
     checksum: u64,
     last_used: u64,
-    /// Unique per insert. A chain parent is named by key *and* id, so a
-    /// delta is never stored against another entry that re-occupied the
-    /// parent's cell after an eviction.
-    id: u64,
     /// The runner that recorded the cut, or [`STORE_ORIGIN`].
     origin: u64,
     /// Forks this entry served; the persistent store's GC ranks chains
@@ -608,7 +365,7 @@ struct CacheEntry {
 impl CacheEntry {
     /// Whether the entry still matches its record-time checksum.
     fn intact(&self) -> bool {
-        entry_checksum(self.time, &self.prefix, &self.payload) == self.checksum
+        entry_checksum(&self.snapshot) == self.checksum
     }
 }
 
@@ -624,29 +381,15 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The record-time checksum of one cache entry: cut time, quantised
-/// prefix key, payload form (keyframe vs delta, and the delta's parent
-/// key) and the payload's approximate exclusive size. Computed when the
-/// entry is stored and re-validated link by link when a chain is
-/// materialised, so silent store corruption — a flipped byte in the
-/// bookkeeping a chain walk depends on — is detected and quarantined
-/// instead of resuming a wrong state.
-fn entry_checksum(time: f64, prefix: &InjectionPrefix, payload: &StoredRun) -> u64 {
-    let mut hash = fnv1a(FNV_OFFSET_BASIS, &time.to_bits().to_le_bytes());
-    hash = fnv1a(hash, prefix_cache_key(prefix).as_bytes());
-    match payload {
-        StoredRun::Full(snapshot) => {
-            hash = fnv1a(hash, &[1]);
-            hash = fnv1a(hash, &snapshot.time.to_bits().to_le_bytes());
-        }
-        StoredRun::Delta { parent, delta } => {
-            hash = fnv1a(hash, &[2]);
-            hash = fnv1a(hash, parent.prefix.as_bytes());
-            hash = fnv1a(hash, &parent.time_ms.to_le_bytes());
-            hash = fnv1a(hash, &delta.time.to_bits().to_le_bytes());
-        }
-    }
-    fnv1a(hash, &(payload.approx_bytes() as u64).to_le_bytes())
+/// The record-time checksum of one cached cut: its time, quantised
+/// prefix key and approximate exclusive size. Computed when the cut is
+/// stored and re-validated before a run forks from it, so silent
+/// corruption of the bookkeeping a fork depends on is detected and
+/// quarantined instead of resuming a wrong state.
+fn entry_checksum(snapshot: &RunSnapshot) -> u64 {
+    let hash = fnv1a(FNV_OFFSET_BASIS, &snapshot.time.to_bits().to_le_bytes());
+    let hash = fnv1a(hash, prefix_cache_key(&snapshot.prefix).as_bytes());
+    fnv1a(hash, &(snapshot.approx_bytes() as u64).to_le_bytes())
 }
 
 /// Counters describing how the checkpoint store behaved, surfaced through
@@ -675,27 +418,19 @@ pub struct CheckpointStats {
     pub cached_bytes: usize,
     /// Of [`CheckpointStats::cached_bytes`], the bytes in `Arc`-shared
     /// history chunks — the part copy-on-write de-duplicates across the
-    /// snapshots of a chain.
+    /// snapshots of a run.
     pub chunk_bytes: usize,
-    /// Of [`CheckpointStats::snapshots_cached`], the cuts held as
-    /// per-layer deltas against their chain parent rather than as full
-    /// keyframes (see [`CheckpointConfig::keyframe_stride`]).
-    pub delta_snapshots: usize,
-    /// Exclusive bytes held by the delta-encoded cuts alone — the part of
-    /// [`CheckpointStats::cached_bytes`] that delta encoding shrinks.
-    pub delta_bytes: usize,
     /// Snapshots recorded over the cache's lifetime.
     pub snapshots_recorded: u64,
     /// Snapshots evicted by the memory budget.
     pub snapshots_evicted: u64,
-    /// Snapshots removed by quarantine: chain links whose record-time
-    /// checksum no longer matched at materialisation, with every delta
-    /// cut that depends on them. Quarantined entries are never served
-    /// again; the affected runs transparently cold-start instead.
+    /// Cuts removed by quarantine: a cut whose record-time checksum no
+    /// longer matched when a run tried to fork from it is removed alone
+    /// and never served again; that run transparently cold-starts
+    /// instead.
     pub quarantined: u64,
-    /// Checksum-validation failures observed while materialising chains
-    /// (one per failed fork attempt, however many links the quarantine
-    /// then removed). Reaching the breaker threshold disables
+    /// Checksum-validation failures observed when forking (one per
+    /// failed fork attempt). Reaching the breaker threshold disables
     /// checkpointing for the rest of the cache's life — for every runner
     /// on it, so campaign-wide — and the campaign is notified through
     /// `CampaignEvent::DegradedMode`.
@@ -717,16 +452,6 @@ pub struct CheckpointStats {
     pub dedup_hits: u64,
 }
 
-/// The chain context of a cut about to be committed: the cache entry it
-/// continues (key and id) plus that entry's exact snapshot, which the
-/// cut is diffed against.
-#[derive(Debug, Clone)]
-pub(crate) struct ChainParent {
-    pub(crate) key: SnapshotKey,
-    pub(crate) id: u64,
-    pub(crate) snapshot: RunSnapshot,
-}
-
 /// The origin of cuts the persistent store hydrated. Runner origins
 /// ([`next_origin`]) start above it.
 pub(crate) const STORE_ORIGIN: u64 = 0;
@@ -737,24 +462,16 @@ pub(crate) fn next_origin() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The memory-budgeted, LRU-evicted snapshot store. Cuts along one run
-/// are held as delta chains — one full keyframe every
-/// [`CheckpointConfig::keyframe_stride`] cuts, per-layer deltas in
-/// between — so a fixed budget keeps several times more cuts resident
-/// (see the module docs). Runners reach it through a
+/// The memory-budgeted, LRU-evicted snapshot store. Every cut is held
+/// whole (see the module docs). Runners reach it through a
 /// [`SharedSnapshotTier`].
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotCache {
     entries: BTreeMap<SnapshotKey, CacheEntry>,
-    /// Reverse dependency index: keyframe/delta key -> the delta entries
-    /// diffed directly against it. Evicting an entry must also evict its
-    /// transitive dependents (their chains can no longer materialise).
-    dependents: BTreeMap<SnapshotKey, Vec<SnapshotKey>>,
     exclusive_bytes: usize,
     ledger: ChunkLedger,
     max_bytes: usize,
-    /// The LRU clock, bumped by every insert and fork; an entry's id is
-    /// the clock value at its insert.
+    /// The LRU clock, bumped by every insert and fork.
     clock: u64,
     stats: CheckpointStats,
     /// The checksum breaker: set once
@@ -786,17 +503,10 @@ impl SnapshotCache {
     /// Current statistics: the cache-wide fields (the per-run counters
     /// are the runners').
     pub fn stats(&self) -> CheckpointStats {
-        let (delta_snapshots, delta_bytes) = self
-            .entries
-            .values()
-            .filter(|e| matches!(e.payload, StoredRun::Delta { .. }))
-            .fold((0usize, 0usize), |(n, b), e| (n + 1, b + e.bytes));
         CheckpointStats {
             snapshots_cached: self.entries.len(),
             cached_bytes: self.total_bytes(),
             chunk_bytes: self.ledger.bytes,
-            delta_snapshots,
-            delta_bytes,
             ..self.stats
         }
     }
@@ -844,7 +554,8 @@ impl SnapshotCache {
                 time_ms: i64::MAX,
             };
             for (key, entry) in self.entries.range(lo..=hi).rev() {
-                if entry.time > cap {
+                let cut = &entry.snapshot;
+                if cut.time > cap {
                     continue; // too deep for the caller; shallower cuts may fit
                 }
                 // Exact validity guard: the plan's exact prefix at the
@@ -852,9 +563,9 @@ impl SnapshotCache {
                 // rejects both quantisation collisions and snapshots cut
                 // *after* one of the plan's failures that the recording run
                 // did not inject.
-                if injection_prefix(plan, entry.time) == entry.prefix {
-                    if best.is_none_or(|(t, _)| entry.time > t) {
-                        best = Some((entry.time, key));
+                if injection_prefix(plan, cut.time) == cut.prefix {
+                    if best.is_none_or(|(t, _)| cut.time > t) {
+                        best = Some((cut.time, key));
                     }
                     break; // deeper entries of this chain are shallower in time
                 }
@@ -863,140 +574,57 @@ impl SnapshotCache {
         best.map(|(_, key)| key.clone())
     }
 
-    /// The chain of keys from `key` down to (and including) its keyframe.
-    /// Cascade eviction keeps every link of a resident delta resident.
-    fn chain_of(&self, key: &SnapshotKey) -> Vec<SnapshotKey> {
-        let mut chain = vec![key.clone()];
-        while let Some(StoredRun::Delta { parent, .. }) = chain
-            .last()
-            .and_then(|link| self.entries.get(link))
-            .map(|e| &e.payload)
-        {
-            chain.push(parent.clone());
-        }
-        chain
-    }
-
-    /// Rebuilds the cut at the head of `chain` (as returned by
-    /// [`SnapshotCache::chain_of`]): clones the keyframe at its end and
-    /// applies each delta in order. `None` when a link is missing or
-    /// fails its record-time checksum.
-    fn materialise(&self, chain: &[SnapshotKey]) -> Option<RunSnapshot> {
-        let (root, links) = chain.split_last()?;
-        let root = self.entries.get(root).filter(|e| e.intact())?;
-        let StoredRun::Full(keyframe) = &root.payload else {
-            return None;
-        };
-        let mut snapshot = (**keyframe).clone();
-        for link in links.iter().rev() {
-            let entry = self.entries.get(link).filter(|e| e.intact())?;
-            let StoredRun::Delta { delta, .. } = &entry.payload else {
-                return None;
-            };
-            snapshot = snapshot.apply(delta);
-        }
-        Some(snapshot)
-    }
-
-    /// Takes (a re-materialised copy of) the deepest cut a run of `plan`
-    /// may resume from at or before `cap`, as the chain parent of the
-    /// run's first cut, together with the cut's origin. A keyframe is a
-    /// plain clone; a delta cut is rebuilt by walking its chain. The
-    /// whole chain's LRU stamps are refreshed — materialisation *uses*
-    /// every link, so a hot cut keeps its keyframe alive. Every link is
-    /// checksum-validated: a corrupt chain is quarantined from its
-    /// keyframe (counted in [`CheckpointStats::quarantined`]), one
-    /// [`CheckpointStats::checksum_failures`] is charged, the breaker is
-    /// advanced, and `None` comes back — the caller cold-starts.
+    /// Takes a copy of the deepest cut a run of `plan` may resume from at
+    /// or before `cap`, together with the cut's origin, and refreshes the
+    /// cut's LRU stamp. The cut is checksum-validated first: a corrupt
+    /// cut is quarantined (counted in [`CheckpointStats::quarantined`]),
+    /// one [`CheckpointStats::checksum_failures`] is charged, the breaker
+    /// is advanced, and `None` comes back — the caller cold-starts.
     pub(crate) fn take_deepest(
         &mut self,
         seed_offset: u64,
         plan: &FaultPlan,
         cap: f64,
-    ) -> Option<(ChainParent, u64)> {
+    ) -> Option<(RunSnapshot, u64)> {
         let key = self.deepest(seed_offset, plan, cap)?;
-        let chain = self.chain_of(&key);
-        let Some(snapshot) = self.materialise(&chain) else {
-            if let Some(root) = chain.last() {
-                let removed = self.remove_with_dependents(root);
-                self.stats.quarantined += removed as u64;
-            }
+        if !self.entries.get(&key)?.intact() {
+            self.remove(&key);
+            self.stats.quarantined += 1;
             self.stats.checksum_failures += 1;
             if self.stats.checksum_failures >= CHECKSUM_BREAKER_THRESHOLD {
                 self.disabled = true;
             }
             return None;
-        };
-        self.clock += 1;
-        for link in &chain {
-            if let Some(entry) = self.entries.get_mut(link) {
-                entry.last_used = self.clock;
-            }
         }
+        self.clock += 1;
         let entry = self.entries.get_mut(&key)?;
+        entry.last_used = self.clock;
         entry.hits += 1;
-        let (id, origin) = (entry.id, entry.origin);
-        Some((ChainParent { key, id, snapshot }, origin))
+        Some(((*entry.snapshot).clone(), entry.origin))
     }
 
-    /// Commits the cuts one call recorded, in recording order. Each cut
-    /// is stored as a delta against the previous cut of the call that
-    /// was stored — the fork source `parent` for the first — when that
-    /// entry is still the exact one the cut continues (same key and id)
-    /// and the keyframe stride leaves room; otherwise as a keyframe. A
-    /// cell that is already occupied keeps its earlier recording. After
-    /// each insert, least-recently-used chains are evicted until the
-    /// memory budget is respected again.
-    pub(crate) fn commit(
-        &mut self,
-        seed_offset: u64,
-        cuts: &[RunSnapshot],
-        parent: Option<&ChainParent>,
-        keyframe_stride: usize,
-        origin: u64,
-    ) {
-        let mut parent = parent.map(|p| (p.key.clone(), p.id, &p.snapshot));
+    /// Commits the cuts one call recorded, in recording order. A cell
+    /// that is already occupied keeps its earlier recording. After each
+    /// insert, least-recently-used cuts are evicted until the memory
+    /// budget is respected again — with a budget too small for even one
+    /// cut, the fresh cut itself goes again.
+    pub(crate) fn commit(&mut self, seed_offset: u64, cuts: Vec<RunSnapshot>, origin: u64) {
         for cut in cuts {
-            let key = SnapshotKey::for_snapshot(seed_offset, cut);
+            let key = SnapshotKey::for_snapshot(seed_offset, &cut);
             if self.entries.contains_key(&key) {
                 continue;
             }
-            let base = parent.as_ref().and_then(|(key, id, snapshot)| {
-                let entry = self.entries.get(key).filter(|e| e.id == *id)?;
-                (entry.depth + 1 < keyframe_stride).then_some((key, *snapshot, entry.depth + 1))
-            });
-            let (payload, depth) = match base {
-                Some((key, snapshot, depth)) => (
-                    StoredRun::Delta {
-                        parent: key.clone(),
-                        delta: Box::new(cut.diff(snapshot)),
-                    },
-                    depth,
-                ),
-                None => (StoredRun::Full(Box::new(cut.clone())), 0),
-            };
-            if let StoredRun::Delta { parent, .. } = &payload {
-                self.dependents
-                    .entry(parent.clone())
-                    .or_default()
-                    .push(key.clone());
-            }
-            let bytes = payload.approx_bytes();
+            let bytes = cut.approx_bytes();
             let ledger = &mut self.ledger;
-            payload.for_each_chunk(&mut |id, chunk_bytes| ledger.add_chunk(id, chunk_bytes));
+            cut.for_each_chunk(&mut |id, chunk_bytes| ledger.add_chunk(id, chunk_bytes));
             self.clock += 1;
-            let id = self.clock;
             self.entries.insert(
-                key.clone(),
+                key,
                 CacheEntry {
-                    checksum: entry_checksum(cut.time, &cut.prefix, &payload),
-                    payload,
-                    time: cut.time,
-                    prefix: cut.prefix.clone(),
-                    depth,
+                    checksum: entry_checksum(&cut),
+                    snapshot: Box::new(cut),
                     bytes,
-                    last_used: id,
-                    id,
+                    last_used: self.clock,
                     origin,
                     hits: 0,
                 },
@@ -1012,49 +640,22 @@ impl SnapshotCache {
                 else {
                     break; // empty cache: only the fixed overhead remains
                 };
-                let removed = self.remove_with_dependents(&lru);
-                self.stats.snapshots_evicted += removed as u64;
-            }
-            // The budget is enforced unconditionally: with a budget too
-            // small for even one chain, the fresh entry itself may be gone
-            // again, and the next cut then starts a new chain.
-            if self.entries.contains_key(&key) {
-                parent = Some((key, id, cut));
+                self.remove(&lru);
+                self.stats.snapshots_evicted += 1;
             }
         }
     }
 
-    /// Removes `key` and every transitive dependent from the cache,
-    /// returning how many entries went — the core shared by budget
-    /// eviction and quarantine.
-    fn remove_with_dependents(&mut self, key: &SnapshotKey) -> usize {
-        let mut removed = 0usize;
-        let mut pending = vec![key.clone()];
-        while let Some(victim) = pending.pop() {
-            if let Some(children) = self.dependents.remove(&victim) {
-                pending.extend(children);
-            }
-            let Some(evicted) = self.entries.remove(&victim) else {
-                continue;
-            };
-            self.exclusive_bytes -= evicted.bytes;
+    /// Removes the cut at `key` and releases its bytes — the core shared
+    /// by budget eviction and quarantine.
+    fn remove(&mut self, key: &SnapshotKey) {
+        if let Some(entry) = self.entries.remove(key) {
+            self.exclusive_bytes -= entry.bytes;
             let ledger = &mut self.ledger;
-            evicted
-                .payload
+            entry
+                .snapshot
                 .for_each_chunk(&mut |id, _| ledger.remove_chunk(id));
-            // Unlink from the parent's dependent list so the reverse
-            // index cannot accumulate stale keys.
-            if let StoredRun::Delta { parent, .. } = &evicted.payload {
-                if let Some(children) = self.dependents.get_mut(parent) {
-                    children.retain(|k| k != &victim);
-                    if children.is_empty() {
-                        self.dependents.remove(parent);
-                    }
-                }
-            }
-            removed += 1;
         }
-        removed
     }
 
     /// Every cached cut's key and the forks it served, in key order: the
@@ -1064,20 +665,22 @@ impl SnapshotCache {
         self.entries.iter().map(|(key, entry)| (key, entry.hits))
     }
 
-    /// Re-materialises the cut at `key` for the persistent store's flush,
-    /// leaving LRU state and statistics alone. `None` when the cut is
-    /// gone or a link of its chain fails its checksum.
-    pub(crate) fn export(&self, key: &SnapshotKey) -> Option<RunSnapshot> {
-        self.materialise(&self.chain_of(key))
+    /// The cut at `key`, for the persistent store's flush, leaving LRU
+    /// state and statistics alone. `None` when the cut is gone or fails
+    /// its checksum.
+    pub(crate) fn export(&self, key: &SnapshotKey) -> Option<&RunSnapshot> {
+        let entry = self.entries.get(key).filter(|e| e.intact())?;
+        Some(&entry.snapshot)
     }
 
     /// Test hook: flips the stored cut time of every entry (a silent
     /// single-byte store corruption), leaving the record-time checksums
-    /// untouched — the next materialisation must detect the mismatch.
+    /// untouched — the next fork from a corrupted cut must detect the
+    /// mismatch.
     #[doc(hidden)]
     pub(crate) fn corrupt_entries_for_test(&mut self) {
         for entry in self.entries.values_mut() {
-            entry.time = f64::from_bits(entry.time.to_bits() ^ 1);
+            entry.snapshot.time = f64::from_bits(entry.snapshot.time.to_bits() ^ 1);
         }
     }
 }
@@ -1216,14 +819,10 @@ mod tests {
         assert!(cfg.max_bytes > 0);
         assert!(!CheckpointConfig::disabled().enabled);
         assert_eq!(CheckpointConfig::with_max_bytes(123).max_bytes, 123);
-        assert_eq!(
-            CheckpointConfig::with_keyframe_stride(16).keyframe_stride,
-            16
-        );
     }
 
     #[test]
-    fn delta_is_stored_only_against_the_entry_it_was_diffed_from() {
+    fn corrupt_cut_is_quarantined_alone() {
         use crate::runner::{ExperimentConfig, ExperimentRunner};
         use avis_firmware::{BugSet, FirmwareProfile};
         use avis_workload::auto_box_mission;
@@ -1234,36 +833,19 @@ mod tests {
             auto_box_mission(),
         );
         let genesis = ExperimentRunner::genesis_snapshot(&cfg, 0);
-        // A cut at `time` after a GPS failure at `failed`.
-        let cut = |time: f64, failed: f64| RunSnapshot {
+        let cut = |time: f64| RunSnapshot {
             time,
-            prefix: sensor_prefix(vec![spec(SensorKind::Gps, 0, failed)]),
             ..genesis.clone()
         };
-        let deltas = |fresh_parent: bool| {
-            let mut cache = SnapshotCache::new(usize::MAX);
-            cache.commit(0, &[cut(10.0, 5.0)], None, 8, 1);
-            let key = cache.cells().map(|(key, _)| key.clone()).next();
-            let key = key.expect("the first cut is cached");
-            let id = cache.entries[&key].id;
-            let parent = ChainParent {
-                key: key.clone(),
-                id,
-                snapshot: cut(10.0, 5.0),
-            };
-            if fresh_parent {
-                // Another runner evicts the parent and re-records its
-                // cell from a plan failing 0.4 ms later: same quantised
-                // key, different state.
-                cache.remove_with_dependents(&key);
-                cache.commit(0, &[cut(10.0, 5.0004)], None, 8, 2);
-                assert_ne!(cache.entries[&key].id, id);
-            }
-            cache.commit(0, &[cut(15.0, 5.0)], Some(&parent), 8, 1);
-            cache.stats().delta_snapshots
-        };
-        assert_eq!(deltas(false), 1, "the resident parent takes the delta");
-        assert_eq!(deltas(true), 0, "a re-occupied parent cell gets a keyframe");
+        let mut cache = SnapshotCache::new(usize::MAX);
+        cache.commit(0, vec![cut(5.0), cut(10.0), cut(15.0)], 1);
+        cache.corrupt_entries_for_test();
+        // The deepest cut fails its checksum: it goes, its elders stay.
+        assert!(cache.take_deepest(0, &FaultPlan::empty(), 20.0).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.quarantined, stats.checksum_failures), (1, 1));
+        assert_eq!(stats.snapshots_cached, 2);
+        assert_eq!(stats.snapshots_evicted, 0);
     }
 
     #[test]

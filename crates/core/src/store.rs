@@ -4,7 +4,10 @@
 //! *warm-start* from the checkpoint tree a previous process recorded
 //! instead of re-flying the shared prefix from `t = 0`. The campaign
 //! hydrates the cache from the store before its profiling runs and
-//! flushes the cache back at engine commit boundaries and at its end.
+//! flushes the cache back when it ends. A parallel campaign (parallelism
+//! ≥ 2) also flushes before each speculative wavefront, so a crash
+//! mid-campaign leaves the finished wavefronts' chains on disk; a serial
+//! campaign flushes once, at its end.
 //!
 //! # Layout
 //!
@@ -23,11 +26,10 @@
 //! same length-prefixed binary envelope (see [`encode_blob`]):
 //!
 //! - **chunk blobs** — the `Arc`-shared history chunks ([`avis_sim::CowVec`]
-//!   sample history, firmware defect log, injector record logs), stored
-//!   once per distinct content hash however many cuts, chains or
-//!   campaigns reference them — the on-disk mirror of the in-memory
-//!   chunk ledger;
-//! - **cut blobs** — one serialised [`RunDelta`] per cut. The first cut
+//!   sample history, injector record logs), stored once per distinct
+//!   content hash however many cuts, chains or campaigns reference them —
+//!   the on-disk mirror of the in-memory chunk ledger;
+//! - **cut blobs** — one serialised `RunDelta` per cut. The first cut
 //!   of a chain (its *keyframe*) is encoded as the delta from the
 //!   deterministic **genesis** state (the `t = 0` snapshot rebuilt from
 //!   the [`ExperimentConfig`] alone, see
@@ -35,7 +37,9 @@
 //!   from the previous cut of the same chain. Static structure —
 //!   configuration, parameters, environment — is never written to disk
 //!   at all: it is reconstructed from the experiment config, which the
-//!   fingerprint pins exactly.
+//!   fingerprint pins exactly. Deltas exist only in this format: the
+//!   in-memory cache holds every cut whole, and hydration rebuilds each
+//!   cut whole before committing it.
 //!
 //! # Soundness
 //!
@@ -73,10 +77,18 @@
 //! reached by any surviving chain are deleted.
 
 use crate::json::Json;
+use crate::protocol::ProtocolTracker;
 use crate::runner::{ExperimentConfig, ExperimentRunner};
-use crate::snapshot::{RunDelta, RunSnapshot, SharedSnapshotTier, SnapshotKey, STORE_ORIGIN};
-use avis_sim::codec::{fnv1a, ByteReader, ByteWriter};
+use crate::snapshot::{
+    InjectionPrefix, RunSnapshot, SharedSnapshotTier, SnapshotKey, STORE_ORIGIN,
+};
+use crate::trace::StateSample;
+use avis_firmware::FirmwareDelta;
+use avis_hinj::{InjectorDelta, LinkDelta};
+use avis_sim::codec::{fnv1a, ByteReader, ByteWriter, CodecResult};
 use avis_sim::cow::{ChunkSink, ChunkSource};
+use avis_sim::{CowDelta, CowVec, PackedStepOutput, SimDelta};
+use avis_workload::{ScriptedWorkload, WorkloadStatus};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -84,8 +96,12 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every blob file.
 const BLOB_MAGIC: &[u8; 8] = b"AVISBLB1";
 
-/// Manifest format version.
-const MANIFEST_VERSION: f64 = 1.0;
+/// Manifest format version. Nothing in a blob names its layout, so a
+/// change to the cut-blob layout bumps this: a manifest of another
+/// version hydrates nothing, and the session's flush replaces it.
+/// Version 2 carries the firmware's defect log inline instead of as
+/// chunk blobs.
+const MANIFEST_VERSION: f64 = 2.0;
 
 /// Default store byte budget: large enough for several campaigns' chains
 /// of the reference workloads, small enough to stay polite on CI hosts.
@@ -222,6 +238,133 @@ impl Manifest {
             });
         }
         Some(manifest)
+    }
+}
+
+/// The payload of a cut blob: the dynamic slice of every substrate layer
+/// of a [`RunSnapshot`] relative to the previous cut of its chain, or to
+/// genesis for the chain's first cut (see [`RunSnapshot::diff`]). The
+/// static structure — configuration, parameters, environment, seed-time
+/// biases — is rebuilt from the experiment config.
+#[derive(Debug, Clone)]
+struct RunDelta {
+    sim: SimDelta,
+    firmware: FirmwareDelta,
+    injector: InjectorDelta,
+    link: LinkDelta,
+    tracker: ProtocolTracker,
+    workload: ScriptedWorkload,
+    samples: CowDelta<StateSample>,
+    output: PackedStepOutput,
+    fence_violations: usize,
+    next_sample_time: f64,
+    workload_status: WorkloadStatus,
+    terminal_since: Option<f64>,
+    time: f64,
+    prefix: InjectionPrefix,
+}
+
+impl RunDelta {
+    /// Serialises the delta into a cut blob. History chunks (trace
+    /// samples, injector records) go to `sink` content-addressed;
+    /// everything else is written inline.
+    fn encode(&self, w: &mut ByteWriter, sink: &mut dyn ChunkSink) {
+        self.sim.encode(w);
+        self.firmware.encode(w);
+        self.injector.encode(w, sink);
+        self.link.encode(w);
+        self.tracker.encode(w);
+        self.workload.encode_runtime(w);
+        self.samples
+            .encode_chunked(w, sink, &mut |w, s: &StateSample| s.encode(w));
+        self.output.encode(w);
+        w.usize(self.fence_violations);
+        w.f64(self.next_sample_time);
+        self.workload_status.encode(w);
+        w.option(self.terminal_since.as_ref(), |w, t| w.f64(*t));
+        w.f64(self.time);
+        self.prefix.encode(w);
+    }
+
+    /// Restores a delta serialised by [`RunDelta::encode`].
+    ///
+    /// `workload_template` supplies the static script structure (steps,
+    /// name, environment, timeout), which is derived from the experiment
+    /// configuration and never persisted — only the runtime progress is
+    /// read from the byte stream (see
+    /// [`ScriptedWorkload::decode_runtime`]).
+    fn decode(
+        r: &mut ByteReader<'_>,
+        source: &mut dyn ChunkSource,
+        workload_template: &ScriptedWorkload,
+    ) -> CodecResult<RunDelta> {
+        Ok(RunDelta {
+            sim: SimDelta::decode(r)?,
+            firmware: FirmwareDelta::decode(r)?,
+            injector: InjectorDelta::decode(r, source)?,
+            link: LinkDelta::decode(r)?,
+            tracker: ProtocolTracker::decode(r)?,
+            workload: workload_template.decode_runtime(r)?,
+            samples: CowDelta::decode_chunked(r, source, &mut StateSample::decode)?,
+            output: PackedStepOutput::decode(r)?,
+            fence_violations: r.usize()?,
+            next_sample_time: r.f64()?,
+            workload_status: WorkloadStatus::decode(r)?,
+            terminal_since: r.option(|r| r.f64())?,
+            time: r.f64()?,
+            prefix: InjectionPrefix::decode(r)?,
+        })
+    }
+}
+
+impl RunSnapshot {
+    /// The delta from `prev` (the previous cut of the same chain, or
+    /// genesis) to this snapshot: each substrate layer contributes its
+    /// own delta (see [`avis_sim::SimSnapshot::diff`],
+    /// [`avis_firmware::FirmwareSnapshot::diff`],
+    /// [`avis_hinj::InjectorSnapshot::diff`]) and the runner-level
+    /// bookkeeping rides along — the sample history as an `Arc`-chunk
+    /// suffix, everything else by value.
+    fn diff(&self, prev: &RunSnapshot) -> RunDelta {
+        RunDelta {
+            sim: self.sim.diff(&prev.sim),
+            firmware: self.firmware.diff(&prev.firmware),
+            injector: self.injector.diff(&prev.injector),
+            link: self.link.diff(&prev.link),
+            tracker: self.tracker.clone(),
+            workload: self.workload.clone(),
+            samples: self.samples.delta_from(&prev.samples),
+            output: PackedStepOutput::pack(&self.output),
+            fence_violations: self.fence_violations,
+            next_sample_time: self.next_sample_time,
+            workload_status: self.workload_status.clone(),
+            terminal_since: self.terminal_since,
+            time: self.time,
+            prefix: self.prefix.clone(),
+        }
+    }
+
+    /// Re-materialises the snapshot `delta` was diffed *to*, using `self`
+    /// as the base it was diffed *from*. Bit-exact:
+    /// `base.apply(&cut.diff(&base))` rebuilds `cut` for every pair of
+    /// cuts along one run.
+    fn apply(&self, delta: &RunDelta) -> RunSnapshot {
+        RunSnapshot {
+            sim: self.sim.apply(&delta.sim),
+            firmware: self.firmware.apply(&delta.firmware),
+            injector: self.injector.apply(&delta.injector),
+            link: self.link.apply(&delta.link),
+            tracker: delta.tracker.clone(),
+            workload: delta.workload.clone(),
+            samples: CowVec::apply_delta(&self.samples, &delta.samples),
+            output: delta.output.unpack(),
+            fence_violations: delta.fence_violations,
+            next_sample_time: delta.next_sample_time,
+            workload_status: delta.workload_status.clone(),
+            terminal_since: delta.terminal_since,
+            time: delta.time,
+            prefix: delta.prefix.clone(),
+        }
     }
 }
 
@@ -470,8 +613,8 @@ impl SnapshotStore {
     }
 
     /// Hydrates the snapshot cache from disk: decodes every manifest
-    /// chain (keyframe from genesis, then delta by delta) and commits its
-    /// re-materialised cuts to the cache as one chain. Claims the cache
+    /// chain (keyframe from genesis, then delta by delta) and commits
+    /// each re-materialised cut to the cache whole. Claims the cache
     /// for this store's experiment first — the same guard the runners
     /// use — and returns a zero report if another experiment already
     /// holds it. Corrupt or truncated blobs quarantine their chain's
@@ -518,13 +661,7 @@ impl SnapshotStore {
             if !cuts.is_empty() {
                 report.chains += 1;
                 report.snapshots += cuts.len() as u64;
-                tier.lock().commit(
-                    chain.seed_offset,
-                    &cuts,
-                    None,
-                    experiment.checkpoints.keyframe_stride,
-                    STORE_ORIGIN,
-                );
+                tier.lock().commit(chain.seed_offset, cuts, STORE_ORIGIN);
             }
         }
         self.stats.loaded_chains += report.chains;
@@ -541,7 +678,8 @@ impl SnapshotStore {
     /// hit-weighted GC. Incremental: only chains holding a cut not yet on
     /// disk (neither hydrated nor flushed before) are encoded; the other
     /// chains contribute just the fork hits they accrued. The cache stays
-    /// locked for the flush, which re-materialises one cut at a time.
+    /// locked for the flush, which diffs each cut against its
+    /// predecessor in place.
     pub fn flush(
         &mut self,
         tier: &SharedSnapshotTier,
@@ -583,19 +721,18 @@ impl SnapshotStore {
         let mut new_cuts = Vec::new();
         for chain in &dirty {
             let seed_offset = chain[0].0.seed_offset;
-            let mut prev = genesis_cache
+            let mut prev: &RunSnapshot = genesis_cache
                 .entry(seed_offset)
-                .or_insert_with(|| ExperimentRunner::genesis_snapshot(experiment, seed_offset))
-                .clone();
+                .or_insert_with(|| ExperimentRunner::genesis_snapshot(experiment, seed_offset));
             let mut cuts = Vec::with_capacity(chain.len());
             let mut hits = 0;
             for &(key, cut_hits) in chain {
-                // A chain link failing its checksum ends the chain here.
+                // A cut failing its checksum ends the chain here.
                 let Some(snapshot) = cache.export(key) else {
                     break;
                 };
                 hits = hits.max(cut_hits);
-                let delta = snapshot.diff(&prev);
+                let delta = snapshot.diff(prev);
                 let mut writer = ByteWriter::with_capacity(4096);
                 delta.encode(&mut writer, &mut self.blobs);
                 let payload = writer.into_bytes();

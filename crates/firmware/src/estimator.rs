@@ -198,8 +198,8 @@ impl StateEstimator {
     }
 
     /// Captures the per-run dynamic state — the estimate itself and the
-    /// barometer ground reference. The gains are static per run, so a
-    /// delta-encoded snapshot chain stores them once in its keyframe.
+    /// barometer ground reference. The gains are static per run: a
+    /// snapshot delta takes them from its base capture.
     pub fn dynamics(&self) -> EstimatorDynamics {
         EstimatorDynamics {
             state: self.state,

@@ -21,8 +21,7 @@ use crate::params::{FirmwareParams, FirmwareProfile};
 use avis_hinj::SharedInjector;
 use avis_mavlite::{AckResult, CommandKind, Message, MissionCommand, ProtocolMode};
 use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
-use avis_sim::cow::{ChunkSink, ChunkSource};
-use avis_sim::{CowVec, MotorCommands, SensorKind, SensorReading, Vec3};
+use avis_sim::{MotorCommands, SensorKind, SensorReading, Vec3};
 
 /// Compact telemetry snapshot (also broadcast as MAVLite status messages).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,11 +85,6 @@ impl RtlPhase {
 /// forked run owns a fresh injector (same prefix records, possibly a
 /// different remaining plan) and the restore rebinds both the firmware's
 /// own handle and its sensor frontend's.
-///
-/// Capture is O(1) in the run length: the growing defect log is backed
-/// by a [`CowVec`], so [`Firmware::snapshot`] seals the log's tail into
-/// an `Arc`-shared chunk and the capture shares the history structurally
-/// instead of deep-cloning it.
 #[derive(Debug, Clone)]
 pub struct FirmwareSnapshot {
     firmware: Firmware,
@@ -117,24 +111,16 @@ impl FirmwareSnapshot {
         firmware
     }
 
-    /// Approximate heap footprint *exclusively owned* by the captured
-    /// state (bytes), used by checkpoint caches to enforce their memory
-    /// budget. The `Arc`-shared defect-log chunks are accounted once per
-    /// distinct chunk through [`FirmwareSnapshot::for_each_chunk`].
+    /// Approximate heap footprint of the captured state (bytes), used by
+    /// checkpoint caches to enforce their memory budget.
     pub fn approx_bytes(&self) -> usize {
         let fw = &self.firmware;
         std::mem::size_of::<Firmware>()
             + fw.mode_history.len() * std::mem::size_of::<(f64, OperatingMode)>()
             + fw.outbox.len() * std::mem::size_of::<Message>()
-            + fw.defect_log.exclusive_bytes()
+            + std::mem::size_of_val(fw.defect_log.as_slice())
             + std::mem::size_of_val(fw.failsafes.events())
             + fw.mission.items().len() * 64
-    }
-
-    /// Visits the `Arc`-shared defect-log chunks as `(identity, bytes)`
-    /// pairs (see [`CowVec::for_each_chunk`]).
-    pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
-        self.firmware.defect_log.for_each_chunk(f);
     }
 
     /// The delta from `prev` to this capture. The always-moving control
@@ -143,9 +129,9 @@ impl FirmwareSnapshot {
     /// latches, defect triggers, mission progress — are stored only when
     /// they actually changed since `prev` (boxed, so an unchanged
     /// component costs one null pointer); the static components (profile,
-    /// parameters) are never stored and the append-only histories are
-    /// stored as suffixes / `Arc`-shared chunk lists. Only valid between
-    /// captures of the same run.
+    /// parameters) are never stored, the mode history is stored as a
+    /// suffix and the defect log, at most one entry per bug, whole. Only
+    /// valid between captures of the same run.
     pub fn diff(&self, prev: &FirmwareSnapshot) -> FirmwareDelta {
         let fw = &self.firmware;
         let base = &prev.firmware;
@@ -191,7 +177,7 @@ impl FirmwareSnapshot {
             mode_history_base,
             mode_history_suffix,
             outbox: fw.outbox.clone(),
-            defect_log: fw.defect_log.delta_from(&base.defect_log),
+            defect_log: fw.defect_log.clone(),
         }
     }
 
@@ -230,7 +216,7 @@ impl FirmwareSnapshot {
         fw.mode_history
             .extend_from_slice(&delta.mode_history_suffix);
         fw.outbox.clone_from(&delta.outbox);
-        fw.defect_log = CowVec::apply_delta(&self.firmware.defect_log, &delta.defect_log);
+        fw.defect_log.clone_from(&delta.defect_log);
         FirmwareSnapshot { firmware: fw }
     }
 }
@@ -238,7 +224,7 @@ impl FirmwareSnapshot {
 /// The dynamic slice of a [`FirmwareSnapshot`] relative to an earlier
 /// capture of the same run (see [`FirmwareSnapshot::diff`]). The static
 /// control-stack structure — profile, parameters, mission items while
-/// unchanged, defect catalog — lives once in the chain's base keyframe.
+/// unchanged, defect catalog — is taken from the base capture.
 #[derive(Debug, Clone)]
 pub struct FirmwareDelta {
     estimator: crate::estimator::EstimatorDynamics,
@@ -263,7 +249,7 @@ pub struct FirmwareDelta {
     mode_history_base: usize,
     mode_history_suffix: Vec<(f64, OperatingMode)>,
     outbox: Vec<Message>,
-    defect_log: avis_sim::CowDelta<(f64, DefectOverrides)>,
+    defect_log: Vec<(f64, DefectOverrides)>,
 }
 
 impl FirmwareDelta {
@@ -272,43 +258,10 @@ impl FirmwareDelta {
         self.time
     }
 
-    /// Approximate heap + inline bytes exclusively owned by the delta
-    /// (the `Arc`-shared defect-log chunks are accounted once per
-    /// distinct chunk through [`FirmwareDelta::for_each_chunk`]).
-    pub fn approx_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>()
-            + self.mode_history_suffix.len() * std::mem::size_of::<(f64, OperatingMode)>()
-            + self.outbox.len() * std::mem::size_of::<Message>()
-            + self.defect_log.exclusive_bytes();
-        if let Some(health) = &self.health {
-            bytes += std::mem::size_of::<crate::frontend::SensorHealth>()
-                + health.failed_instances().count() * 16
-                + 128;
-        }
-        if self.failsafes.is_some() {
-            bytes += std::mem::size_of::<FailsafeEngine>() + 64;
-        }
-        if self.defects.is_some() {
-            bytes += std::mem::size_of::<DefectEngine>() + 64;
-        }
-        if let Some(mission) = &self.mission {
-            bytes += std::mem::size_of::<MissionManager>() + mission.items().len() * 64;
-        }
-        bytes
-    }
-
-    /// Visits the `Arc`-shared defect-log chunks as `(identity, bytes)`
-    /// pairs (see [`CowVec::for_each_chunk`]).
-    pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
-        self.defect_log.for_each_chunk(f);
-    }
-
-    /// Serialise the delta bit-exactly. The defect-log chunks are handed
-    /// to `sink` for content-addressed storage and deduplication; only
-    /// their hashes land in the byte stream. The firmware outbox is
-    /// serialised through the wire codec ([`avis_mavlite::encode_frame`])
-    /// so the persistent format reuses the protocol's framing and CRC.
-    pub fn encode(&self, w: &mut ByteWriter, sink: &mut dyn ChunkSink) {
+    /// Serialise the delta bit-exactly. The firmware outbox is serialised
+    /// through the wire codec ([`avis_mavlite::encode_frame`]) so the
+    /// persistent format reuses the protocol's framing and CRC.
+    pub fn encode(&self, w: &mut ByteWriter) {
         self.estimator.encode(w);
         self.navigator.encode(w);
         w.option(self.health.as_deref(), |w, h| h.encode(w));
@@ -336,18 +289,14 @@ impl FirmwareDelta {
         w.seq(&self.outbox, |w, m| {
             w.bytes(&avis_mavlite::encode_frame(m, 0));
         });
-        self.defect_log.encode_chunked(w, sink, &mut |w, (t, o)| {
+        w.seq(&self.defect_log, |w, (t, o)| {
             w.f64(*t);
             o.encode(w);
         });
     }
 
-    /// Decode a delta previously written by [`FirmwareDelta::encode`],
-    /// resolving defect-log chunk references through `source`.
-    pub fn decode(
-        r: &mut ByteReader<'_>,
-        source: &mut dyn ChunkSource,
-    ) -> CodecResult<FirmwareDelta> {
+    /// Decode a delta previously written by [`FirmwareDelta::encode`].
+    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<FirmwareDelta> {
         Ok(FirmwareDelta {
             estimator: crate::estimator::EstimatorDynamics::decode(r)?,
             navigator: crate::nav::NavDynamics::decode(r)?,
@@ -379,9 +328,7 @@ impl FirmwareDelta {
                 }
                 Ok(msg)
             })?,
-            defect_log: avis_sim::CowDelta::decode_chunked(r, source, &mut |r| {
-                Ok((r.f64()?, DefectOverrides::decode(r)?))
-            })?,
+            defect_log: r.seq(|r| Ok((r.f64()?, DefectOverrides::decode(r)?)))?,
         })
     }
 }
@@ -414,7 +361,9 @@ pub struct Firmware {
     last_heartbeat: f64,
     last_status: f64,
     last_selected: SelectedSensors,
-    defect_log: CowVec<(f64, DefectOverrides)>,
+    /// The steps at which a bug was first active (see
+    /// [`Firmware::log_defects`]).
+    defect_log: Vec<(f64, DefectOverrides)>,
 }
 
 impl Firmware {
@@ -450,7 +399,7 @@ impl Firmware {
             last_heartbeat: -10.0,
             last_status: -10.0,
             last_selected: SelectedSensors::default(),
-            defect_log: CowVec::new(),
+            defect_log: Vec::new(),
         };
         fw.record_mode(0.0);
         fw
@@ -509,9 +458,10 @@ impl Firmware {
         self.failsafes.events()
     }
 
-    /// Steps at which injected defects were active (diagnostics). Backed
-    /// by a copy-on-write vector so snapshots share the history.
-    pub fn defect_log(&self) -> &CowVec<(f64, DefectOverrides)> {
+    /// The injected defects that have triggered: one entry for each step
+    /// at which some bug was active for the first time, holding that
+    /// step's time and overrides, in time order.
+    pub fn defect_log(&self) -> &[(f64, DefectOverrides)] {
         &self.defect_log
     }
 
@@ -536,11 +486,8 @@ impl Firmware {
     }
 
     /// Captures the firmware's complete state so a later run can resume
-    /// from this exact point (see [`FirmwareSnapshot`]). Seals the
-    /// defect log's tail so the capture shares the history structurally
-    /// (O(1) in the run length) rather than deep-cloning it.
-    pub fn snapshot(&mut self) -> FirmwareSnapshot {
-        self.defect_log.seal();
+    /// from this exact point (see [`FirmwareSnapshot`]).
+    pub fn snapshot(&self) -> FirmwareSnapshot {
         FirmwareSnapshot {
             firmware: self.clone(),
         }
@@ -604,13 +551,13 @@ impl Firmware {
         if self.armed && self.defects.bugs().is_enabled(BugId::ProtoDoubleArm) {
             self.armed = false;
             self.transition_to(OperatingMode::PreFlight);
-            self.defect_log.push((
+            self.log_defects(
                 self.time,
-                DefectOverrides {
+                &DefectOverrides {
                     active: vec![BugId::ProtoDoubleArm],
                     ..Default::default()
                 },
-            ));
+            );
             self.outbox.push(Message::CommandAck {
                 command: CommandKind::Arm,
                 result: AckResult::Accepted,
@@ -681,13 +628,13 @@ impl Firmware {
             && self.defects.bugs().is_enabled(BugId::ProtoPanicOnStaleEkf)
             && !self.estimator.state().position_ok
         {
-            self.defect_log.push((
+            self.log_defects(
                 self.time,
-                DefectOverrides {
+                &DefectOverrides {
                     active: vec![BugId::ProtoPanicOnStaleEkf],
                     ..Default::default()
                 },
-            ));
+            );
             panic!(
                 "PROTO-102: takeoff commanded on a stale position estimate \
                  ({:.3}s since last GPS fix)",
@@ -808,6 +755,21 @@ impl Firmware {
         self.record_mode(self.time);
     }
 
+    /// Logs `overrides` at `time` when it holds a bug that no earlier
+    /// entry holds. The log's readers only ask which bugs triggered, so
+    /// the first step of each is enough: a latched defect would otherwise
+    /// add an entry at every control step for as long as it stays active.
+    fn log_defects(&mut self, time: f64, overrides: &DefectOverrides) {
+        let logged = |bug: &BugId| {
+            self.defect_log
+                .iter()
+                .any(|(_, entry)| entry.active.contains(bug))
+        };
+        if !overrides.active.iter().all(logged) {
+            self.defect_log.push((time, overrides.clone()));
+        }
+    }
+
     fn record_mode(&mut self, time: f64) {
         self.mode_history.push((time, self.mode));
         self.injector.report_mode(time, self.mode.code());
@@ -838,9 +800,7 @@ impl Firmware {
             };
             self.defects.evaluate(&ctx)
         };
-        if !overrides.is_empty() {
-            self.defect_log.push((time, overrides.clone()));
-        }
+        self.log_defects(time, &overrides);
         // 4. Failsafes (unless an active defect suppresses them).
         if let Some(event) = self.failsafes.evaluate(
             self.mode,
@@ -1108,11 +1068,10 @@ mod tests {
     #[test]
     fn firmware_delta_codec_round_trips_through_chunk_store() {
         use avis_sim::codec::{ByteReader, ByteWriter};
-        use avis_sim::cow::MemoryChunkStore;
 
         // Fly a mission far enough that the delta carries real payload:
-        // mode transitions, a mission, defect-log growth and outbox
-        // traffic between the base and the cut.
+        // mode transitions, a mission and outbox traffic between the
+        // base and the cut.
         let (mut fw, injector) = make_firmware(BugSet::none());
         let mut sim = make_sim();
         run(&mut fw, &mut sim, 1.0);
@@ -1131,12 +1090,11 @@ mod tests {
         let cut = fw.snapshot();
         let delta = cut.diff(&base);
 
-        let mut store = MemoryChunkStore::default();
         let mut w = ByteWriter::new();
-        delta.encode(&mut w, &mut store);
+        delta.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let decoded = FirmwareDelta::decode(&mut r, &mut store).expect("decode");
+        let decoded = FirmwareDelta::decode(&mut r).expect("decode");
         r.finish().expect("no trailing bytes");
 
         // Both re-materialised firmwares must continue bit-identically.

@@ -204,8 +204,8 @@ impl SensorFrontend {
     }
 
     /// Overwrites the health bookkeeping (the frontend's only mutable
-    /// state). Used when a firmware is re-materialised from a delta
-    /// snapshot whose health diverged from the chain's base keyframe.
+    /// state). Used when a firmware is re-materialised from a snapshot
+    /// delta whose health diverged from its base capture.
     pub fn restore_health(&mut self, health: SensorHealth) {
         self.health = health;
     }

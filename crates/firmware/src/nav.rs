@@ -258,8 +258,8 @@ impl Navigator {
     }
 
     /// Captures the per-run dynamic state — the hover-trim integrator and
-    /// the held heading. Gains and limits are static per run, so a
-    /// delta-encoded snapshot chain stores them once in its keyframe.
+    /// the held heading. Gains and limits are static per run: a snapshot
+    /// delta takes them from its base capture.
     pub fn dynamics(&self) -> NavDynamics {
         NavDynamics {
             hover_trim: self.hover_trim,

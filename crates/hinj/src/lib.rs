@@ -569,27 +569,6 @@ pub struct InjectorDelta {
 }
 
 impl InjectorDelta {
-    /// Approximate heap + inline bytes exclusively owned by the delta
-    /// (the `Arc`-shared record chunks are accounted once per distinct
-    /// chunk through [`InjectorDelta::for_each_chunk`]).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .plan
-                .as_ref()
-                .map(|p| p.len() * std::mem::size_of::<(SensorInstance, f64)>())
-                .unwrap_or(0)
-            + self.injections.exclusive_bytes()
-            + self.transitions.exclusive_bytes()
-    }
-
-    /// Visits the `Arc`-shared record chunks as `(identity, bytes)`
-    /// pairs (see [`CowVec::for_each_chunk`]).
-    pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
-        self.injections.for_each_chunk(f);
-        self.transitions.for_each_chunk(f);
-    }
-
     /// Serialises the delta for the persistent store. Record-log chunks
     /// go to `sink` content-addressed (see [`CowVec::encode_chunked`]).
     pub fn encode(&self, w: &mut ByteWriter, sink: &mut dyn ChunkSink) {

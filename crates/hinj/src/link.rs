@@ -852,11 +852,6 @@ pub struct LinkDelta {
 }
 
 impl LinkDelta {
-    /// Approximate heap + inline bytes owned by the delta.
-    pub fn approx_bytes(&self) -> usize {
-        self.snapshot.approx_bytes()
-    }
-
     /// Serialises the delta for the persistent snapshot store.
     pub fn encode(&self, w: &mut ByteWriter) {
         self.snapshot.encode(w);

@@ -18,8 +18,12 @@ pub struct SnapshotPair {
     /// Name of the snapshot type (e.g. `SimSnapshot`), used in
     /// diagnostics only — the scan is file + function-name scoped.
     pub snapshot: String,
-    /// Workspace-relative file that defines both.
+    /// Workspace-relative file that defines the snapshot functions, and
+    /// the state struct unless `state_file` names another.
     pub file: String,
+    /// Workspace-relative file that defines the state struct, when it
+    /// is not `file`.
+    pub state_file: Option<String>,
     /// Function names whose bodies constitute the snapshot surface:
     /// every named field of `state` must be referenced in at least one
     /// of them (or carry a `// snapshot: skip(<reason>)` marker).
@@ -120,6 +124,10 @@ impl LintConfig {
                 state: field("state")?,
                 snapshot: field("snapshot")?,
                 file: field("file")?,
+                state_file: table
+                    .contains_key("state_file")
+                    .then(|| field("state_file"))
+                    .transpose()?,
                 functions,
             });
         }

@@ -1,7 +1,7 @@
 //! `avis-lint` — the workspace determinism lint.
 //!
 //! Every guarantee the Avis reproduction makes — bit-identical parallel
-//! replay, cold ≡ checkpointed ≡ delta-chain ≡ shared-cache execution — is
+//! replay, cold ≡ checkpointed ≡ shared-cache ≡ persisted execution — is
 //! otherwise enforced only dynamically, by determinism tests that must
 //! happen to exercise a broken path. This crate makes the determinism
 //! contract machine-checked: an offline, dependency-free static

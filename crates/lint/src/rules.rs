@@ -345,7 +345,8 @@ pub fn check_snapshot_pairs(
 }
 
 fn check_pair(files: &BTreeMap<String, SourceFile>, pair: &SnapshotPair, report: &mut LintReport) {
-    let Some(file) = files.get(&pair.file) else {
+    let state_path = pair.state_file.as_ref().unwrap_or(&pair.file);
+    let (Some(file), Some(state_file)) = (files.get(&pair.file), files.get(state_path)) else {
         report.violations.push(Diagnostic {
             rule: "lint",
             file: pair.file.clone(),
@@ -358,10 +359,10 @@ fn check_pair(files: &BTreeMap<String, SourceFile>, pair: &SnapshotPair, report:
         });
         return;
     };
-    let Some(fields) = file.struct_fields(&pair.state) else {
+    let Some(fields) = state_file.struct_fields(&pair.state) else {
         report.violations.push(Diagnostic {
             rule: "lint",
-            file: pair.file.clone(),
+            file: state_path.clone(),
             line: 1,
             message: format!(
                 "snapshot_pair state struct `{}` not found (renamed? update lint.toml)",
@@ -391,17 +392,17 @@ fn check_pair(files: &BTreeMap<String, SourceFile>, pair: &SnapshotPair, report:
         if file.ranges_reference_ident(&ranges, field) {
             continue;
         }
-        match skip_marker(file, *line) {
+        match skip_marker(state_file, *line) {
             Some(reason) => {
                 report.snapshot_skips.push((
-                    pair.file.clone(),
+                    state_path.clone(),
                     format!("{}::{field}", pair.state),
                     reason,
                 ));
             }
             None => emit(
                 report,
-                file,
+                state_file,
                 "s1",
                 *line,
                 format!(
@@ -556,6 +557,7 @@ mod tests {
             state: "State".to_string(),
             snapshot: "Snap".to_string(),
             file: "crates/x/src/s.rs".to_string(),
+            state_file: None,
             functions: vec!["diff".to_string()],
         });
         let mut report = LintReport::default();
@@ -568,12 +570,46 @@ mod tests {
     }
 
     #[test]
+    fn s1_reads_the_state_struct_from_its_own_file() {
+        let mut files = BTreeMap::new();
+        files.insert(
+            "crates/x/src/state.rs".to_string(),
+            SourceFile::new(
+                "crates/x/src/state.rs",
+                "pub struct State {\n    a: u8,\n    b: u8,\n}\n",
+            ),
+        );
+        files.insert(
+            "crates/x/src/codec.rs".to_string(),
+            SourceFile::new(
+                "crates/x/src/codec.rs",
+                "impl State {\n    fn diff(&self) -> D { D { a: self.a } }\n}\n",
+            ),
+        );
+        let mut config = LintConfig::default();
+        config.pairs.push(SnapshotPair {
+            state: "State".to_string(),
+            snapshot: "D".to_string(),
+            file: "crates/x/src/codec.rs".to_string(),
+            state_file: Some("crates/x/src/state.rs".to_string()),
+            functions: vec!["diff".to_string()],
+        });
+        let mut report = LintReport::default();
+        check_snapshot_pairs(&files, &config, &mut report);
+        report.finalize();
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].message.contains("State::b"));
+        assert_eq!(report.violations[0].file, "crates/x/src/state.rs");
+    }
+
+    #[test]
     fn s1_config_drift_is_loud() {
         let mut config = LintConfig::default();
         config.pairs.push(SnapshotPair {
             state: "Gone".to_string(),
             snapshot: "GoneSnap".to_string(),
             file: "crates/x/src/s.rs".to_string(),
+            state_file: None,
             functions: vec!["diff".to_string()],
         });
         let mut files = BTreeMap::new();

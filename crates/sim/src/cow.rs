@@ -1,8 +1,8 @@
 //! A copy-on-write, chunked append-only vector for O(1) snapshotting.
 //!
 //! [`CowVec`] is the persistent-vector-style backbone of the checkpoint
-//! tree: a run's growing history (trace samples, firmware logs, injector
-//! records) appends to a plain mutable *tail*, and at snapshot time the
+//! tree: a run's growing history (trace samples, injector records)
+//! appends to a plain mutable *tail*, and at snapshot time the
 //! tail is *sealed* into an immutable `Arc`-shared prefix chunk. A
 //! snapshot is then just a clone of the chunk list — O(chunks), not
 //! O(elements) — and every snapshot along a run shares the sealed chunks
@@ -206,17 +206,11 @@ impl<T: Clone> CowVec<T> {
 
     /// Seals the tail, then returns a structural-sharing clone: the
     /// snapshot primitive. O(chunks), independent of element count. The
-    /// clone's tail carries the original's capacity, so a run resumed
-    /// from the snapshot appends without regrowing from zero (the same
-    /// steady-state-allocation property cold runs get from
-    /// [`CowVec::with_capacity`]).
+    /// clone's tail starts unreserved, so a snapshot kept in a cache does
+    /// not hold the spare capacity the original reserved for its run.
     pub fn sealed_clone(&mut self) -> CowVec<T> {
         self.seal();
-        CowVec {
-            chunks: self.chunks.clone(),
-            prefix_len: self.prefix_len,
-            tail: Vec::with_capacity(self.tail.capacity()),
-        }
+        self.clone()
     }
 
     /// Copies every element into a plain `Vec` (prefix first).
@@ -258,13 +252,13 @@ impl<T: Clone> CowVec<T> {
         }
     }
 
-    /// The delta from `prev` to `self` for a delta-encoded snapshot
-    /// chain. When `prev`'s chunk list is a shared prefix of `self`'s
+    /// The delta from `prev` to `self` for a persisted chain of snapshot
+    /// deltas. When `prev`'s chunk list is a shared prefix of `self`'s
     /// (the normal case along one run: both are sealed captures and the
     /// later one only appended), the delta stores just the *new* chunk
-    /// handles — without it, every cut of an `n`-cut chain would own its
-    /// own `O(n)` chunk-handle list, `O(n²)` across the chain. Falls back
-    /// to a full structural clone when the histories diverged.
+    /// handles — without it, every cut blob of an `n`-cut chain would
+    /// list `O(n)` chunk hashes, `O(n²)` across the chain. Falls back to
+    /// a full structural clone when the histories diverged.
     pub fn delta_from(&self, prev: &CowVec<T>) -> CowDelta<T> {
         let shares_prefix = self.tail.is_empty()
             && prev.tail.is_empty()
@@ -402,36 +396,6 @@ impl<T: Clone + fmt::Debug> fmt::Debug for CowDelta<T> {
 }
 
 impl<T: Clone> CowDelta<T> {
-    /// Heap bytes exclusively owned by the delta (chunk handles; the
-    /// chunk contents are shared and accounted through
-    /// [`CowDelta::for_each_chunk`]).
-    pub fn exclusive_bytes(&self) -> usize {
-        match self {
-            CowDelta::Suffix(suffix) => suffix.len() * std::mem::size_of::<Arc<[T]>>(),
-            CowDelta::Full(full) => full.exclusive_bytes(),
-        }
-    }
-
-    /// Visits the `Arc`-shared chunks the delta itself holds handles to
-    /// (the suffix chunks, or every chunk of a full fallback). The base
-    /// capture's prefix chunks are *not* visited for a suffix delta: a
-    /// delta entry can only exist while its chain parent is resident
-    /// (chain-aware eviction), and the parent already charges them.
-    pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
-        match self {
-            CowDelta::Suffix(suffix) => {
-                for chunk in suffix {
-                    f(
-                        // avis-lint: allow(d2, reason = "chunk identity for memory-budget dedup only; never feeds replay, hashing or ordering")
-                        Arc::as_ptr(chunk) as *const T as usize,
-                        chunk.len() * std::mem::size_of::<T>(),
-                    );
-                }
-            }
-            CowDelta::Full(full) => full.for_each_chunk(f),
-        }
-    }
-
     /// Serialises the delta for the persistent store (chunk contents go
     /// to `sink`; see [`CowVec::encode_chunked`]).
     pub fn encode_chunked(
@@ -641,17 +605,9 @@ mod tests {
         let delta = cut.delta_from(&base);
         // Two new chunks' handles, nothing else.
         assert!(matches!(&delta, CowDelta::Suffix(s) if s.len() == 2));
-        assert!(delta.exclusive_bytes() < base.exclusive_bytes() + cut.exclusive_bytes());
         let rebuilt = CowVec::apply_delta(&base, &delta);
         assert_eq!(rebuilt, cut);
         assert_eq!(rebuilt.to_vec(), (0..40).collect::<Vec<i32>>());
-        // The suffix chunks are charged by the delta; the shared prefix
-        // chunk is not (the chain parent charges it).
-        let mut delta_ids = Vec::new();
-        delta.for_each_chunk(&mut |id, _| delta_ids.push(id));
-        let mut base_ids = Vec::new();
-        base.for_each_chunk(&mut |id, _| base_ids.push(id));
-        assert!(delta_ids.iter().all(|id| !base_ids.contains(id)));
 
         // Divergent histories fall back to a full clone.
         let mut other = CowVec::from_vec((0..20).collect::<Vec<i32>>());
@@ -703,10 +659,10 @@ mod tests {
         let delta = cut.delta_from(&base);
         let mut w = ByteWriter::new();
         delta.encode_chunked(&mut w, &mut store, &mut { enc });
-        let delta_bytes = w.into_bytes();
+        let delta_blob = w.into_bytes();
         assert_eq!(store.dedup_hits, 2);
         let rebuilt_delta =
-            CowDelta::decode_chunked(&mut ByteReader::new(&delta_bytes), &mut store, &mut { dec })
+            CowDelta::decode_chunked(&mut ByteReader::new(&delta_blob), &mut store, &mut { dec })
                 .unwrap();
         assert_eq!(CowVec::apply_delta(&rebuilt_base, &rebuilt_delta), cut);
     }

@@ -322,8 +322,8 @@ pub struct SensorSuite {
 /// stream, the GPS fixes held between epochs, the epoch clock and the
 /// battery charge. The static complement — the configuration and the
 /// per-instance biases drawn once at seed time — is excluded, which is
-/// what makes a delta-encoded snapshot chain cheap: consecutive cuts of
-/// one run differ only in this dynamic slice.
+/// what keeps the persistent store's cut deltas small: consecutive cuts
+/// of one run differ only in this dynamic slice.
 #[derive(Debug, Clone)]
 pub struct SensorDynamics {
     rng: SimRng,
@@ -333,13 +333,6 @@ pub struct SensorDynamics {
 }
 
 impl SensorDynamics {
-    /// Approximate heap + inline bytes of the captured dynamic state,
-    /// used by the checkpoint stores' memory budgets.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.last_gps.len() * std::mem::size_of::<Option<SensorValue>>()
-    }
-
     /// Serialises the dynamic sensor state for the persistent store.
     pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
         self.rng.encode(w);
@@ -514,7 +507,7 @@ impl SensorSuite {
 
     /// Captures the per-run dynamic state (see [`SensorDynamics`]). The
     /// configuration and the seed-time biases are *not* captured: a
-    /// delta-encoded snapshot takes them from its chain's base keyframe.
+    /// snapshot delta takes them from its base capture.
     pub fn dynamics(&self) -> SensorDynamics {
         SensorDynamics {
             rng: self.rng.clone(),

@@ -96,12 +96,11 @@ impl Default for StepOutput {
     }
 }
 
-/// A [`StepOutput`] packed for delta-encoded snapshot storage: the
-/// sensor readings are flattened into one float array plus a compact
-/// instance list instead of a `Vec` of tagged [`SensorValue`] enums —
-/// roughly a third of the memory, bit-exactly reversible. A snapshot
-/// chain holds one of these per delta cut, so the saving multiplies by
-/// the chain length.
+/// A [`StepOutput`] packed for the persistent snapshot store: the sensor
+/// readings are flattened into one float array plus a compact instance
+/// list instead of a `Vec` of tagged [`SensorValue`] enums — roughly a
+/// third of the size, bit-exactly reversible. Every persisted cut
+/// carries one.
 #[derive(Debug, Clone)]
 pub struct PackedStepOutput {
     state: PhysicalState,
@@ -204,16 +203,6 @@ impl PackedStepOutput {
             collision: self.collision,
             violated_fences: self.violated_fences.clone(),
         }
-    }
-
-    /// Approximate heap + inline bytes exclusively owned by the packed
-    /// form.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.violated_fences.len() * std::mem::size_of::<usize>()
-            + self.instances.len() * std::mem::size_of::<crate::sensors::SensorInstance>()
-            + self.floats.len() * std::mem::size_of::<f64>()
-            + self.satellites.len()
     }
 
     /// Serialises the packed output (bit-exact) for the persistent store.
@@ -338,7 +327,7 @@ impl SimSnapshot {
     /// and collision bookkeeping). The static complement — configuration,
     /// seed-time sensor biases, the `Arc`-shared environment — is *not*
     /// stored; [`SimSnapshot::apply`] takes it from the base capture, so
-    /// a chain of snapshots stores it exactly once.
+    /// a persisted chain of deltas never stores it at all.
     ///
     /// Only valid between captures of the same run: both must share the
     /// configuration (and therefore the biases) of `prev`.
@@ -376,7 +365,7 @@ impl SimSnapshot {
 /// The dynamic slice of a [`SimSnapshot`] relative to an earlier capture
 /// of the same run (see [`SimSnapshot::diff`]). Far smaller than a full
 /// capture: the configuration, the seed-time sensor biases and the
-/// environment are all taken from the chain's base keyframe at
+/// environment are all taken from the base capture at
 /// [`SimSnapshot::apply`] time.
 #[derive(Debug, Clone)]
 pub struct SimDelta {
@@ -392,13 +381,6 @@ impl SimDelta {
     /// Simulation time of the captured cut (s).
     pub fn time(&self) -> f64 {
         self.time
-    }
-
-    /// Approximate heap + inline bytes exclusively owned by the delta,
-    /// used by the checkpoint stores' memory budgets.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() - std::mem::size_of::<crate::sensors::SensorDynamics>()
-            + self.sensors.approx_bytes()
     }
 
     /// Serialises the delta (bit-exact) for the persistent store.

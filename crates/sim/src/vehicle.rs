@@ -222,8 +222,8 @@ pub struct Quadcopter {
 
 /// The per-run *mutable* slice of a [`Quadcopter`]: motor spool-up state,
 /// rigid-body state and ground contact. The physical parameters are
-/// static per run and excluded, so a delta-encoded snapshot chain stores
-/// them once in its base keyframe.
+/// static per run and excluded: a snapshot delta takes them from its
+/// base capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuadDynamics {
     motors: MotorBank,

@@ -175,26 +175,6 @@ fn checkpointed_campaign_is_bit_identical_to_cold_execution() {
             "the shared cache should hold snapshots (parallelism {parallelism}): {:?}",
             tier.stats()
         );
-        // Delta-chain encoding at either extreme — keyframes only
-        // (stride 1) and delta-encoding nearly every cut under budget
-        // pressure (stride 16, tight budget) — must be equally
-        // invisible: re-materialised cuts are bit-exact.
-        for stride in [1, 16] {
-            let encoded = run(
-                CheckpointConfig {
-                    keyframe_stride: stride,
-                    max_bytes: 512 * 1024,
-                    ..CheckpointConfig::default()
-                },
-                parallelism,
-                None,
-            );
-            assert_eq!(
-                cold, encoded,
-                "delta-chain campaign (stride {stride}, parallelism {parallelism}) \
-                 diverged from cold execution"
-            );
-        }
     }
     assert!(
         !cold.unsafe_conditions.is_empty(),
@@ -478,7 +458,8 @@ fn link_fault_campaign_checkpointed_matches_cold_execution() {
     // Checkpointing must stay invisible when plans carry link faults:
     // combined (sensor ∪ link) injection prefixes guarantee a forked run
     // replays the link shim's rng stream exactly, so cold, checkpointed
-    // and delta-chain execution agree bit-for-bit at every parallelism.
+    // and budget-squeezed execution agree bit-for-bit at every
+    // parallelism.
     let run = |checkpoints: CheckpointConfig, parallelism: usize| {
         Campaign::builder()
             .experiment(proto_experiment())
@@ -503,17 +484,10 @@ fn link_fault_campaign_checkpointed_matches_cold_execution() {
             "checkpointed link-fault campaign (parallelism {parallelism}) \
              diverged from cold execution"
         );
-        let delta_chain = run(
-            CheckpointConfig {
-                keyframe_stride: 16,
-                max_bytes: 512 * 1024,
-                ..CheckpointConfig::default()
-            },
-            parallelism,
-        );
+        let budgeted = run(CheckpointConfig::with_max_bytes(512 * 1024), parallelism);
         assert_eq!(
-            cold, delta_chain,
-            "delta-chain link-fault campaign (parallelism {parallelism}) \
+            cold, budgeted,
+            "memory-budgeted link-fault campaign (parallelism {parallelism}) \
              diverged from cold execution"
         );
     }
@@ -912,10 +886,10 @@ fn crashed_call_never_publishes_its_cuts() {
 
 #[test]
 fn corrupted_snapshot_chain_is_quarantined_with_cold_fallback() {
-    // Snapshot quarantine: corrupting a cached delta chain must be
-    // detected at materialisation time (checksum mismatch), the chain
-    // quarantined, and the run transparently re-executed from t = 0 with
-    // a bit-identical result — corruption costs time, never correctness.
+    // Snapshot quarantine: corrupting the cached cuts must be detected
+    // when a run forks (checksum mismatch), the cut quarantined, and the
+    // run transparently re-executed from t = 0 with a bit-identical
+    // result — corruption costs time, never correctness.
     let forked = FaultPlan::from_specs(vec![
         FaultSpec::new(SensorInstance::new(SensorKind::Gps, 0), 30.0),
         FaultSpec::new(SensorInstance::new(SensorKind::Compass, 0), 60.0),
@@ -931,7 +905,7 @@ fn corrupted_snapshot_chain_is_quarantined_with_cold_fallback() {
     let cold = cold_runner.run_contained(forked.clone());
 
     let mut warm_runner = ExperimentRunner::new(experiment());
-    // Record the base chain, then flip a byte in every cached entry.
+    // Record the base run's cuts, then flip a byte in every cached cut.
     let _ = warm_runner.run_contained(base);
     warm_runner.corrupt_cached_chains_for_test();
     let recovered = warm_runner.run_contained(forked);
@@ -946,7 +920,7 @@ fn corrupted_snapshot_chain_is_quarantined_with_cold_fallback() {
     );
     assert!(
         stats.quarantined >= 1,
-        "the corrupt chain should have been quarantined: {stats:?}"
+        "the corrupt cut should have been quarantined: {stats:?}"
     );
 }
 

@@ -7,7 +7,7 @@
 
 use avis::runner::{ExperimentConfig, ExperimentRunner};
 use avis::snapshot::{CheckpointConfig, SharedSnapshotTier};
-use avis_firmware::{BugSet, Firmware, FirmwareProfile};
+use avis_firmware::{BugId, BugSet, Firmware, FirmwareProfile};
 use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, SharedInjector};
 use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
 use avis_sim::{Environment, MotorCommands, SensorInstance, SensorKind, SensorNoise, SimRng};
@@ -316,49 +316,56 @@ fn forked_tail_mutation_never_perturbs_a_shared_prefix() {
 }
 
 #[test]
-fn firmware_defect_log_prefix_is_immutable_under_forks() {
-    // Firmware layer: the defect log is CowVec-backed; a snapshot taken
-    // mid-run must keep its log prefix while the recording run keeps
-    // appending (the buggy code base logs an entry per active-defect
-    // step, so the log actually grows).
-    let bugs = BugSet::current_code_base(FirmwareProfile::ArduPilotLike);
+fn firmware_defect_log_holds_one_entry_per_triggered_bug() {
     // Fail the primary accelerometer mid-climb (altitude > 2 m, still in
-    // Takeoff): APM-16021 triggers and stays latched, so the defect log
-    // grows every step from the trigger on.
+    // Takeoff): APM-16021 triggers and stays latched for the remaining
+    // ~35 s of flight, active at every 400 Hz control step. The log still
+    // names each triggered bug once, and a snapshot keeps the log it was
+    // taken with while the recording run flies on.
+    let bugs = BugSet::current_code_base(FirmwareProfile::ArduPilotLike);
     let fault = FaultSpec::new(SensorInstance::new(SensorKind::Accelerometer, 0), 5.0);
     let injector = SharedInjector::new(FaultInjector::new(FaultPlan::from_specs(vec![fault])));
     let mut fw = Firmware::new(FirmwareProfile::ArduPilotLike, bugs, injector.clone());
     let mut sim = make_sim(3);
     let mut output = StepOutput::empty();
     sim.step_into(&MotorCommands::IDLE, &mut output);
-    for step in 0..(20.0 / DT) as usize {
-        drive_ground_station(&mut fw, step);
-        let cmd = fw.step(&output.readings, sim.time(), DT);
-        sim.step_into(&cmd, &mut output);
-    }
-    let snapshot = fw.snapshot();
-    let restored_injector = SharedInjector::new(injector.snapshot().restore());
-    let log_at_cut = snapshot
-        .restore(restored_injector.clone())
-        .defect_log()
-        .to_vec();
-    // Continue the original for another 20 simulated seconds.
-    for step in 0..(20.0 / DT) as usize {
-        drive_ground_station(&mut fw, step + (20.0 / DT) as usize);
-        let cmd = fw.step(&output.readings, sim.time(), DT);
-        sim.step_into(&cmd, &mut output);
-        if step % 4000 == 0 {
-            let _ = fw.snapshot(); // reseals the shared chain
+    let half = (20.0 / DT) as usize;
+    let mut fly = |fw: &mut Firmware, steps: std::ops::Range<usize>| {
+        for step in steps {
+            drive_ground_station(fw, step);
+            let cmd = fw.step(&output.readings, sim.time(), DT);
+            sim.step_into(&cmd, &mut output);
         }
-    }
+    };
+    fly(&mut fw, 0..half);
+    let snapshot = fw.snapshot();
+    let log_at_cut = fw.defect_log().to_vec();
     assert!(
-        fw.defect_log().len() > log_at_cut.len(),
-        "the continued run should keep logging defects"
+        log_at_cut
+            .iter()
+            .any(|(_, o)| o.active.contains(&BugId::Apm16021)),
+        "the accelerometer failure should trigger APM-16021: {log_at_cut:?}"
     );
+    fly(&mut fw, half..2 * half);
+
+    let mut triggered: Vec<BugId> = fw
+        .defect_log()
+        .iter()
+        .flat_map(|(_, o)| o.active.iter().copied())
+        .collect();
+    triggered.sort_unstable();
+    triggered.dedup();
     assert_eq!(
-        snapshot.restore(restored_injector).defect_log().to_vec(),
+        fw.defect_log().len(),
+        triggered.len(),
+        "one entry per triggered bug: {:?}",
+        fw.defect_log()
+    );
+    let restored = snapshot.restore(SharedInjector::new(injector.snapshot().restore()));
+    assert_eq!(
+        restored.defect_log().to_vec(),
         log_at_cut,
-        "defect-log prefix perturbed by the continued run"
+        "the continued run changed the snapshot's defect log"
     );
 }
 
@@ -386,13 +393,6 @@ fn sim_delta_restore_is_bit_identical_to_full_restore() {
         }
         let cut = sim.snapshot();
         let delta = cut.diff(&base);
-        assert!(
-            delta.approx_bytes() < cut.approx_bytes() / 2,
-            "case {case}: a sim delta should be a fraction of a full capture \
-             ({} vs {})",
-            delta.approx_bytes(),
-            cut.approx_bytes()
-        );
         assert_eq!(delta.time(), cut.time());
 
         let drive = |mut restored: Simulator| {
@@ -514,133 +514,6 @@ fn firmware_delta_restore_is_bit_identical_to_full_restore() {
 }
 
 #[test]
-fn keyframe_stride_never_changes_results() {
-    // The runner-level property: cold execution, full-snapshot chains
-    // (stride 1), delta chains (stride 3) and a stride far beyond any
-    // chain length must all produce bit-identical results — and the
-    // stride governs how cuts are *stored*: deltas appear exactly when
-    // the stride leaves room for them.
-    let gps1 = SensorInstance::new(SensorKind::Gps, 1);
-    let baro1 = SensorInstance::new(SensorKind::Barometer, 1);
-    let mut base = ExperimentConfig::new(
-        FirmwareProfile::ArduPilotLike,
-        BugSet::none(),
-        auto_box_mission(),
-    );
-    base.noise = Some(SensorNoise::noiseless());
-    base.max_duration = 100.0;
-
-    let plans: Vec<FaultPlan> = [35.0, 50.0, 65.0, 80.0]
-        .into_iter()
-        .flat_map(|t| {
-            [
-                FaultPlan::from_specs(vec![FaultSpec::new(gps1, t)]),
-                FaultPlan::from_specs(vec![FaultSpec::new(baro1, t + 2.0)]),
-            ]
-        })
-        .collect();
-    let run_all = |checkpoints: CheckpointConfig| {
-        let mut experiment = base.clone();
-        experiment.checkpoints = checkpoints;
-        let mut runner = ExperimentRunner::new(experiment);
-        let results: Vec<_> = plans
-            .iter()
-            .map(|p| runner.run_with_plan(p.clone()))
-            .collect();
-        (results, runner.checkpoint_stats())
-    };
-
-    let (cold, _) = run_all(CheckpointConfig::disabled());
-    let (full, full_stats) = run_all(CheckpointConfig::with_keyframe_stride(1));
-    let (delta, delta_stats) = run_all(CheckpointConfig::with_keyframe_stride(3));
-    let (sparse, sparse_stats) = run_all(CheckpointConfig::with_keyframe_stride(1000));
-
-    assert_eq!(full, cold, "stride-1 chains diverged from cold execution");
-    assert_eq!(
-        delta, cold,
-        "stride-3 delta chains diverged from cold execution"
-    );
-    assert_eq!(
-        sparse, cold,
-        "stride > chain length diverged from cold execution"
-    );
-    assert_eq!(
-        full_stats.delta_snapshots, 0,
-        "stride 1 must store only keyframes: {full_stats:?}"
-    );
-    assert!(
-        delta_stats.delta_snapshots > 0 && delta_stats.delta_bytes > 0,
-        "stride 3 should store delta cuts: {delta_stats:?}"
-    );
-    // Stride 1000 exceeds every chain this workload records, so all but
-    // each run's first recorded cut are deltas.
-    assert!(
-        sparse_stats.delta_snapshots > delta_stats.delta_snapshots,
-        "an unbounded stride should delta-encode nearly every cut \
-         (sparse {sparse_stats:?} vs stride-3 {delta_stats:?})"
-    );
-    // And the encoded stores hold the same number of cuts for less
-    // memory.
-    assert!(
-        delta_stats.cached_bytes < full_stats.cached_bytes,
-        "delta chains should be smaller at equal cut count: \
-         {delta_stats:?} vs {full_stats:?}"
-    );
-}
-
-#[test]
-fn delta_chains_keep_more_cuts_resident_at_equal_budget() {
-    // The memory-density property the dense-interval bench measures at
-    // full scale: under one tight budget, delta chains must keep several
-    // times more cuts resident than full snapshots — here gated
-    // conservatively at 2× (the bench asserts 3× over its larger
-    // late-injection sweep) — while results stay bit-identical to cold execution.
-    let gps1 = SensorInstance::new(SensorKind::Gps, 1);
-    let budget = 192 * 1024;
-    let mut base = ExperimentConfig::new(
-        FirmwareProfile::ArduPilotLike,
-        BugSet::none(),
-        auto_box_mission(),
-    );
-    base.noise = Some(SensorNoise::noiseless());
-    base.max_duration = 100.0;
-
-    let mut cold = ExperimentRunner::new({
-        let mut e = base.clone();
-        e.checkpoints = CheckpointConfig::disabled();
-        e
-    });
-    let run_all = |keyframe_stride: usize, cold: &mut ExperimentRunner| {
-        let mut experiment = base.clone();
-        experiment.checkpoints = CheckpointConfig {
-            interval: 1.0,
-            max_bytes: budget,
-            keyframe_stride,
-            ..CheckpointConfig::default()
-        };
-        let mut runner = ExperimentRunner::new(experiment);
-        for time in [85.0, 90.0, 95.0] {
-            let plan = FaultPlan::from_specs(vec![FaultSpec::new(gps1, time)]);
-            let result = runner.run_with_plan(plan.clone());
-            assert_eq!(
-                result,
-                cold.run_with_plan(plan),
-                "stride {keyframe_stride}: budgeted run diverged from cold"
-            );
-        }
-        runner.checkpoint_stats()
-    };
-    let full = run_all(1, &mut cold);
-    let delta = run_all(16, &mut cold);
-    assert!(full.cached_bytes <= budget && delta.cached_bytes <= budget);
-    assert!(
-        delta.snapshots_cached >= 2 * full.snapshots_cached,
-        "delta chains should keep ≥2× more cuts resident at equal budget: \
-         delta {delta:?} vs full {full:?}"
-    );
-}
-
-#[test]
 fn shared_cache_eviction_under_a_tiny_budget_stays_correct() {
     // Eviction correctness under one shared cache: two runners forking
     // from and committing to one cache squeezed to a budget that evicts
@@ -648,8 +521,7 @@ fn shared_cache_eviction_under_a_tiny_budget_stays_correct() {
     // whatever survives is still bit-identical to a cold run. The pairs
     // of failure times less than half a millisecond apart share every
     // quantised cache key but not their exact prefixes: whichever run
-    // records a cell first keeps it, and the other may neither fork from
-    // it nor store a delta against it.
+    // records a cell first keeps it, and the other may not fork from it.
     let gps1 = SensorInstance::new(SensorKind::Gps, 1);
     let mut experiment = ExperimentConfig::new(
         FirmwareProfile::ArduPilotLike,

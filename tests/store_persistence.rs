@@ -118,14 +118,13 @@ fn persisted_warm_campaign_is_bit_identical_to_cold() {
     }
 }
 
-#[test]
-fn empty_manifest_after_a_power_loss_costs_only_the_warm_start() {
-    // The store renames its writes into place but never fsyncs them, so
-    // a power loss can leave `manifest.json` empty. The next session
-    // hydrates nothing and returns the storeless result; the manifest it
-    // writes warms the session after it.
+/// Persists one session's chains under a fresh root, rewrites the
+/// manifest with `rewrite`, and checks what a stale manifest may cost:
+/// the next session hydrates nothing and returns the storeless result,
+/// and the manifest it writes warms the session after it.
+fn stale_manifest_costs_only_the_warm_start(name: &str, rewrite: impl Fn(&str) -> String) {
     let (cold, _) = campaign(1, None);
-    let root = temp_root("empty-manifest");
+    let root = temp_root(name);
     let (first, _) = campaign(1, Some(&root));
     assert_eq!(cold, first);
     let cell = std::fs::read_dir(&root)
@@ -134,23 +133,50 @@ fn empty_manifest_after_a_power_loss_costs_only_the_warm_start() {
         .unwrap()
         .unwrap()
         .path();
-    std::fs::write(cell.join("manifest.json"), b"").unwrap();
+    let manifest = cell.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::write(&manifest, rewrite(&text)).unwrap();
 
-    let (torn, torn_events) = campaign(1, Some(&root));
-    assert_eq!(cold, torn, "an empty manifest changed the result");
+    let (stale, stale_events) = campaign(1, Some(&root));
+    assert_eq!(cold, stale, "{name}: the stale manifest changed the result");
     assert_eq!(
-        hydrated_chains(&torn_events),
+        hydrated_chains(&stale_events),
         0,
-        "an empty manifest hydrates nothing"
+        "{name}: a stale manifest hydrates nothing"
     );
 
     let (next, next_events) = campaign(1, Some(&root));
     assert_eq!(cold, next);
     assert!(
         hydrated_chains(&next_events) > 0,
-        "the rewritten manifest should warm the next session: {next_events:?}"
+        "{name}: the rewritten manifest should warm the next session: {next_events:?}"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn empty_manifest_after_a_power_loss_costs_only_the_warm_start() {
+    // The store renames its writes into place but never fsyncs them, so
+    // a power loss can leave `manifest.json` empty.
+    stale_manifest_costs_only_the_warm_start("empty-manifest", |_| String::new());
+}
+
+#[test]
+fn version_1_manifest_hydrates_nothing_once() {
+    // Version 1 stores carry the firmware defect log as chunk blobs, a
+    // cut-blob layout this build cannot read, and no blob names its
+    // layout: the manifest's version is the only guard.
+    stale_manifest_costs_only_the_warm_start("version-1", |text| {
+        let mut json = Json::parse(text).unwrap();
+        let Json::Object(fields) = &mut json else {
+            panic!("the manifest is a JSON object");
+        };
+        let version = fields.iter_mut().find(|(key, _)| key == "version");
+        let (_, version) = version.expect("the manifest names its version");
+        assert_eq!(*version, Json::Number(2.0));
+        *version = Json::Number(1.0);
+        json.to_pretty()
+    });
 }
 
 /// An arm storm on the command link at t = 40 s: the pinned link-fault
