@@ -63,7 +63,6 @@ use avis::campaign::Campaign;
 use avis::checker::{Approach, Budget, CampaignResult};
 use avis::json::{self, Json};
 use avis::matrix::ScenarioMatrix;
-use avis::runner::ExperimentConfig;
 use avis::snapshot::CheckpointConfig;
 use avis::strategy::{Candidate, Decision, Observation, Strategy, StrategyContext};
 use avis_firmware::{BugId, BugSet, FirmwareProfile};
@@ -71,10 +70,7 @@ use avis_hinj::{
     FaultPlan, FaultSpec, LinkDirection, LinkFaultKind, LinkFaultPlan, LinkFaultSpec, StormCommand,
 };
 use avis_mavlite::{decode_frame, encode_frame, Endpoint, Link, Message, ProtocolMode};
-use avis_sim::{
-    LaneBatch, MotorCommands, SensorInstance, SensorKind, SensorNoise, SimConfig, Simulator,
-    StepOutput,
-};
+use avis_sim::{SensorInstance, SensorKind, SensorNoise};
 use avis_workload::auto_box_mission;
 use std::time::Instant;
 
@@ -382,86 +378,18 @@ fn run_lockstep_sweep(
     (result, search_seconds)
 }
 
-/// Pairs behind `lane1_step_ratio`; each pair times both kernels once.
-const LANE1_PAIRS: usize = 20;
-
-/// The physics-kernel choice behind the run loop (`avis::batch`): the
-/// same scripted motor commands stepped through `Simulator::step_into`
-/// and through a 1-lane `LaneBatch`, alternating which goes first, over
-/// [`LANE1_PAIRS`] pairs. Returns the median per-pair ratio of 1-lane to
-/// scalar time; above 1 the batch is the slower kernel for a lone plan.
-fn lane1_step_ratio() -> f64 {
-    const STEPS: usize = 20_000;
-    let config = ExperimentConfig::new(
-        FirmwareProfile::ArduPilotLike,
-        BugSet::none(),
-        auto_box_mission(),
-    );
-    let sim_config = SimConfig {
-        dt: config.dt,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new_shared(sim_config, config.workload.shared_environment());
-    let mut output = StepOutput::empty();
-    sim.step_into(&MotorCommands::IDLE, &mut output);
-    // Climb, then fly a mild attitude mix, so the steps are airborne.
-    let script: Vec<MotorCommands> = (0..STEPS)
-        .map(|step| {
-            if step < STEPS / 4 {
-                MotorCommands::uniform(0.8)
-            } else {
-                MotorCommands::mix(0.6, 0.01, -0.01, 0.005)
-            }
-        })
-        .collect();
-    let time_scalar = || {
-        let (mut scalar, mut out) = (sim.clone(), output.clone());
-        let start = Instant::now();
-        for command in &script {
-            scalar.step_into(command, &mut out);
-        }
-        let seconds = start.elapsed().as_secs_f64();
-        std::hint::black_box(&out);
-        seconds
-    };
-    let time_lane1 = || {
-        let (mut batch, lane) = LaneBatch::from_simulator(sim.clone(), output.clone());
-        let start = Instant::now();
-        for command in &script {
-            batch.step_lanes(std::slice::from_ref(command));
-        }
-        let seconds = start.elapsed().as_secs_f64();
-        std::hint::black_box(batch.output(lane));
-        seconds
-    };
-    let mut ratios: Vec<f64> = (0..LANE1_PAIRS)
-        .map(|pair| {
-            if pair % 2 == 0 {
-                let scalar = time_scalar();
-                time_lane1() / scalar
-            } else {
-                let lane1 = time_lane1();
-                lane1 / time_scalar()
-            }
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    (ratios[LANE1_PAIRS / 2 - 1] + ratios[LANE1_PAIRS / 2]) / 2.0
-}
-
 /// The batched-lockstep scenario: the late-injection sweep at equal
-/// budget, scalar (`lockstep_lanes(1)`) vs SoA lockstep batches of 4 and
+/// budget, scalar (`lockstep_lanes(1)`) vs lockstep batches of 4 and
 /// 8 lanes (`avis::batch`), on the fixed and buggy firmware. The
 /// fixed-sweep cold comparison is the headline step-throughput number —
 /// the sweep's same-slot siblings share a 60–95% injection prefix that
 /// lockstep advances once instead of `lanes` times — and carries a
 /// hard gate of >= 1.5x. Every batched variant (cold, checkpointed,
 /// parallelism 1 and 4) must be bit-identical to the scalar cold
-/// reference. The section also records [`lane1_step_ratio`]
-/// (informational, not gated).
+/// reference.
 fn bench_batched_lockstep(simulations: usize) -> (Json, f64) {
     println!(
-        "scenario `batched-lockstep`: {simulations}-simulation sweeps, scalar vs SoA lockstep lanes"
+        "scenario `batched-lockstep`: {simulations}-simulation sweeps, scalar vs lockstep lanes"
     );
     let fixed = BugSet::none();
     let buggy = BugSet::current_code_base(FirmwareProfile::ArduPilotLike);
@@ -532,12 +460,6 @@ fn bench_batched_lockstep(simulations: usize) -> (Json, f64) {
         buggy_scalar_result.unsafe_count()
     );
 
-    let lane1_ratio = lane1_step_ratio();
-    println!(
-        "  kernel:           1-lane batch / scalar step time {lane1_ratio:.3} \
-         (median of {LANE1_PAIRS} alternating pairs)"
-    );
-
     let section = json::object(vec![
         ("scenario", Json::String("batched-lockstep".to_string())),
         ("simulations", Json::Number(scenarios as f64)),
@@ -562,7 +484,6 @@ fn bench_batched_lockstep(simulations: usize) -> (Json, f64) {
             "buggy_unsafe_conditions",
             Json::Number(buggy_scalar_result.unsafe_count() as f64),
         ),
-        ("lane1_step_ratio", Json::Number(lane1_ratio)),
         ("result_identical", Json::Bool(true)),
     ]);
     (section, speedup4)

@@ -33,17 +33,13 @@
 //!   fault its plan disagrees on ever fired) and rides the leader's
 //!   result.
 //!
-//! The physics kernel is picked once per call by plan count: a single
-//! plan steps the scalar [`Simulator`], two or more step one SoA
-//! [`LaneBatch`]. A 1-lane batch costs measurably more per tick than the
-//! scalar stepper (`batched_lockstep.lane1_step_ratio` in
-//! `BENCH_campaign.json`), so lone runs keep the scalar one.
-//!
-//! Batching is bit-identical to lone execution by construction: the SoA
-//! stepper is byte-equivalent to [`Simulator::step_into`] per lane (tested
-//! in `avis-sim`), all lanes share one experiment seed so their lone runs
-//! would consume identical sensor-noise streams at equal simulated time,
-//! and forks reuse the snapshot-cut argument from [`crate::snapshot`] (a
+//! Every call steps its lanes through one [`LaneBatch`]; a lone plan is
+//! a one-lane batch. Batching is bit-identical to lone execution by
+//! construction: each lane is a plain [`Simulator`] stepping through
+//! [`Simulator::step_into`]'s code, all lanes share one experiment seed
+//! so their lone runs would draw identical sensor noise at equal
+//! simulated time (the batch draws it once and its lanes replay it), and
+//! forks reuse the snapshot-cut argument from [`crate::snapshot`] (a
 //! failure scheduled at `t` first fires at the firmware step at `t`, after
 //! a fork taken at loop-top time `t`). Like checkpointing, it is purely a
 //! speed knob and is excluded from the experiment fingerprint.
@@ -55,7 +51,7 @@ use crate::trace::{transition_from_code, ModeTransition, StateSample, Trace};
 use avis_firmware::{BugId, Firmware};
 use avis_hinj::{FaultPlan, FaultyLink, LinkSnapshot, SharedInjector};
 use avis_mavlite::{Endpoint, Message};
-use avis_sim::simulator::{SimSnapshot, Simulator, StepOutput};
+use avis_sim::simulator::{Simulator, StepOutput};
 use avis_sim::{Collision, CowVec, LaneBatch, MotorCommands};
 use avis_workload::{ScriptedWorkload, WorkloadStatus};
 
@@ -63,81 +59,13 @@ use avis_workload::{ScriptedWorkload, WorkloadStatus};
 /// consulted — coarse on purpose, so the hot loop never syscalls per step.
 const WALL_CLOCK_STRIDE: u64 = 4096;
 
-/// The physics kernel behind the run loop, picked once per call by plan
-/// count.
-enum Physics {
-    /// One plan: [`Simulator::step_into`] into one output buffer.
-    Scalar(Simulator, StepOutput),
-    /// Two or more plans: one SoA [`LaneBatch`] over every live lane.
-    Lanes(LaneBatch),
-}
-
-impl Physics {
-    /// Wraps the leader's simulator, returning the kernel and the
-    /// leader's lane id.
-    fn new(sim: Simulator, output: StepOutput, plans: usize) -> (Self, u64) {
-        if plans == 1 {
-            (Physics::Scalar(sim, output), 0)
-        } else {
-            let (batch, lane) = LaneBatch::from_simulator(sim, output);
-            (Physics::Lanes(batch), lane)
-        }
-    }
-
-    fn time(&self) -> f64 {
-        match self {
-            Physics::Scalar(sim, _) => sim.time(),
-            Physics::Lanes(batch) => batch.time(),
-        }
-    }
-
-    fn output(&self, lane: u64) -> &StepOutput {
-        match self {
-            Physics::Scalar(_, output) => output,
-            Physics::Lanes(batch) => batch.output(lane),
-        }
-    }
-
-    fn snapshot(&self, lane: u64) -> SimSnapshot {
-        match self {
-            Physics::Scalar(sim, _) => sim.snapshot(),
-            Physics::Lanes(batch) => batch.lane_snapshot(lane),
-        }
-    }
-
-    /// Adds a lane as a bit-exact copy of `lane`, returning its id.
-    fn fork(&mut self, lane: u64) -> u64 {
-        match self {
-            Physics::Scalar(..) => unreachable!("a single-plan run has no lane to fork"),
-            Physics::Lanes(batch) => batch.clone_lane(lane),
-        }
-    }
-
-    /// Advances every lane one step; `commands[i]` drives the lane in
-    /// slot `i`.
-    fn step(&mut self, commands: &[MotorCommands]) {
-        match self {
-            Physics::Scalar(sim, output) => sim.step_into(&commands[0], output),
-            Physics::Lanes(batch) => batch.step_lanes(commands),
-        }
-    }
-
-    /// Takes `lane` out of the kernel, returning its first collision.
-    fn retire(&mut self, lane: u64) -> Option<Collision> {
-        match self {
-            Physics::Scalar(sim, _) => sim.first_collision(),
-            Physics::Lanes(batch) => batch.extract_lane(lane).0.first_collision(),
-        }
-    }
-}
-
 /// Everything one lane owns besides its physics: the firmware instance,
 /// the fault shims, the protocol tracker, the workload script and the
 /// trace-in-progress — the non-`sim` fields of a [`RunSnapshot`].
 struct LaneCtx {
     /// Position of this lane's plan in the call's plan list.
     index: usize,
-    /// The lane's id inside the physics kernel.
+    /// The lane's id inside the [`LaneBatch`].
     lane: u64,
     injector: SharedInjector,
     firmware: Firmware,
@@ -154,7 +82,7 @@ struct LaneCtx {
 impl LaneCtx {
     /// Restores a lane from a cut — a checkpoint, a capture of the
     /// leader, or the genesis snapshot — with `plan` swapped into both
-    /// fault shims. Returns the lane (id 0 until the kernel assigns one)
+    /// fault shims. Returns the lane (id 0 until the batch assigns one)
     /// with its simulator and last step output.
     fn restore(
         snapshot: RunSnapshot,
@@ -201,16 +129,16 @@ impl LaneCtx {
     /// both a checkpoint cut and a lane fork. The sample tail is sealed
     /// into a shared chunk, so the capture shares the history with the
     /// lane structurally: O(1) in the run length.
-    fn capture(&mut self, physics: &Physics, time: f64) -> RunSnapshot {
+    fn capture(&mut self, batch: &LaneBatch, time: f64) -> RunSnapshot {
         RunSnapshot {
-            sim: physics.snapshot(self.lane),
+            sim: batch.lane_snapshot(self.lane),
             firmware: self.firmware.snapshot(),
             injector: self.injector.snapshot(),
             link: LinkSnapshot::capture(&self.link),
             tracker: self.tracker.clone(),
             workload: self.workload.clone(),
             samples: self.samples.sealed_clone(),
-            output: physics.output(self.lane).clone(),
+            output: batch.output(self.lane).clone(),
             fence_violations: self.fence_violations,
             next_sample_time: self.next_sample_time,
             workload_status: self.workload_status.clone(),
@@ -370,20 +298,20 @@ impl Roster {
         }
     }
 
-    /// Takes `ctx` out of the physics and files its result. When the
+    /// Takes `ctx` out of the batch and files its result. When the
     /// leader retires, every lane that has not forked yet never will:
     /// no fault its plan disagrees on ever fired, so its result is the
     /// leader's with its own plan.
     fn retire(
         &mut self,
         ctx: LaneCtx,
-        physics: &mut Physics,
+        batch: &mut LaneBatch,
         verdict: RunVerdict,
         sample_interval: f64,
     ) {
-        let collision = physics.retire(ctx.lane);
+        let collision = batch.extract_lane(ctx.lane).0.first_collision();
         let index = ctx.index;
-        let result = ctx.finish(physics.time(), collision, sample_interval, verdict);
+        let result = ctx.finish(batch.time(), collision, sample_interval, verdict);
         if index == self.leader {
             for (_, idx) in self.pending.drain(..) {
                 let mut rider = result.clone();
@@ -496,7 +424,7 @@ impl ExperimentRunner {
         };
         let plan = roster.plans[roster.leader].clone();
         let (mut lead, sim, output) = LaneCtx::restore(snapshot, plan, roster.leader);
-        let (mut physics, lane) = Physics::new(sim, output, roster.plans.len());
+        let (mut batch, lane) = LaneBatch::from_simulator(sim, output);
         lead.lane = lane;
 
         let interval_cuts = checkpointing && !profiling;
@@ -504,7 +432,7 @@ impl ExperimentRunner {
         let mut cuts = CutSchedule {
             interval,
             next: if interval_cuts {
-                (physics.time() / interval).floor() * interval + interval
+                (batch.time() / interval).floor() * interval + interval
             } else {
                 f64::INFINITY
             },
@@ -513,7 +441,7 @@ impl ExperimentRunner {
 
         // The leader's cuts, committed to the cache when the loop ends.
         let mut recorded: Vec<RunSnapshot> = Vec::new();
-        // Live lanes in the kernel's slot order: a lane joins at the end
+        // Live lanes in the batch's slot order: a lane joins at the end
         // of both, and retiring swap-removes it from both.
         let mut ctxs: Vec<LaneCtx> = Vec::with_capacity(roster.plans.len());
         ctxs.push(lead);
@@ -521,7 +449,7 @@ impl ExperimentRunner {
         let mut outbox: Vec<Message> = Vec::new();
         let mut commands: Vec<MotorCommands> = Vec::with_capacity(roster.plans.len());
         let verdict = loop {
-            let time = physics.time();
+            let time = batch.time();
             if time >= max_duration {
                 break RunVerdict::Completed;
             }
@@ -536,9 +464,9 @@ impl ExperimentRunner {
                     break;
                 };
                 let (_, index) = roster.pending.remove(0);
-                let cut = ctxs[li].capture(&physics, time);
+                let cut = ctxs[li].capture(&batch, time);
                 let (mut forked, _, _) = LaneCtx::restore(cut, roster.plans[index].clone(), index);
-                forked.lane = physics.fork(ctxs[li].lane);
+                forked.lane = batch.clone_lane(ctxs[li].lane);
                 ctxs.push(forked);
             }
 
@@ -563,7 +491,7 @@ impl ExperimentRunner {
             // The leader's checkpoint cut, at the top of the loop body.
             if let Some(lead) = ctxs.iter_mut().find(|c| c.index == roster.leader) {
                 if cuts.take(time, &lead.workload_status) {
-                    recorded.push(lead.capture(&physics, time));
+                    recorded.push(lead.capture(&batch, time));
                 }
             }
 
@@ -573,7 +501,7 @@ impl ExperimentRunner {
             while slot < ctxs.len() {
                 if ctxs[slot].exchange(&mut outbox, time, grace_period) {
                     let ctx = ctxs.swap_remove(slot);
-                    roster.retire(ctx, &mut physics, RunVerdict::Completed, sample_interval);
+                    roster.retire(ctx, &mut batch, RunVerdict::Completed, sample_interval);
                 } else {
                     slot += 1;
                 }
@@ -587,19 +515,19 @@ impl ExperimentRunner {
             // loop-top time.
             commands.clear();
             for ctx in ctxs.iter_mut() {
-                let readings = &physics.output(ctx.lane).readings;
+                let readings = &batch.output(ctx.lane).readings;
                 commands.push(ctx.firmware.step(readings, time, dt));
             }
-            physics.step(&commands);
+            batch.step_lanes(&commands);
             for ctx in ctxs.iter_mut() {
-                ctx.post_step(physics.output(ctx.lane), time, sample_interval);
+                ctx.post_step(batch.output(ctx.lane), time, sample_interval);
             }
         };
 
         // Every lane still flying ends with the loop's verdict: completed
         // at the duration cap, diverged when a watchdog tripped.
         for ctx in ctxs {
-            roster.retire(ctx, &mut physics, verdict.clone(), sample_interval);
+            roster.retire(ctx, &mut batch, verdict.clone(), sample_interval);
         }
         if !recorded.is_empty() {
             self.cache.lock().commit(seed_offset, recorded, self.origin);

@@ -368,12 +368,13 @@ impl CampaignBuilder {
         self
     }
 
-    /// Number of sibling scenarios advanced in lockstep through one SoA
-    /// [`avis_sim::LaneBatch`] when a prefix family of speculative plans
-    /// runs (see [`crate::batch`]), on workers and on the serial path
-    /// alike; `1` disables batching. Purely a speed knob — a batched run
-    /// is bit-identical to a scalar one — so it joins neither the
-    /// experiment fingerprint nor any campaign observable. Default: 4.
+    /// Number of sibling scenarios advanced in lockstep through one
+    /// [`avis_sim::LaneBatch`], sharing one sensor-noise draw, when a
+    /// prefix family of speculative plans runs (see [`crate::batch`]),
+    /// on workers and on the serial path alike; `1` disables batching.
+    /// Purely a speed knob — a batched run is bit-identical to a scalar
+    /// one — so it joins neither the experiment fingerprint nor any
+    /// campaign observable. Default: 4.
     pub fn lockstep_lanes(mut self, lanes: usize) -> Self {
         self.lockstep_lanes = Some(lanes);
         self

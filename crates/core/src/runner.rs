@@ -61,12 +61,12 @@ pub struct ExperimentConfig {
     /// Scenario watchdog budgets, so a non-terminating scenario cannot
     /// starve a worker forever (see [`WatchdogConfig`]).
     pub watchdog: WatchdogConfig,
-    /// Number of sibling scenarios advanced in lockstep through one SoA
-    /// [`avis_sim::LaneBatch`] when a prefix family of speculative plans
-    /// runs (see [`crate::batch`]). `1` disables batching. Purely a speed
-    /// knob: a batched run is bit-identical to a scalar one, so this is
-    /// excluded from the experiment fingerprint, exactly like checkpoint
-    /// placement.
+    /// Number of sibling scenarios advanced in lockstep through one
+    /// [`avis_sim::LaneBatch`], sharing one sensor-noise draw, when a
+    /// prefix family of speculative plans runs (see [`crate::batch`]).
+    /// `1` disables batching. Purely a speed knob: a batched run is
+    /// bit-identical to a scalar one, so this is excluded from the
+    /// experiment fingerprint, exactly like checkpoint placement.
     pub lockstep_lanes: usize,
 }
 

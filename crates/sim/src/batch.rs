@@ -1,27 +1,25 @@
 //! Batched lockstep stepping: one [`LaneBatch`] advances N sibling
-//! scenarios ("lanes") through bit-identical physics and sensing in a
-//! structure-of-arrays layout.
+//! scenarios ("lanes") through one shared sensor-noise draw.
 //!
 //! # The shared-noise invariant
 //!
 //! Sibling scenarios in a campaign differ only in their fault plans, not
 //! in their simulation seed: every run draws sensor noise from the same
-//! `SimRng` stream. Crucially, the *number* of draws per step is
-//! state-independent — noise is drawn even at zero standard deviation,
-//! and the GPS epoch clock is purely time-driven — so two runs at the
-//! same simulation time have consumed exactly the same prefix of the
-//! stream, no matter how far their physical states have diverged. A
-//! `LaneBatch` therefore holds **one** RNG for all lanes: each step it
-//! draws the step's noise values once, in exactly the scalar
-//! `SensorSuite::sample_into` order, and applies them to every lane.
-//! The per-lane readings come out bit-identical to N independent scalar
-//! simulators.
+//! `SimRng` stream, and the number of draws per step does not depend on
+//! the vehicle's state (see `NoiseSource` in [`crate::sensors`]). Two
+//! runs at the same simulated time have therefore consumed exactly the
+//! same prefix of the stream, however far their physical states have
+//! diverged. A `LaneBatch` holds **one** stream for all lanes. Each lane
+//! is a plain [`Simulator`] stepped by [`Simulator::step_into`]'s own
+//! code: the lane in the first slot draws the step's noise from the
+//! shared stream and records each value, and every other lane replays
+//! the recorded values in the same order. Each lane's readings are the
+//! ones its lone run would compute, by construction; the draw, not the
+//! vehicle model, is what the lanes share.
 //!
-//! The scalar [`Simulator`] remains the oracle: the kernels below are
-//! line-by-line transcriptions of [`Simulator::step_into`],
-//! `Quadcopter::step`, `MotorBank::step` and `SensorSuite::sample_into`,
-//! and the tests in this module pin byte-equivalence per lane — including
-//! extracting a lane at every possible step and finishing it scalar.
+//! While a lane is batched its simulator's own noise stream goes stale.
+//! [`LaneBatch::lane_snapshot`] and [`LaneBatch::extract_lane`] write the
+//! shared stream into the simulator they hand out.
 //!
 //! # Lane lifecycle
 //!
@@ -30,77 +28,31 @@
 //! through [`LaneBatch::lane_snapshot`] (a checkpoint of one lane), and
 //! retired through [`LaneBatch::extract_lane`] once their run ends. A
 //! lane stays batched however far its state diverges from its
-//! siblings': the shared-noise invariant holds at any divergence, so
-//! nothing is gained by moving a live lane to the scalar path. Lane ids
-//! are stable across removals; slot order (and therefore
+//! siblings': the shared-noise invariant holds at any divergence. Lane
+//! ids are stable across removals; slot order (and therefore
 //! [`LaneBatch::step_lanes`] command order) follows
 //! [`LaneBatch::lane_ids`].
 
-use crate::environment::{Collision, Environment};
-use crate::math::{clamp, Quat, Vec3};
+use crate::environment::Collision;
 use crate::rng::SimRng;
-use crate::sensors::{SensorInstance, SensorKind, SensorSuite, SensorValue};
-use crate::simulator::{PhysicalState, SimConfig, SimSnapshot, Simulator, StepOutput};
-use crate::vehicle::{MotorBank, MotorCommands, Quadcopter, RigidBodyState, GRAVITY, MOTOR_COUNT};
-use std::sync::Arc;
+use crate::sensors::{Replay, SharedStream};
+use crate::simulator::{SimSnapshot, Simulator, StepOutput};
+use crate::vehicle::MotorCommands;
 
-/// A batch of sibling simulations advanced in lockstep over
-/// structure-of-arrays state. See the module docs for the invariants.
+/// A batch of sibling simulations advanced in lockstep over one shared
+/// sensor-noise stream. See the module docs for the invariants.
 #[derive(Debug, Clone)]
 pub struct LaneBatch {
-    // --- static per-run data, identical across lanes ---
-    config: SimConfig,
-    env: Arc<Environment>,
-    accel_bias: Vec<Vec3>,
-    gyro_bias: Vec<Vec3>,
-    // --- shared dynamic state (identical across lanes by the
-    //     state-independent-draw invariant; see module docs) ---
+    /// The noise stream every lane's lone run would draw from.
     rng: SimRng,
-    gps_interval: f64,
-    last_gps_time: f64,
-    time: f64,
-    steps: u64,
-    /// Motor spool time constant, pre-clamped by `MotorBank::new`.
-    motor_time_constant: f64,
-    // --- per-lane SoA state, one element (or stride) per lane slot ---
     ids: Vec<u64>,
+    /// Each lane's simulator and most recent step output, in slot order.
+    lanes: Vec<(Simulator, StepOutput)>,
     next_id: u64,
-    px: Vec<f64>,
-    py: Vec<f64>,
-    pz: Vec<f64>,
-    vx: Vec<f64>,
-    vy: Vec<f64>,
-    vz: Vec<f64>,
-    ax: Vec<f64>,
-    ay: Vec<f64>,
-    az: Vec<f64>,
-    qw: Vec<f64>,
-    qx: Vec<f64>,
-    qy: Vec<f64>,
-    qz: Vec<f64>,
-    wx: Vec<f64>,
-    wy: Vec<f64>,
-    wz: Vec<f64>,
-    /// Realized motor throttles, lane-major, stride [`MOTOR_COUNT`].
-    motors: Vec<f64>,
-    on_ground: Vec<bool>,
-    was_airborne: Vec<bool>,
-    first_collision: Vec<Option<Collision>>,
-    battery_remaining: Vec<f64>,
-    /// Held GPS fixes, lane-major, stride = number of receivers.
-    last_gps: Vec<Option<SensorValue>>,
-    outputs: Vec<StepOutput>,
-    // --- step scratch, rebuilt every step ---
-    // snapshot: skip(step scratch, refilled from the shared RNG each step)
+    /// Shared simulation time (every lane is at this time).
+    time: f64,
+    // snapshot: skip(step scratch, the shared draws recorded for replay each step)
     noise: Vec<f64>,
-    // snapshot: skip(step scratch, derived from last_gps each step)
-    gps_fill: Vec<bool>,
-    // snapshot: skip(step scratch, pre-step velocities for impact checks)
-    pre_v: Vec<Vec3>,
-    // snapshot: skip(step scratch, pre-step airborne flags)
-    airborne_before: Vec<bool>,
-    // snapshot: skip(step scratch, post-crash-override commands)
-    eff: Vec<MotorCommands>,
 }
 
 impl LaneBatch {
@@ -109,73 +61,13 @@ impl LaneBatch {
     /// simulator's most recent step output (the batch keeps producing
     /// into per-lane output buffers exactly like `Simulator::step_into`).
     pub fn from_simulator(sim: Simulator, output: StepOutput) -> (Self, u64) {
-        let Simulator {
-            config,
-            quad,
-            env,
-            sensors,
-            time,
-            steps,
-            first_collision,
-            was_airborne,
-        } = sim;
-        let Quadcopter {
-            params: _,
-            motors,
-            state,
-            on_ground,
-        } = quad;
-        let SensorSuite {
-            config: _,
-            rng,
-            accel_bias,
-            gyro_bias,
-            last_gps,
-            gps_interval,
-            last_gps_time,
-            battery_remaining,
-        } = sensors;
         let batch = LaneBatch {
-            config,
-            env,
-            accel_bias,
-            gyro_bias,
-            rng,
-            gps_interval,
-            last_gps_time,
-            time,
-            steps,
-            motor_time_constant: motors.time_constant,
+            rng: sim.sensors.rng.clone(),
             ids: vec![0],
+            time: sim.time,
+            lanes: vec![(sim, output)],
             next_id: 1,
-            px: vec![state.position.x],
-            py: vec![state.position.y],
-            pz: vec![state.position.z],
-            vx: vec![state.velocity.x],
-            vy: vec![state.velocity.y],
-            vz: vec![state.velocity.z],
-            ax: vec![state.acceleration.x],
-            ay: vec![state.acceleration.y],
-            az: vec![state.acceleration.z],
-            qw: vec![state.attitude.w],
-            qx: vec![state.attitude.x],
-            qy: vec![state.attitude.y],
-            qz: vec![state.attitude.z],
-            wx: vec![state.angular_velocity.x],
-            wy: vec![state.angular_velocity.y],
-            wz: vec![state.angular_velocity.z],
-            motors: motors.realized.to_vec(),
-            on_ground: vec![on_ground],
-            was_airborne: vec![was_airborne],
-            first_collision: vec![first_collision],
-            battery_remaining: vec![battery_remaining],
-            last_gps,
-            outputs: vec![output],
             noise: Vec::new(),
-            gps_fill: Vec::new(),
-            pre_v: Vec::new(),
-            airborne_before: Vec::new(),
-            eff: Vec::new(),
         };
         (batch, 0)
     }
@@ -195,11 +87,6 @@ impl LaneBatch {
         self.time
     }
 
-    /// The shared simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Lane ids in slot order. [`LaneBatch::step_lanes`] expects its
     /// command slice in this order; the order changes when lanes leave.
     pub fn lane_ids(&self) -> &[u64] {
@@ -208,12 +95,12 @@ impl LaneBatch {
 
     /// The most recent step output of the given lane.
     pub fn output(&self, id: u64) -> &StepOutput {
-        &self.outputs[self.slot(id)]
+        &self.lanes[self.slot(id)].1
     }
 
     /// The first collision observed by the given lane, if any.
     pub fn first_collision(&self, id: u64) -> Option<Collision> {
-        self.first_collision[self.slot(id)]
+        self.lanes[self.slot(id)].0.first_collision()
     }
 
     fn slot(&self, id: u64) -> usize {
@@ -223,108 +110,25 @@ impl LaneBatch {
             .unwrap_or_else(|| panic!("lane {id} is not in the batch"))
     }
 
-    fn gps_count(&self) -> usize {
-        self.config.sensors.gps as usize
-    }
-
     /// Forks a new lane as a bit-exact copy of lane `src`, returning the
-    /// new lane's id. The shared RNG is *not* duplicated — that is the
+    /// new lane's id. The shared stream is *not* duplicated — that is the
     /// point: both lanes keep consuming the one stream their scalar
     /// counterparts would consume identically.
     pub fn clone_lane(&mut self, src: u64) -> u64 {
-        let s = self.slot(src);
+        let lane = self.lanes[self.slot(src)].clone();
         let id = self.next_id;
         self.next_id += 1;
         self.ids.push(id);
-        self.px.push(self.px[s]);
-        self.py.push(self.py[s]);
-        self.pz.push(self.pz[s]);
-        self.vx.push(self.vx[s]);
-        self.vy.push(self.vy[s]);
-        self.vz.push(self.vz[s]);
-        self.ax.push(self.ax[s]);
-        self.ay.push(self.ay[s]);
-        self.az.push(self.az[s]);
-        self.qw.push(self.qw[s]);
-        self.qx.push(self.qx[s]);
-        self.qy.push(self.qy[s]);
-        self.qz.push(self.qz[s]);
-        self.wx.push(self.wx[s]);
-        self.wy.push(self.wy[s]);
-        self.wz.push(self.wz[s]);
-        for m in 0..MOTOR_COUNT {
-            let v = self.motors[s * MOTOR_COUNT + m];
-            self.motors.push(v);
-        }
-        self.on_ground.push(self.on_ground[s]);
-        self.was_airborne.push(self.was_airborne[s]);
-        self.first_collision.push(self.first_collision[s]);
-        self.battery_remaining.push(self.battery_remaining[s]);
-        let g = self.gps_count();
-        for r in 0..g {
-            let fix = self.last_gps[s * g + r];
-            self.last_gps.push(fix);
-        }
-        self.outputs.push(self.outputs[s].clone());
+        self.lanes.push(lane);
         id
-    }
-
-    /// Rebuilds the given lane as a standalone scalar [`Simulator`]
-    /// without removing it from the batch (used for checkpoint cuts of a
-    /// still-running lane).
-    fn compose(&self, slot: usize) -> Simulator {
-        let state = RigidBodyState {
-            position: Vec3::new(self.px[slot], self.py[slot], self.pz[slot]),
-            velocity: Vec3::new(self.vx[slot], self.vy[slot], self.vz[slot]),
-            acceleration: Vec3::new(self.ax[slot], self.ay[slot], self.az[slot]),
-            attitude: Quat {
-                w: self.qw[slot],
-                x: self.qx[slot],
-                y: self.qy[slot],
-                z: self.qz[slot],
-            },
-            angular_velocity: Vec3::new(self.wx[slot], self.wy[slot], self.wz[slot]),
-        };
-        let mut realized = [0.0; MOTOR_COUNT];
-        realized.copy_from_slice(&self.motors[slot * MOTOR_COUNT..(slot + 1) * MOTOR_COUNT]);
-        let g = self.gps_count();
-        let quad = Quadcopter {
-            params: self.config.vehicle.clone(),
-            motors: MotorBank {
-                realized,
-                time_constant: self.motor_time_constant,
-            },
-            state,
-            on_ground: self.on_ground[slot],
-        };
-        let sensors = SensorSuite {
-            config: self.config.sensors.clone(),
-            rng: self.rng.clone(),
-            accel_bias: self.accel_bias.clone(),
-            gyro_bias: self.gyro_bias.clone(),
-            last_gps: self.last_gps[slot * g..(slot + 1) * g].to_vec(),
-            gps_interval: self.gps_interval,
-            last_gps_time: self.last_gps_time,
-            battery_remaining: self.battery_remaining[slot],
-        };
-        Simulator {
-            config: self.config.clone(),
-            quad,
-            env: Arc::clone(&self.env),
-            sensors,
-            time: self.time,
-            steps: self.steps,
-            first_collision: self.first_collision[slot],
-            was_airborne: self.was_airborne[slot],
-        }
     }
 
     /// Captures a [`SimSnapshot`] of one lane, bit-identical to the
     /// snapshot a scalar simulator in the same state would produce.
     pub fn lane_snapshot(&self, id: u64) -> SimSnapshot {
-        SimSnapshot {
-            sim: self.compose(self.slot(id)),
-        }
+        let mut sim = self.lanes[self.slot(id)].0.clone();
+        sim.sensors.rng.clone_from(&self.rng);
+        SimSnapshot { sim }
     }
 
     /// Retires a lane: removes it from the batch and returns it as a
@@ -332,43 +136,10 @@ impl LaneBatch {
     /// so the caller may read its final state or continue it scalar.
     pub fn extract_lane(&mut self, id: u64) -> (Simulator, StepOutput) {
         let slot = self.slot(id);
-        let sim = self.compose(slot);
-        let last = self.ids.len() - 1;
         self.ids.swap_remove(slot);
-        self.px.swap_remove(slot);
-        self.py.swap_remove(slot);
-        self.pz.swap_remove(slot);
-        self.vx.swap_remove(slot);
-        self.vy.swap_remove(slot);
-        self.vz.swap_remove(slot);
-        self.ax.swap_remove(slot);
-        self.ay.swap_remove(slot);
-        self.az.swap_remove(slot);
-        self.qw.swap_remove(slot);
-        self.qx.swap_remove(slot);
-        self.qy.swap_remove(slot);
-        self.qz.swap_remove(slot);
-        self.wx.swap_remove(slot);
-        self.wy.swap_remove(slot);
-        self.wz.swap_remove(slot);
-        Self::swap_remove_strided(&mut self.motors, slot, last, MOTOR_COUNT);
-        self.on_ground.swap_remove(slot);
-        self.was_airborne.swap_remove(slot);
-        self.first_collision.swap_remove(slot);
-        self.battery_remaining.swap_remove(slot);
-        let g = self.gps_count();
-        Self::swap_remove_strided(&mut self.last_gps, slot, last, g);
-        let output = self.outputs.swap_remove(slot);
+        let (mut sim, output) = self.lanes.swap_remove(slot);
+        sim.sensors.rng.clone_from(&self.rng);
         (sim, output)
-    }
-
-    fn swap_remove_strided<T: Copy>(arr: &mut Vec<T>, slot: usize, last: usize, stride: usize) {
-        if slot != last {
-            for k in 0..stride {
-                arr.swap(slot * stride + k, last * stride + k);
-            }
-        }
-        arr.truncate(last * stride);
     }
 
     /// Advances every lane by one fixed time-step. `commands[i]` drives
@@ -376,367 +147,90 @@ impl LaneBatch {
     /// step output are bit-identical to a scalar [`Simulator::step_into`]
     /// with the same command.
     pub fn step_lanes(&mut self, commands: &[MotorCommands]) {
-        let lanes = self.ids.len();
-        debug_assert_eq!(commands.len(), lanes, "one command per live lane");
-        let dt = self.config.dt;
-        debug_assert!(dt > 0.0, "time step must be positive");
-        let params = &self.config.vehicle;
-        let noise_cfg = &self.config.sensors.noise;
-
-        // Wind is a pure function of the shared clock.
-        let wind = self.env.wind().at(self.time);
-
-        // Stage 1 — airborne bookkeeping and the post-crash command
-        // override (`Simulator::step_into` preamble).
-        self.airborne_before.clear();
-        self.eff.clear();
-        self.pre_v.clear();
-        for (lane, command) in commands.iter().enumerate() {
-            let airborne = !self.on_ground[lane];
-            self.airborne_before.push(airborne);
-            self.was_airborne[lane] = self.was_airborne[lane] || airborne;
-            if self.first_collision[lane].is_some() {
-                // After a crash the airframe is destroyed; motors stop.
-                for m in 0..MOTOR_COUNT {
-                    self.motors[lane * MOTOR_COUNT + m] = 0.0;
-                }
-                self.eff.push(MotorCommands::IDLE);
-            } else {
-                self.eff.push(*command);
-            }
-            self.pre_v
-                .push(Vec3::new(self.vx[lane], self.vy[lane], self.vz[lane]));
-        }
-
-        // Stage 2 — first-order motor spool (`MotorBank::step`).
-        let alpha = clamp(dt / self.motor_time_constant, 0.0, 1.0);
-        for lane in 0..lanes {
-            for i in 0..MOTOR_COUNT {
-                let target = clamp(self.eff[lane].throttle[i], 0.0, 1.0);
-                let idx = lane * MOTOR_COUNT + i;
-                self.motors[idx] += (target - self.motors[idx]) * alpha;
-            }
-        }
-
-        // Stage 3 — rigid-body dynamics (`Quadcopter::step`).
-        for lane in 0..lanes {
-            let mut realized = [0.0; MOTOR_COUNT];
-            realized.copy_from_slice(&self.motors[lane * MOTOR_COUNT..(lane + 1) * MOTOR_COUNT]);
-
-            // Per-motor thrust (N).
-            let thrusts: [f64; MOTOR_COUNT] = realized.map(|t| t * params.max_motor_thrust);
-            let total_thrust: f64 = thrusts.iter().sum();
-
-            // Torques from the X mixer geometry. Motor order: FR, BL, FL, BR.
-            let l = params.arm_length * std::f64::consts::FRAC_1_SQRT_2;
-            let roll_torque = l * (thrusts[1] + thrusts[2] - thrusts[0] - thrusts[3]);
-            let pitch_torque = l * (thrusts[0] + thrusts[2] - thrusts[1] - thrusts[3]);
-            let yaw_torque =
-                params.yaw_torque_coefficient * (thrusts[0] + thrusts[1] - thrusts[2] - thrusts[3]);
-
-            let angular_velocity = Vec3::new(self.wx[lane], self.wy[lane], self.wz[lane]);
-            let torque = Vec3::new(roll_torque, pitch_torque, yaw_torque)
-                - angular_velocity * params.angular_drag;
-            let angular_accel = Vec3::new(
-                torque.x / params.inertia_xy,
-                torque.y / params.inertia_xy,
-                torque.z / params.inertia_z,
-            );
-            let mut omega = angular_velocity + angular_accel * dt;
-            let attitude_in = Quat {
-                w: self.qw[lane],
-                x: self.qx[lane],
-                y: self.qy[lane],
-                z: self.qz[lane],
-            };
-            let mut attitude = attitude_in.integrate(omega, dt);
-
-            // Linear dynamics (world frame).
-            let thrust_world = attitude.rotate(Vec3::new(0.0, 0.0, total_thrust));
-            let old_velocity = Vec3::new(self.vx[lane], self.vy[lane], self.vz[lane]);
-            let air_velocity = old_velocity - wind;
-            let drag = -air_velocity * params.linear_drag;
-            let gravity = Vec3::new(0.0, 0.0, -GRAVITY * params.mass);
-            let force = thrust_world + drag + gravity;
-            let mut accel = force / params.mass;
-
-            let mut velocity = old_velocity + accel * dt;
-            let mut position =
-                Vec3::new(self.px[lane], self.py[lane], self.pz[lane]) + velocity * dt;
-
-            // Ground contact.
-            if position.z <= 0.0 {
-                position.z = 0.0;
-                if velocity.z < 0.0 {
-                    velocity = Vec3::new(0.0, 0.0, 0.0);
-                    omega = Vec3::ZERO;
-                }
-                self.on_ground[lane] = true;
-                let yaw = attitude.yaw();
-                attitude = Quat::from_euler(0.0, 0.0, yaw);
-                if total_thrust <= params.hover_thrust() {
-                    accel = Vec3::ZERO;
-                }
-            } else {
-                self.on_ground[lane] = false;
-            }
-
-            self.px[lane] = position.x;
-            self.py[lane] = position.y;
-            self.pz[lane] = position.z;
-            self.vx[lane] = velocity.x;
-            self.vy[lane] = velocity.y;
-            self.vz[lane] = velocity.z;
-            self.ax[lane] = accel.x;
-            self.ay[lane] = accel.y;
-            self.az[lane] = accel.z;
-            self.qw[lane] = attitude.w;
-            self.qx[lane] = attitude.x;
-            self.qy[lane] = attitude.y;
-            self.qz[lane] = attitude.z;
-            self.wx[lane] = omega.x;
-            self.wy[lane] = omega.y;
-            self.wz[lane] = omega.z;
-            debug_assert!(
-                position.is_finite() && velocity.is_finite() && attitude.is_finite(),
-                "dynamics diverged in lane {lane}"
-            );
-        }
-
-        // Stage 4 — the shared clock advances once for all lanes.
-        self.time += dt;
-        self.steps += 1;
-
-        // Stage 5 — collision detection (`Simulator::step_into` middle).
-        for lane in 0..lanes {
-            let position = Vec3::new(self.px[lane], self.py[lane], self.pz[lane]);
-            let velocity = Vec3::new(self.vx[lane], self.vy[lane], self.vz[lane]);
-            let impact_velocity = if position.z <= 1e-9 && self.airborne_before[lane] {
-                self.pre_v[lane]
-            } else {
-                velocity
-            };
-            let collision =
-                self.env
-                    .check_collision(position, impact_velocity, self.was_airborne[lane]);
-            if let Some(c) = collision {
-                if self.first_collision[lane].is_none() {
-                    self.first_collision[lane] = Some(c);
-                }
-                for m in 0..MOTOR_COUNT {
-                    self.motors[lane * MOTOR_COUNT + m] = 0.0;
-                }
-            }
-            if position.z <= 1e-9 {
-                self.was_airborne[lane] = false;
-            }
-            self.outputs[lane].collision = collision;
-        }
-
-        // Stage 6 — sensor sampling (`SensorSuite::sample_into`). The
-        // noise values for this step are drawn once from the shared RNG,
-        // in exactly the scalar per-instance order, then applied to every
-        // lane; see the module docs for why the counts (and therefore the
-        // stream position) cannot depend on lane state.
-        let sensors = &self.config.sensors;
-        let g = self.gps_count();
-        let gps_epoch =
-            self.last_gps_time < 0.0 || self.time - self.last_gps_time >= self.gps_interval;
-        if gps_epoch {
-            self.last_gps_time = self.time;
-        }
-        self.gps_fill.clear();
-        for r in 0..g {
-            let fill = gps_epoch || self.last_gps[r].is_none();
-            debug_assert!(
-                (0..lanes).all(|lane| self.last_gps[lane * g + r].is_none()
-                    == self.last_gps[r].is_none()),
-                "held-fix presence must be uniform across lockstep lanes"
-            );
-            self.gps_fill.push(fill);
-        }
+        debug_assert_eq!(
+            commands.len(),
+            self.lanes.len(),
+            "one command per live lane"
+        );
+        let Some(((lead, lead_output), rest)) = self.lanes.split_first_mut() else {
+            return;
+        };
         self.noise.clear();
-        for _ in 0..sensors.accelerometers {
-            for _ in 0..3 {
-                let v = self.rng.normal(0.0, noise_cfg.accel);
-                self.noise.push(v);
-            }
+        let mut shared = SharedStream {
+            rng: &mut self.rng,
+            tape: &mut self.noise,
+            record: !rest.is_empty(),
+        };
+        lead.step_with(&commands[0], lead_output, &mut shared);
+        for ((sim, output), command) in rest.iter_mut().zip(&commands[1..]) {
+            let mut replay = Replay::new(&self.noise);
+            sim.step_with(command, output, &mut replay);
+            debug_assert!(
+                replay.is_spent(),
+                "a replaying lane takes exactly the recorded draws"
+            );
         }
-        for _ in 0..sensors.gyroscopes {
-            for _ in 0..3 {
-                let v = self.rng.normal(0.0, noise_cfg.gyro);
-                self.noise.push(v);
-            }
-        }
-        for r in 0..g {
-            if self.gps_fill[r] {
-                let h0 = self.rng.normal(0.0, noise_cfg.gps_horizontal);
-                let h1 = self.rng.normal(0.0, noise_cfg.gps_horizontal);
-                let v = self.rng.normal(0.0, noise_cfg.gps_vertical);
-                let s0 = self.rng.normal(0.0, noise_cfg.gps_velocity);
-                let s1 = self.rng.normal(0.0, noise_cfg.gps_velocity);
-                let s2 = self.rng.normal(0.0, noise_cfg.gps_velocity);
-                self.noise.extend([h0, h1, v, s0, s1, s2]);
-            }
-        }
-        for _ in 0..sensors.barometers {
-            let v = self.rng.normal(0.0, noise_cfg.baro);
-            self.noise.push(v);
-        }
-        for _ in 0..sensors.compasses {
-            let v = self.rng.normal(0.0, noise_cfg.compass);
-            self.noise.push(v);
-        }
-        for _ in 0..sensors.batteries {
-            let v = self.rng.normal(0.0, noise_cfg.battery_voltage);
-            self.noise.push(v);
-        }
-
-        for lane in 0..lanes {
-            let state = RigidBodyState {
-                position: Vec3::new(self.px[lane], self.py[lane], self.pz[lane]),
-                velocity: Vec3::new(self.vx[lane], self.vy[lane], self.vz[lane]),
-                acceleration: Vec3::new(self.ax[lane], self.ay[lane], self.az[lane]),
-                attitude: Quat {
-                    w: self.qw[lane],
-                    x: self.qx[lane],
-                    y: self.qy[lane],
-                    z: self.qz[lane],
-                },
-                angular_velocity: Vec3::new(self.wx[lane], self.wy[lane], self.wz[lane]),
-            };
-            let mean_throttle = self.eff[lane].mean();
-
-            // Battery drain: idle draw plus throttle-proportional draw.
-            let drain_rate =
-                (0.15 + 0.85 * mean_throttle.clamp(0.0, 1.0)) / sensors.battery_endurance_s;
-            self.battery_remaining[lane] =
-                (self.battery_remaining[lane] - drain_rate * dt).max(0.0);
-
-            // Specific force measured by an accelerometer: f = R^T (a + g·ẑ).
-            let specific_force_world = state.acceleration + Vec3::new(0.0, 0.0, GRAVITY);
-            let specific_force_body = state.attitude.rotate_inverse(specific_force_world);
-
-            let readings = &mut self.outputs[lane].readings;
-            readings.clear();
-            let mut cur = 0usize;
-            for idx in 0..sensors.accelerometers {
-                let bias = self.accel_bias[idx as usize];
-                let n = Vec3::new(self.noise[cur], self.noise[cur + 1], self.noise[cur + 2]);
-                cur += 3;
-                readings.push(crate::sensors::SensorReading {
-                    instance: SensorInstance::new(SensorKind::Accelerometer, idx),
-                    time: self.time,
-                    value: SensorValue::Acceleration(specific_force_body + bias + n),
-                });
-            }
-            for idx in 0..sensors.gyroscopes {
-                let bias = self.gyro_bias[idx as usize];
-                let n = Vec3::new(self.noise[cur], self.noise[cur + 1], self.noise[cur + 2]);
-                cur += 3;
-                readings.push(crate::sensors::SensorReading {
-                    instance: SensorInstance::new(SensorKind::Gyroscope, idx),
-                    time: self.time,
-                    value: SensorValue::AngularRate(state.angular_velocity + bias + n),
-                });
-            }
-            for idx in 0..sensors.gps {
-                let r = idx as usize;
-                if self.gps_fill[r] {
-                    let fix = SensorValue::GpsFix {
-                        position: state.position
-                            + Vec3::new(self.noise[cur], self.noise[cur + 1], self.noise[cur + 2]),
-                        velocity: state.velocity
-                            + Vec3::new(
-                                self.noise[cur + 3],
-                                self.noise[cur + 4],
-                                self.noise[cur + 5],
-                            ),
-                        satellites: 12,
-                    };
-                    cur += 6;
-                    self.last_gps[lane * g + r] = Some(fix);
-                }
-                let held = self.last_gps[lane * g + r];
-                debug_assert!(held.is_some(), "gps fix populated above");
-                if let Some(value) = held {
-                    readings.push(crate::sensors::SensorReading {
-                        instance: SensorInstance::new(SensorKind::Gps, idx),
-                        time: self.time,
-                        value,
-                    });
-                }
-            }
-            for idx in 0..sensors.barometers {
-                let n = self.noise[cur];
-                cur += 1;
-                readings.push(crate::sensors::SensorReading {
-                    instance: SensorInstance::new(SensorKind::Barometer, idx),
-                    time: self.time,
-                    value: SensorValue::PressureAltitude(state.position.z + n),
-                });
-            }
-            let yaw = state.attitude.yaw();
-            for idx in 0..sensors.compasses {
-                let n = self.noise[cur];
-                cur += 1;
-                readings.push(crate::sensors::SensorReading {
-                    instance: SensorInstance::new(SensorKind::Compass, idx),
-                    time: self.time,
-                    value: SensorValue::MagneticHeading(crate::math::wrap_angle(yaw + n)),
-                });
-            }
-            for idx in 0..sensors.batteries {
-                let n = self.noise[cur];
-                cur += 1;
-                let voltage = 10.5 + 2.1 * self.battery_remaining[lane] - 0.4 * mean_throttle + n;
-                readings.push(crate::sensors::SensorReading {
-                    instance: SensorInstance::new(SensorKind::Battery, idx),
-                    time: self.time,
-                    value: SensorValue::BatteryStatus {
-                        voltage,
-                        remaining: self.battery_remaining[lane],
-                    },
-                });
-            }
-            debug_assert_eq!(cur, self.noise.len(), "every drawn value consumed");
-
-            // Stage 7 — fences and the packed physical state
-            // (`Simulator::step_into` tail).
-            let output = &mut self.outputs[lane];
-            output.violated_fences.clear();
-            self.env
-                .violated_fences_into(state.position, &mut output.violated_fences);
-            output.state = PhysicalState {
-                time: self.time,
-                position: state.position,
-                velocity: state.velocity,
-                acceleration: state.acceleration,
-                heading: yaw,
-                on_ground: self.on_ground[lane],
-            };
-        }
+        self.time = lead.time;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::environment::Environment;
+    use crate::environment::{BoxObstacle, CollisionKind, Environment, Fence, FenceRegion, Wind};
+    use crate::math::Vec3;
     use crate::sensors::SensorSuiteConfig;
+    use crate::simulator::SimConfig;
     use crate::vehicle::VehicleParams;
+    use std::sync::Arc;
+
+    /// A primed scalar simulator with the iris suite in an open field.
+    fn primed_sim(airborne: bool) -> (Simulator, StepOutput) {
+        primed(
+            SensorSuiteConfig::iris(),
+            Environment::open_field(),
+            airborne,
+        )
+    }
+
+    /// A one-instance suite (a different draw count per step) in gusty
+    /// wind, with an obstacle under the descent of lane 0 of [`script`]
+    /// and an exclusion fence lane 2 drifts into.
+    fn obstacle_course() -> (Simulator, StepOutput) {
+        let env = Environment::open_field()
+            .with_wind(Wind {
+                mean: Vec3::new(2.0, 1.0, 0.0),
+                gust_amplitude: 1.5,
+                gust_period: 0.4,
+            })
+            .with_obstacle(BoxObstacle::new(
+                Vec3::new(0.1, -0.6, 1.0),
+                Vec3::new(0.6, -0.1, 2.0),
+            ))
+            .with_fence(Fence::exclusion(FenceRegion::Rectangle {
+                min_x: -5.0,
+                min_y: -5.0,
+                max_x: -0.5,
+                max_y: -0.5,
+            }));
+        primed(SensorSuiteConfig::minimal(), env, true)
+    }
 
     /// A primed scalar simulator: one IDLE step so every GPS receiver
     /// holds a fix (mirrors how campaign runs prime before the loop),
     /// then repositioned to a falling start so collision paths get hit.
-    fn primed_sim(airborne: bool) -> (Simulator, StepOutput) {
+    fn primed(
+        sensors: SensorSuiteConfig,
+        env: Environment,
+        airborne: bool,
+    ) -> (Simulator, StepOutput) {
         let config = SimConfig {
             dt: 0.005,
             vehicle: VehicleParams::default(),
-            sensors: SensorSuiteConfig::iris(),
+            sensors,
             seed: 7,
         };
-        let mut sim = Simulator::new_shared(config, Arc::new(Environment::open_field()));
+        let mut sim = Simulator::new_shared(config, Arc::new(env));
         let mut output = StepOutput::empty();
         sim.step_into(&MotorCommands::IDLE, &mut output);
         if airborne {
@@ -787,50 +281,84 @@ mod tests {
         assert_eq!(evicted.steps(), scalar.steps());
     }
 
-    #[test]
-    fn forked_lanes_match_independent_scalar_runs() {
-        // Three *independent* scalar runs that share a command prefix …
-        let mut scalars = Vec::new();
-        for lane in 0..3usize {
-            let (mut sim, mut out) = primed_sim(true);
-            for step in 0..200 {
-                let cmd = if step < 30 {
-                    script(2, step)
-                } else {
-                    script(lane, step)
-                };
-                sim.step_into(&cmd, &mut out);
+    /// Three independent scalar runs that share a command prefix,
+    /// against one batch forked from a single lane at the divergence
+    /// point. Every lane's output must equal its scalar run's at every
+    /// step, and each extracted lane must go on matching it scalar. The
+    /// forks share the leader's noise stream; equality here is exactly
+    /// the state-independent-draw invariant. Returns the scalar outputs.
+    fn assert_forked_lanes_match(prime: fn() -> (Simulator, StepOutput)) -> Vec<Vec<StepOutput>> {
+        const FORK: usize = 30;
+        const EXTRACT: usize = 200;
+        const HORIZON: usize = 240;
+        let command = |lane, step| {
+            if step < FORK {
+                script(2, step)
+            } else {
+                script(lane, step)
             }
-            scalars.push((sim, out));
-        }
-        // … versus one batch forked from a single lane at the divergence
-        // point. The forks share the leader's RNG stream; equality here
-        // is exactly the state-independent-draw invariant.
-        let (sim, output) = primed_sim(true);
+        };
+        let reference: Vec<Vec<StepOutput>> = (0..3)
+            .map(|lane| {
+                let (mut sim, mut out) = prime();
+                (0..HORIZON)
+                    .map(|step| {
+                        sim.step_into(&command(lane, step), &mut out);
+                        out.clone()
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let (sim, output) = prime();
         let (mut batch, l0) = LaneBatch::from_simulator(sim, output);
-        for step in 0..30 {
-            batch.step_lanes(&[script(2, step)]);
-        }
-        let l1 = batch.clone_lane(l0);
-        let l2 = batch.clone_lane(l0);
-        for step in 30..200 {
+        let mut ids = vec![l0];
+        // `step` drives three reference traces, not one slice.
+        #[allow(clippy::needless_range_loop)]
+        for step in 0..EXTRACT {
+            if step == FORK {
+                ids.push(batch.clone_lane(l0));
+                ids.push(batch.clone_lane(l0));
+            }
             let cmds: Vec<MotorCommands> = batch
                 .lane_ids()
                 .iter()
-                .map(|&id| {
-                    let lane = [l0, l1, l2].iter().position(|&l| l == id).unwrap();
-                    script(lane, step)
-                })
+                .map(|id| command(ids.iter().position(|l| l == id).unwrap(), step))
                 .collect();
             batch.step_lanes(&cmds);
+            for (lane, &id) in ids.iter().enumerate() {
+                assert_eq!(
+                    batch.output(id),
+                    &reference[lane][step],
+                    "forked lane {lane}, step {step}"
+                );
+            }
         }
-        for (lane, id) in [l0, l1, l2].into_iter().enumerate() {
-            assert_outputs_equal(
-                batch.output(id),
-                &scalars[lane].1,
-                &format!("forked lane {lane} final step"),
-            );
+        for (lane, &id) in ids.iter().enumerate() {
+            let (mut sim, mut out) = batch.extract_lane(id);
+            assert_eq!(out, reference[lane][EXTRACT - 1], "extracted lane {lane}");
+            for (step, expected) in reference[lane].iter().enumerate().skip(EXTRACT) {
+                sim.step_into(&command(lane, step), &mut out);
+                assert_eq!(&out, expected, "extracted lane {lane}, step {step}");
+            }
         }
+        assert!(batch.is_empty());
+        reference
+    }
+
+    #[test]
+    fn forked_lanes_match_independent_scalar_runs() {
+        assert_forked_lanes_match(|| primed_sim(true));
+        let course = assert_forked_lanes_match(obstacle_course);
+        // The course reaches what the open field never does: an obstacle
+        // collision in lane 0 only, and a fence violation in lane 2.
+        assert!(course[0].iter().any(|o| o
+            .collision
+            .is_some_and(|c| c.kind == CollisionKind::Obstacle(0))));
+        assert!(course[1..]
+            .iter()
+            .all(|lane| lane.iter().all(|o| o.collision.is_none())));
+        assert!(course[2].iter().any(|o| o.violated_fences == [0]));
     }
 
     #[test]

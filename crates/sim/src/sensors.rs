@@ -556,7 +556,23 @@ impl SensorSuite {
         time: f64,
         dt: f64,
     ) {
-        let noise = self.config.noise.clone();
+        self.sample_with(readings, state, mean_throttle, time, dt, &mut OwnStream);
+    }
+
+    /// [`SensorSuite::sample_into`] with each noise value taken from
+    /// `noise`, in the fixed draw order: accelerometer and gyroscope
+    /// axes, each refreshed GPS fix, barometers, compasses, batteries.
+    /// Returns the true heading the compasses read around.
+    pub(crate) fn sample_with<N: NoiseSource>(
+        &mut self,
+        readings: &mut Vec<SensorReading>,
+        state: &RigidBodyState,
+        mean_throttle: f64,
+        time: f64,
+        dt: f64,
+        noise: &mut N,
+    ) -> f64 {
+        let sd = &self.config.noise;
 
         // Battery drain: idle draw plus throttle-proportional draw.
         let drain_rate =
@@ -573,9 +589,9 @@ impl SensorSuite {
                 specific_force_body
                     + bias
                     + Vec3::new(
-                        self.rng.normal(0.0, noise.accel),
-                        self.rng.normal(0.0, noise.accel),
-                        self.rng.normal(0.0, noise.accel),
+                        noise.normal(&mut self.rng, sd.accel),
+                        noise.normal(&mut self.rng, sd.accel),
+                        noise.normal(&mut self.rng, sd.accel),
                     ),
             );
             readings.push(SensorReading {
@@ -591,9 +607,9 @@ impl SensorSuite {
                 state.angular_velocity
                     + bias
                     + Vec3::new(
-                        self.rng.normal(0.0, noise.gyro),
-                        self.rng.normal(0.0, noise.gyro),
-                        self.rng.normal(0.0, noise.gyro),
+                        noise.normal(&mut self.rng, sd.gyro),
+                        noise.normal(&mut self.rng, sd.gyro),
+                        noise.normal(&mut self.rng, sd.gyro),
                     ),
             );
             readings.push(SensorReading {
@@ -614,15 +630,15 @@ impl SensorSuite {
                 let fix = SensorValue::GpsFix {
                     position: state.position
                         + Vec3::new(
-                            self.rng.normal(0.0, noise.gps_horizontal),
-                            self.rng.normal(0.0, noise.gps_horizontal),
-                            self.rng.normal(0.0, noise.gps_vertical),
+                            noise.normal(&mut self.rng, sd.gps_horizontal),
+                            noise.normal(&mut self.rng, sd.gps_horizontal),
+                            noise.normal(&mut self.rng, sd.gps_vertical),
                         ),
                     velocity: state.velocity
                         + Vec3::new(
-                            self.rng.normal(0.0, noise.gps_velocity),
-                            self.rng.normal(0.0, noise.gps_velocity),
-                            self.rng.normal(0.0, noise.gps_velocity),
+                            noise.normal(&mut self.rng, sd.gps_velocity),
+                            noise.normal(&mut self.rng, sd.gps_velocity),
+                            noise.normal(&mut self.rng, sd.gps_velocity),
                         ),
                     satellites: 12,
                 };
@@ -636,8 +652,9 @@ impl SensorSuite {
         }
 
         for idx in 0..self.config.barometers {
-            let value =
-                SensorValue::PressureAltitude(state.position.z + self.rng.normal(0.0, noise.baro));
+            let value = SensorValue::PressureAltitude(
+                state.position.z + noise.normal(&mut self.rng, sd.baro),
+            );
             readings.push(SensorReading {
                 instance: SensorInstance::new(SensorKind::Barometer, idx),
                 time,
@@ -648,7 +665,7 @@ impl SensorSuite {
         let yaw = state.attitude.yaw();
         for idx in 0..self.config.compasses {
             let value = SensorValue::MagneticHeading(crate::math::wrap_angle(
-                yaw + self.rng.normal(0.0, noise.compass),
+                yaw + noise.normal(&mut self.rng, sd.compass),
             ));
             readings.push(SensorReading {
                 instance: SensorInstance::new(SensorKind::Compass, idx),
@@ -661,7 +678,7 @@ impl SensorSuite {
             // Simple LiPo-like discharge curve: 12.6 V full, 10.5 V empty,
             // with additional sag proportional to throttle.
             let voltage = 10.5 + 2.1 * self.battery_remaining - 0.4 * mean_throttle
-                + self.rng.normal(0.0, noise.battery_voltage);
+                + noise.normal(&mut self.rng, sd.battery_voltage);
             let value = SensorValue::BatteryStatus {
                 voltage,
                 remaining: self.battery_remaining,
@@ -672,6 +689,82 @@ impl SensorSuite {
                 value,
             });
         }
+        yaw
+    }
+}
+
+/// Where [`SensorSuite::sample_with`] takes its noise values from.
+/// Statically dispatched, so a lone simulator's sampling compiles to
+/// direct draws on its own stream.
+///
+/// How many values a step takes does not depend on the vehicle's state:
+/// noise is drawn even at zero standard deviation, and the GPS epoch
+/// clock is purely time-driven. So two suites of one seed at equal
+/// simulated time take the same values from their streams however far
+/// their states diverge, which is what lets lockstep lanes
+/// ([`crate::LaneBatch`]) share one stream: one lane draws and records
+/// each step's values, the others replay them.
+pub(crate) trait NoiseSource {
+    /// The next noise value, a draw of `N(0, std_dev)`; `own` is the
+    /// sampling suite's own stream.
+    fn normal(&mut self, own: &mut SimRng, std_dev: f64) -> f64;
+}
+
+/// The suite's own stream: a lone simulator.
+pub(crate) struct OwnStream;
+
+impl NoiseSource for OwnStream {
+    #[inline(always)]
+    fn normal(&mut self, own: &mut SimRng, std_dev: f64) -> f64 {
+        own.normal(0.0, std_dev)
+    }
+}
+
+/// A stream shared by lockstep lanes, standing in for the drawing lane's
+/// own. With `record` set, every value drawn is also appended to `tape`
+/// for the sibling lanes to [`Replay`].
+pub(crate) struct SharedStream<'a> {
+    pub(crate) rng: &'a mut SimRng,
+    pub(crate) tape: &'a mut Vec<f64>,
+    pub(crate) record: bool,
+}
+
+impl NoiseSource for SharedStream<'_> {
+    #[inline(always)]
+    fn normal(&mut self, _own: &mut SimRng, std_dev: f64) -> f64 {
+        let value = self.rng.normal(0.0, std_dev);
+        if self.record {
+            self.tape.push(value);
+        }
+        value
+    }
+}
+
+/// The values a [`SharedStream`] recorded this step, returned in order:
+/// the exact `f64`s the draws returned, so a replaying suite computes
+/// the readings its lone run would.
+pub(crate) struct Replay<'a> {
+    tape: &'a [f64],
+    cursor: usize,
+}
+
+impl<'a> Replay<'a> {
+    pub(crate) fn new(tape: &'a [f64]) -> Self {
+        Replay { tape, cursor: 0 }
+    }
+
+    /// Whether every recorded value was taken.
+    pub(crate) fn is_spent(&self) -> bool {
+        self.cursor == self.tape.len()
+    }
+}
+
+impl NoiseSource for Replay<'_> {
+    #[inline(always)]
+    fn normal(&mut self, _own: &mut SimRng, _std_dev: f64) -> f64 {
+        let value = self.tape[self.cursor];
+        self.cursor += 1;
+        value
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::environment::{Collision, Environment};
 use crate::math::Vec3;
-use crate::sensors::{SensorReading, SensorSuite, SensorSuiteConfig};
+use crate::sensors::{NoiseSource, OwnStream, SensorReading, SensorSuite, SensorSuiteConfig};
 use crate::vehicle::{MotorCommands, Quadcopter, RigidBodyState, VehicleParams};
 use std::sync::Arc;
 
@@ -537,6 +537,18 @@ impl Simulator {
     /// reaches its steady-state capacity after the first step and the
     /// loop performs no further heap allocations.
     pub fn step_into(&mut self, commands: &MotorCommands, output: &mut StepOutput) {
+        self.step_with(commands, output, &mut OwnStream);
+    }
+
+    /// [`Simulator::step_into`] with the sensor noise taken from `noise`
+    /// (see [`NoiseSource`]); the one step every simulator and every
+    /// lockstep lane flies.
+    pub(crate) fn step_with<N: NoiseSource>(
+        &mut self,
+        commands: &MotorCommands,
+        output: &mut StepOutput,
+        noise: &mut N,
+    ) {
         let dt = self.config.dt;
         let wind = self.env.wind().at(self.time);
         let airborne_before = !self.quad.on_ground();
@@ -579,17 +591,25 @@ impl Simulator {
         }
 
         output.readings.clear();
-        self.sensors.sample_into(
+        let heading = self.sensors.sample_with(
             &mut output.readings,
-            self.quad.state(),
+            &new_state,
             commands.mean(),
             self.time,
             dt,
+            noise,
         );
         output.violated_fences.clear();
         self.env
             .violated_fences_into(new_state.position, &mut output.violated_fences);
-        output.state = self.physical_state();
+        output.state = PhysicalState {
+            time: self.time,
+            position: new_state.position,
+            velocity: new_state.velocity,
+            acceleration: new_state.acceleration,
+            heading,
+            on_ground: self.quad.on_ground(),
+        };
         output.collision = collision;
     }
 }

@@ -299,7 +299,7 @@ fn speculation_admission_is_bit_identical_at_parallelism_4() {
 #[test]
 fn batched_lockstep_campaign_is_bit_identical_to_scalar() {
     // The lockstep-batching pin: a campaign that steps prefix-sharing
-    // plans through the SoA multi-lane batch (`lockstep_lanes` > 1) must
+    // plans through a multi-lane `LaneBatch` (`lockstep_lanes` > 1) must
     // be bit-identical to the scalar single-lane engine. Lane count is a
     // speed-only knob — it never appears in a campaign observable — so
     // scalar, 4-lane and 8-lane execution agree byte-for-byte, cold and
