@@ -114,7 +114,8 @@ pub enum CampaignEvent {
         chains: u64,
         /// Individual cuts loaded into the cache.
         snapshots: u64,
-        /// Blob bytes read (and verified) from disk.
+        /// Blob bytes read (and verified) from disk: every cut and
+        /// chunk blob payload hydration read, each once.
         bytes: u64,
     },
     /// The persistent snapshot store flushed the cache's chains to disk
@@ -370,7 +371,7 @@ impl CampaignBuilder {
 
     /// Number of sibling scenarios advanced in lockstep through one
     /// [`avis_sim::LaneBatch`], sharing one sensor-noise draw, when a
-    /// prefix family of speculative plans runs (see [`crate::batch`]),
+    /// prefix family of speculative plans runs (see the `batch` module),
     /// on workers and on the serial path alike; `1` disables batching.
     /// Purely a speed knob — a batched run is bit-identical to a scalar
     /// one — so it joins neither the experiment fingerprint nor any

@@ -22,7 +22,7 @@
 //! 2. **Speculative execution.** Candidates carrying a speculative plan
 //!    are executed concurrently on the worker pool (skipped entirely in
 //!    the serial case), in *wavefronts* of a small multiple of the pool
-//!    size ([`BATCH_FACTOR`]) so that a bug committed mid-round cancels
+//!    size (`BATCH_FACTOR`) so that a bug committed mid-round cancels
 //!    its now-pruned siblings ([`Strategy::revalidate`]) instead of
 //!    wasting workers on them. Speculation past the remaining simulation
 //!    budget is capped; wrong or missing speculation is repaired at

@@ -52,6 +52,7 @@ impl Json {
     /// Parses a JSON document (nesting depth capped at 128 levels).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -235,6 +236,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: u32,
@@ -387,11 +389,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. Slicing the `&str` is
+                    // O(1); validating the rest of the document here
+                    // would make parsing quadratic.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -2,7 +2,7 @@
 //! the public run entry points. Every entry provisions a simulator +
 //! firmware + workload per test, executes its fault-injection scenarios
 //! in lock-step and records each [`Trace`] through the one run loop in
-//! [`crate::batch`] (the `RunExperiment` procedure of Algorithm 1, and
+//! the `batch` module (the `RunExperiment` procedure of Algorithm 1, and
 //! the step loop of Figure 7).
 
 use crate::contain;
@@ -63,7 +63,7 @@ pub struct ExperimentConfig {
     pub watchdog: WatchdogConfig,
     /// Number of sibling scenarios advanced in lockstep through one
     /// [`avis_sim::LaneBatch`], sharing one sensor-noise draw, when a
-    /// prefix family of speculative plans runs (see [`crate::batch`]).
+    /// prefix family of speculative plans runs (see the `batch` module).
     /// `1` disables batching. Purely a speed knob: a batched run is
     /// bit-identical to a scalar one, so this is excluded from the
     /// experiment fingerprint, exactly like checkpoint placement.
@@ -146,8 +146,8 @@ pub enum RunVerdict {
     #[default]
     Completed,
     /// The firmware (or another substrate layer) panicked while
-    /// executing the plan. Contained at the runner boundary (see
-    /// [`crate::contain`]) and reported as a first-class outcome — the
+    /// executing the plan. Contained at the runner boundary (see the
+    /// `contain` module) and reported as a first-class outcome — the
     /// paper's `Serious` symptom class — instead of aborting the
     /// campaign. Deterministic: the same (seed, plan) crashes at the
     /// same step with the same message at any parallelism.
@@ -302,8 +302,8 @@ impl ExperimentRunner {
         self.run_batch_contained(vec![plan]).swap_remove(0)
     }
 
-    /// Executes sibling fault-injection scenarios in lockstep (see
-    /// [`crate::batch`]) with panic containment: a panic raised anywhere
+    /// Executes sibling fault-injection scenarios in lockstep (see the
+    /// `batch` module) with panic containment: a panic raised anywhere
     /// inside the run — simulated firmware, the substrate, the workload —
     /// is caught at this boundary instead of unwinding into the engine.
     /// The panicked call's cuts are never committed to the cache (a call
@@ -371,11 +371,11 @@ impl ExperimentRunner {
     }
 
     /// The deterministic `t = 0` state of a run of this configuration:
-    /// the cold start every run without a fork restores (see
-    /// [`crate::batch`]), and the *genesis* snapshot the persistent store
-    /// diffs keyframes against, so a chain persisted as
-    /// `genesis → keyframe-delta → deltas…` re-materialises bit-exactly on
-    /// any host that can rebuild the same [`ExperimentConfig`]. The fault
+    /// the cold start every run without a fork restores (see the `batch`
+    /// module), and the *genesis* snapshot every persisted cut decodes
+    /// onto: a cut blob holds only dynamic state, and genesis supplies
+    /// the static rest, so a cut re-materialises bit-exactly on any host
+    /// that can rebuild the same [`ExperimentConfig`]. The fault
     /// plan is irrelevant here: a restore always swaps the plan in (see
     /// `into_restored_with_plan`), so genesis carries the empty one. The
     /// simulator takes one idle priming step, so the first loop top has

@@ -1,12 +1,13 @@
 //! The persistent snapshot store: a disk-backed, content-addressed
-//! serialisation of a campaign's snapshot cache ([`SnapshotCache`],
+//! serialisation of a campaign's snapshot cache
+//! ([`SnapshotCache`](crate::snapshot::SnapshotCache),
 //! reached through its [`SharedSnapshotTier`] handle), so a campaign can
 //! *warm-start* from the checkpoint tree a previous process recorded
 //! instead of re-flying the shared prefix from `t = 0`. The campaign
 //! hydrates the cache from the store before its profiling runs and
 //! flushes the cache back when it ends. A parallel campaign (parallelism
 //! ≥ 2) also flushes before each speculative wavefront, so a crash
-//! mid-campaign leaves the finished wavefronts' chains on disk; a serial
+//! mid-campaign leaves the finished wavefronts' cuts on disk; a serial
 //! campaign flushes once, at its end.
 //!
 //! # Layout
@@ -23,23 +24,27 @@
 //! ```
 //!
 //! Two blob kinds share the `blobs/` namespace, both written in the
-//! same length-prefixed binary envelope (see [`encode_blob`]):
+//! same length-prefixed binary envelope (magic, payload length, payload,
+//! FNV-1a checksum):
 //!
 //! - **chunk blobs** — the `Arc`-shared history chunks ([`avis_sim::CowVec`]
 //!   sample history, injector record logs), stored once per distinct
 //!   content hash however many cuts, chains or campaigns reference them —
 //!   the on-disk mirror of the in-memory chunk ledger;
-//! - **cut blobs** — one serialised `RunDelta` per cut. The first cut
-//!   of a chain (its *keyframe*) is encoded as the delta from the
-//!   deterministic **genesis** state (the `t = 0` snapshot rebuilt from
-//!   the [`ExperimentConfig`] alone, see
-//!   `ExperimentRunner::genesis_snapshot`); every later cut is the delta
-//!   from the previous cut of the same chain. Static structure —
-//!   configuration, parameters, environment — is never written to disk
-//!   at all: it is reconstructed from the experiment config, which the
-//!   fingerprint pins exactly. Deltas exist only in this format: the
-//!   in-memory cache holds every cut whole, and hydration rebuilds each
-//!   cut whole before committing it.
+//! - **cut blobs** — one per cut, standing alone: every substrate layer
+//!   writes its dynamic state straight from the cut, and the history
+//!   chunks it references by hash. A cut decodes onto the deterministic
+//!   **genesis** state (the `t = 0` snapshot rebuilt from the
+//!   [`ExperimentConfig`] alone, see `ExperimentRunner::genesis_snapshot`)
+//!   and nothing else. Static structure — configuration, parameters,
+//!   environment — is never written to disk at all: genesis rebuilds it
+//!   from the experiment config, which the fingerprint pins exactly.
+//!
+//! The manifest groups cuts into *chains*, one per `(seed offset,
+//! quantised injection prefix)` cell, and lists with each chain the
+//! chunk blobs its cuts reference. Hydration reads each distinct chunk
+//! blob once and shares the decoded chunk across every cut that
+//! references it, as the recording cache did.
 //!
 //! # Soundness
 //!
@@ -53,8 +58,9 @@
 //! - every blob carries its payload length and FNV-1a checksum, and its
 //!   file name *is* its content hash; all three are re-verified on
 //!   load. A mismatch quarantines the blob (moved to `quarantine/`) and
-//!   drops the rest of that chain — the affected scenarios transparently
-//!   cold-start, exactly like an in-memory checksum failure;
+//!   drops only the cuts that reference it — the affected scenarios
+//!   transparently cold-start, exactly like an in-memory checksum
+//!   failure;
 //! - writes are write-behind and atomic, but not durable: blobs and the
 //!   manifest are written to a temporary file and renamed into place, so
 //!   a crashed process leaves at worst a stale store. Nothing is
@@ -70,25 +76,22 @@
 //! # GC
 //!
 //! The store enforces a byte budget at flush time over every blob the
-//! manifest reaches: each chain's cut blobs and the chunk blobs those
-//! reference (the manifest file itself is not counted). Chains are
-//! ranked by `(accrued fork hits, insertion sequence)` and the least-hit,
-//! oldest chains are dropped first until the budget fits; blobs no longer
-//! reached by any surviving chain are deleted.
+//! manifest reaches: each chain's cut blobs and the chunk blobs it lists
+//! (the manifest file itself is not counted). Chains are ranked by
+//! `(accrued fork hits, insertion sequence)` and the least-hit, oldest
+//! chains are dropped first until the budget fits; blobs no longer
+//! reached by any surviving chain are deleted. GC reads the manifest
+//! only, never a blob.
 
 use crate::json::Json;
 use crate::protocol::ProtocolTracker;
 use crate::runner::{ExperimentConfig, ExperimentRunner};
-use crate::snapshot::{
-    InjectionPrefix, RunSnapshot, SharedSnapshotTier, SnapshotKey, STORE_ORIGIN,
-};
+use crate::snapshot::{InjectionPrefix, RunSnapshot, SharedSnapshotTier, STORE_ORIGIN};
 use crate::trace::StateSample;
-use avis_firmware::FirmwareDelta;
-use avis_hinj::{InjectorDelta, LinkDelta};
+use avis_hinj::{InjectorSnapshot, LinkSnapshot};
 use avis_sim::codec::{fnv1a, ByteReader, ByteWriter, CodecResult};
-use avis_sim::cow::{ChunkSink, ChunkSource};
-use avis_sim::{CowDelta, CowVec, PackedStepOutput, SimDelta};
-use avis_workload::{ScriptedWorkload, WorkloadStatus};
+use avis_sim::{ChunkMemo, ChunkSink, ChunkSource, CowVec, PackedStepOutput};
+use avis_workload::WorkloadStatus;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -99,9 +102,10 @@ const BLOB_MAGIC: &[u8; 8] = b"AVISBLB1";
 /// Manifest format version. Nothing in a blob names its layout, so a
 /// change to the cut-blob layout bumps this: a manifest of another
 /// version hydrates nothing, and the session's flush replaces it.
-/// Version 2 carries the firmware's defect log inline instead of as
-/// chunk blobs.
-const MANIFEST_VERSION: f64 = 2.0;
+/// Version 2 carried the firmware's defect log inline instead of as
+/// chunk blobs; version 3 writes every cut whole, decoded onto genesis
+/// alone, and lists each chain's chunk blobs.
+const MANIFEST_VERSION: f64 = 3.0;
 
 /// Default store byte budget: large enough for several campaigns' chains
 /// of the reference workloads, small enough to stay polite on CI hosts.
@@ -132,20 +136,22 @@ pub struct StoreReport {
     pub chains: u64,
     /// Individual cuts loaded or written.
     pub snapshots: u64,
-    /// Bytes read from (hydrate) or held on (flush) disk.
+    /// Bytes read from (hydrate: every cut and chunk blob payload, each
+    /// once) or held on (flush) disk.
     pub bytes: u64,
 }
 
 /// One cut recorded in the manifest: its quantised time plus the content
-/// hash of its [`RunDelta`] blob.
+/// hash of its cut blob.
 #[derive(Debug, Clone, PartialEq)]
 struct ManifestCut {
     time_ms: i64,
     blob: u64,
 }
 
-/// One persisted chain: all the cuts of one `(seed offset, quantised
-/// injection prefix)` cell, time-ordered, keyframe first.
+/// One persisted chain: the cuts of one `(seed offset, quantised
+/// injection prefix)` cell, time-ordered, and the chunk blobs they
+/// reference.
 #[derive(Debug, Clone, PartialEq)]
 struct ManifestChain {
     seed_offset: u64,
@@ -153,11 +159,35 @@ struct ManifestChain {
     hits: u64,
     seq: u64,
     cuts: Vec<ManifestCut>,
+    chunks: BTreeSet<u64>,
 }
 
 impl ManifestChain {
-    fn key(&self) -> (u64, String) {
-        (self.seed_offset, self.prefix_key.clone())
+    fn key(&self) -> (u64, &str) {
+        (self.seed_offset, &self.prefix_key)
+    }
+
+    /// Every blob the chain reaches: its cut blobs and the chunk blobs
+    /// they reference.
+    fn blobs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cuts
+            .iter()
+            .map(|cut| cut.blob)
+            .chain(self.chunks.iter().copied())
+    }
+
+    /// Adds `other`'s cuts to this record of the same chain, a union by
+    /// cut time: a cell this record holds keeps its blob, the hit count
+    /// takes the maximum and the insertion sequence stays.
+    fn merge(&mut self, other: ManifestChain) {
+        self.hits = self.hits.max(other.hits);
+        self.chunks.extend(other.chunks);
+        for cut in other.cuts {
+            if !self.cuts.iter().any(|held| held.time_ms == cut.time_ms) {
+                self.cuts.push(cut);
+            }
+        }
+        self.cuts.sort_by_key(|cut| cut.time_ms);
     }
 }
 
@@ -167,6 +197,14 @@ struct Manifest {
     fingerprint: String,
     next_seq: u64,
     chains: Vec<ManifestChain>,
+}
+
+fn hex(hash: u64) -> Json {
+    Json::String(format!("{hash:016x}"))
+}
+
+fn parse_hex(json: &Json) -> Option<u64> {
+    u64::from_str_radix(json.as_str()?, 16).ok()
 }
 
 impl Manifest {
@@ -195,14 +233,15 @@ impl Manifest {
                                             .map(|cut| {
                                                 crate::json::object(vec![
                                                     ("time_ms", Json::Number(cut.time_ms as f64)),
-                                                    (
-                                                        "blob",
-                                                        Json::String(format!("{:016x}", cut.blob)),
-                                                    ),
+                                                    ("blob", hex(cut.blob)),
                                                 ])
                                             })
                                             .collect(),
                                     ),
+                                ),
+                                (
+                                    "chunks",
+                                    Json::Array(chain.chunks.iter().map(|&h| hex(h)).collect()),
                                 ),
                             ])
                         })
@@ -226,48 +265,31 @@ impl Manifest {
             for cut in chain.get("cuts")?.as_array()? {
                 cuts.push(ManifestCut {
                     time_ms: cut.get("time_ms")?.as_f64()? as i64,
-                    blob: u64::from_str_radix(cut.get("blob")?.as_str()?, 16).ok()?,
+                    blob: parse_hex(cut.get("blob")?)?,
                 });
             }
+            let chunks = chain.get("chunks")?.as_array()?;
             manifest.chains.push(ManifestChain {
                 seed_offset: chain.get("seed_offset")?.as_u64()?,
                 prefix_key: chain.get("prefix")?.as_str()?.to_string(),
                 hits: chain.get("hits")?.as_u64()?,
                 seq: chain.get("seq")?.as_u64()?,
                 cuts,
+                chunks: chunks.iter().map(parse_hex).collect::<Option<_>>()?,
             });
         }
         Some(manifest)
     }
 }
 
-/// The payload of a cut blob: the dynamic slice of every substrate layer
-/// of a [`RunSnapshot`] relative to the previous cut of its chain, or to
-/// genesis for the chain's first cut (see [`RunSnapshot::diff`]). The
-/// static structure — configuration, parameters, environment, seed-time
-/// biases — is rebuilt from the experiment config.
-#[derive(Debug, Clone)]
-struct RunDelta {
-    sim: SimDelta,
-    firmware: FirmwareDelta,
-    injector: InjectorDelta,
-    link: LinkDelta,
-    tracker: ProtocolTracker,
-    workload: ScriptedWorkload,
-    samples: CowDelta<StateSample>,
-    output: PackedStepOutput,
-    fence_violations: usize,
-    next_sample_time: f64,
-    workload_status: WorkloadStatus,
-    terminal_since: Option<f64>,
-    time: f64,
-    prefix: InjectionPrefix,
-}
-
-impl RunDelta {
-    /// Serialises the delta into a cut blob. History chunks (trace
-    /// samples, injector records) go to `sink` content-addressed;
-    /// everything else is written inline.
+impl RunSnapshot {
+    /// Writes the cut as one standalone cut-blob payload: each substrate
+    /// layer writes its dynamic state ([`avis_sim::SimSnapshot::encode`],
+    /// [`avis_firmware::FirmwareSnapshot::encode`],
+    /// [`InjectorSnapshot::encode`], [`LinkSnapshot::encode`]) and the
+    /// runner bookkeeping rides along. History chunks (trace samples,
+    /// injector records) go to `sink` content-addressed; the payload
+    /// lists their hashes.
     fn encode(&self, w: &mut ByteWriter, sink: &mut dyn ChunkSink) {
         self.sim.encode(w);
         self.firmware.encode(w);
@@ -277,7 +299,7 @@ impl RunDelta {
         self.workload.encode_runtime(w);
         self.samples
             .encode_chunked(w, sink, &mut |w, s: &StateSample| s.encode(w));
-        self.output.encode(w);
+        PackedStepOutput::pack(&self.output).encode(w);
         w.usize(self.fence_violations);
         w.f64(self.next_sample_time);
         self.workload_status.encode(w);
@@ -286,27 +308,29 @@ impl RunDelta {
         self.prefix.encode(w);
     }
 
-    /// Restores a delta serialised by [`RunDelta::encode`].
-    ///
-    /// `workload_template` supplies the static script structure (steps,
-    /// name, environment, timeout), which is derived from the experiment
-    /// configuration and never persisted — only the runtime progress is
-    /// read from the byte stream (see
-    /// [`ScriptedWorkload::decode_runtime`]).
+    /// Rebuilds a cut [`RunSnapshot::encode`] wrote, from its payload and
+    /// `genesis` alone: the experiment's `t = 0` snapshot at the cut's
+    /// seed offset supplies every static part. Chunks already in `memo`
+    /// are shared instead of read again.
     fn decode(
+        genesis: &RunSnapshot,
         r: &mut ByteReader<'_>,
         source: &mut dyn ChunkSource,
-        workload_template: &ScriptedWorkload,
-    ) -> CodecResult<RunDelta> {
-        Ok(RunDelta {
-            sim: SimDelta::decode(r)?,
-            firmware: FirmwareDelta::decode(r)?,
-            injector: InjectorDelta::decode(r, source)?,
-            link: LinkDelta::decode(r)?,
+        memo: &mut ChunkMemo,
+    ) -> CodecResult<RunSnapshot> {
+        let mut sim = genesis.sim.clone();
+        sim.decode_onto(r)?;
+        let mut firmware = genesis.firmware.clone();
+        firmware.decode_onto(r)?;
+        Ok(RunSnapshot {
+            sim,
+            firmware,
+            injector: InjectorSnapshot::decode(r, source, memo)?,
+            link: LinkSnapshot::decode(r)?,
             tracker: ProtocolTracker::decode(r)?,
-            workload: workload_template.decode_runtime(r)?,
-            samples: CowDelta::decode_chunked(r, source, &mut StateSample::decode)?,
-            output: PackedStepOutput::decode(r)?,
+            workload: genesis.workload.decode_runtime(r)?,
+            samples: CowVec::decode_chunked(r, source, memo, &mut StateSample::decode)?,
+            output: PackedStepOutput::decode(r)?.unpack(),
             fence_violations: r.usize()?,
             next_sample_time: r.f64()?,
             workload_status: WorkloadStatus::decode(r)?,
@@ -314,57 +338,6 @@ impl RunDelta {
             time: r.f64()?,
             prefix: InjectionPrefix::decode(r)?,
         })
-    }
-}
-
-impl RunSnapshot {
-    /// The delta from `prev` (the previous cut of the same chain, or
-    /// genesis) to this snapshot: each substrate layer contributes its
-    /// own delta (see [`avis_sim::SimSnapshot::diff`],
-    /// [`avis_firmware::FirmwareSnapshot::diff`],
-    /// [`avis_hinj::InjectorSnapshot::diff`]) and the runner-level
-    /// bookkeeping rides along — the sample history as an `Arc`-chunk
-    /// suffix, everything else by value.
-    fn diff(&self, prev: &RunSnapshot) -> RunDelta {
-        RunDelta {
-            sim: self.sim.diff(&prev.sim),
-            firmware: self.firmware.diff(&prev.firmware),
-            injector: self.injector.diff(&prev.injector),
-            link: self.link.diff(&prev.link),
-            tracker: self.tracker.clone(),
-            workload: self.workload.clone(),
-            samples: self.samples.delta_from(&prev.samples),
-            output: PackedStepOutput::pack(&self.output),
-            fence_violations: self.fence_violations,
-            next_sample_time: self.next_sample_time,
-            workload_status: self.workload_status.clone(),
-            terminal_since: self.terminal_since,
-            time: self.time,
-            prefix: self.prefix.clone(),
-        }
-    }
-
-    /// Re-materialises the snapshot `delta` was diffed *to*, using `self`
-    /// as the base it was diffed *from*. Bit-exact:
-    /// `base.apply(&cut.diff(&base))` rebuilds `cut` for every pair of
-    /// cuts along one run.
-    fn apply(&self, delta: &RunDelta) -> RunSnapshot {
-        RunSnapshot {
-            sim: self.sim.apply(&delta.sim),
-            firmware: self.firmware.apply(&delta.firmware),
-            injector: self.injector.apply(&delta.injector),
-            link: self.link.apply(&delta.link),
-            tracker: delta.tracker.clone(),
-            workload: delta.workload.clone(),
-            samples: CowVec::apply_delta(&self.samples, &delta.samples),
-            output: delta.output.unpack(),
-            fence_violations: delta.fence_violations,
-            next_sample_time: delta.next_sample_time,
-            workload_status: delta.workload_status.clone(),
-            terminal_since: delta.terminal_since,
-            time: delta.time,
-            prefix: delta.prefix.clone(),
-        }
     }
 }
 
@@ -378,7 +351,6 @@ fn encode_blob(payload: &[u8]) -> Vec<u8> {
     bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
     bytes
 }
-
 /// Unwraps a blob envelope, verifying magic, length, trailing checksum
 /// *and* the expected content hash (the file name). Any mismatch returns
 /// `None` — the caller quarantines the file.
@@ -418,9 +390,8 @@ fn tmp_tag() -> String {
     )
 }
 
-/// The content-addressed blob directory, doubling as the
-/// [`ChunkSink`]/[`ChunkSource`] the snapshot codecs stream history
-/// chunks through.
+/// The content-addressed blob directory, doubling as the [`ChunkSource`]
+/// hydration reads history chunks through.
 #[derive(Debug)]
 struct BlobDir {
     dir: PathBuf,
@@ -430,6 +401,8 @@ struct BlobDir {
     known: BTreeSet<u64>,
     dedup_hits: u64,
     quarantined: u64,
+    /// Payload bytes of every blob read and verified.
+    bytes_read: u64,
     /// Set when a write failed; the flush that observes it withholds the
     /// manifest update, so a full store or permission error degrades to
     /// "nothing persisted", never to a manifest pointing at missing
@@ -473,12 +446,16 @@ impl BlobDir {
     }
 
     /// Reads and verifies one blob; a corrupt file is moved to
-    /// `quarantine/` and `None` is returned (the chain falls back cold).
+    /// `quarantine/` and `None` is returned (the cuts that reference it
+    /// fall back cold).
     fn get(&mut self, hash: u64) -> Option<Vec<u8>> {
         let path = self.blob_path(hash);
         let bytes = std::fs::read(&path).ok()?;
         match decode_blob(&bytes, hash) {
-            Some(payload) => Some(payload),
+            Some(payload) => {
+                self.bytes_read += payload.len() as u64;
+                Some(payload)
+            }
             None => {
                 self.quarantined += 1;
                 self.known.remove(&hash);
@@ -492,15 +469,25 @@ impl BlobDir {
     }
 }
 
-impl ChunkSink for BlobDir {
-    fn put_chunk(&mut self, bytes: Vec<u8>) -> u64 {
-        self.put(&bytes)
-    }
-}
-
 impl ChunkSource for BlobDir {
     fn get_chunk(&mut self, hash: u64) -> Option<Vec<u8>> {
         self.get(hash)
+    }
+}
+
+/// The blob directory as the [`ChunkSink`] of one chain's cuts: it
+/// records every chunk hash the cuts reference, so the manifest can list
+/// them and GC never has to read a cut to learn what it reaches.
+struct ChainSink<'a> {
+    blobs: &'a mut BlobDir,
+    chunks: &'a mut BTreeSet<u64>,
+}
+
+impl ChunkSink for ChainSink<'_> {
+    fn put_chunk(&mut self, bytes: Vec<u8>) -> u64 {
+        let hash = self.blobs.put(&bytes);
+        self.chunks.insert(hash);
+        hash
     }
 }
 
@@ -513,7 +500,7 @@ pub struct SnapshotStore {
     blobs: BlobDir,
     /// Cut cells `(seed offset, prefix key, time ms)` known to be on
     /// disk — hydrated, or flushed this session — so a flush encodes only
-    /// the chains holding a cut outside this set.
+    /// the cuts outside this set.
     persisted: BTreeSet<(u64, String, i64)>,
     stats: StoreStats,
 }
@@ -556,6 +543,7 @@ impl SnapshotStore {
                 known,
                 dedup_hits: 0,
                 quarantined: 0,
+                bytes_read: 0,
                 write_failed: false,
             },
             persisted: BTreeSet::new(),
@@ -612,14 +600,14 @@ impl SnapshotStore {
         total
     }
 
-    /// Hydrates the snapshot cache from disk: decodes every manifest
-    /// chain (keyframe from genesis, then delta by delta) and commits
-    /// each re-materialised cut to the cache whole. Claims the cache
-    /// for this store's experiment first — the same guard the runners
-    /// use — and returns a zero report if another experiment already
-    /// holds it. Corrupt or truncated blobs quarantine their chain's
-    /// remaining cuts; everything already validated is still loaded (a
-    /// shorter warm prefix is still sound).
+    /// Hydrates the snapshot cache from disk: decodes every manifest cut
+    /// on its own onto its seed offset's genesis snapshot and commits it
+    /// to the cache whole. Claims the cache for this store's experiment
+    /// first — the same guard the runners use — and returns a zero
+    /// report if another experiment already holds it. Each distinct chunk
+    /// blob is read and decoded once, and every cut that references it
+    /// shares the decoded chunk. A corrupt or missing cut or chunk blob
+    /// is quarantined and costs only the cuts that reference it.
     pub fn hydrate(
         &mut self,
         tier: &SharedSnapshotTier,
@@ -631,29 +619,20 @@ impl SnapshotStore {
         let Some(manifest) = self.read_manifest() else {
             return StoreReport::default();
         };
+        let read_before = self.blobs.bytes_read;
         let mut report = StoreReport::default();
+        let mut memo = ChunkMemo::default();
         let mut genesis_cache: BTreeMap<u64, RunSnapshot> = BTreeMap::new();
         for chain in &manifest.chains {
             let genesis = genesis_cache.entry(chain.seed_offset).or_insert_with(|| {
                 ExperimentRunner::genesis_snapshot(experiment, chain.seed_offset)
             });
-            let mut cuts: Vec<RunSnapshot> = Vec::with_capacity(chain.cuts.len());
+            let mut cuts = Vec::with_capacity(chain.cuts.len());
             for cut in &chain.cuts {
-                let Some(payload) = self.blobs.get(cut.blob) else {
-                    break; // quarantined: the rest of this chain is gone
+                let Some(snapshot) = self.read_cut(cut.blob, genesis, &mut memo) else {
+                    continue;
                 };
-                report.bytes += payload.len() as u64;
-                let mut reader = ByteReader::new(&payload);
-                let Ok(delta) =
-                    RunDelta::decode(&mut reader, &mut self.blobs, &experiment.workload)
-                else {
-                    break; // malformed cut: drop the rest of the chain
-                };
-                if reader.finish().is_err() {
-                    break;
-                }
-                let next = cuts.last().unwrap_or(genesis).apply(&delta);
-                cuts.push(next);
+                cuts.push(snapshot);
                 // Already on disk: later flushes need not encode it again.
                 self.persisted
                     .insert((chain.seed_offset, chain.prefix_key.clone(), cut.time_ms));
@@ -664,98 +643,90 @@ impl SnapshotStore {
                 tier.lock().commit(chain.seed_offset, cuts, STORE_ORIGIN);
             }
         }
+        report.bytes = self.blobs.bytes_read - read_before;
         self.stats.loaded_chains += report.chains;
         report
     }
 
-    /// Flushes the snapshot cache to disk: groups its cuts into
-    /// `(seed offset, quantised prefix)` chains, encodes each chain as
-    /// keyframe-from-genesis plus parent-relative deltas, writes new
-    /// blobs write-behind, merges the manifest with whatever is on disk
-    /// (concurrent campaigns flush the same store safely — blobs are
-    /// content-addressed and the manifest merge is last-writer-wins per
-    /// chain, preferring more cuts) and enforces the byte budget with
-    /// hit-weighted GC. Incremental: only chains holding a cut not yet on
-    /// disk (neither hydrated nor flushed before) are encoded; the other
-    /// chains contribute just the fork hits they accrued. The cache stays
-    /// locked for the flush, which diffs each cut against its
-    /// predecessor in place.
+    /// Reads, verifies and decodes one cut blob onto `genesis`. `None`
+    /// when the blob or a chunk it references is missing, corrupt or
+    /// malformed.
+    fn read_cut(
+        &mut self,
+        blob: u64,
+        genesis: &RunSnapshot,
+        memo: &mut ChunkMemo,
+    ) -> Option<RunSnapshot> {
+        let payload = self.blobs.get(blob)?;
+        let mut reader = ByteReader::new(&payload);
+        let cut = RunSnapshot::decode(genesis, &mut reader, &mut self.blobs, memo).ok()?;
+        reader.finish().ok()?;
+        Some(cut)
+    }
+
+    /// Flushes the snapshot cache to disk: encodes each cut not on disk
+    /// yet (neither hydrated nor flushed before) as its own cut blob,
+    /// writes new blobs write-behind, merges the manifest with whatever
+    /// is on disk and enforces the byte budget with hit-weighted GC.
+    /// Concurrent campaigns flush the same store safely: blobs are
+    /// content-addressed, and the merge is a per-chain union of cuts by
+    /// time (see `ManifestChain::merge`). Chains without a new cut
+    /// contribute just the fork hits they accrued. A cut blob needs no
+    /// genesis to be written, so `_experiment` is not read.
     pub fn flush(
         &mut self,
         tier: &SharedSnapshotTier,
-        experiment: &ExperimentConfig,
+        _experiment: &ExperimentConfig,
     ) -> StoreReport {
         let cache = tier.lock();
-        // Group into chains: the cache lists one chain's cuts
-        // contiguously, in time order.
-        let mut chains: Vec<Vec<(&SnapshotKey, u64)>> = Vec::new();
+        // The cache lists one chain's cuts contiguously, in time order.
+        let mut chains: Vec<ManifestChain> = Vec::new();
+        let mut new_cuts = Vec::new();
         for (key, hits) in cache.cells() {
-            match chains.last_mut() {
-                Some(chain)
-                    if chain[0].0.seed_offset == key.seed_offset
-                        && chain[0].0.prefix == key.prefix =>
-                {
-                    chain.push((key, hits));
-                }
-                _ => chains.push(vec![(key, hits)]),
+            let same_chain = chains.last().is_some_and(|chain| {
+                chain.seed_offset == key.seed_offset && chain.prefix_key == key.prefix
+            });
+            if !same_chain {
+                chains.push(ManifestChain {
+                    seed_offset: key.seed_offset,
+                    prefix_key: key.prefix.clone(),
+                    hits: 0,
+                    seq: 0, // assigned at merge below
+                    cuts: Vec::new(),
+                    chunks: BTreeSet::new(),
+                });
             }
+            let Some(chain) = chains.last_mut() else {
+                continue;
+            };
+            chain.hits = chain.hits.max(hits);
+            let cell = (key.seed_offset, key.prefix.clone(), key.time_ms);
+            if self.persisted.contains(&cell) {
+                continue;
+            }
+            // A cut failing its checksum is left out alone.
+            let Some(snapshot) = cache.export(key) else {
+                continue;
+            };
+            let mut writer = ByteWriter::with_capacity(4096);
+            let mut sink = ChainSink {
+                blobs: &mut self.blobs,
+                chunks: &mut chain.chunks,
+            };
+            snapshot.encode(&mut writer, &mut sink);
+            let blob = self.blobs.put(&writer.into_bytes());
+            chain.cuts.push(ManifestCut {
+                time_ms: key.time_ms,
+                blob,
+            });
+            new_cuts.push(cell);
         }
-        // Anything new to write? A chain is dirty when it holds a cut that
-        // is not on disk yet; only dirty chains are encoded.
-        let persisted = &self.persisted;
-        let (dirty, clean): (Vec<_>, Vec<_>) = chains.into_iter().partition(|chain| {
-            chain
-                .iter()
-                .any(|(k, _)| !persisted.contains(&(k.seed_offset, k.prefix.clone(), k.time_ms)))
-        });
-        if dirty.is_empty() {
+        drop(cache);
+        if new_cuts.is_empty() {
             return StoreReport {
                 bytes: self.stats.store_bytes,
                 ..StoreReport::default()
             };
-        }
-
-        let mut report = StoreReport::default();
-        let mut genesis_cache: BTreeMap<u64, RunSnapshot> = BTreeMap::new();
-        let mut new_chains: Vec<ManifestChain> = Vec::new();
-        let mut new_cuts = Vec::new();
-        for chain in &dirty {
-            let seed_offset = chain[0].0.seed_offset;
-            let mut prev: &RunSnapshot = genesis_cache
-                .entry(seed_offset)
-                .or_insert_with(|| ExperimentRunner::genesis_snapshot(experiment, seed_offset));
-            let mut cuts = Vec::with_capacity(chain.len());
-            let mut hits = 0;
-            for &(key, cut_hits) in chain {
-                // A cut failing its checksum ends the chain here.
-                let Some(snapshot) = cache.export(key) else {
-                    break;
-                };
-                hits = hits.max(cut_hits);
-                let delta = snapshot.diff(prev);
-                let mut writer = ByteWriter::with_capacity(4096);
-                delta.encode(&mut writer, &mut self.blobs);
-                let payload = writer.into_bytes();
-                let blob = self.blobs.put(&payload);
-                report.snapshots += 1;
-                cuts.push(ManifestCut {
-                    time_ms: key.time_ms,
-                    blob,
-                });
-                new_cuts.push((seed_offset, key.prefix.clone(), key.time_ms));
-                prev = snapshot;
-            }
-            if cuts.is_empty() {
-                continue;
-            }
-            new_chains.push(ManifestChain {
-                seed_offset,
-                prefix_key: chain[0].0.prefix.clone(),
-                hits,
-                seq: 0, // assigned at merge below
-                cuts,
-            });
-            report.chains += 1;
         }
         if self.blobs.write_failed {
             // A blob failed to reach disk (full disk, permissions): do
@@ -773,20 +744,17 @@ impl SnapshotStore {
             next_seq: 0,
             chains: Vec::new(),
         });
-        for mut chain in new_chains {
+        let mut report = StoreReport {
+            snapshots: new_cuts.len() as u64,
+            ..StoreReport::default()
+        };
+        for mut chain in chains {
+            report.chains += u64::from(!chain.cuts.is_empty());
             match manifest.chains.iter_mut().find(|c| c.key() == chain.key()) {
-                Some(existing) => {
-                    // Prefer the longer record of the same chain; keep
-                    // the maximum hit count and the original insertion
-                    // sequence either way.
-                    chain.hits = chain.hits.max(existing.hits);
-                    chain.seq = existing.seq;
-                    if chain.cuts.len() >= existing.cuts.len() {
-                        *existing = chain;
-                    } else {
-                        existing.hits = chain.hits;
-                    }
-                }
+                Some(existing) => existing.merge(chain),
+                // A chain without new cuts that the manifest no longer
+                // holds has nothing on disk to name.
+                None if chain.cuts.is_empty() => {}
                 None => {
                     chain.seq = manifest.next_seq;
                     manifest.next_seq += 1;
@@ -794,18 +762,8 @@ impl SnapshotStore {
                 }
             }
         }
-        // Clean chains are on disk already: merge only the fork hits they
-        // accrued, so GC keeps ranking them by use.
-        for chain in &clean {
-            let hits = chain.iter().map(|&(_, hits)| hits).max().unwrap_or(0);
-            let key = (chain[0].0.seed_offset, chain[0].0.prefix.clone());
-            if let Some(existing) = manifest.chains.iter_mut().find(|c| c.key() == key) {
-                existing.hits = existing.hits.max(hits);
-            }
-        }
-        drop(cache);
 
-        self.gc(&mut manifest, experiment);
+        self.gc(&mut manifest);
         if self.write_manifest(&manifest).is_err() {
             return StoreReport::default();
         }
@@ -819,47 +777,27 @@ impl SnapshotStore {
     }
 
     /// Enforces the byte budget over every blob the manifest reaches —
-    /// each chain's cut blobs and the chunk blobs their payloads
-    /// reference — by dropping whole chains lowest-`(hits, seq)` first,
-    /// then deletes blobs no surviving chain reaches.
-    fn gc(&mut self, manifest: &mut Manifest, experiment: &ExperimentConfig) {
-        // Each chain's blobs, and whether all of them are known. Chunk
-        // blobs are referenced by hash from inside cut payloads, so each
-        // cut is decoded once through a source that records which chunks
-        // it was asked for; a cut that fails to decode leaves its chunks
-        // unknown.
-        let mut reach: Vec<(BTreeSet<u64>, bool)> = Vec::with_capacity(manifest.chains.len());
-        for chain in &manifest.chains {
-            let mut blobs = BTreeSet::new();
-            let mut complete = true;
-            for cut in &chain.cuts {
-                blobs.insert(cut.blob);
-                let Some(payload) = self.blobs.get(cut.blob) else {
-                    complete = false;
-                    continue;
-                };
-                let mut collector = ChunkRefCollector {
-                    inner: &mut self.blobs,
-                    seen: BTreeSet::new(),
-                };
-                let mut reader = ByteReader::new(&payload);
-                complete &=
-                    RunDelta::decode(&mut reader, &mut collector, &experiment.workload).is_ok();
-                blobs.extend(collector.seen);
-            }
-            reach.push((blobs, complete));
-        }
-        let sizes: BTreeMap<u64, u64> = reach
+    /// each chain's cut blobs and the chunk blobs it lists — by dropping
+    /// whole chains lowest-`(hits, seq)` first, then deletes blobs no
+    /// surviving chain reaches. The manifest names every blob a chain
+    /// reaches, so GC reads none.
+    fn gc(&mut self, manifest: &mut Manifest) {
+        let sizes: BTreeMap<u64, u64> = manifest
+            .chains
             .iter()
-            .flat_map(|(blobs, _)| blobs)
-            .map(|&hash| {
+            .flat_map(ManifestChain::blobs)
+            .map(|hash| {
                 let size = std::fs::metadata(self.blobs.blob_path(hash)).map_or(0, |m| m.len());
                 (hash, size)
             })
             .collect();
         let live = loop {
-            let live: BTreeSet<u64> = reach.iter().flat_map(|(blobs, _)| blobs).copied().collect();
-            let total: u64 = live.iter().map(|hash| sizes[hash]).sum();
+            let live: BTreeSet<u64> = manifest
+                .chains
+                .iter()
+                .flat_map(ManifestChain::blobs)
+                .collect();
+            let total: u64 = live.iter().filter_map(|hash| sizes.get(hash)).sum();
             let victim = manifest
                 .chains
                 .iter()
@@ -869,19 +807,10 @@ impl SnapshotStore {
             match victim {
                 Some(victim) if total > self.max_bytes => {
                     manifest.chains.remove(victim);
-                    reach.remove(victim);
                 }
                 _ => break live,
             }
         };
-        // Sweep only when every surviving chain's blobs are known: if a
-        // cut failed to decode, its chunk references are unknown, and
-        // deleting "orphans" on partial knowledge could break chains a
-        // concurrent campaign is still publishing. Skipping a sweep costs
-        // bytes until the next clean flush, never correctness.
-        if reach.iter().any(|&(_, complete)| !complete) {
-            return;
-        }
         let on_disk: Vec<u64> = self.blobs.known.iter().copied().collect();
         for hash in on_disk {
             if !live.contains(&hash) {
@@ -889,20 +818,6 @@ impl SnapshotStore {
                 self.blobs.known.remove(&hash);
             }
         }
-    }
-}
-
-/// A [`ChunkSource`] wrapper that records which chunk hashes a decode
-/// touched — the GC's reachability probe.
-struct ChunkRefCollector<'a> {
-    inner: &'a mut BlobDir,
-    seen: BTreeSet<u64>,
-}
-
-impl ChunkSource for ChunkRefCollector<'_> {
-    fn get_chunk(&mut self, hash: u64) -> Option<Vec<u8>> {
-        self.seen.insert(hash);
-        self.inner.get(hash)
     }
 }
 
@@ -1212,6 +1127,88 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_middle_cut_costs_only_that_cut() {
+        let cfg = experiment();
+        let tier = populated_tier(&cfg);
+        let root = temp_store("middle-cut");
+        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+        let flushed = store.flush(&tier, &cfg);
+        let manifest = store.read_manifest().unwrap();
+        let chain = &manifest.chains[0];
+        assert!(chain.cuts.len() >= 3, "the chain has a middle cut");
+        let victim = store.blobs.blob_path(chain.cuts[chain.cuts.len() / 2].blob);
+        drop(store);
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[BLOB_MAGIC.len() + 8] ^= 0x01;
+        std::fs::write(&victim, &bytes).unwrap();
+
+        let tier2 = Arc::new(SharedSnapshotTier::new(
+            CheckpointConfig::default().max_bytes,
+        ));
+        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+        let hydrated = store.hydrate(&tier2, &cfg);
+        assert_eq!(store.stats().quarantined_blobs, 1);
+        assert_eq!(hydrated.chains, flushed.chains);
+        assert_eq!(
+            hydrated.snapshots,
+            flushed.snapshots - 1,
+            "every cut but the corrupt one hydrates"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn hydration_shares_the_history_of_forked_chains() {
+        // The fault-free chain plus a chain forked from it mid-flight:
+        // the two share their history up to the fork. Hydrated into a
+        // fresh cache, they share it again, each chunk blob is read once,
+        // and the flush that wrote them read no blob at all.
+        let cfg = experiment();
+        let tier = populated_tier(&cfg);
+        let mut runner = ExperimentRunner::new(cfg.clone());
+        runner.set_shared_tier(Arc::clone(&tier));
+        let gps = avis_sim::SensorInstance::new(avis_sim::SensorKind::Gps, 0);
+        runner.run_with_plan(avis_hinj::FaultPlan::from_specs(vec![
+            avis_hinj::FaultSpec::new(gps, 30.0),
+        ]));
+        assert_eq!(runner.checkpoint_stats().shared_hits, 1, "the run forks");
+
+        let root = temp_store("forked-history");
+        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+        let flushed = store.flush(&tier, &cfg);
+        assert_eq!(flushed.chains, 2);
+        assert_eq!(store.blobs.bytes_read, 0, "flush and GC read no blob");
+        let payload_bytes: u64 = blob_names(&store)
+            .iter()
+            .map(|name| {
+                std::fs::metadata(store.dir().join("blobs").join(name))
+                    .unwrap()
+                    .len()
+                    - 24
+            })
+            .sum();
+        drop(store);
+
+        let fresh = Arc::new(SharedSnapshotTier::new(
+            CheckpointConfig::default().max_bytes,
+        ));
+        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+        let hydrated = store.hydrate(&fresh, &cfg);
+        assert_eq!(hydrated.snapshots, flushed.snapshots);
+        assert_eq!(
+            hydrated.bytes, payload_bytes,
+            "hydration reads every blob on disk, each once"
+        );
+        let (recorded, loaded) = (tier.stats().chunk_bytes, fresh.stats().chunk_bytes);
+        assert!(loaded > 0);
+        assert!(
+            loaded <= recorded,
+            "hydrated chunk bytes {loaded} exceed the recording cache's {recorded}"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn manifest_json_round_trips() {
         let manifest = Manifest {
             fingerprint: "fp|test".to_string(),
@@ -1231,6 +1228,7 @@ mod tests {
                         blob: 0x0123_4567_89ab_cdef,
                     },
                 ],
+                chunks: BTreeSet::from([0x1111_2222_3333_4444, u64::MAX]),
             }],
         };
         let text = manifest.to_json().to_pretty();

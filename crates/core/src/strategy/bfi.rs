@@ -17,7 +17,7 @@ const SITE_BATCH: usize = 32;
 
 /// The vanilla BFI baseline: walk the fault space depth-first (latest
 /// sensor reads first), label every site with the model, and inject only
-/// the sites predicted unsafe. One round = [`SITE_BATCH`] sites.
+/// the sites predicted unsafe. One round = `SITE_BATCH` sites.
 #[derive(Debug)]
 pub struct BfiStrategy {
     model: BfiModel,

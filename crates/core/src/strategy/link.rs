@@ -24,7 +24,7 @@ use avis_hinj::{
 };
 
 /// Wraps an inner strategy so every plan it emits carries a fixed base
-/// [`LinkFaultPlan`]. See the [module docs](self).
+/// [`LinkFaultPlan`]. See the module docs.
 ///
 /// Pruning state is unaffected: role signatures are computed from sensor
 /// specs only, and every plan in the campaign carries the identical link

@@ -142,6 +142,7 @@ impl Default for EstimatorGains {
 /// The complementary-filter state estimator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateEstimator {
+    // snapshot: skip(static: rebuilt from the experiment config)
     gains: EstimatorGains,
     state: EstimatorState,
     baro_reference: Option<f64>,
@@ -150,30 +151,6 @@ pub struct StateEstimator {
 impl Default for StateEstimator {
     fn default() -> Self {
         StateEstimator::new(EstimatorGains::default())
-    }
-}
-
-/// The per-run mutable slice of a [`StateEstimator`] (see
-/// [`StateEstimator::dynamics`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimatorDynamics {
-    state: EstimatorState,
-    baro_reference: Option<f64>,
-}
-
-impl EstimatorDynamics {
-    /// Serialise the dynamic estimator state bit-exactly.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        self.state.encode(w);
-        w.option(self.baro_reference.as_ref(), |w, v| w.f64(*v));
-    }
-
-    /// Decode dynamics previously written by [`EstimatorDynamics::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<EstimatorDynamics> {
-        Ok(EstimatorDynamics {
-            state: EstimatorState::decode(r)?,
-            baro_reference: r.option(|r| r.f64())?,
-        })
     }
 }
 
@@ -197,21 +174,20 @@ impl StateEstimator {
         self.baro_reference
     }
 
-    /// Captures the per-run dynamic state — the estimate itself and the
-    /// barometer ground reference. The gains are static per run: a
-    /// snapshot delta takes them from its base capture.
-    pub fn dynamics(&self) -> EstimatorDynamics {
-        EstimatorDynamics {
-            state: self.state,
-            baro_reference: self.baro_reference,
-        }
+    /// Writes the per-run dynamic state — the estimate itself and the
+    /// barometer ground reference — bit-exactly for the persistent store.
+    /// The gains are static per run and not written.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        self.state.encode(w);
+        w.option(self.baro_reference.as_ref(), |w, v| w.f64(*v));
     }
 
-    /// Overwrites the per-run dynamic state captured by
-    /// [`StateEstimator::dynamics`].
-    pub fn restore_dynamics(&mut self, dynamics: &EstimatorDynamics) {
-        self.state = dynamics.state;
-        self.baro_reference = dynamics.baro_reference;
+    /// Reads the state [`StateEstimator::encode`] wrote onto this
+    /// estimator, which supplies the gains: the run's genesis estimator.
+    pub fn decode_onto(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        self.state = EstimatorState::decode(r)?;
+        self.baro_reference = r.option(|r| r.f64())?;
+        Ok(())
     }
 
     /// Advances the estimate by `dt` seconds using the selected sensors.

@@ -13,7 +13,7 @@ use crate::bugs::{BugId, BugSet};
 use crate::defects::{DefectContext, DefectEngine, DefectOverrides};
 use crate::estimator::{EstimatorState, StateEstimator};
 use crate::failsafe::{FailsafeCause, FailsafeEngine, FailsafeEvent};
-use crate::frontend::{SelectedSensors, SensorFrontend};
+use crate::frontend::{SelectedSensors, SensorFrontend, SensorHealth};
 use crate::mission::MissionManager;
 use crate::modes::{mode_from_protocol, mode_to_protocol, OperatingMode};
 use crate::nav::{Navigator, Setpoint};
@@ -123,220 +123,92 @@ impl FirmwareSnapshot {
             + fw.mission.items().len() * 64
     }
 
-    /// The delta from `prev` to this capture. The always-moving control
-    /// state (estimator, navigator, mode bookkeeping, outbox) is stored
-    /// whole; the rarely-moving components — sensor health, failsafe
-    /// latches, defect triggers, mission progress — are stored only when
-    /// they actually changed since `prev` (boxed, so an unchanged
-    /// component costs one null pointer); the static components (profile,
-    /// parameters) are never stored, the mode history is stored as a
-    /// suffix and the defect log, at most one entry per bug, whole. Only
-    /// valid between captures of the same run.
-    pub fn diff(&self, prev: &FirmwareSnapshot) -> FirmwareDelta {
-        let fw = &self.firmware;
-        let base = &prev.firmware;
-        debug_assert!(
-            fw.profile == base.profile && fw.params == base.params,
-            "firmware deltas only exist within one run"
-        );
-        let (mode_history_base, mode_history_suffix) = if base.mode_history.len()
-            <= fw.mode_history.len()
-            && base.mode_history == fw.mode_history[..base.mode_history.len()]
-        {
-            (
-                base.mode_history.len(),
-                fw.mode_history[base.mode_history.len()..].to_vec(),
-            )
-        } else {
-            // Defensive fallback: the history is append-only along a run,
-            // but an unexpected base still yields a correct (just larger)
-            // delta.
-            (0, fw.mode_history.clone())
-        };
-        FirmwareDelta {
-            estimator: fw.estimator.dynamics(),
-            navigator: fw.navigator.dynamics(),
-            health: (fw.frontend.health() != base.frontend.health())
-                .then(|| Box::new(fw.frontend.health().clone())),
-            failsafes: (fw.failsafes != base.failsafes).then(|| Box::new(fw.failsafes.clone())),
-            defects: (fw.defects != base.defects).then(|| Box::new(fw.defects.clone())),
-            mission: (fw.mission != base.mission).then(|| Box::new(fw.mission.clone())),
-            mode: fw.mode,
-            armed: fw.armed,
-            home: fw.home,
-            time: fw.time,
-            takeoff_target: fw.takeoff_target,
-            after_takeoff: fw.after_takeoff,
-            guided_target: fw.guided_target,
-            hold_position: fw.hold_position,
-            rtl_phase: fw.rtl_phase,
-            touchdown_timer: fw.touchdown_timer,
-            last_heartbeat: fw.last_heartbeat,
-            last_status: fw.last_status,
-            last_selected: fw.last_selected,
-            mode_history_base,
-            mode_history_suffix,
-            outbox: fw.outbox.clone(),
-            defect_log: fw.defect_log.clone(),
-        }
-    }
-
-    /// Re-materialises the capture `delta` was diffed *to*, using `self`
-    /// as the capture it was diffed *from*.
-    pub fn apply(&self, delta: &FirmwareDelta) -> FirmwareSnapshot {
-        let mut fw = self.firmware.clone();
-        fw.estimator.restore_dynamics(&delta.estimator);
-        fw.navigator.restore_dynamics(&delta.navigator);
-        if let Some(health) = &delta.health {
-            fw.frontend.restore_health((**health).clone());
-        }
-        if let Some(failsafes) = &delta.failsafes {
-            fw.failsafes = (**failsafes).clone();
-        }
-        if let Some(defects) = &delta.defects {
-            fw.defects = (**defects).clone();
-        }
-        if let Some(mission) = &delta.mission {
-            fw.mission = (**mission).clone();
-        }
-        fw.mode = delta.mode;
-        fw.armed = delta.armed;
-        fw.home = delta.home;
-        fw.time = delta.time;
-        fw.takeoff_target = delta.takeoff_target;
-        fw.after_takeoff = delta.after_takeoff;
-        fw.guided_target = delta.guided_target;
-        fw.hold_position = delta.hold_position;
-        fw.rtl_phase = delta.rtl_phase;
-        fw.touchdown_timer = delta.touchdown_timer;
-        fw.last_heartbeat = delta.last_heartbeat;
-        fw.last_status = delta.last_status;
-        fw.last_selected = delta.last_selected;
-        fw.mode_history.truncate(delta.mode_history_base);
-        fw.mode_history
-            .extend_from_slice(&delta.mode_history_suffix);
-        fw.outbox.clone_from(&delta.outbox);
-        fw.defect_log.clone_from(&delta.defect_log);
-        FirmwareSnapshot { firmware: fw }
-    }
-}
-
-/// The dynamic slice of a [`FirmwareSnapshot`] relative to an earlier
-/// capture of the same run (see [`FirmwareSnapshot::diff`]). The static
-/// control-stack structure — profile, parameters, mission items while
-/// unchanged, defect catalog — is taken from the base capture.
-#[derive(Debug, Clone)]
-pub struct FirmwareDelta {
-    estimator: crate::estimator::EstimatorDynamics,
-    navigator: crate::nav::NavDynamics,
-    health: Option<Box<crate::frontend::SensorHealth>>,
-    failsafes: Option<Box<FailsafeEngine>>,
-    defects: Option<Box<DefectEngine>>,
-    mission: Option<Box<MissionManager>>,
-    mode: OperatingMode,
-    armed: bool,
-    home: Vec3,
-    time: f64,
-    takeoff_target: f64,
-    after_takeoff: OperatingMode,
-    guided_target: Option<Vec3>,
-    hold_position: Vec3,
-    rtl_phase: RtlPhase,
-    touchdown_timer: f64,
-    last_heartbeat: f64,
-    last_status: f64,
-    last_selected: SelectedSensors,
-    mode_history_base: usize,
-    mode_history_suffix: Vec<(f64, OperatingMode)>,
-    outbox: Vec<Message>,
-    defect_log: Vec<(f64, DefectOverrides)>,
-}
-
-impl FirmwareDelta {
-    /// Simulation time of the captured cut (s).
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// Serialise the delta bit-exactly. The firmware outbox is serialised
-    /// through the wire codec ([`avis_mavlite::encode_frame`]) so the
-    /// persistent format reuses the protocol's framing and CRC.
+    /// Writes the capture's dynamic state bit-exactly for the persistent
+    /// store: the whole control stack — estimator, navigator, sensor
+    /// health, failsafes, defects, mission progress, mode bookkeeping,
+    /// mode history, outbox and defect log. The profile and parameters
+    /// are static per run and not written; the outbox rides through the
+    /// wire codec ([`avis_mavlite::encode_frame`]), reusing the
+    /// protocol's framing and CRC.
     pub fn encode(&self, w: &mut ByteWriter) {
-        self.estimator.encode(w);
-        self.navigator.encode(w);
-        w.option(self.health.as_deref(), |w, h| h.encode(w));
-        w.option(self.failsafes.as_deref(), |w, f| f.encode(w));
-        w.option(self.defects.as_deref(), |w, d| d.encode(w));
-        w.option(self.mission.as_deref(), |w, m| m.encode(w));
-        self.mode.encode(w);
-        w.bool(self.armed);
-        self.home.encode(w);
-        w.f64(self.time);
-        w.f64(self.takeoff_target);
-        self.after_takeoff.encode(w);
-        w.option(self.guided_target.as_ref(), |w, v| v.encode(w));
-        self.hold_position.encode(w);
-        self.rtl_phase.encode(w);
-        w.f64(self.touchdown_timer);
-        w.f64(self.last_heartbeat);
-        w.f64(self.last_status);
-        self.last_selected.encode(w);
-        w.usize(self.mode_history_base);
-        w.seq(&self.mode_history_suffix, |w, (t, m)| {
+        let fw = &self.firmware;
+        fw.estimator.encode(w);
+        fw.navigator.encode(w);
+        fw.frontend.health().encode(w);
+        fw.failsafes.encode(w);
+        fw.defects.encode(w);
+        fw.mission.encode(w);
+        fw.mode.encode(w);
+        w.bool(fw.armed);
+        fw.home.encode(w);
+        w.f64(fw.time);
+        w.f64(fw.takeoff_target);
+        fw.after_takeoff.encode(w);
+        w.option(fw.guided_target.as_ref(), |w, v| v.encode(w));
+        fw.hold_position.encode(w);
+        fw.rtl_phase.encode(w);
+        w.f64(fw.touchdown_timer);
+        w.f64(fw.last_heartbeat);
+        w.f64(fw.last_status);
+        fw.last_selected.encode(w);
+        w.seq(&fw.mode_history, |w, (t, m)| {
             w.f64(*t);
             m.encode(w);
         });
-        w.seq(&self.outbox, |w, m| {
+        w.seq(&fw.outbox, |w, m| {
             w.bytes(&avis_mavlite::encode_frame(m, 0));
         });
-        w.seq(&self.defect_log, |w, (t, o)| {
+        w.seq(&fw.defect_log, |w, (t, o)| {
             w.f64(*t);
             o.encode(w);
         });
     }
 
-    /// Decode a delta previously written by [`FirmwareDelta::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<FirmwareDelta> {
-        Ok(FirmwareDelta {
-            estimator: crate::estimator::EstimatorDynamics::decode(r)?,
-            navigator: crate::nav::NavDynamics::decode(r)?,
-            health: r.option(|r| Ok(Box::new(crate::frontend::SensorHealth::decode(r)?)))?,
-            failsafes: r.option(|r| Ok(Box::new(FailsafeEngine::decode(r)?)))?,
-            defects: r.option(|r| Ok(Box::new(DefectEngine::decode(r)?)))?,
-            mission: r.option(|r| Ok(Box::new(MissionManager::decode(r)?)))?,
-            mode: OperatingMode::decode(r)?,
-            armed: r.bool()?,
-            home: Vec3::decode(r)?,
-            time: r.f64()?,
-            takeoff_target: r.f64()?,
-            after_takeoff: OperatingMode::decode(r)?,
-            guided_target: r.option(Vec3::decode)?,
-            hold_position: Vec3::decode(r)?,
-            rtl_phase: RtlPhase::decode(r)?,
-            touchdown_timer: r.f64()?,
-            last_heartbeat: r.f64()?,
-            last_status: r.f64()?,
-            last_selected: SelectedSensors::decode(r)?,
-            mode_history_base: r.usize()?,
-            mode_history_suffix: r.seq(|r| Ok((r.f64()?, OperatingMode::decode(r)?)))?,
-            outbox: r.seq(|r| {
-                let frame = r.bytes()?;
-                let (msg, _seq, used) = avis_mavlite::decode_frame(&frame)
-                    .map_err(|_| CodecError::Malformed("outbox frame"))?;
-                if used != frame.len() {
-                    return Err(CodecError::Malformed("outbox frame length"));
-                }
-                Ok(msg)
-            })?,
-            defect_log: r.seq(|r| Ok((r.f64()?, DefectOverrides::decode(r)?)))?,
-        })
+    /// Reads the state [`FirmwareSnapshot::encode`] wrote onto this
+    /// capture, which must be the genesis capture of the same run
+    /// configuration (it supplies the profile and parameters).
+    pub fn decode_onto(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        let fw = &mut self.firmware;
+        fw.estimator.decode_onto(r)?;
+        fw.navigator.decode_onto(r)?;
+        fw.frontend.restore_health(SensorHealth::decode(r)?);
+        fw.failsafes = FailsafeEngine::decode(r)?;
+        fw.defects = DefectEngine::decode(r)?;
+        fw.mission = MissionManager::decode(r)?;
+        fw.mode = OperatingMode::decode(r)?;
+        fw.armed = r.bool()?;
+        fw.home = Vec3::decode(r)?;
+        fw.time = r.f64()?;
+        fw.takeoff_target = r.f64()?;
+        fw.after_takeoff = OperatingMode::decode(r)?;
+        fw.guided_target = r.option(Vec3::decode)?;
+        fw.hold_position = Vec3::decode(r)?;
+        fw.rtl_phase = RtlPhase::decode(r)?;
+        fw.touchdown_timer = r.f64()?;
+        fw.last_heartbeat = r.f64()?;
+        fw.last_status = r.f64()?;
+        fw.last_selected = SelectedSensors::decode(r)?;
+        fw.mode_history = r.seq(|r| Ok((r.f64()?, OperatingMode::decode(r)?)))?;
+        fw.outbox = r.seq(|r| {
+            let frame = r.bytes()?;
+            let (msg, _seq, used) = avis_mavlite::decode_frame(&frame)
+                .map_err(|_| CodecError::Malformed("outbox frame"))?;
+            if used != frame.len() {
+                return Err(CodecError::Malformed("outbox frame length"));
+            }
+            Ok(msg)
+        })?;
+        fw.defect_log = r.seq(|r| Ok((r.f64()?, DefectOverrides::decode(r)?)))?;
+        Ok(())
     }
 }
 
 /// The UAV control firmware.
 #[derive(Debug, Clone)]
 pub struct Firmware {
+    // snapshot: skip(static: rebuilt from the experiment config)
     profile: FirmwareProfile,
+    // snapshot: skip(static: rebuilt from the experiment config)
     params: FirmwareParams,
     injector: SharedInjector,
     frontend: SensorFrontend,
@@ -1066,13 +938,14 @@ mod tests {
     }
 
     #[test]
-    fn firmware_delta_codec_round_trips_through_chunk_store() {
+    fn firmware_codec_round_trips_onto_genesis() {
         use avis_sim::codec::{ByteReader, ByteWriter};
 
-        // Fly a mission far enough that the delta carries real payload:
-        // mode transitions, a mission and outbox traffic between the
-        // base and the cut.
+        // Fly a mission far enough that the cut differs from genesis in
+        // every component: mode transitions, a mission, failsafe and
+        // outbox traffic.
         let (mut fw, injector) = make_firmware(BugSet::none());
+        let genesis = fw.snapshot();
         let mut sim = make_sim();
         run(&mut fw, &mut sim, 1.0);
         upload_mission(&mut fw, &square_mission(20.0, 15.0, true));
@@ -1080,37 +953,36 @@ mod tests {
         fw.handle_message(&Message::SetMode {
             mode: ProtocolMode::Auto,
         });
-        run(&mut fw, &mut sim, 3.0);
-        let base = fw.snapshot();
-        run(&mut fw, &mut sim, 5.0);
+        run(&mut fw, &mut sim, 8.0);
         fw.handle_message(&Message::SetMode {
             mode: ProtocolMode::ReturnToLaunch,
         });
         run(&mut fw, &mut sim, 2.0);
         let cut = fw.snapshot();
-        let delta = cut.diff(&base);
 
         let mut w = ByteWriter::new();
-        delta.encode(&mut w);
+        cut.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let decoded = FirmwareDelta::decode(&mut r).expect("decode");
+        let mut decoded = genesis.clone();
+        decoded.decode_onto(&mut r).expect("decode");
         r.finish().expect("no trailing bytes");
 
-        // Both re-materialised firmwares must continue bit-identically.
-        let mut via_delta = base.apply(&delta).restore(injector.clone());
-        let mut via_codec = base.apply(&decoded).restore(injector);
-        assert_eq!(via_delta.mode(), via_codec.mode());
-        assert_eq!(via_delta.mode_history(), via_codec.mode_history());
-        assert_eq!(via_delta.defect_log().len(), via_codec.defect_log().len());
+        // The decoded capture continues bit-identically to the cut.
+        let mut via_cut = cut.restore(injector.clone());
+        let mut via_codec = decoded.restore(injector);
+        assert_eq!(via_cut.mode(), via_codec.mode());
+        assert_eq!(via_cut.mode_history(), via_codec.mode_history());
+        assert_eq!(via_cut.defect_log(), via_codec.defect_log());
+        assert_eq!(via_cut.mission(), via_codec.mission());
         let mut readings = sim.step(&MotorCommands::IDLE).readings;
         for _ in 0..400 {
-            let a = via_delta.step(&readings, sim.time(), DT);
+            let a = via_cut.step(&readings, sim.time(), DT);
             let b = via_codec.step(&readings, sim.time(), DT);
             assert_eq!(a, b, "restored firmwares diverged");
             readings = sim.step(&a).readings;
         }
-        assert_eq!(via_delta.drain_outbox(), via_codec.drain_outbox());
+        assert_eq!(via_cut.drain_outbox(), via_codec.drain_outbox());
     }
 
     #[test]

@@ -204,8 +204,8 @@ impl SensorFrontend {
     }
 
     /// Overwrites the health bookkeeping (the frontend's only mutable
-    /// state). Used when a firmware is re-materialised from a snapshot
-    /// delta whose health diverged from its base capture.
+    /// state). Used when a firmware capture is decoded from the
+    /// persistent store onto its genesis capture.
     pub fn restore_health(&mut self, health: SensorHealth) {
         self.health = health;
     }

@@ -47,12 +47,12 @@ pub mod pid;
 
 pub use bugs::{BugId, BugInfo, BugSet, BugSymptom};
 pub use defects::{DefectContext, DefectEngine, DefectOverrides};
-pub use estimator::{EstimatorDynamics, EstimatorState, StateEstimator};
+pub use estimator::{EstimatorState, StateEstimator};
 pub use failsafe::{FailsafeCause, FailsafeEngine, FailsafeEvent};
-pub use firmware::{Firmware, FirmwareDelta, FirmwareSnapshot, Telemetry};
+pub use firmware::{Firmware, FirmwareSnapshot, Telemetry};
 pub use frontend::{SelectedSensors, SensorFrontend, SensorHealth};
 pub use mission::MissionManager;
 pub use modes::{ModeCategory, OperatingMode};
-pub use nav::{NavDynamics, NavGains, Navigator, Setpoint};
+pub use nav::{NavGains, Navigator, Setpoint};
 pub use params::{FailsafeAction, FirmwareParams, FirmwareProfile};
 pub use pid::Pid;

@@ -192,35 +192,14 @@ impl Default for NavGains {
     }
 }
 
-/// The per-run mutable slice of a [`Navigator`] (see
-/// [`Navigator::dynamics`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NavDynamics {
-    hover_trim: f64,
-    yaw_hold: f64,
-}
-
-impl NavDynamics {
-    /// Serialise the dynamic navigator state bit-exactly.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.f64(self.hover_trim);
-        w.f64(self.yaw_hold);
-    }
-
-    /// Decode dynamics previously written by [`NavDynamics::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<NavDynamics> {
-        Ok(NavDynamics {
-            hover_trim: r.f64()?,
-            yaw_hold: r.f64()?,
-        })
-    }
-}
-
 /// The navigation controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Navigator {
+    // snapshot: skip(static: rebuilt from the experiment config)
     gains: NavGains,
+    // snapshot: skip(static: rebuilt from the experiment config)
     max_tilt: f64,
+    // snapshot: skip(static: rebuilt from the experiment config)
     max_climb_rate: f64,
     /// Slow throttle trim integrator compensating for mass/thrust mismatch.
     hover_trim: f64,
@@ -257,21 +236,20 @@ impl Navigator {
         self.yaw_hold = yaw;
     }
 
-    /// Captures the per-run dynamic state — the hover-trim integrator and
-    /// the held heading. Gains and limits are static per run: a snapshot
-    /// delta takes them from its base capture.
-    pub fn dynamics(&self) -> NavDynamics {
-        NavDynamics {
-            hover_trim: self.hover_trim,
-            yaw_hold: self.yaw_hold,
-        }
+    /// Writes the per-run dynamic state — the hover-trim integrator and
+    /// the held heading — bit-exactly for the persistent store. Gains and
+    /// limits are static per run and not written.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.f64(self.hover_trim);
+        w.f64(self.yaw_hold);
     }
 
-    /// Overwrites the per-run dynamic state captured by
-    /// [`Navigator::dynamics`].
-    pub fn restore_dynamics(&mut self, dynamics: &NavDynamics) {
-        self.hover_trim = dynamics.hover_trim;
-        self.yaw_hold = dynamics.yaw_hold;
+    /// Reads the state [`Navigator::encode`] wrote onto this navigator,
+    /// which supplies the gains and limits: the run's genesis navigator.
+    pub fn decode_onto(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        self.hover_trim = r.f64()?;
+        self.yaw_hold = r.f64()?;
+        Ok(())
     }
 
     /// Computes motor commands for the given setpoint.

@@ -44,12 +44,12 @@
 pub mod link;
 
 pub use link::{
-    FaultyLink, LinkDelta, LinkDirection, LinkFaultKind, LinkFaultPlan, LinkFaultSpec,
-    LinkFaultStats, LinkSnapshot, StormCommand,
+    FaultyLink, LinkDirection, LinkFaultKind, LinkFaultPlan, LinkFaultSpec, LinkFaultStats,
+    LinkSnapshot, StormCommand,
 };
 
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
-use avis_sim::{ChunkSink, ChunkSource, CowDelta, CowVec, SensorInstance};
+use avis_sim::{ChunkMemo, ChunkSink, ChunkSource, CowVec, SensorInstance};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -514,86 +514,46 @@ impl InjectorSnapshot {
         self.injector.transitions.for_each_chunk(f);
     }
 
-    /// The delta from `prev` to this capture. The record histories are
-    /// `Arc`-chunk-shared (cloning them is O(chunks)); the plan is stored
-    /// only when it differs from `prev`'s — along one recording run it
-    /// never does.
-    pub fn diff(&self, prev: &InjectorSnapshot) -> InjectorDelta {
-        InjectorDelta {
-            plan: (self.injector.plan != prev.injector.plan).then(|| self.injector.plan.clone()),
-            injections: self
-                .injector
-                .injections
-                .delta_from(&prev.injector.injections),
-            transitions: self
-                .injector
-                .transitions
-                .delta_from(&prev.injector.transitions),
-            current_mode: self.injector.current_mode,
-            reads: self.injector.reads,
-            failed_reads: self.injector.failed_reads,
-        }
-    }
-
-    /// Re-materialises the capture `delta` was diffed *to*, using `self`
-    /// as the capture it was diffed *from*.
-    pub fn apply(&self, delta: &InjectorDelta) -> InjectorSnapshot {
-        InjectorSnapshot {
-            injector: FaultInjector {
-                plan: delta
-                    .plan
-                    .clone()
-                    .unwrap_or_else(|| self.injector.plan.clone()),
-                injections: CowVec::apply_delta(&self.injector.injections, &delta.injections),
-                transitions: CowVec::apply_delta(&self.injector.transitions, &delta.transitions),
-                current_mode: delta.current_mode,
-                reads: delta.reads,
-                failed_reads: delta.failed_reads,
-            },
-        }
-    }
-}
-
-/// The dynamic slice of an [`InjectorSnapshot`] relative to an earlier
-/// capture of the same run (see [`InjectorSnapshot::diff`]).
-#[derive(Debug, Clone)]
-pub struct InjectorDelta {
-    /// `None` when the plan equals the base capture's (the common case —
-    /// a run's plan never changes mid-run).
-    plan: Option<FaultPlan>,
-    injections: avis_sim::CowDelta<InjectionRecord>,
-    transitions: avis_sim::CowDelta<ModeTransitionRecord>,
-    current_mode: Option<ModeCode>,
-    reads: u64,
-    failed_reads: u64,
-}
-
-impl InjectorDelta {
-    /// Serialises the delta for the persistent store. Record-log chunks
-    /// go to `sink` content-addressed (see [`CowVec::encode_chunked`]).
+    /// Writes the capture for the persistent store: the plan, the record
+    /// logs as full chunk-hash lists (chunk contents go to `sink`
+    /// content-addressed, see [`CowVec::encode_chunked`]), the current
+    /// mode and the read counters. An injector has no static part, so
+    /// [`InjectorSnapshot::decode`] needs no genesis capture.
     pub fn encode(&self, w: &mut ByteWriter, sink: &mut dyn ChunkSink) {
-        w.option(self.plan.as_ref(), |w, p| p.encode(w));
-        self.injections
+        let injector = &self.injector;
+        injector.plan.encode(w);
+        injector
+            .injections
             .encode_chunked(w, sink, &mut |w, rec: &InjectionRecord| rec.encode(w));
-        self.transitions
+        injector
+            .transitions
             .encode_chunked(w, sink, &mut |w, rec: &ModeTransitionRecord| rec.encode(w));
-        w.option(self.current_mode.as_ref(), |w, m| w.u32(m.0));
-        w.u64(self.reads);
-        w.u64(self.failed_reads);
+        w.option(injector.current_mode.as_ref(), |w, m| w.u32(m.0));
+        w.u64(injector.reads);
+        w.u64(injector.failed_reads);
     }
 
-    /// Restores a delta serialised by [`InjectorDelta::encode`].
+    /// Reads a capture written by [`InjectorSnapshot::encode`], sharing
+    /// the record chunks already in `memo` (see [`CowVec::decode_chunked`]).
     pub fn decode(
         r: &mut ByteReader<'_>,
         source: &mut dyn ChunkSource,
-    ) -> CodecResult<InjectorDelta> {
-        Ok(InjectorDelta {
-            plan: r.option(FaultPlan::decode)?,
-            injections: CowDelta::decode_chunked(r, source, &mut InjectionRecord::decode)?,
-            transitions: CowDelta::decode_chunked(r, source, &mut ModeTransitionRecord::decode)?,
-            current_mode: r.option(|r| Ok(ModeCode(r.u32()?)))?,
-            reads: r.u64()?,
-            failed_reads: r.u64()?,
+        memo: &mut ChunkMemo,
+    ) -> CodecResult<InjectorSnapshot> {
+        Ok(InjectorSnapshot {
+            injector: FaultInjector {
+                plan: FaultPlan::decode(r)?,
+                injections: CowVec::decode_chunked(r, source, memo, &mut InjectionRecord::decode)?,
+                transitions: CowVec::decode_chunked(
+                    r,
+                    source,
+                    memo,
+                    &mut ModeTransitionRecord::decode,
+                )?,
+                current_mode: r.option(|r| Ok(ModeCode(r.u32()?)))?,
+                reads: r.u64()?,
+                failed_reads: r.u64()?,
+            },
         })
     }
 }
@@ -895,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn injector_delta_codec_round_trips_through_chunk_store() {
+    fn injector_codec_round_trips_through_chunk_store() {
         let plan = FaultPlan::from_specs(vec![
             FaultSpec::new(gps(0), 2.0),
             FaultSpec::new(baro(1), 4.0),
@@ -922,18 +882,23 @@ mod tests {
         }
         inj.report_mode(16.0, ModeCode(9));
         let cut = inj.snapshot();
-        let delta = cut.diff(&base);
 
+        // Both captures decode on their own; through one memo, the cut
+        // shares the record chunks it has in common with the base.
         let mut store = avis_sim::cow::MemoryChunkStore::new();
-        let mut w = ByteWriter::new();
-        delta.encode(&mut w, &mut store);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let decoded = InjectorDelta::decode(&mut r, &mut store).expect("decode");
-        r.finish().expect("no trailing bytes");
-
-        let restored = base.apply(&decoded).restore();
-        let original = base.apply(&delta).restore();
+        let mut memo = ChunkMemo::default();
+        let mut round_trip = |snapshot: &InjectorSnapshot| {
+            let mut w = ByteWriter::new();
+            snapshot.encode(&mut w, &mut store);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            let decoded = InjectorSnapshot::decode(&mut r, &mut store, &mut memo).expect("decode");
+            r.finish().expect("no trailing bytes");
+            decoded
+        };
+        let decoded_base = round_trip(&base);
+        let decoded = round_trip(&cut);
+        let (restored, original) = (decoded.restore(), cut.restore());
         assert_eq!(restored.plan(), original.plan());
         assert_eq!(
             restored.injections().to_vec(),
@@ -946,6 +911,11 @@ mod tests {
         assert_eq!(restored.current_mode(), original.current_mode());
         assert_eq!(restored.total_reads(), original.total_reads());
         assert_eq!(restored.failed_reads(), original.failed_reads());
+        let (mut base_ids, mut cut_ids) = (Vec::new(), Vec::new());
+        decoded_base.for_each_chunk(&mut |id, _| base_ids.push(id));
+        decoded.for_each_chunk(&mut |id, _| cut_ids.push(id));
+        assert!(!base_ids.is_empty());
+        assert!(base_ids.iter().all(|id| cut_ids.contains(id)));
     }
 
     #[test]

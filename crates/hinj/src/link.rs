@@ -513,7 +513,6 @@ impl LinkFaultStats {
 pub struct FaultyLink {
     link: Link,
     plan: LinkFaultPlan,
-    // snapshot: skip(inline Copy state carried whole by LinkSnapshot::capture's FaultyLink clone; no heap to account)
     rng: SimRng,
     /// Frames held back by a `Delay` fault: `(release_time, stream,
     /// bytes)`, in send order.
@@ -525,7 +524,6 @@ pub struct FaultyLink {
     /// not by plan index — so the set stays valid across the snapshot
     /// fork's plan substitution.
     storms_fired: BTreeSet<String>,
-    // snapshot: skip(inline Copy counters carried whole by LinkSnapshot::capture's FaultyLink clone; no heap to account)
     stats: LinkFaultStats,
 }
 
@@ -712,8 +710,8 @@ impl FaultyLink {
 /// A point-in-time capture of a [`FaultyLink`], the link analogue of
 /// [`crate::InjectorSnapshot`]. The captured state (byte queues, rng
 /// stream position, delayed/reordered frames, fired storms) is small —
-/// at a loop-top cut the queues are normally empty — so captures and
-/// deltas carry it by value.
+/// at a loop-top cut the queues are normally empty — so a capture
+/// carries it by value and the store writes it whole.
 #[derive(Debug, Clone)]
 pub struct LinkSnapshot {
     faulty: FaultyLink,
@@ -761,20 +759,6 @@ impl LinkSnapshot {
             + f.reorder_to_vehicle.iter().map(|b| b.len()).sum::<usize>()
             + f.reorder_to_gcs.iter().map(|b| b.len()).sum::<usize>()
             + f.storms_fired.iter().map(|s| s.len()).sum::<usize>()
-    }
-
-    /// The delta from `prev` to this capture. Link state is tiny and has
-    /// no `Arc`-shared history, so the delta carries the capture by
-    /// value — mirroring how `RunDelta` carries the workload.
-    pub fn diff(&self, _prev: &LinkSnapshot) -> LinkDelta {
-        LinkDelta {
-            snapshot: self.clone(),
-        }
-    }
-
-    /// Re-materialises the capture `delta` was diffed *to*.
-    pub fn apply(&self, delta: &LinkDelta) -> LinkSnapshot {
-        delta.snapshot.clone()
     }
 
     /// Serialises the captured shim for the persistent snapshot store.
@@ -840,27 +824,6 @@ impl LinkSnapshot {
                 storms_fired,
                 stats,
             },
-        })
-    }
-}
-
-/// The dynamic slice of a [`LinkSnapshot`] relative to an earlier
-/// capture (see [`LinkSnapshot::diff`]).
-#[derive(Debug, Clone)]
-pub struct LinkDelta {
-    snapshot: LinkSnapshot,
-}
-
-impl LinkDelta {
-    /// Serialises the delta for the persistent snapshot store.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        self.snapshot.encode(w);
-    }
-
-    /// Reads a delta written by [`LinkDelta::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        Ok(LinkDelta {
-            snapshot: LinkSnapshot::decode(r)?,
         })
     }
 }

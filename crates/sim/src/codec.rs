@@ -1,8 +1,8 @@
 //! Minimal length-prefixed binary codec used by the persistent snapshot
 //! store.
 //!
-//! The store (see `avis::store` in `avis-core`) persists keyframe+delta
-//! chains to disk; every snapshot-bearing type hand-rolls an
+//! The store (see `avis::store` in `avis-core`) persists snapshot cuts
+//! to disk; every snapshot-bearing type hand-rolls an
 //! `encode`/`decode` pair against [`ByteWriter`]/[`ByteReader`] so the
 //! workspace stays dependency-free. The format is deliberately boring:
 //!

@@ -14,6 +14,7 @@
 //! holds. `tests/snapshot_fidelity.rs` pins this property.
 
 use crate::codec::{fnv1a, ByteReader, ByteWriter, CodecError, CodecResult};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
@@ -96,6 +97,24 @@ impl ChunkSink for MemoryChunkStore {
 impl ChunkSource for MemoryChunkStore {
     fn get_chunk(&mut self, hash: u64) -> Option<Vec<u8>> {
         self.chunks.get(&hash).cloned()
+    }
+}
+
+/// The chunks one decoding pass has already read, by content hash (see
+/// [`CowVec::decode_chunked`]). Vectors of different element types
+/// share one memo; a hash is looked up together with its element type.
+#[derive(Default)]
+pub struct ChunkMemo {
+    chunks: BTreeMap<u64, Box<dyn Any>>,
+}
+
+impl ChunkMemo {
+    fn get<T: 'static>(&self, hash: u64) -> Option<Arc<[T]>> {
+        self.chunks.get(&hash)?.downcast_ref::<Arc<[T]>>().cloned()
+    }
+
+    fn insert<T: 'static>(&mut self, hash: u64, chunk: Arc<[T]>) {
+        self.chunks.entry(hash).or_insert_with(|| Box::new(chunk));
     }
 }
 
@@ -252,52 +271,6 @@ impl<T: Clone> CowVec<T> {
         }
     }
 
-    /// The delta from `prev` to `self` for a persisted chain of snapshot
-    /// deltas. When `prev`'s chunk list is a shared prefix of `self`'s
-    /// (the normal case along one run: both are sealed captures and the
-    /// later one only appended), the delta stores just the *new* chunk
-    /// handles — without it, every cut blob of an `n`-cut chain would
-    /// list `O(n)` chunk hashes, `O(n²)` across the chain. Falls back to
-    /// a full structural clone when the histories diverged.
-    pub fn delta_from(&self, prev: &CowVec<T>) -> CowDelta<T> {
-        let shares_prefix = self.tail.is_empty()
-            && prev.tail.is_empty()
-            && self.chunks.len() >= prev.chunks.len()
-            && self
-                .chunks
-                .iter()
-                .zip(prev.chunks.iter())
-                .all(|(a, b)| Arc::ptr_eq(a, b));
-        if shares_prefix {
-            CowDelta::Suffix(self.chunks[prev.chunks.len()..].to_vec())
-        } else {
-            CowDelta::Full(self.clone())
-        }
-    }
-
-    /// Re-materialises the vector `delta` was diffed *to*, using `prev`
-    /// as the vector it was diffed *from*. Exact inverse of
-    /// [`CowVec::delta_from`] over the same `prev`.
-    pub fn apply_delta(prev: &CowVec<T>, delta: &CowDelta<T>) -> CowVec<T> {
-        match delta {
-            CowDelta::Full(full) => full.clone(),
-            CowDelta::Suffix(suffix) => {
-                let mut chunks = prev.chunks.clone();
-                let mut prefix_len = prev.prefix_len + prev.tail.len();
-                debug_assert!(prev.tail.is_empty(), "delta bases are sealed");
-                for chunk in suffix {
-                    prefix_len += chunk.len();
-                    chunks.push(Arc::clone(chunk));
-                }
-                CowVec {
-                    chunks,
-                    prefix_len,
-                    tail: Vec::new(),
-                }
-            }
-        }
-    }
-
     /// Serialises the vector for the persistent store. Each sealed chunk
     /// is encoded (element count + elements via `enc`) into its own blob
     /// and handed to `sink`, which content-addresses it; only the chunk
@@ -326,13 +299,20 @@ impl<T: Clone> CowVec<T> {
     }
 
     /// Restores a vector serialised by [`CowVec::encode_chunked`],
-    /// fetching chunk blobs from `source`. A missing or malformed chunk
-    /// blob is a decode error (the store falls back to a cold start).
+    /// fetching chunk blobs from `source`. A chunk already in `memo` is
+    /// shared instead of fetched, so every vector decoded through one
+    /// memo holds one `Arc` per distinct chunk, as the vectors it was
+    /// encoded from did. A missing or malformed chunk blob is a decode
+    /// error (the store falls back to a cold start).
     pub fn decode_chunked(
         r: &mut ByteReader<'_>,
         source: &mut dyn ChunkSource,
+        memo: &mut ChunkMemo,
         dec: &mut dyn FnMut(&mut ByteReader<'_>) -> CodecResult<T>,
-    ) -> CodecResult<CowVec<T>> {
+    ) -> CodecResult<CowVec<T>>
+    where
+        T: 'static,
+    {
         let n_chunks = r.usize()?;
         // Each chunk reference is 8 bytes inline; guard the count the same
         // way ByteReader::seq guards element counts.
@@ -343,102 +323,9 @@ impl<T: Clone> CowVec<T> {
         let mut prefix_len = 0usize;
         for _ in 0..n_chunks {
             let hash = r.u64()?;
-            let bytes = source
-                .get_chunk(hash)
-                .ok_or(CodecError::Malformed("missing chunk blob"))?;
-            if fnv1a(&bytes) != hash {
-                return Err(CodecError::Malformed("chunk content hash mismatch"));
-            }
-            let mut cr = ByteReader::new(&bytes);
-            let elems = cr.seq(&mut *dec)?;
-            cr.finish()?;
-            prefix_len += elems.len();
-            chunks.push(elems.into());
-        }
-        let tail = r.seq(&mut *dec)?;
-        Ok(CowVec {
-            chunks,
-            prefix_len,
-            tail,
-        })
-    }
-}
-
-/// The chunk-list delta of a [`CowVec`] relative to an earlier sealed
-/// capture of the same history (see [`CowVec::delta_from`]).
-pub enum CowDelta<T> {
-    /// `prev` is a shared prefix; only the newly sealed chunk handles are
-    /// stored. The chunks *contents* are `Arc`-shared as always.
-    Suffix(Vec<Arc<[T]>>),
-    /// The histories diverged; a full structural clone is stored.
-    Full(CowVec<T>),
-}
-
-impl<T: Clone> Clone for CowDelta<T> {
-    fn clone(&self) -> Self {
-        match self {
-            CowDelta::Suffix(suffix) => CowDelta::Suffix(suffix.clone()),
-            CowDelta::Full(full) => CowDelta::Full(full.clone()),
-        }
-    }
-}
-
-impl<T: Clone + fmt::Debug> fmt::Debug for CowDelta<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CowDelta::Suffix(suffix) => f
-                .debug_tuple("Suffix")
-                .field(&suffix.iter().map(|c| c.len()).sum::<usize>())
-                .finish(),
-            CowDelta::Full(full) => f.debug_tuple("Full").field(full).finish(),
-        }
-    }
-}
-
-impl<T: Clone> CowDelta<T> {
-    /// Serialises the delta for the persistent store (chunk contents go
-    /// to `sink`; see [`CowVec::encode_chunked`]).
-    pub fn encode_chunked(
-        &self,
-        w: &mut ByteWriter,
-        sink: &mut dyn ChunkSink,
-        enc: &mut dyn FnMut(&mut ByteWriter, &T),
-    ) {
-        match self {
-            CowDelta::Suffix(suffix) => {
-                w.u8(0);
-                w.usize(suffix.len());
-                for chunk in suffix {
-                    let mut cw = ByteWriter::with_capacity(16 + chunk.len() * 8);
-                    cw.usize(chunk.len());
-                    for item in chunk.iter() {
-                        enc(&mut cw, item);
-                    }
-                    w.u64(sink.put_chunk(cw.into_bytes()));
-                }
-            }
-            CowDelta::Full(full) => {
-                w.u8(1);
-                full.encode_chunked(w, sink, enc);
-            }
-        }
-    }
-
-    /// Restores a delta serialised by [`CowDelta::encode_chunked`].
-    pub fn decode_chunked(
-        r: &mut ByteReader<'_>,
-        source: &mut dyn ChunkSource,
-        dec: &mut dyn FnMut(&mut ByteReader<'_>) -> CodecResult<T>,
-    ) -> CodecResult<CowDelta<T>> {
-        match r.u8()? {
-            0 => {
-                let n_chunks = r.usize()?;
-                if n_chunks.checked_mul(8).is_none_or(|b| b > r.remaining()) {
-                    return Err(CodecError::Malformed("implausible chunk count"));
-                }
-                let mut suffix: Vec<Arc<[T]>> = Vec::with_capacity(n_chunks);
-                for _ in 0..n_chunks {
-                    let hash = r.u64()?;
+            let chunk = match memo.get(hash) {
+                Some(chunk) => chunk,
+                None => {
                     let bytes = source
                         .get_chunk(hash)
                         .ok_or(CodecError::Malformed("missing chunk blob"))?;
@@ -448,13 +335,20 @@ impl<T: Clone> CowDelta<T> {
                     let mut cr = ByteReader::new(&bytes);
                     let elems = cr.seq(&mut *dec)?;
                     cr.finish()?;
-                    suffix.push(elems.into());
+                    let chunk: Arc<[T]> = elems.into();
+                    memo.insert(hash, Arc::clone(&chunk));
+                    chunk
                 }
-                Ok(CowDelta::Suffix(suffix))
-            }
-            1 => Ok(CowDelta::Full(CowVec::decode_chunked(r, source, dec)?)),
-            _ => Err(CodecError::Malformed("cow delta tag")),
+            };
+            prefix_len += chunk.len();
+            chunks.push(chunk);
         }
+        let tail = r.seq(&mut *dec)?;
+        Ok(CowVec {
+            chunks,
+            prefix_len,
+            tail,
+        })
     }
 }
 
@@ -589,38 +483,10 @@ mod tests {
         assert_eq!(bytes, 8 * std::mem::size_of::<u64>());
     }
 
-    #[test]
-    fn delta_from_stores_only_the_suffix_and_applies_exactly() {
-        let mut v = CowVec::from_vec((0..20).collect::<Vec<i32>>());
-        v.seal();
-        let base = v.sealed_clone();
-        for i in 20..35 {
-            v.push(i);
-        }
-        v.seal();
-        for i in 35..40 {
-            v.push(i);
-        }
-        let cut = v.sealed_clone();
-        let delta = cut.delta_from(&base);
-        // Two new chunks' handles, nothing else.
-        assert!(matches!(&delta, CowDelta::Suffix(s) if s.len() == 2));
-        let rebuilt = CowVec::apply_delta(&base, &delta);
-        assert_eq!(rebuilt, cut);
-        assert_eq!(rebuilt.to_vec(), (0..40).collect::<Vec<i32>>());
-
-        // Divergent histories fall back to a full clone.
-        let mut other = CowVec::from_vec((0..20).collect::<Vec<i32>>());
-        other.seal();
-        let foreign = other.sealed_clone();
-        let fallback = cut.delta_from(&foreign);
-        assert!(matches!(fallback, CowDelta::Full(_)));
-        assert_eq!(CowVec::apply_delta(&foreign, &fallback), cut);
-    }
-
-    #[test]
-    fn chunked_encode_round_trips_and_dedups_shared_history() {
-        use crate::codec::{ByteReader, ByteWriter};
+    /// A sealed base and a later cut of one history, encoded into one
+    /// store: the cut shares the base's chunk.
+    fn encoded_pair() -> (CowVec<u64>, CowVec<u64>, Vec<u8>, Vec<u8>, MemoryChunkStore) {
+        use crate::codec::ByteWriter;
 
         let mut v = CowVec::from_vec((0..30u64).collect::<Vec<_>>());
         v.seal();
@@ -629,42 +495,67 @@ mod tests {
             v.push(i);
         }
         let cut = v.sealed_clone();
-
         let mut store = MemoryChunkStore::new();
-        let enc = |w: &mut ByteWriter, t: &u64| w.u64(*t);
-        let dec = |r: &mut ByteReader<'_>| r.u64();
-
+        let mut enc = |w: &mut ByteWriter, t: &u64| w.u64(*t);
         let mut w = ByteWriter::new();
-        base.encode_chunked(&mut w, &mut store, &mut { enc });
+        base.encode_chunked(&mut w, &mut store, &mut enc);
         let base_bytes = w.into_bytes();
         let mut w = ByteWriter::new();
-        cut.encode_chunked(&mut w, &mut store, &mut { enc });
-        let cut_bytes = w.into_bytes();
+        cut.encode_chunked(&mut w, &mut store, &mut enc);
+        (base, cut, base_bytes, w.into_bytes(), store)
+    }
 
+    #[test]
+    fn chunked_encode_round_trips_and_dedups_shared_history() {
+        use crate::codec::ByteReader;
+
+        let (base, cut, base_bytes, cut_bytes, mut store) = encoded_pair();
         // `cut` shares its first chunk with `base`: one dedup hit.
         assert_eq!(store.dedup_hits, 1);
         assert_eq!(store.len(), 2);
+        for (bytes, original) in [(&base_bytes, &base), (&cut_bytes, &cut)] {
+            let rebuilt = CowVec::decode_chunked(
+                &mut ByteReader::new(bytes),
+                &mut store,
+                &mut ChunkMemo::default(),
+                &mut |r| r.u64(),
+            )
+            .unwrap();
+            assert_eq!(&rebuilt, original);
+        }
+    }
 
-        let rebuilt_base =
-            CowVec::decode_chunked(&mut ByteReader::new(&base_bytes), &mut store, &mut { dec })
-                .unwrap();
-        let rebuilt_cut =
-            CowVec::decode_chunked(&mut ByteReader::new(&cut_bytes), &mut store, &mut { dec })
-                .unwrap();
-        assert_eq!(rebuilt_base, base);
-        assert_eq!(rebuilt_cut, cut);
+    #[test]
+    fn one_memo_fetches_each_shared_chunk_once() {
+        use crate::codec::ByteReader;
 
-        // Deltas round-trip too, and their suffix chunks dedup against the
-        // full encodings already stored.
-        let delta = cut.delta_from(&base);
-        let mut w = ByteWriter::new();
-        delta.encode_chunked(&mut w, &mut store, &mut { enc });
-        let delta_blob = w.into_bytes();
-        assert_eq!(store.dedup_hits, 2);
-        let rebuilt_delta =
-            CowDelta::decode_chunked(&mut ByteReader::new(&delta_blob), &mut store, &mut { dec })
-                .unwrap();
-        assert_eq!(CowVec::apply_delta(&rebuilt_base, &rebuilt_delta), cut);
+        struct Counting(MemoryChunkStore, usize);
+        impl ChunkSource for Counting {
+            fn get_chunk(&mut self, hash: u64) -> Option<Vec<u8>> {
+                self.1 += 1;
+                self.0.get_chunk(hash)
+            }
+        }
+        let (base, cut, base_bytes, cut_bytes, store) = encoded_pair();
+        let mut source = Counting(store, 0);
+        let mut memo = ChunkMemo::default();
+        let mut decode = |bytes: &[u8]| {
+            CowVec::decode_chunked(
+                &mut ByteReader::new(bytes),
+                &mut source,
+                &mut memo,
+                &mut |r| r.u64(),
+            )
+            .unwrap()
+        };
+        let (rebuilt_base, rebuilt_cut) = (decode(&base_bytes), decode(&cut_bytes));
+        assert_eq!((&rebuilt_base, &rebuilt_cut), (&base, &cut));
+        assert_eq!(source.1, 2, "three chunk references, two distinct chunks");
+        let (mut base_ids, mut cut_ids) = (Vec::new(), Vec::new());
+        rebuilt_base.for_each_chunk(&mut |id, _| base_ids.push(id));
+        rebuilt_cut.for_each_chunk(&mut |id, _| cut_ids.push(id));
+        assert_eq!(base_ids[0], cut_ids[0], "the shared chunk is one Arc");
+        assert_ne!(cut_ids[0], cut_ids[1]);
     }
 
     #[test]
@@ -685,17 +576,21 @@ mod tests {
             ids[0]
         };
         assert!(store.corrupt_chunk(hash));
-        let err =
-            CowVec::<u64>::decode_chunked(&mut ByteReader::new(&bytes), &mut store, &mut |r| {
-                r.u64()
-            });
+        let err = CowVec::<u64>::decode_chunked(
+            &mut ByteReader::new(&bytes),
+            &mut store,
+            &mut ChunkMemo::default(),
+            &mut |r| r.u64(),
+        );
         assert!(err.is_err());
 
         let mut empty = MemoryChunkStore::new();
-        let err =
-            CowVec::<u64>::decode_chunked(&mut ByteReader::new(&bytes), &mut empty, &mut |r| {
-                r.u64()
-            });
+        let err = CowVec::<u64>::decode_chunked(
+            &mut ByteReader::new(&bytes),
+            &mut empty,
+            &mut ChunkMemo::default(),
+            &mut |r| r.u64(),
+        );
         assert!(err.is_err());
     }
 

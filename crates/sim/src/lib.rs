@@ -46,19 +46,17 @@ pub mod vehicle;
 
 pub use batch::LaneBatch;
 pub use codec::{ByteReader, ByteWriter, CodecError, CodecResult};
-pub use cow::{ChunkSink, ChunkSource, CowDelta, CowVec};
+pub use cow::{ChunkMemo, ChunkSink, ChunkSource, CowVec};
 pub use environment::{
     BoxObstacle, Collision, CollisionKind, Environment, Fence, FenceRegion, Wind,
 };
 pub use math::{Quat, Vec3};
 pub use rng::SimRng;
 pub use sensors::{
-    SensorDynamics, SensorInstance, SensorKind, SensorNoise, SensorReading, SensorRole,
-    SensorSuite, SensorSuiteConfig, SensorValue,
+    SensorInstance, SensorKind, SensorNoise, SensorReading, SensorRole, SensorSuite,
+    SensorSuiteConfig, SensorValue,
 };
 pub use simulator::{
-    PackedStepOutput, PhysicalState, SimConfig, SimDelta, SimSnapshot, Simulator, StepOutput,
+    PackedStepOutput, PhysicalState, SimConfig, SimSnapshot, Simulator, StepOutput,
 };
-pub use vehicle::{
-    MotorCommands, QuadDynamics, Quadcopter, RigidBodyState, VehicleParams, GRAVITY, MOTOR_COUNT,
-};
+pub use vehicle::{MotorCommands, Quadcopter, RigidBodyState, VehicleParams, GRAVITY, MOTOR_COUNT};

@@ -254,9 +254,13 @@ impl Quat {
         (roll, pitch, yaw)
     }
 
-    /// Returns the yaw (heading) angle in radians.
+    /// Returns the yaw (heading) angle in radians: the third angle of
+    /// [`Quat::to_euler`], bit for bit, without computing the other two.
     pub fn yaw(self) -> f64 {
-        self.to_euler().2
+        let q = self;
+        let siny_cosp = 2.0 * (q.w * q.z + q.x * q.y);
+        let cosy_cosp = 1.0 - 2.0 * (q.y * q.y + q.z * q.z);
+        siny_cosp.atan2(cosy_cosp)
     }
 
     /// Quaternion norm.
@@ -405,7 +409,23 @@ impl Quat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use std::f64::consts::{FRAC_PI_2, PI};
+
+    #[test]
+    fn yaw_is_the_euler_yaw_bit_for_bit() {
+        let mut rng = SimRng::seed_from_u64(17);
+        for case in 0..4000 {
+            let mut draw = || rng.uniform_range(-2.0, 2.0);
+            let q = Quat::new(draw(), draw(), draw(), draw());
+            let q = if case % 2 == 0 { q.normalized() } else { q };
+            assert_eq!(
+                q.yaw().to_bits(),
+                q.to_euler().2.to_bits(),
+                "case {case}: {q:?}"
+            );
+        }
+    }
 
     #[test]
     fn vec3_arithmetic() {

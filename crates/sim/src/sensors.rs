@@ -302,58 +302,24 @@ impl SensorSuiteConfig {
 /// batch of readings from the true physical state each simulation step.
 #[derive(Debug, Clone)]
 pub struct SensorSuite {
+    // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) config: SensorSuiteConfig,
     pub(crate) rng: SimRng,
     /// Per-accelerometer constant bias (body frame).
+    // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) accel_bias: Vec<Vec3>,
     /// Per-gyroscope constant bias (body frame).
+    // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) gyro_bias: Vec<Vec3>,
     /// Last GPS fix per receiver, held between GPS epochs.
     pub(crate) last_gps: Vec<Option<SensorValue>>,
     /// GPS update interval (s).
+    // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) gps_interval: f64,
     /// Time of last GPS epoch.
     pub(crate) last_gps_time: f64,
     /// Remaining battery fraction.
     pub(crate) battery_remaining: f64,
-}
-
-/// The per-run *mutable* slice of a [`SensorSuite`]: the noise RNG
-/// stream, the GPS fixes held between epochs, the epoch clock and the
-/// battery charge. The static complement — the configuration and the
-/// per-instance biases drawn once at seed time — is excluded, which is
-/// what keeps the persistent store's cut deltas small: consecutive cuts
-/// of one run differ only in this dynamic slice.
-#[derive(Debug, Clone)]
-pub struct SensorDynamics {
-    rng: SimRng,
-    last_gps: Vec<Option<SensorValue>>,
-    last_gps_time: f64,
-    battery_remaining: f64,
-}
-
-impl SensorDynamics {
-    /// Serialises the dynamic sensor state for the persistent store.
-    pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
-        self.rng.encode(w);
-        w.seq(&self.last_gps, |w, fix| {
-            w.option(fix.as_ref(), |w, v| v.encode(w))
-        });
-        w.f64(self.last_gps_time);
-        w.f64(self.battery_remaining);
-    }
-
-    /// Restores state serialised by [`SensorDynamics::encode`].
-    pub fn decode(
-        r: &mut crate::codec::ByteReader<'_>,
-    ) -> crate::codec::CodecResult<SensorDynamics> {
-        Ok(SensorDynamics {
-            rng: SimRng::decode(r)?,
-            last_gps: r.seq(|r| r.option(SensorValue::decode))?,
-            last_gps_time: r.f64()?,
-            battery_remaining: r.f64()?,
-        })
-    }
 }
 
 impl SensorKind {
@@ -505,26 +471,31 @@ impl SensorSuite {
         self.battery_remaining = remaining.clamp(0.0, 1.0);
     }
 
-    /// Captures the per-run dynamic state (see [`SensorDynamics`]). The
-    /// configuration and the seed-time biases are *not* captured: a
-    /// snapshot delta takes them from its base capture.
-    pub fn dynamics(&self) -> SensorDynamics {
-        SensorDynamics {
-            rng: self.rng.clone(),
-            last_gps: self.last_gps.clone(),
-            last_gps_time: self.last_gps_time,
-            battery_remaining: self.battery_remaining,
-        }
+    /// Writes the per-run dynamic state — the noise RNG stream, the GPS
+    /// fixes held between epochs, the epoch clock and the battery charge —
+    /// bit-exactly for the persistent store. The configuration, the GPS
+    /// interval and the biases drawn at seed time are static per run and
+    /// not written.
+    pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
+        self.rng.encode(w);
+        w.seq(&self.last_gps, |w, fix| {
+            w.option(fix.as_ref(), |w, v| v.encode(w))
+        });
+        w.f64(self.last_gps_time);
+        w.f64(self.battery_remaining);
     }
 
-    /// Overwrites the per-run dynamic state captured by
-    /// [`SensorSuite::dynamics`]. Only valid between suites of the same
-    /// run (identical configuration and seed-time biases).
-    pub fn restore_dynamics(&mut self, dynamics: &SensorDynamics) {
-        self.rng = dynamics.rng.clone();
-        self.last_gps.clone_from(&dynamics.last_gps);
-        self.last_gps_time = dynamics.last_gps_time;
-        self.battery_remaining = dynamics.battery_remaining;
+    /// Reads the state [`SensorSuite::encode`] wrote onto this suite,
+    /// which supplies the static part: the run's genesis suite.
+    pub fn decode_onto(
+        &mut self,
+        r: &mut crate::codec::ByteReader<'_>,
+    ) -> crate::codec::CodecResult<()> {
+        self.rng = SimRng::decode(r)?;
+        self.last_gps = r.seq(|r| r.option(SensorValue::decode))?;
+        self.last_gps_time = r.f64()?;
+        self.battery_remaining = r.f64()?;
+        Ok(())
     }
 
     /// Samples every sensor instance at simulation time `time` given the

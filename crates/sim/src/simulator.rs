@@ -7,6 +7,7 @@
 //! accepts actuator outputs and computes the vehicle's next physical
 //! state.
 
+use crate::codec::{ByteReader, ByteWriter, CodecResult};
 use crate::environment::{Collision, Environment};
 use crate::math::Vec3;
 use crate::sensors::{NoiseSource, OwnStream, SensorReading, SensorSuite, SensorSuiteConfig};
@@ -98,9 +99,9 @@ impl Default for StepOutput {
 
 /// A [`StepOutput`] packed for the persistent snapshot store: the sensor
 /// readings are flattened into one float array plus a compact instance
-/// list instead of a `Vec` of tagged [`SensorValue`] enums — roughly a
-/// third of the size, bit-exactly reversible. Every persisted cut
-/// carries one.
+/// list instead of a `Vec` of tagged
+/// [`SensorValue`](crate::sensors::SensorValue) enums — roughly a third
+/// of the size, bit-exactly reversible. Every persisted cut carries one.
 #[derive(Debug, Clone)]
 pub struct PackedStepOutput {
     state: PhysicalState,
@@ -206,7 +207,7 @@ impl PackedStepOutput {
     }
 
     /// Serialises the packed output (bit-exact) for the persistent store.
-    pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
+    pub fn encode(&self, w: &mut ByteWriter) {
         w.f64(self.state.time);
         self.state.position.encode(w);
         self.state.velocity.encode(w);
@@ -222,9 +223,7 @@ impl PackedStepOutput {
     }
 
     /// Restores a packed output serialised by [`PackedStepOutput::encode`].
-    pub fn decode(
-        r: &mut crate::codec::ByteReader<'_>,
-    ) -> crate::codec::CodecResult<PackedStepOutput> {
+    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<PackedStepOutput> {
         Ok(PackedStepOutput {
             state: PhysicalState {
                 time: r.f64()?,
@@ -322,93 +321,39 @@ impl SimSnapshot {
         );
     }
 
-    /// The delta from `prev` to this capture: everything that evolves
-    /// while a run executes (vehicle dynamics, sensor noise stream, time
-    /// and collision bookkeeping). The static complement — configuration,
-    /// seed-time sensor biases, the `Arc`-shared environment — is *not*
-    /// stored; [`SimSnapshot::apply`] takes it from the base capture, so
-    /// a persisted chain of deltas never stores it at all.
-    ///
-    /// Only valid between captures of the same run: both must share the
-    /// configuration (and therefore the biases) of `prev`.
-    pub fn diff(&self, prev: &SimSnapshot) -> SimDelta {
-        debug_assert!(
-            self.sim.config == prev.sim.config,
-            "sim deltas only exist within one run"
-        );
-        SimDelta {
-            quad: self.sim.quad.dynamics(),
-            sensors: self.sim.sensors.dynamics(),
-            time: self.sim.time,
-            steps: self.sim.steps,
-            first_collision: self.sim.first_collision,
-            was_airborne: self.sim.was_airborne,
-        }
+    /// Writes the capture's dynamic state — vehicle, sensor noise stream,
+    /// time and collision bookkeeping — bit-exactly for the persistent
+    /// store. The static complement (configuration, seed-time sensor
+    /// biases, the `Arc`-shared environment) is not written:
+    /// [`SimSnapshot::decode_onto`] keeps it from the genesis capture.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        let sim = &self.sim;
+        sim.quad.encode(w);
+        sim.sensors.encode(w);
+        w.f64(sim.time);
+        w.u64(sim.steps);
+        w.option(sim.first_collision.as_ref(), |w, c| c.encode(w));
+        w.bool(sim.was_airborne);
     }
 
-    /// Re-materialises the capture `delta` was diffed *to*, using `self`
-    /// as the base capture `delta` was diffed *from* (or any earlier
-    /// capture of the same run — the delta stores the complete dynamic
-    /// state, so any same-run base yields the identical result).
-    pub fn apply(&self, delta: &SimDelta) -> SimSnapshot {
-        let mut sim = self.sim.clone();
-        sim.quad.restore_dynamics(&delta.quad);
-        sim.sensors.restore_dynamics(&delta.sensors);
-        sim.time = delta.time;
-        sim.steps = delta.steps;
-        sim.first_collision = delta.first_collision;
-        sim.was_airborne = delta.was_airborne;
-        SimSnapshot { sim }
-    }
-}
-
-/// The dynamic slice of a [`SimSnapshot`] relative to an earlier capture
-/// of the same run (see [`SimSnapshot::diff`]). Far smaller than a full
-/// capture: the configuration, the seed-time sensor biases and the
-/// environment are all taken from the base capture at
-/// [`SimSnapshot::apply`] time.
-#[derive(Debug, Clone)]
-pub struct SimDelta {
-    quad: crate::vehicle::QuadDynamics,
-    sensors: crate::sensors::SensorDynamics,
-    time: f64,
-    steps: u64,
-    first_collision: Option<Collision>,
-    was_airborne: bool,
-}
-
-impl SimDelta {
-    /// Simulation time of the captured cut (s).
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// Serialises the delta (bit-exact) for the persistent store.
-    pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
-        self.quad.encode(w);
-        self.sensors.encode(w);
-        w.f64(self.time);
-        w.u64(self.steps);
-        w.option(self.first_collision.as_ref(), |w, c| c.encode(w));
-        w.bool(self.was_airborne);
-    }
-
-    /// Restores a delta serialised by [`SimDelta::encode`].
-    pub fn decode(r: &mut crate::codec::ByteReader<'_>) -> crate::codec::CodecResult<SimDelta> {
-        Ok(SimDelta {
-            quad: crate::vehicle::QuadDynamics::decode(r)?,
-            sensors: crate::sensors::SensorDynamics::decode(r)?,
-            time: r.f64()?,
-            steps: r.u64()?,
-            first_collision: r.option(Collision::decode)?,
-            was_airborne: r.bool()?,
-        })
+    /// Reads the state [`SimSnapshot::encode`] wrote onto this capture,
+    /// which must be the genesis capture of the same run configuration.
+    pub fn decode_onto(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        let sim = &mut self.sim;
+        sim.quad.decode_onto(r)?;
+        sim.sensors.decode_onto(r)?;
+        sim.time = r.f64()?;
+        sim.steps = r.u64()?;
+        sim.first_collision = r.option(Collision::decode)?;
+        sim.was_airborne = r.bool()?;
+        Ok(())
     }
 }
 
 /// The software-in-the-loop simulator.
 #[derive(Debug, Clone)]
 pub struct Simulator {
+    // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) config: SimConfig,
     pub(crate) quad: Quadcopter,
     pub(crate) env: Arc<Environment>,

@@ -8,6 +8,7 @@
 //! for Gazebo in the paper's evaluation — the checker only observes
 //! position, acceleration and attitude, all of which this model produces.
 
+use crate::codec::{ByteReader, ByteWriter, CodecResult};
 use crate::math::{clamp, Quat, Vec3};
 
 /// Standard gravitational acceleration (m/s²).
@@ -128,6 +129,7 @@ impl MotorCommands {
 pub struct MotorBank {
     /// Current realized throttle of each motor (0..1).
     pub(crate) realized: [f64; MOTOR_COUNT],
+    // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) time_constant: f64,
 }
 
@@ -214,60 +216,11 @@ impl RigidBodyState {
 /// The rigid-body quadcopter: parameters, motors and dynamic state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Quadcopter {
+    // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) params: VehicleParams,
     pub(crate) motors: MotorBank,
     pub(crate) state: RigidBodyState,
     pub(crate) on_ground: bool,
-}
-
-/// The per-run *mutable* slice of a [`Quadcopter`]: motor spool-up state,
-/// rigid-body state and ground contact. The physical parameters are
-/// static per run and excluded: a snapshot delta takes them from its
-/// base capture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuadDynamics {
-    motors: MotorBank,
-    state: RigidBodyState,
-    on_ground: bool,
-}
-
-impl QuadDynamics {
-    /// Serialises the dynamics (bit-exact) for the persistent store.
-    pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
-        for throttle in &self.motors.realized {
-            w.f64(*throttle);
-        }
-        w.f64(self.motors.time_constant);
-        self.state.position.encode(w);
-        self.state.velocity.encode(w);
-        self.state.acceleration.encode(w);
-        self.state.attitude.encode(w);
-        self.state.angular_velocity.encode(w);
-        w.bool(self.on_ground);
-    }
-
-    /// Restores dynamics serialised by [`QuadDynamics::encode`].
-    pub fn decode(r: &mut crate::codec::ByteReader<'_>) -> crate::codec::CodecResult<QuadDynamics> {
-        let mut realized = [0.0; MOTOR_COUNT];
-        for throttle in &mut realized {
-            *throttle = r.f64()?;
-        }
-        let time_constant = r.f64()?;
-        Ok(QuadDynamics {
-            motors: MotorBank {
-                realized,
-                time_constant,
-            },
-            state: RigidBodyState {
-                position: Vec3::decode(r)?,
-                velocity: Vec3::decode(r)?,
-                acceleration: Vec3::decode(r)?,
-                attitude: Quat::decode(r)?,
-                angular_velocity: Vec3::decode(r)?,
-            },
-            on_ground: r.bool()?,
-        })
-    }
 }
 
 impl Quadcopter {
@@ -303,22 +256,37 @@ impl Quadcopter {
         self.state = state;
     }
 
-    /// Captures the per-run dynamic state (see [`QuadDynamics`]).
-    pub fn dynamics(&self) -> QuadDynamics {
-        QuadDynamics {
-            motors: self.motors.clone(),
-            state: self.state,
-            on_ground: self.on_ground,
+    /// Writes the per-run dynamic state — motor spool-up, rigid-body
+    /// state and ground contact — bit-exactly for the persistent store.
+    /// The parameters and the motor time constant are static per run and
+    /// not written.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        for throttle in &self.motors.realized {
+            w.f64(*throttle);
         }
+        self.state.position.encode(w);
+        self.state.velocity.encode(w);
+        self.state.acceleration.encode(w);
+        self.state.attitude.encode(w);
+        self.state.angular_velocity.encode(w);
+        w.bool(self.on_ground);
     }
 
-    /// Overwrites the per-run dynamic state captured by
-    /// [`Quadcopter::dynamics`]. Only valid between vehicles of the same
-    /// run (identical parameters).
-    pub fn restore_dynamics(&mut self, dynamics: &QuadDynamics) {
-        self.motors = dynamics.motors.clone();
-        self.state = dynamics.state;
-        self.on_ground = dynamics.on_ground;
+    /// Reads the state [`Quadcopter::encode`] wrote onto this vehicle,
+    /// which supplies the static part: the run's genesis vehicle.
+    pub fn decode_onto(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        for throttle in &mut self.motors.realized {
+            *throttle = r.f64()?;
+        }
+        self.state = RigidBodyState {
+            position: Vec3::decode(r)?,
+            velocity: Vec3::decode(r)?,
+            acceleration: Vec3::decode(r)?,
+            attitude: Quat::decode(r)?,
+            angular_velocity: Vec3::decode(r)?,
+        };
+        self.on_ground = r.bool()?;
+        Ok(())
     }
 
     /// Advances the dynamics by `dt` seconds with the given motor commands

@@ -8,9 +8,13 @@
 use avis::runner::{ExperimentConfig, ExperimentRunner};
 use avis::snapshot::{CheckpointConfig, SharedSnapshotTier};
 use avis_firmware::{BugId, BugSet, Firmware, FirmwareProfile};
-use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, SharedInjector};
-use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
-use avis_sim::{Environment, MotorCommands, SensorInstance, SensorKind, SensorNoise, SimRng};
+use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, InjectorSnapshot, SharedInjector};
+use avis_sim::codec::{ByteReader, ByteWriter};
+use avis_sim::cow::MemoryChunkStore;
+use avis_sim::simulator::{SimConfig, SimSnapshot, Simulator, StepOutput};
+use avis_sim::{
+    ChunkMemo, Environment, MotorCommands, SensorInstance, SensorKind, SensorNoise, SimRng,
+};
 use avis_workload::auto_box_mission;
 use std::sync::Arc;
 
@@ -369,71 +373,89 @@ fn firmware_defect_log_holds_one_entry_per_triggered_bug() {
     );
 }
 
+/// Encodes a capture for the persistent store and decodes it onto
+/// `genesis`, the capture of the same run at `t = 0`.
+fn sim_round_trip(genesis: &SimSnapshot, cut: &SimSnapshot) -> SimSnapshot {
+    let mut w = ByteWriter::new();
+    cut.encode(&mut w);
+    let bytes = w.into_bytes();
+    let mut r = ByteReader::new(&bytes);
+    let mut decoded = genesis.clone();
+    decoded.decode_onto(&mut r).expect("decode");
+    r.finish().expect("no trailing bytes");
+    decoded
+}
+
+fn injector_round_trip(cut: &InjectorSnapshot) -> InjectorSnapshot {
+    let mut store = MemoryChunkStore::new();
+    let mut w = ByteWriter::new();
+    cut.encode(&mut w, &mut store);
+    let bytes = w.into_bytes();
+    let mut r = ByteReader::new(&bytes);
+    let decoded =
+        InjectorSnapshot::decode(&mut r, &mut store, &mut ChunkMemo::default()).expect("decode");
+    r.finish().expect("no trailing bytes");
+    decoded
+}
+
 #[test]
-fn sim_delta_restore_is_bit_identical_to_full_restore() {
-    // Layer property: `base.apply(&cut.diff(&base))` must rebuild the
-    // exact capture, so a run resumed from the re-materialised snapshot
-    // is bit-identical to one resumed from the full snapshot.
+fn sim_codec_restore_is_bit_identical_to_full_restore() {
+    // Layer property: a capture encoded for the store and decoded onto
+    // the run's genesis capture rebuilds it exactly, so a run resumed
+    // from the decoded capture is bit-identical to one resumed from the
+    // capture itself.
     let mut rng = SimRng::seed_from_u64(61);
     for case in 0..5 {
         let seed = rng.index(1000) as u64;
-        let base_cut = 200 + rng.index(800);
-        let delta_cut = base_cut + 100 + rng.index(800);
-        let total = delta_cut + 400 + rng.index(800);
+        let cut_at = 300 + rng.index(1600);
+        let total = cut_at + 400 + rng.index(800);
         let throttles: Vec<f64> = (0..total).map(|_| rng.uniform_range(0.0, 0.9)).collect();
 
         let mut sim = make_sim(seed);
+        let genesis = sim.snapshot();
         let mut output = StepOutput::empty();
-        for &t in &throttles[..base_cut] {
-            sim.step_into(&MotorCommands::uniform(t), &mut output);
-        }
-        let base = sim.snapshot();
-        for &t in &throttles[base_cut..delta_cut] {
+        for &t in &throttles[..cut_at] {
             sim.step_into(&MotorCommands::uniform(t), &mut output);
         }
         let cut = sim.snapshot();
-        let delta = cut.diff(&base);
-        assert_eq!(delta.time(), cut.time());
+        let decoded = sim_round_trip(&genesis, &cut);
+        assert_eq!(decoded.time(), cut.time());
 
         let drive = |mut restored: Simulator| {
             let mut out = output.clone();
-            for &t in &throttles[delta_cut..] {
+            for &t in &throttles[cut_at..] {
                 restored.step_into(&MotorCommands::uniform(t), &mut out);
             }
             (restored.physical_state(), restored.steps(), out)
         };
-        let from_full = drive(cut.restore());
-        let from_delta = drive(base.apply(&delta).into_restored());
         assert_eq!(
-            from_delta, from_full,
-            "case {case}: delta-restored sim diverged from the full restore"
+            drive(decoded.into_restored()),
+            drive(cut.restore()),
+            "case {case}: the decoded sim diverged from the full restore"
         );
     }
 }
 
 #[test]
-fn injector_delta_restore_is_bit_identical_to_full_restore() {
+fn injector_codec_restore_is_bit_identical_to_full_restore() {
     let mut rng = SimRng::seed_from_u64(67);
     for case in 0..40 {
         let fault = FaultSpec::new(arb_instance(&mut rng), rng.uniform_range(0.0, 4.0));
         let mut injector = FaultInjector::new(FaultPlan::from_specs(vec![fault]));
-        for i in 0..25 {
+        for i in 0..60 {
             let t = i as f64 * 0.4;
             injector.should_fail(fault.instance, t);
+            injector.should_fail(arb_instance(&mut rng), t);
             if i % 6 == 0 {
                 injector.report_mode(t, avis_hinj::ModeCode(i as u32));
             }
-        }
-        let base = injector.snapshot();
-        for i in 25..60 {
-            let t = i as f64 * 0.4;
-            injector.should_fail(arb_instance(&mut rng), t);
-            injector.report_mode(t, avis_hinj::ModeCode(i as u32));
+            if i == 25 {
+                // Seal part of the history into a chunk of its own.
+                injector.snapshot();
+            }
         }
         let cut = injector.snapshot();
-        let delta = cut.diff(&base);
-        let rebuilt = base.apply(&delta);
-        let (a, b) = (rebuilt.restore(), cut.restore());
+        let (a, b) = (injector_round_trip(&cut).restore(), cut.restore());
         assert_eq!(a.plan(), b.plan(), "case {case}: plan diverged");
         assert_eq!(a.injections(), b.injections(), "case {case}");
         assert_eq!(a.mode_transitions(), b.mode_transitions(), "case {case}");
@@ -444,13 +466,12 @@ fn injector_delta_restore_is_bit_identical_to_full_restore() {
 }
 
 #[test]
-fn firmware_delta_restore_is_bit_identical_to_full_restore() {
+fn firmware_codec_restore_is_bit_identical_to_full_restore() {
     let mut rng = SimRng::seed_from_u64(71);
     for case in 0..3 {
         let plan = arb_plan(&mut rng, 5.0, 25.0);
-        let base_steps = (rng.uniform_range(6.0, 15.0) / DT) as usize;
-        let delta_steps = base_steps + (rng.uniform_range(4.0, 12.0) / DT) as usize;
-        let total_steps = delta_steps + (15.0 / DT) as usize;
+        let cut_steps = (rng.uniform_range(10.0, 27.0) / DT) as usize;
+        let total_steps = cut_steps + (15.0 / DT) as usize;
 
         let injector = SharedInjector::new(FaultInjector::new(plan));
         let mut fw = Firmware::new(
@@ -458,38 +479,36 @@ fn firmware_delta_restore_is_bit_identical_to_full_restore() {
             BugSet::current_code_base(FirmwareProfile::ArduPilotLike),
             injector.clone(),
         );
+        let genesis = fw.snapshot();
         let mut sim = make_sim(case as u64);
         let mut output = StepOutput::empty();
         sim.step_into(&MotorCommands::IDLE, &mut output);
-        let mut base = None;
-        let mut base_injector = None;
-        for step in 0..delta_steps {
-            if step == base_steps {
-                base = Some(fw.snapshot());
-                base_injector = Some(injector.snapshot());
-            }
+        for step in 0..cut_steps {
             drive_ground_station(&mut fw, step);
             let cmd = fw.step(&output.readings, sim.time(), DT);
             sim.step_into(&cmd, &mut output);
         }
-        let base = base.expect("base cut recorded");
-        let base_injector = base_injector.expect("base injector recorded");
         let cut = fw.snapshot();
         let cut_injector = injector.snapshot();
-        let delta = cut.diff(&base);
-        assert_eq!(delta.time(), cut.time());
-        let injector_delta = cut_injector.diff(&base_injector);
+        let mut w = ByteWriter::new();
+        cut.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let mut decoded = genesis.clone();
+        decoded.decode_onto(&mut r).expect("decode");
+        r.finish().expect("no trailing bytes");
+        assert_eq!(decoded.time(), cut.time());
 
         // Drive both restores through the identical tail and compare
         // every observable.
         let drive = |firmware_snapshot: &avis_firmware::FirmwareSnapshot,
-                     injector_snapshot: &avis_hinj::InjectorSnapshot| {
+                     injector_snapshot: &InjectorSnapshot| {
             let shared = SharedInjector::new(injector_snapshot.restore());
             let mut fw = firmware_snapshot.restore(shared.clone());
             let mut sim = sim.snapshot().into_restored();
             let mut out = output.clone();
             let mut commands = Vec::new();
-            for step in delta_steps..total_steps {
+            for step in cut_steps..total_steps {
                 drive_ground_station(&mut fw, step);
                 let cmd = fw.step(&out.readings, sim.time(), DT);
                 commands.push(cmd);
@@ -504,11 +523,10 @@ fn firmware_delta_restore_is_bit_identical_to_full_restore() {
                 shared.mode_transitions(),
             )
         };
-        let from_full = drive(&cut, &cut_injector);
-        let from_delta = drive(&base.apply(&delta), &base_injector.apply(&injector_delta));
         assert_eq!(
-            from_delta, from_full,
-            "case {case}: delta-restored firmware diverged from the full restore"
+            drive(&decoded, &injector_round_trip(&cut_injector)),
+            drive(&cut, &cut_injector),
+            "case {case}: the decoded firmware diverged from the full restore"
         );
     }
 }

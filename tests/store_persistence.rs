@@ -161,22 +161,32 @@ fn empty_manifest_after_a_power_loss_costs_only_the_warm_start() {
     stale_manifest_costs_only_the_warm_start("empty-manifest", |_| String::new());
 }
 
+/// Marks the manifest as written by an older build: `version`, a
+/// cut-blob layout this build cannot read. No blob names its layout, so
+/// the manifest's version is the only guard.
+fn older_manifest(text: &str, version: f64) -> String {
+    let mut json = Json::parse(text).unwrap();
+    let Json::Object(fields) = &mut json else {
+        panic!("the manifest is a JSON object");
+    };
+    let current = fields.iter_mut().find(|(key, _)| key == "version");
+    let (_, current) = current.expect("the manifest names its version");
+    assert_eq!(*current, Json::Number(3.0));
+    *current = Json::Number(version);
+    json.to_pretty()
+}
+
 #[test]
 fn version_1_manifest_hydrates_nothing_once() {
-    // Version 1 stores carry the firmware defect log as chunk blobs, a
-    // cut-blob layout this build cannot read, and no blob names its
-    // layout: the manifest's version is the only guard.
-    stale_manifest_costs_only_the_warm_start("version-1", |text| {
-        let mut json = Json::parse(text).unwrap();
-        let Json::Object(fields) = &mut json else {
-            panic!("the manifest is a JSON object");
-        };
-        let version = fields.iter_mut().find(|(key, _)| key == "version");
-        let (_, version) = version.expect("the manifest names its version");
-        assert_eq!(*version, Json::Number(2.0));
-        *version = Json::Number(1.0);
-        json.to_pretty()
-    });
+    // Version 1 stores carry the firmware defect log as chunk blobs.
+    stale_manifest_costs_only_the_warm_start("version-1", |text| older_manifest(text, 1.0));
+}
+
+#[test]
+fn version_2_manifest_hydrates_nothing_once() {
+    // Version 2 stores write each cut but a chain's first as a delta
+    // from the cut before it.
+    stale_manifest_costs_only_the_warm_start("version-2", |text| older_manifest(text, 2.0));
 }
 
 /// An arm storm on the command link at t = 40 s: the pinned link-fault
