@@ -1,12 +1,12 @@
-//! Regenerates **Figure 10**: the APM-16967 case study. A compass failure
-//! between waypoints freezes the heading estimate; the land fail-safe
-//! engages, the state estimate is reset near the ground and the vehicle
-//! crashes.
+//! Regenerates **Figure 10**: the APM-16967 case study. In the paper, a
+//! compass failure between waypoints freezes the heading estimate; the
+//! land fail-safe engages, the state estimate is reset near the ground
+//! and the vehicle crashes. The event list printed here is read off this
+//! reproduction's own traces.
 
 use avis::checker::Budget;
-use avis::runner::{ExperimentConfig, ExperimentRunner};
-use avis_bench::{altitude_chart, first_condition_for};
-use avis_firmware::{BugId, BugSet, FirmwareProfile};
+use avis_bench::{altitude_chart, first_condition_for, print_case_study_events, replay};
+use avis_firmware::BugId;
 use avis_workload::auto_box_mission;
 
 fn main() {
@@ -26,32 +26,14 @@ fn main() {
         return;
     };
 
-    let mut config = ExperimentConfig::new(
-        FirmwareProfile::ArduPilotLike,
-        BugSet::only(bug),
-        auto_box_mission(),
-    );
-    config.max_duration = 110.0;
-    let mut runner = ExperimentRunner::new(config);
-    let golden = runner.run_profiling(0);
-    let faulted = runner.run_with_plan(condition.plan.clone());
+    let (golden, faulted) = replay(bug, auto_box_mission(), &condition.plan);
 
     println!("Injected faults: {}", condition.plan);
     println!("Found after {} simulations.\n", condition.simulations_used);
-    altitude_chart(&golden.trace, &faulted.trace);
+    altitude_chart(&golden, &faulted);
 
     println!("\nEvents:");
-    println!(
-        "  1. Compass fault injected between waypoints ({})",
-        condition.plan
-    );
-    println!("  2. Firmware keeps using the stale heading; track error grows");
-    println!("  3. Emergency land fail-safe engages");
-    println!("  4. State-estimate reset near the ground");
-    match faulted.trace.collision {
-        Some(c) => println!("  5. Crash at {:.1} m/s", c.impact_speed),
-        None => println!("  5. (no crash reproduced in this run)"),
-    }
+    print_case_study_events(&condition.plan, &golden, &faulted);
     println!(
         "\nMonitor verdict: {:?}",
         condition.violations.first().map(|v| v.kind.to_string())

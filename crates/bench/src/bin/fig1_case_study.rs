@@ -1,13 +1,13 @@
-//! Regenerates **Figure 1** (case study APM-16682): an IMU failure at the
-//! end of the landing sequence triggers the GPS-driven return-home
-//! fail-safe; GPS altitude is too coarse to guide the manoeuvre and the
-//! vehicle crashes. The paper notes the vulnerable window is when the
-//! vehicle is fewer than ~2 m above ground.
+//! Regenerates **Figure 1** (case study APM-16682). In the paper, an IMU
+//! failure at the end of the landing sequence triggers the GPS-driven
+//! return-home fail-safe; GPS altitude is too coarse to guide the
+//! manoeuvre and the vehicle crashes. The paper notes the vulnerable
+//! window is when the vehicle is fewer than ~2 m above ground. The
+//! timeline printed here is read off this reproduction's own traces.
 
 use avis::checker::Budget;
-use avis::runner::{ExperimentConfig, ExperimentRunner};
-use avis_bench::{altitude_chart, first_condition_for};
-use avis_firmware::{BugId, BugSet, FirmwareProfile};
+use avis_bench::{altitude_chart, first_condition_for, print_case_study_events, replay};
+use avis_firmware::BugId;
 use avis_workload::auto_box_mission;
 
 fn main() {
@@ -28,15 +28,7 @@ fn main() {
         return;
     };
 
-    let mut config = ExperimentConfig::new(
-        FirmwareProfile::ArduPilotLike,
-        BugSet::only(bug),
-        auto_box_mission(),
-    );
-    config.max_duration = 110.0;
-    let mut runner = ExperimentRunner::new(config);
-    let golden = runner.run_profiling(0);
-    let faulted = runner.run_with_plan(condition.plan.clone());
+    let (golden, faulted) = replay(bug, auto_box_mission(), &condition.plan);
 
     println!("Injected faults: {}", condition.plan);
     println!(
@@ -44,19 +36,8 @@ fn main() {
         condition.simulations_used,
         result.unsafe_count()
     );
-    altitude_chart(&golden.trace, &faulted.trace);
+    altitude_chart(&golden, &faulted);
 
     println!("\nTimeline (cf. the paper's Figure 1):");
-    println!("  - takeoff, fly to waypoints, land, return home (golden column)");
-    for spec in condition.plan.specs() {
-        println!("  - {spec}: IMU fails during the final metres of landing");
-    }
-    println!("  - firmware engages GPS-driven return home");
-    match faulted.trace.collision {
-        Some(c) => println!(
-            "  - GPS resolution is too coarse at low altitude: crash at {:.1} m/s",
-            c.impact_speed
-        ),
-        None => println!("  - (no crash reproduced in this run)"),
-    }
+    print_case_study_events(&condition.plan, &golden, &faulted);
 }

@@ -46,10 +46,10 @@
 
 use crate::protocol::ProtocolTracker;
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult, RunVerdict};
-use crate::snapshot::{injection_prefix, RunSnapshot};
+use crate::snapshot::RunSnapshot;
 use crate::trace::{transition_from_code, ModeTransition, StateSample, Trace};
 use avis_firmware::{BugId, Firmware};
-use avis_hinj::{FaultPlan, FaultyLink, LinkSnapshot, SharedInjector};
+use avis_hinj::{FaultPlan, FaultyLink, SharedInjector};
 use avis_mavlite::{Endpoint, Message};
 use avis_sim::simulator::{Simulator, StepOutput};
 use avis_sim::{Collision, CowVec, LaneBatch, MotorCommands};
@@ -92,8 +92,8 @@ impl LaneCtx {
         let RunSnapshot {
             sim,
             firmware,
-            injector,
-            link,
+            mut injector,
+            mut link,
             tracker,
             workload,
             samples,
@@ -104,8 +104,9 @@ impl LaneCtx {
             terminal_since,
             ..
         } = snapshot;
-        let link = link.into_restored_with_plan(plan.link_plan().clone());
-        let injector = SharedInjector::new(injector.into_restored_with_plan(plan));
+        link.set_plan(plan.link_plan().clone());
+        injector.set_plan(plan);
+        let injector = SharedInjector::new(injector);
         let firmware = firmware.into_restored(injector.clone());
         let ctx = LaneCtx {
             index,
@@ -121,7 +122,7 @@ impl LaneCtx {
             workload_status,
             terminal_since,
         };
-        (ctx, sim.into_restored(), output)
+        (ctx, sim, output)
     }
 
     /// Captures the lane at loop-top `time`, before that step's
@@ -130,11 +131,13 @@ impl LaneCtx {
     /// into a shared chunk, so the capture shares the history with the
     /// lane structurally: O(1) in the run length.
     fn capture(&mut self, batch: &LaneBatch, time: f64) -> RunSnapshot {
+        let injector = self.injector.sealed_clone();
         RunSnapshot {
             sim: batch.lane_snapshot(self.lane),
             firmware: self.firmware.snapshot(),
-            injector: self.injector.snapshot(),
-            link: LinkSnapshot::capture(&self.link),
+            prefix: injector.plan().before(time),
+            injector,
+            link: self.link.clone(),
             tracker: self.tracker.clone(),
             workload: self.workload.clone(),
             samples: self.samples.sealed_clone(),
@@ -144,7 +147,6 @@ impl LaneCtx {
             workload_status: self.workload_status.clone(),
             terminal_since: self.terminal_since,
             time,
-            prefix: injection_prefix(&self.injector.plan(), time),
         }
     }
 

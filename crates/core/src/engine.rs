@@ -57,7 +57,7 @@ use crate::campaign::{CampaignEvent, CampaignObserver};
 use crate::checker::{Budget, CampaignState};
 use crate::contain;
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult};
-use crate::snapshot::{injection_prefix, prefix_cache_key, CheckpointStats, SharedSnapshotTier};
+use crate::snapshot::{CheckpointStats, SharedSnapshotTier};
 use crate::store::SnapshotStore;
 use crate::strategy::{Candidate, Observation, Strategy};
 use avis_hinj::FaultPlan;
@@ -196,12 +196,12 @@ fn family_key(plan: &FaultPlan, bucket_seconds: f64) -> String {
     else {
         return String::new();
     };
-    let parent = injection_prefix(plan, deepest);
+    let parent = plan.before(deepest);
     if parent.is_empty() {
         let bucket = (deepest / bucket_seconds.max(1e-3)).floor() as i64;
         format!("#{bucket}")
     } else {
-        prefix_cache_key(&parent)
+        parent.canonical_key()
     }
 }
 

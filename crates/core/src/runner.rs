@@ -12,7 +12,7 @@ use crate::snapshot::{
 };
 use crate::trace::Trace;
 use avis_firmware::{BugId, BugSet, Firmware, FirmwareProfile};
-use avis_hinj::{FaultInjector, FaultPlan, FaultyLink, LinkSnapshot, SharedInjector};
+use avis_hinj::{FaultInjector, FaultPlan, FaultyLink, SharedInjector};
 use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
 use avis_sim::{CowVec, MotorCommands, SensorNoise, SimRng};
 use avis_workload::{ScriptedWorkload, WorkloadStatus};
@@ -376,8 +376,8 @@ impl ExperimentRunner {
     /// onto: a cut blob holds only dynamic state, and genesis supplies
     /// the static rest, so a cut re-materialises bit-exactly on any host
     /// that can rebuild the same [`ExperimentConfig`]. The fault
-    /// plan is irrelevant here: a restore always swaps the plan in (see
-    /// `into_restored_with_plan`), so genesis carries the empty one. The
+    /// plan is irrelevant here: a restore always swaps the plan into the
+    /// injector and the link, so genesis carries the empty one. The
     /// simulator takes one idle priming step, so the first loop top has
     /// sensor readings.
     pub(crate) fn genesis_snapshot(cfg: &ExperimentConfig, seed_offset: u64) -> RunSnapshot {
@@ -402,10 +402,10 @@ impl ExperimentRunner {
         sim.step_into(&MotorCommands::IDLE, &mut output);
         let time = sim.time();
         RunSnapshot {
-            sim: sim.snapshot(),
+            sim,
             firmware: firmware.snapshot(),
-            injector: injector.snapshot(),
-            link: LinkSnapshot::capture(&link),
+            injector: injector.sealed_clone(),
+            link,
             tracker: ProtocolTracker::new(),
             workload: cfg.workload.fresh(),
             // Pre-sized for the full run, so the trace never reallocates.
@@ -416,7 +416,7 @@ impl ExperimentRunner {
             workload_status: WorkloadStatus::Running,
             terminal_since: None,
             time,
-            prefix: crate::snapshot::InjectionPrefix::default(),
+            prefix: FaultPlan::empty(),
         }
     }
 }

@@ -72,10 +72,9 @@ use crate::contain;
 use crate::protocol::ProtocolTracker;
 use crate::trace::StateSample;
 use avis_firmware::FirmwareSnapshot;
-use avis_hinj::{FaultPlan, FaultSpec, InjectorSnapshot, LinkFaultSpec, LinkSnapshot};
-use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
-use avis_sim::simulator::StepOutput;
-use avis_sim::{CowVec, SensorReading, SimSnapshot};
+use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, FaultyLink, LinkFaultSpec};
+use avis_sim::simulator::{Simulator, StepOutput};
+use avis_sim::{CowVec, SensorReading};
 use avis_workload::{ScriptedWorkload, WorkloadStatus};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,88 +129,10 @@ impl CheckpointConfig {
     }
 }
 
-/// The failures of a plan scheduled strictly before a cut time, across
-/// *both* injection surfaces: sensor failures and protocol-level link
-/// faults. Two plans with equal prefixes at `t` drive bit-identical
-/// executions on `[0, t)` — the link fault shim, like the sensor
-/// injector, only consults faults scheduled before the current step.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct InjectionPrefix {
-    pub(crate) sensor: Vec<FaultSpec>,
-    pub(crate) link: Vec<LinkFaultSpec>,
-}
-
-impl InjectionPrefix {
-    /// Whether no failure of either surface precedes the cut.
-    pub fn is_empty(&self) -> bool {
-        self.sensor.is_empty() && self.link.is_empty()
-    }
-
-    /// Total number of failures in the prefix (both surfaces).
-    pub fn len(&self) -> usize {
-        self.sensor.len() + self.link.len()
-    }
-
-    /// Serialise the prefix for the persistent store.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.seq(&self.sensor, |w, s| s.encode(w));
-        w.seq(&self.link, |w, s| s.encode(w));
-    }
-
-    /// Decode a prefix previously written by [`InjectionPrefix::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<InjectionPrefix> {
-        Ok(InjectionPrefix {
-            sensor: r.seq(FaultSpec::decode)?,
-            link: r.seq(LinkFaultSpec::decode)?,
-        })
-    }
-}
-
-/// The failures of `plan` scheduled strictly before `t` — the *injection
-/// prefix* that fully determines the run's behaviour on `[0, t)`.
-/// (A failure scheduled exactly at `t` first fires at the firmware step
-/// at `t`, which happens after a snapshot taken at loop-top time `t`.)
-pub(crate) fn injection_prefix(plan: &FaultPlan, t: f64) -> InjectionPrefix {
-    InjectionPrefix {
-        sensor: plan.specs().filter(|s| s.time < t).collect(),
-        link: plan
-            .link_plan()
-            .specs()
-            .iter()
-            .filter(|s| s.time < t)
-            .copied()
-            .collect(),
-    }
-}
-
-/// The millisecond-quantised cache key of an injection prefix. Purely a
-/// lookup key: before a snapshot is reused, the exact (`f64`) prefixes
-/// are compared, so two plans that collide in quantised space can never
-/// contaminate each other's results. Link faults contribute their
-/// canonical parts, so a link-fault plan's snapshots can never collide
-/// with a sensor-only sibling's.
-pub(crate) fn prefix_cache_key(prefix: &InjectionPrefix) -> String {
-    let mut parts: Vec<String> = prefix
-        .sensor
-        .iter()
-        .map(|s| {
-            format!(
-                "{}:{}:{}",
-                s.instance.kind.name(),
-                s.instance.index,
-                (s.time * 1000.0).round() as i64
-            )
-        })
-        .collect();
-    parts.extend(prefix.link.iter().map(|s| s.canonical_part()));
-    parts.sort();
-    parts.join("|")
-}
-
-/// Everything the runner needs to resume a run mid-flight: the three
-/// substrate snapshots plus the runner's own loop bookkeeping at the cut
-/// point (the top of the lock-step loop, before ground-station traffic
-/// for that step is exchanged).
+/// Everything the runner needs to resume a run mid-flight: the run's own
+/// substrate state plus its loop bookkeeping at the cut point (the top of
+/// the lock-step loop, before ground-station traffic for that step is
+/// exchanged). A fork swaps its plan into the injector and the link.
 ///
 /// Cloning a `RunSnapshot` is O(1) in the run length: every growing
 /// history inside it is an `Arc`-chunked [`CowVec`] (see the
@@ -219,14 +140,14 @@ pub(crate) fn prefix_cache_key(prefix: &InjectionPrefix) -> String {
 #[derive(Debug, Clone)]
 pub struct RunSnapshot {
     /// Simulator state (vehicle, environment, sensor RNG stream, time).
-    pub(crate) sim: SimSnapshot,
+    pub(crate) sim: Simulator,
     /// Firmware state (estimator, navigator, failsafes, mission, modes).
     pub(crate) firmware: FirmwareSnapshot,
     /// Injector state (records + read counters; plan swapped at restore).
-    pub(crate) injector: InjectorSnapshot,
+    pub(crate) injector: FaultInjector,
     /// Link fault-shim state (queues, seq counters, RNG stream, storm
     /// dedup; link plan swapped at restore exactly like the injector's).
-    pub(crate) link: LinkSnapshot,
+    pub(crate) link: FaultyLink,
     /// GCS-side protocol-invariant tracker state.
     pub(crate) tracker: ProtocolTracker,
     /// Workload runtime state (script progress, seen telemetry).
@@ -247,8 +168,9 @@ pub struct RunSnapshot {
     /// Simulation time of the cut (s); equals the captured simulator's
     /// clock.
     pub(crate) time: f64,
-    /// The exact injection prefix of the recording run at `time`.
-    pub(crate) prefix: InjectionPrefix,
+    /// The exact injection prefix of the recording run at `time`: its
+    /// plan's failures scheduled before the cut ([`FaultPlan::before`]).
+    pub(crate) prefix: FaultPlan,
 }
 
 impl RunSnapshot {
@@ -258,7 +180,7 @@ impl RunSnapshot {
     }
 
     /// The exact injection prefix the snapshot was recorded under.
-    pub fn prefix(&self) -> &InjectionPrefix {
+    pub fn prefix(&self) -> &FaultPlan {
         &self.prefix
     }
 
@@ -274,8 +196,8 @@ impl RunSnapshot {
             + self.tracker.approx_bytes()
             + self.samples.exclusive_bytes()
             + self.output.readings.len() * std::mem::size_of::<SensorReading>()
-            + self.prefix.sensor.len() * std::mem::size_of::<FaultSpec>()
-            + self.prefix.link.len() * std::mem::size_of::<LinkFaultSpec>()
+            + self.prefix.len() * std::mem::size_of::<FaultSpec>()
+            + self.prefix.link_plan().len() * std::mem::size_of::<LinkFaultSpec>()
             // Workload runtime state plus per-snapshot bookkeeping. The
             // script itself (steps, environment) is Arc-shared, not copied.
             + 1024
@@ -306,7 +228,7 @@ impl SnapshotKey {
     fn for_snapshot(seed_offset: u64, snapshot: &RunSnapshot) -> Self {
         SnapshotKey {
             seed_offset,
-            prefix: prefix_cache_key(&snapshot.prefix),
+            prefix: snapshot.prefix.canonical_key(),
             time_ms: (snapshot.time * 1000.0).round() as i64,
         }
     }
@@ -388,7 +310,7 @@ const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// quarantined instead of resuming a wrong state.
 fn entry_checksum(snapshot: &RunSnapshot) -> u64 {
     let hash = fnv1a(FNV_OFFSET_BASIS, &snapshot.time.to_bits().to_le_bytes());
-    let hash = fnv1a(hash, prefix_cache_key(&snapshot.prefix).as_bytes());
+    let hash = fnv1a(hash, snapshot.prefix.canonical_key().as_bytes());
     fnv1a(hash, &(snapshot.approx_bytes() as u64).to_le_bytes())
 }
 
@@ -441,7 +363,8 @@ pub struct CheckpointStats {
     /// Chains hydrated from the persistent snapshot store at campaign
     /// start (see [`crate::store`]); `0` when no store was attached.
     pub loaded_chains: u64,
-    /// Chains the campaign flushed to the persistent store.
+    /// Chains the persistent store holds for this experiment after the
+    /// campaign's final flush.
     pub persisted_chains: u64,
     /// Bytes held by the persistent store (blobs plus manifest) after
     /// the campaign's final flush and GC pass.
@@ -535,14 +458,14 @@ impl SnapshotCache {
             .collect();
         boundaries.sort_by(f64::total_cmp);
         boundaries.dedup();
-        // `injection_prefix` is strict (`time < probe`), so probing at
+        // `FaultPlan::before` is strict (`time < probe`), so probing at
         // boundary `k` selects the prefix *excluding* that boundary's
         // failures — i.e. the failures before it — and f64::INFINITY probes
         // the full-plan prefix. Together the probes enumerate every distinct
         // prefix of the plan.
         let mut best: Option<(f64, &SnapshotKey)> = None;
         for probe in boundaries.into_iter().chain([f64::INFINITY]) {
-            let prefix = prefix_cache_key(&injection_prefix(plan, probe));
+            let prefix = plan.before(probe).canonical_key();
             let lo = SnapshotKey {
                 seed_offset,
                 prefix: prefix.clone(),
@@ -563,7 +486,7 @@ impl SnapshotCache {
                 // rejects both quantisation collisions and snapshots cut
                 // *after* one of the plan's failures that the recording run
                 // did not inject.
-                if injection_prefix(plan, cut.time) == cut.prefix {
+                if plan.before(cut.time) == cut.prefix {
                     if best.is_none_or(|(t, _)| cut.time > t) {
                         best = Some((cut.time, key));
                     }
@@ -738,78 +661,6 @@ impl SharedSnapshotTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avis_sim::{SensorInstance, SensorKind};
-
-    fn spec(kind: SensorKind, index: u8, time: f64) -> FaultSpec {
-        FaultSpec::new(SensorInstance::new(kind, index), time)
-    }
-
-    fn sensor_prefix(sensor: Vec<FaultSpec>) -> InjectionPrefix {
-        InjectionPrefix {
-            sensor,
-            link: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn injection_prefix_is_strictly_before_the_cut() {
-        let plan = FaultPlan::from_specs(vec![
-            spec(SensorKind::Gps, 0, 10.0),
-            spec(SensorKind::Barometer, 0, 20.0),
-        ]);
-        assert!(injection_prefix(&plan, 5.0).is_empty());
-        // A failure scheduled exactly at the cut has not fired yet.
-        assert!(injection_prefix(&plan, 10.0).is_empty());
-        assert_eq!(injection_prefix(&plan, 10.001).len(), 1);
-        assert_eq!(injection_prefix(&plan, 30.0).len(), 2);
-    }
-
-    #[test]
-    fn injection_prefix_covers_link_faults() {
-        use avis_hinj::{LinkDirection, LinkFaultKind, LinkFaultSpec};
-        let plan = FaultPlan::from_specs(vec![spec(SensorKind::Gps, 0, 25.0)]).with_link(
-            LinkFaultSpec::new(
-                LinkFaultKind::Drop {
-                    duration: 2.0,
-                    probability: 1.0,
-                },
-                LinkDirection::ToVehicle,
-                15.0,
-            ),
-        );
-        assert!(injection_prefix(&plan, 10.0).is_empty());
-        // The link fault at 15 s enters the prefix before the sensor one.
-        assert_eq!(injection_prefix(&plan, 15.0).len(), 0);
-        assert_eq!(injection_prefix(&plan, 20.0).len(), 1);
-        assert_eq!(injection_prefix(&plan, 30.0).len(), 2);
-        // Link faults change the cache key: a link-fault plan's snapshots
-        // can never be served to a sensor-only sibling.
-        let with_link = injection_prefix(&plan, 20.0);
-        let without = sensor_prefix(Vec::new());
-        assert_ne!(prefix_cache_key(&with_link), prefix_cache_key(&without));
-        assert!(prefix_cache_key(&with_link).contains("link:drop:tv"));
-    }
-
-    #[test]
-    fn prefix_cache_key_is_order_independent_and_quantised() {
-        let a = sensor_prefix(vec![
-            spec(SensorKind::Gps, 0, 10.0),
-            spec(SensorKind::Barometer, 1, 20.0),
-        ]);
-        let b = sensor_prefix(vec![
-            spec(SensorKind::Barometer, 1, 20.0),
-            spec(SensorKind::Gps, 0, 10.0),
-        ]);
-        assert_eq!(prefix_cache_key(&a), prefix_cache_key(&b));
-        assert_eq!(prefix_cache_key(&InjectionPrefix::default()), "");
-        let c = sensor_prefix(vec![spec(SensorKind::Gps, 0, 10.0001)]);
-        let d = sensor_prefix(vec![spec(SensorKind::Gps, 0, 10.0004)]);
-        // Sub-millisecond times collide in key space by design…
-        assert_eq!(prefix_cache_key(&c), prefix_cache_key(&d));
-        // …and differ at millisecond granularity.
-        let e = sensor_prefix(vec![spec(SensorKind::Gps, 0, 10.001)]);
-        assert_ne!(prefix_cache_key(&c), prefix_cache_key(&e));
-    }
 
     #[test]
     fn checkpoint_config_defaults_and_constructors() {

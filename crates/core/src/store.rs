@@ -86,12 +86,13 @@
 use crate::json::Json;
 use crate::protocol::ProtocolTracker;
 use crate::runner::{ExperimentConfig, ExperimentRunner};
-use crate::snapshot::{InjectionPrefix, RunSnapshot, SharedSnapshotTier, STORE_ORIGIN};
+use crate::snapshot::{RunSnapshot, SharedSnapshotTier, STORE_ORIGIN};
 use crate::trace::StateSample;
-use avis_hinj::{InjectorSnapshot, LinkSnapshot};
+use avis_hinj::{FaultInjector, FaultPlan, FaultyLink};
 use avis_sim::codec::{fnv1a, ByteReader, ByteWriter, CodecResult};
-use avis_sim::{ChunkMemo, ChunkSink, ChunkSource, CowVec, PackedStepOutput};
+use avis_sim::{ChunkMemo, ChunkSink, ChunkSource, CowVec, StepOutput};
 use avis_workload::WorkloadStatus;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -111,15 +112,18 @@ const MANIFEST_VERSION: f64 = 3.0;
 /// of the reference workloads, small enough to stay polite on CI hosts.
 pub const DEFAULT_STORE_BUDGET: u64 = 256 * 1024 * 1024;
 
-/// Counters describing what the persistent store did this session,
-/// merged into [`crate::snapshot::CheckpointStats`] by the campaign.
+/// Counters describing the persistent store and what it did this
+/// session, merged into [`crate::snapshot::CheckpointStats`] by the
+/// campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StoreStats {
     /// Chains hydrated from disk into the snapshot cache.
     pub loaded_chains: u64,
-    /// Chains flushed to disk (new or extended this session).
+    /// Chains the store holds for this experiment, as of the last
+    /// hydrate or flush.
     pub persisted_chains: u64,
-    /// Bytes held on disk (blobs + manifest) after the last flush/GC.
+    /// Bytes the store holds on disk (blobs + manifest), as of the last
+    /// hydrate or flush/GC.
     pub store_bytes: u64,
     /// Blob writes skipped because an identical content-addressed blob
     /// was already on disk.
@@ -155,7 +159,7 @@ struct ManifestCut {
 #[derive(Debug, Clone, PartialEq)]
 struct ManifestChain {
     seed_offset: u64,
-    prefix_key: String,
+    prefix: String,
     hits: u64,
     seq: u64,
     cuts: Vec<ManifestCut>,
@@ -164,7 +168,7 @@ struct ManifestChain {
 
 impl ManifestChain {
     fn key(&self) -> (u64, &str) {
-        (self.seed_offset, &self.prefix_key)
+        (self.seed_offset, &self.prefix)
     }
 
     /// Every blob the chain reaches: its cut blobs and the chunk blobs
@@ -221,7 +225,7 @@ impl Manifest {
                         .map(|chain| {
                             crate::json::object(vec![
                                 ("seed_offset", Json::Number(chain.seed_offset as f64)),
-                                ("prefix", Json::String(chain.prefix_key.clone())),
+                                ("prefix", Json::String(chain.prefix.clone())),
                                 ("hits", Json::Number(chain.hits as f64)),
                                 ("seq", Json::Number(chain.seq as f64)),
                                 (
@@ -271,7 +275,7 @@ impl Manifest {
             let chunks = chain.get("chunks")?.as_array()?;
             manifest.chains.push(ManifestChain {
                 seed_offset: chain.get("seed_offset")?.as_u64()?,
-                prefix_key: chain.get("prefix")?.as_str()?.to_string(),
+                prefix: chain.get("prefix")?.as_str()?.to_string(),
                 hits: chain.get("hits")?.as_u64()?,
                 seq: chain.get("seq")?.as_u64()?,
                 cuts,
@@ -284,9 +288,9 @@ impl Manifest {
 
 impl RunSnapshot {
     /// Writes the cut as one standalone cut-blob payload: each substrate
-    /// layer writes its dynamic state ([`avis_sim::SimSnapshot::encode`],
+    /// layer writes its dynamic state ([`avis_sim::Simulator::encode`],
     /// [`avis_firmware::FirmwareSnapshot::encode`],
-    /// [`InjectorSnapshot::encode`], [`LinkSnapshot::encode`]) and the
+    /// [`FaultInjector::encode`], [`FaultyLink::encode`]) and the
     /// runner bookkeeping rides along. History chunks (trace samples,
     /// injector records) go to `sink` content-addressed; the payload
     /// lists their hashes.
@@ -299,7 +303,7 @@ impl RunSnapshot {
         self.workload.encode_runtime(w);
         self.samples
             .encode_chunked(w, sink, &mut |w, s: &StateSample| s.encode(w));
-        PackedStepOutput::pack(&self.output).encode(w);
+        self.output.encode(w);
         w.usize(self.fence_violations);
         w.f64(self.next_sample_time);
         self.workload_status.encode(w);
@@ -325,18 +329,18 @@ impl RunSnapshot {
         Ok(RunSnapshot {
             sim,
             firmware,
-            injector: InjectorSnapshot::decode(r, source, memo)?,
-            link: LinkSnapshot::decode(r)?,
+            injector: FaultInjector::decode(r, source, memo)?,
+            link: FaultyLink::decode(r)?,
             tracker: ProtocolTracker::decode(r)?,
             workload: genesis.workload.decode_runtime(r)?,
             samples: CowVec::decode_chunked(r, source, memo, &mut StateSample::decode)?,
-            output: PackedStepOutput::decode(r)?.unpack(),
+            output: StepOutput::decode(r)?,
             fence_violations: r.usize()?,
             next_sample_time: r.f64()?,
             workload_status: WorkloadStatus::decode(r)?,
             terminal_since: r.option(|r| r.f64())?,
             time: r.f64()?,
-            prefix: InjectionPrefix::decode(r)?,
+            prefix: FaultPlan::decode(r)?,
         })
     }
 }
@@ -481,11 +485,23 @@ impl ChunkSource for BlobDir {
 struct ChainSink<'a> {
     blobs: &'a mut BlobDir,
     chunks: &'a mut BTreeSet<u64>,
+    /// The hash of every chunk this flush has put, by identity, so a
+    /// chunk many cuts share is encoded once per flush. Sound because the
+    /// flush holds the cache lock: every chunk it has seen stays alive, so
+    /// no identity is reused within the flush. (A failed write withholds
+    /// the whole flush's manifest.)
+    stored: &'a mut BTreeMap<usize, u64>,
 }
 
 impl ChunkSink for ChainSink<'_> {
-    fn put_chunk(&mut self, bytes: Vec<u8>) -> u64 {
-        let hash = self.blobs.put(&bytes);
+    fn put_chunk(&mut self, id: usize, encode: &mut dyn FnMut() -> Vec<u8>) -> u64 {
+        let hash = match self.stored.entry(id) {
+            Entry::Occupied(stored) => {
+                self.blobs.dedup_hits += 1;
+                *stored.get()
+            }
+            Entry::Vacant(slot) => *slot.insert(self.blobs.put(&encode())),
+        };
         self.chunks.insert(hash);
         hash
     }
@@ -635,7 +651,7 @@ impl SnapshotStore {
                 cuts.push(snapshot);
                 // Already on disk: later flushes need not encode it again.
                 self.persisted
-                    .insert((chain.seed_offset, chain.prefix_key.clone(), cut.time_ms));
+                    .insert((chain.seed_offset, chain.prefix.clone(), cut.time_ms));
             }
             if !cuts.is_empty() {
                 report.chains += 1;
@@ -645,6 +661,9 @@ impl SnapshotStore {
         }
         report.bytes = self.blobs.bytes_read - read_before;
         self.stats.loaded_chains += report.chains;
+        // The store as it stands; a flush with no new cut keeps it so.
+        self.stats.persisted_chains = manifest.chains.len() as u64;
+        self.stats.store_bytes = self.store_bytes();
         report
     }
 
@@ -682,14 +701,15 @@ impl SnapshotStore {
         // The cache lists one chain's cuts contiguously, in time order.
         let mut chains: Vec<ManifestChain> = Vec::new();
         let mut new_cuts = Vec::new();
+        let mut stored = BTreeMap::new();
         for (key, hits) in cache.cells() {
             let same_chain = chains.last().is_some_and(|chain| {
-                chain.seed_offset == key.seed_offset && chain.prefix_key == key.prefix
+                chain.seed_offset == key.seed_offset && chain.prefix == key.prefix
             });
             if !same_chain {
                 chains.push(ManifestChain {
                     seed_offset: key.seed_offset,
-                    prefix_key: key.prefix.clone(),
+                    prefix: key.prefix.clone(),
                     hits: 0,
                     seq: 0, // assigned at merge below
                     cuts: Vec::new(),
@@ -712,6 +732,7 @@ impl SnapshotStore {
             let mut sink = ChainSink {
                 blobs: &mut self.blobs,
                 chunks: &mut chain.chunks,
+                stored: &mut stored,
             };
             snapshot.encode(&mut writer, &mut sink);
             let blob = self.blobs.put(&writer.into_bytes());
@@ -1209,13 +1230,69 @@ mod tests {
     }
 
     #[test]
+    fn cut_blob_layout_is_pinned() {
+        // Nothing in a blob names its layout: a manifest of the current
+        // version is read with the current layout, so a layout change
+        // must bump `MANIFEST_VERSION`. This pins the layout the
+        // version-3 store writes: the genesis cut and the 30 s cut of
+        // the fault-free chain, written through a flush, must come out
+        // as the same content hashes (cut blob hash = FNV-1a of its
+        // payload) referencing the same chunk blobs.
+        const CUTS: [(i64, u64); 2] = [(3, 0xc7a4_b0bf_4c19_4972), (30_000, 0x90d4_1f94_ee3b_a422)];
+        const CHUNKS: [u64; 12] = [
+            0x00c4_24da_cf1f_4f5c,
+            0x0f36_9ef7_383e_59ec,
+            0x1bba_9856_ea96_eb15,
+            0x2897_f76d_e3f9_4430,
+            0x30e5_0b10_be1a_e4ac,
+            0x8404_dd65_541b_df73,
+            0x8bd8_c428_7a81_6443,
+            0xa9a8_78a2_b3c0_67e1,
+            0xacfc_a2f3_ef56_eb93,
+            0xb993_eaa4_11a9_cd54,
+            0xbd4f_4025_da03_c813,
+            0xc2cf_a25d_6162_775a,
+        ];
+        let cfg = experiment();
+        let recorded = populated_tier(&cfg);
+        let cut = {
+            let cache = recorded.lock();
+            let (key, _) = cache
+                .cells()
+                .find(|(key, _)| key.time_ms == 30_000)
+                .expect("the fault-free run cuts at 30 s");
+            cache.export(key).expect("the cut is intact").clone()
+        };
+        let tier = SharedSnapshotTier::new(usize::MAX);
+        let genesis = ExperimentRunner::genesis_snapshot(&cfg, 0);
+        tier.lock().commit(0, vec![genesis, cut], STORE_ORIGIN);
+        let root = temp_store("pinned-layout");
+        let mut store = SnapshotStore::open(&root, &cfg, DEFAULT_STORE_BUDGET).unwrap();
+        store.flush(&tier, &cfg);
+        let manifest = store.read_manifest().unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        let [chain] = manifest.chains.as_slice() else {
+            panic!("one chain: {:?}", manifest.chains);
+        };
+        let cuts: Vec<(i64, u64)> = chain.cuts.iter().map(|c| (c.time_ms, c.blob)).collect();
+        let chunks: Vec<u64> = chain.chunks.iter().copied().collect();
+        assert_eq!(
+            (cuts.as_slice(), chunks.as_slice()),
+            (CUTS.as_slice(), CHUNKS.as_slice()),
+            "the cut-blob layout changed: bump MANIFEST_VERSION, so stores \
+             written in the old layout hydrate nothing instead of decoding \
+             wrongly, and record the new hashes here"
+        );
+    }
+
+    #[test]
     fn manifest_json_round_trips() {
         let manifest = Manifest {
             fingerprint: "fp|test".to_string(),
             next_seq: 7,
             chains: vec![ManifestChain {
                 seed_offset: 3,
-                prefix_key: "s:1@12.5".to_string(),
+                prefix: "s:1@12.5".to_string(),
                 hits: 9,
                 seq: 2,
                 cuts: vec![

@@ -45,7 +45,7 @@ pub mod link;
 
 pub use link::{
     FaultyLink, LinkDirection, LinkFaultKind, LinkFaultPlan, LinkFaultSpec, LinkFaultStats,
-    LinkSnapshot, StormCommand,
+    StormCommand,
 };
 
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
@@ -212,6 +212,22 @@ impl FaultPlan {
         self.failure_time(instance).is_some_and(|t| time >= t)
     }
 
+    /// The failures of both surfaces scheduled strictly before `t`: the
+    /// *injection prefix* that fully determines a run's behaviour on
+    /// `[0, t)`. A failure scheduled exactly at `t` first fires at the
+    /// firmware step at `t`, after a snapshot cut at loop-top time `t`.
+    pub fn before(&self, t: f64) -> FaultPlan {
+        FaultPlan {
+            faults: self
+                .faults
+                .iter()
+                .filter(|&(_, &time)| time < t)
+                .map(|(&instance, &time)| (instance, time))
+                .collect(),
+            link: self.link.before(t),
+        }
+    }
+
     /// Serialises the plan for the persistent store: the sensor specs in
     /// instance order plus the link specs, both reconstructible through
     /// the plan builders.
@@ -275,8 +291,10 @@ impl FaultPlan {
     }
 
     /// A canonical, order-independent key for de-duplicating plans (the
-    /// hash-set of explored scenarios in §V.B.2). Times are quantised to
-    /// milliseconds so replay jitter does not create spurious new plans.
+    /// hash-set of explored scenarios in §V.B.2), and the snapshot cache's
+    /// lookup key for an injection prefix ([`FaultPlan::before`]). Times
+    /// are quantised to milliseconds so replay jitter does not create
+    /// spurious new plans; the cache compares exact plans before reuse.
     pub fn canonical_key(&self) -> String {
         let mut parts: Vec<String> = self
             .specs()
@@ -375,16 +393,14 @@ impl FaultInjector {
 
     /// Captures the injector's complete state — plan, delivered
     /// injections, mode transitions and read counters — so a later run
-    /// can resume from this exact point (see [`InjectorSnapshot`]).
-    /// Seals the record logs' tails first, so the capture shares the
-    /// history structurally (O(1) in the record count) instead of
-    /// deep-cloning it.
-    pub fn snapshot(&mut self) -> InjectorSnapshot {
+    /// can resume from this exact point; a fork swaps its own plan in
+    /// with [`FaultInjector::set_plan`]. Seals the record logs' tails
+    /// first, so the clone shares the history structurally (O(1) in the
+    /// record count) instead of deep-cloning it.
+    pub fn sealed_clone(&mut self) -> FaultInjector {
         self.injections.seal();
         self.transitions.seal();
-        InjectorSnapshot {
-            injector: self.clone(),
-        }
+        self.clone()
     }
 
     /// Called from an instrumented sensor-driver read. Returns `true` if
@@ -403,12 +419,6 @@ impl FaultInjector {
             }
         }
         failed
-    }
-
-    /// Non-mutating variant of [`FaultInjector::should_fail`] for callers
-    /// that only need the decision, not the bookkeeping.
-    pub fn would_fail(&self, instance: SensorInstance, time: f64) -> bool {
-        self.plan.is_failed(instance, time)
     }
 
     /// Called from the firmware's set-mode routine (the
@@ -453,107 +463,60 @@ impl FaultInjector {
     pub fn failed_reads(&self) -> u64 {
         self.failed_reads
     }
-}
 
-/// A point-in-time capture of a [`FaultInjector`], taken mid-run by
-/// [`FaultInjector::snapshot`]. Restoring yields an injector that behaves
-/// bit-identically to the captured one;
-/// [`InjectorSnapshot::restore_with_plan`] additionally swaps the fault
-/// plan, which is how a checkpointed runner forks a new scenario off a
-/// shared injection prefix.
-#[derive(Debug, Clone)]
-pub struct InjectorSnapshot {
-    injector: FaultInjector,
-}
-
-impl InjectorSnapshot {
-    /// Rebuilds the captured injector exactly.
-    pub fn restore(&self) -> FaultInjector {
-        self.injector.clone()
-    }
-
-    /// Rebuilds the captured injector with `plan` substituted for the
-    /// captured plan. Only valid when `plan` agrees with the captured
-    /// plan on every failure that starts before the capture time — the
-    /// caller (the runner's snapshot cache) guarantees this by keying
-    /// snapshots on the quantised injection prefix.
-    pub fn restore_with_plan(&self, plan: FaultPlan) -> FaultInjector {
-        let mut injector = self.injector.clone();
-        injector.set_plan(plan);
-        injector
-    }
-
-    /// Consuming form of [`InjectorSnapshot::restore_with_plan`], for
-    /// callers that own the snapshot and want to avoid the extra clone.
-    pub fn into_restored_with_plan(self, plan: FaultPlan) -> FaultInjector {
-        let mut injector = self.injector;
-        injector.set_plan(plan);
-        injector
-    }
-
-    /// The plan that was active when the snapshot was taken.
-    pub fn plan(&self) -> &FaultPlan {
-        self.injector.plan()
-    }
-
-    /// Approximate heap footprint *exclusively owned* by the captured
-    /// state (bytes), used by the snapshot cache's memory budget. The
+    /// Approximate heap footprint *exclusively owned* by the injector
+    /// (bytes), used by the snapshot cache's memory budget. The
     /// `Arc`-shared record chunks are accounted once per distinct chunk
-    /// through [`InjectorSnapshot::for_each_chunk`].
+    /// through [`FaultInjector::for_each_chunk`].
     pub fn approx_bytes(&self) -> usize {
-        self.injector.plan.len() * std::mem::size_of::<(SensorInstance, f64)>()
-            + self.injector.injections.exclusive_bytes()
-            + self.injector.transitions.exclusive_bytes()
+        self.plan.len() * std::mem::size_of::<(SensorInstance, f64)>()
+            + self.injections.exclusive_bytes()
+            + self.transitions.exclusive_bytes()
             + std::mem::size_of::<FaultInjector>()
     }
 
     /// Visits the `Arc`-shared record chunks as `(identity, bytes)`
     /// pairs (see [`CowVec::for_each_chunk`]).
     pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
-        self.injector.injections.for_each_chunk(f);
-        self.injector.transitions.for_each_chunk(f);
+        self.injections.for_each_chunk(f);
+        self.transitions.for_each_chunk(f);
     }
 
-    /// Writes the capture for the persistent store: the plan, the record
+    /// Writes the injector for the persistent store: the plan, the record
     /// logs as full chunk-hash lists (chunk contents go to `sink`
     /// content-addressed, see [`CowVec::encode_chunked`]), the current
     /// mode and the read counters. An injector has no static part, so
-    /// [`InjectorSnapshot::decode`] needs no genesis capture.
+    /// [`FaultInjector::decode`] needs no genesis injector.
     pub fn encode(&self, w: &mut ByteWriter, sink: &mut dyn ChunkSink) {
-        let injector = &self.injector;
-        injector.plan.encode(w);
-        injector
-            .injections
+        self.plan.encode(w);
+        self.injections
             .encode_chunked(w, sink, &mut |w, rec: &InjectionRecord| rec.encode(w));
-        injector
-            .transitions
+        self.transitions
             .encode_chunked(w, sink, &mut |w, rec: &ModeTransitionRecord| rec.encode(w));
-        w.option(injector.current_mode.as_ref(), |w, m| w.u32(m.0));
-        w.u64(injector.reads);
-        w.u64(injector.failed_reads);
+        w.option(self.current_mode.as_ref(), |w, m| w.u32(m.0));
+        w.u64(self.reads);
+        w.u64(self.failed_reads);
     }
 
-    /// Reads a capture written by [`InjectorSnapshot::encode`], sharing
+    /// Reads an injector written by [`FaultInjector::encode`], sharing
     /// the record chunks already in `memo` (see [`CowVec::decode_chunked`]).
     pub fn decode(
         r: &mut ByteReader<'_>,
         source: &mut dyn ChunkSource,
         memo: &mut ChunkMemo,
-    ) -> CodecResult<InjectorSnapshot> {
-        Ok(InjectorSnapshot {
-            injector: FaultInjector {
-                plan: FaultPlan::decode(r)?,
-                injections: CowVec::decode_chunked(r, source, memo, &mut InjectionRecord::decode)?,
-                transitions: CowVec::decode_chunked(
-                    r,
-                    source,
-                    memo,
-                    &mut ModeTransitionRecord::decode,
-                )?,
-                current_mode: r.option(|r| Ok(ModeCode(r.u32()?)))?,
-                reads: r.u64()?,
-                failed_reads: r.u64()?,
-            },
+    ) -> CodecResult<FaultInjector> {
+        Ok(FaultInjector {
+            plan: FaultPlan::decode(r)?,
+            injections: CowVec::decode_chunked(r, source, memo, &mut InjectionRecord::decode)?,
+            transitions: CowVec::decode_chunked(
+                r,
+                source,
+                memo,
+                &mut ModeTransitionRecord::decode,
+            )?,
+            current_mode: r.option(|r| Ok(ModeCode(r.u32()?)))?,
+            reads: r.u64()?,
+            failed_reads: r.u64()?,
         })
     }
 }
@@ -656,9 +619,9 @@ impl SharedInjector {
     }
 
     /// Captures the underlying injector's state (see
-    /// [`FaultInjector::snapshot`]).
-    pub fn snapshot(&self) -> InjectorSnapshot {
-        self.lock().snapshot()
+    /// [`FaultInjector::sealed_clone`]).
+    pub fn sealed_clone(&self) -> FaultInjector {
+        self.lock().sealed_clone()
     }
 }
 
@@ -730,6 +693,54 @@ mod tests {
         let d = FaultPlan::from_specs(vec![FaultSpec::new(gps(0), 1.0)]);
         assert_ne!(c.canonical_key(), d.canonical_key());
         assert_eq!(FaultPlan::empty().canonical_key(), "");
+        // Sub-millisecond times collide in key space by design: the
+        // snapshot cache keys on it, and compares exact plans before reuse.
+        let e = FaultPlan::from_specs(vec![FaultSpec::new(gps(0), 1.0001)]);
+        let f = FaultPlan::from_specs(vec![FaultSpec::new(gps(0), 1.0004)]);
+        assert_eq!(e.canonical_key(), f.canonical_key());
+        assert_ne!(e, f);
+    }
+
+    #[test]
+    fn plan_before_is_strictly_before_the_cut() {
+        let plan = FaultPlan::from_specs(vec![
+            FaultSpec::new(gps(0), 10.0),
+            FaultSpec::new(baro(0), 20.0),
+        ]);
+        assert!(plan.before(5.0).is_empty());
+        // A failure scheduled exactly at the cut has not fired yet.
+        assert!(plan.before(10.0).is_empty());
+        assert_eq!(
+            plan.before(10.001),
+            FaultPlan::from_specs(vec![FaultSpec::new(gps(0), 10.0)])
+        );
+        assert_eq!(plan.before(30.0), plan);
+    }
+
+    #[test]
+    fn plan_before_covers_link_faults() {
+        let drop = LinkFaultSpec::new(
+            LinkFaultKind::Drop {
+                duration: 2.0,
+                probability: 1.0,
+            },
+            LinkDirection::ToVehicle,
+            15.0,
+        );
+        let plan = FaultPlan::from_specs(vec![FaultSpec::new(gps(0), 25.0)]).with_link(drop);
+        assert!(plan.before(10.0).is_empty());
+        assert!(plan.before(15.0).is_empty());
+        // The link fault at 15 s enters the prefix before the sensor one.
+        let link_only = plan.before(20.0);
+        assert_eq!(link_only, FaultPlan::empty().with_link(drop));
+        assert_eq!(plan.before(30.0), plan);
+        // Link faults change the key: a link-fault plan's snapshots can
+        // never be served to a sensor-only sibling.
+        assert_ne!(
+            link_only.canonical_key(),
+            FaultPlan::empty().canonical_key()
+        );
+        assert!(link_only.canonical_key().contains("link:drop:tv"));
     }
 
     #[test]
@@ -791,15 +802,6 @@ mod tests {
         assert!(shared.should_fail(gps(0), 2.0));
         assert_eq!(shared.mode_transitions().len(), 1);
         assert_eq!(shared.injections().len(), 1);
-    }
-
-    #[test]
-    fn would_fail_does_not_record() {
-        let plan = FaultPlan::from_specs(vec![FaultSpec::new(gps(0), 1.0)]);
-        let inj = FaultInjector::new(plan);
-        assert!(inj.would_fail(gps(0), 2.0));
-        assert_eq!(inj.total_reads(), 0);
-        assert!(inj.injections().is_empty());
     }
 
     #[test]
@@ -876,29 +878,29 @@ mod tests {
                 inj.report_mode(t as f64 * 0.2, ModeCode(t as u32 / 10));
             }
         }
-        let base = inj.snapshot();
+        let base = inj.sealed_clone();
         for t in 40..80 {
             inj.should_fail(gps(0), t as f64 * 0.2);
         }
         inj.report_mode(16.0, ModeCode(9));
-        let cut = inj.snapshot();
+        let cut = inj.sealed_clone();
 
         // Both captures decode on their own; through one memo, the cut
         // shares the record chunks it has in common with the base.
         let mut store = avis_sim::cow::MemoryChunkStore::new();
         let mut memo = ChunkMemo::default();
-        let mut round_trip = |snapshot: &InjectorSnapshot| {
+        let mut round_trip = |injector: &FaultInjector| {
             let mut w = ByteWriter::new();
-            snapshot.encode(&mut w, &mut store);
+            injector.encode(&mut w, &mut store);
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes);
-            let decoded = InjectorSnapshot::decode(&mut r, &mut store, &mut memo).expect("decode");
+            let decoded = FaultInjector::decode(&mut r, &mut store, &mut memo).expect("decode");
             r.finish().expect("no trailing bytes");
             decoded
         };
         let decoded_base = round_trip(&base);
-        let decoded = round_trip(&cut);
-        let (restored, original) = (decoded.restore(), cut.restore());
+        let restored = round_trip(&cut);
+        let original = cut;
         assert_eq!(restored.plan(), original.plan());
         assert_eq!(
             restored.injections().to_vec(),
@@ -913,7 +915,7 @@ mod tests {
         assert_eq!(restored.failed_reads(), original.failed_reads());
         let (mut base_ids, mut cut_ids) = (Vec::new(), Vec::new());
         decoded_base.for_each_chunk(&mut |id, _| base_ids.push(id));
-        decoded.for_each_chunk(&mut |id, _| cut_ids.push(id));
+        restored.for_each_chunk(&mut |id, _| cut_ids.push(id));
         assert!(!base_ids.is_empty());
         assert!(base_ids.iter().all(|id| cut_ids.contains(id)));
     }

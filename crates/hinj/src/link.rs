@@ -429,16 +429,12 @@ impl LinkFaultPlan {
         parts.join("|")
     }
 
-    /// The canonical parts of every fault starting strictly before `t` —
-    /// the link half of a snapshot's injection-prefix key.
-    pub fn prefix_key(&self, t: f64) -> String {
-        let parts: Vec<String> = self
-            .specs
-            .iter()
-            .filter(|s| s.time < t)
-            .map(|s| s.canonical_part())
-            .collect();
-        parts.join("|")
+    /// The faults starting strictly before `t` — the link half of
+    /// [`crate::FaultPlan::before`].
+    pub fn before(&self, t: f64) -> LinkFaultPlan {
+        LinkFaultPlan {
+            specs: self.specs.iter().filter(|s| s.time < t).copied().collect(),
+        }
     }
 
     /// Sorted, deduplicated start times of every scheduled fault — the
@@ -550,6 +546,16 @@ impl FaultyLink {
     /// The plan being executed.
     pub fn plan(&self) -> &LinkFaultPlan {
         &self.plan
+    }
+
+    /// Replaces the plan being executed, keeping the queues, the rng
+    /// stream and the fired storms: the fork primitive of checkpointed
+    /// replay, as [`crate::FaultInjector::set_plan`] is for the sensor
+    /// injector. Only valid when `plan` agrees with the replaced plan on
+    /// every fault starting before the fork time, which the snapshot
+    /// cache's prefix keys guarantee.
+    pub fn set_plan(&mut self, plan: LinkFaultPlan) {
+        self.plan = plan;
     }
 
     /// The wrapped link (sequence-gap and decode-error observability).
@@ -705,66 +711,33 @@ impl FaultyLink {
             }
         }
     }
-}
 
-/// A point-in-time capture of a [`FaultyLink`], the link analogue of
-/// [`crate::InjectorSnapshot`]. The captured state (byte queues, rng
-/// stream position, delayed/reordered frames, fired storms) is small —
-/// at a loop-top cut the queues are normally empty — so a capture
-/// carries it by value and the store writes it whole.
-#[derive(Debug, Clone)]
-pub struct LinkSnapshot {
-    faulty: FaultyLink,
-}
-
-impl LinkSnapshot {
-    /// Captures the shim's complete state.
-    pub fn capture(faulty: &FaultyLink) -> Self {
-        LinkSnapshot {
-            faulty: faulty.clone(),
-        }
-    }
-
-    /// Rebuilds the captured shim exactly.
-    pub fn restore(&self) -> FaultyLink {
-        self.faulty.clone()
-    }
-
-    /// Rebuilds the captured shim with `plan` substituted. Only valid
-    /// when `plan` agrees with the captured plan on every fault starting
-    /// before the capture time — guaranteed by the snapshot cache's
-    /// prefix keys, exactly as for the sensor injector.
-    pub fn into_restored_with_plan(self, plan: LinkFaultPlan) -> FaultyLink {
-        let mut faulty = self.faulty;
-        faulty.plan = plan;
-        faulty
-    }
-
-    /// The plan that was active when the capture was taken.
-    pub fn plan(&self) -> &LinkFaultPlan {
-        &self.faulty.plan
-    }
-
-    /// Approximate heap footprint of the captured state (bytes).
+    /// Approximate heap footprint of the shim's state (bytes), used by
+    /// the snapshot cache's memory budget. At a loop-top cut the queues
+    /// are normally empty, so the state is small and the store writes it
+    /// whole.
     pub fn approx_bytes(&self) -> usize {
-        let f = &self.faulty;
         std::mem::size_of::<FaultyLink>()
-            + f.link.pending_bytes(Endpoint::Vehicle)
-            + f.link.pending_bytes(Endpoint::GroundStation)
-            + f.plan.len() * std::mem::size_of::<LinkFaultSpec>()
-            + f.delayed
+            + self.link.pending_bytes(Endpoint::Vehicle)
+            + self.link.pending_bytes(Endpoint::GroundStation)
+            + self.plan.len() * std::mem::size_of::<LinkFaultSpec>()
+            + self
+                .delayed
                 .iter()
                 .map(|(_, _, b)| b.len() + 24)
                 .sum::<usize>()
-            + f.reorder_to_vehicle.iter().map(|b| b.len()).sum::<usize>()
-            + f.reorder_to_gcs.iter().map(|b| b.len()).sum::<usize>()
-            + f.storms_fired.iter().map(|s| s.len()).sum::<usize>()
+            + self
+                .reorder_to_vehicle
+                .iter()
+                .map(|b| b.len())
+                .sum::<usize>()
+            + self.reorder_to_gcs.iter().map(|b| b.len()).sum::<usize>()
+            + self.storms_fired.iter().map(|s| s.len()).sum::<usize>()
     }
 
-    /// Serialises the captured shim for the persistent snapshot store.
+    /// Serialises the shim for the persistent snapshot store.
     pub fn encode(&self, w: &mut ByteWriter) {
-        let f = &self.faulty;
-        let parts = f.link.export_parts();
+        let parts = self.link.export_parts();
         w.bytes(&parts.to_vehicle);
         w.bytes(&parts.to_gcs);
         w.u8(parts.seq_gcs);
@@ -774,21 +747,21 @@ impl LinkSnapshot {
         w.u64(parts.seq_gaps_at_vehicle);
         w.u64(parts.seq_gaps_at_gcs);
         w.u64(parts.decode_errors);
-        w.seq(f.plan.specs(), |w, s| s.encode(w));
-        f.rng.encode(w);
-        w.seq(&f.delayed, |w, (release, dir, bytes)| {
+        w.seq(self.plan.specs(), |w, s| s.encode(w));
+        self.rng.encode(w);
+        w.seq(&self.delayed, |w, (release, dir, bytes)| {
             w.f64(*release);
             dir.encode(w);
             w.bytes(bytes);
         });
-        w.seq(&f.reorder_to_vehicle, |w, b| w.bytes(b));
-        w.seq(&f.reorder_to_gcs, |w, b| w.bytes(b));
-        let storms: Vec<&String> = f.storms_fired.iter().collect();
+        w.seq(&self.reorder_to_vehicle, |w, b| w.bytes(b));
+        w.seq(&self.reorder_to_gcs, |w, b| w.bytes(b));
+        let storms: Vec<&String> = self.storms_fired.iter().collect();
         w.seq(&storms, |w, s| w.str(s));
-        f.stats.encode(w);
+        self.stats.encode(w);
     }
 
-    /// Reads a capture written by [`LinkSnapshot::encode`].
+    /// Reads a shim written by [`FaultyLink::encode`].
     pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let parts = LinkParts {
             to_vehicle: r.bytes()?,
@@ -801,29 +774,15 @@ impl LinkSnapshot {
             seq_gaps_at_gcs: r.u64()?,
             decode_errors: r.u64()?,
         };
-        let specs = r.seq(LinkFaultSpec::decode)?;
-        let rng = SimRng::decode(r)?;
-        let delayed = r.seq(|r| {
-            let release = r.f64()?;
-            let dir = LinkDirection::decode(r)?;
-            let bytes = r.bytes()?;
-            Ok((release, dir, bytes))
-        })?;
-        let reorder_to_vehicle = r.seq(|r| r.bytes())?;
-        let reorder_to_gcs = r.seq(|r| r.bytes())?;
-        let storms_fired: BTreeSet<String> = r.seq(|r| r.str())?.into_iter().collect();
-        let stats = LinkFaultStats::decode(r)?;
-        Ok(LinkSnapshot {
-            faulty: FaultyLink {
-                link: Link::from_parts(parts),
-                plan: LinkFaultPlan::from_specs(specs),
-                rng,
-                delayed,
-                reorder_to_vehicle,
-                reorder_to_gcs,
-                storms_fired,
-                stats,
-            },
+        Ok(FaultyLink {
+            link: Link::from_parts(parts),
+            plan: LinkFaultPlan::from_specs(r.seq(LinkFaultSpec::decode)?),
+            rng: SimRng::decode(r)?,
+            delayed: r.seq(|r| Ok((r.f64()?, LinkDirection::decode(r)?, r.bytes()?)))?,
+            reorder_to_vehicle: r.seq(|r| r.bytes())?,
+            reorder_to_gcs: r.seq(|r| r.bytes())?,
+            storms_fired: r.seq(|r| r.str())?.into_iter().collect(),
+            stats: LinkFaultStats::decode(r)?,
         })
     }
 }
@@ -1059,8 +1018,7 @@ mod tests {
                 i as f64,
             );
         }
-        let snap = LinkSnapshot::capture(&faulty);
-        let mut resumed = snap.restore();
+        let mut resumed = faulty.clone();
         // Both continue with the identical rng stream and queue state.
         for i in 50..100u16 {
             faulty.send(
@@ -1104,7 +1062,8 @@ mod tests {
             LinkDirection::ToVehicle,
             5.0,
         ));
-        let mut forked = LinkSnapshot::capture(&faulty).into_restored_with_plan(extended);
+        let mut forked = faulty.clone();
+        forked.set_plan(extended);
         let got = forked.deliver(Endpoint::Vehicle, 6.0);
         assert_eq!(got.len(), 2);
         assert!(got.iter().all(|m| matches!(
@@ -1155,18 +1114,15 @@ mod tests {
             faulty.send(Endpoint::Vehicle, &heartbeat(), i as f64 * 0.1);
         }
         faulty.deliver(Endpoint::Vehicle, 2.0);
-        let snap = LinkSnapshot::capture(&faulty);
-
         let mut w = ByteWriter::new();
-        snap.encode(&mut w);
+        faulty.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let decoded = LinkSnapshot::decode(&mut r).expect("decode");
+        let mut b = FaultyLink::decode(&mut r).expect("decode");
         r.finish().expect("no trailing bytes");
 
         // Both shims continue bit-identically from the restore point.
-        let mut a = snap.restore();
-        let mut b = decoded.restore();
+        let mut a = faulty;
         assert_eq!(a.stats(), b.stats());
         for i in 30..60u16 {
             a.send(
@@ -1197,14 +1153,12 @@ mod tests {
 
     #[test]
     fn snapshot_decode_rejects_truncated_bytes() {
-        let faulty = FaultyLink::passthrough();
-        let snap = LinkSnapshot::capture(&faulty);
         let mut w = ByteWriter::new();
-        snap.encode(&mut w);
+        FaultyLink::passthrough().encode(&mut w);
         let bytes = w.into_bytes();
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             let mut r = ByteReader::new(&bytes[..cut]);
-            assert!(LinkSnapshot::decode(&mut r).is_err(), "cut at {cut}");
+            assert!(FaultyLink::decode(&mut r).is_err(), "cut at {cut}");
         }
     }
 
@@ -1225,12 +1179,9 @@ mod tests {
         assert_eq!(p1.canonical_key(), p2.canonical_key());
         assert_eq!(LinkFaultPlan::empty().canonical_key(), "");
         // Strictly-before prefix semantics, matching the sensor plan's.
-        assert_eq!(p1.prefix_key(1.0), "");
-        assert_eq!(p1.prefix_key(1.5), a.canonical_part());
-        assert_eq!(
-            p1.prefix_key(100.0),
-            format!("{}|{}", a.canonical_part(), b.canonical_part())
-        );
+        assert!(p1.before(1.0).is_empty());
+        assert_eq!(p1.before(1.5), LinkFaultPlan::from_specs(vec![a]));
+        assert_eq!(p1.before(100.0), p2);
         assert_eq!(p1.fault_times(), vec![1.0, 3.0]);
     }
 }

@@ -15,8 +15,9 @@ use std::fmt;
 pub struct SnapshotPair {
     /// Name of the live state struct (e.g. `Simulator`).
     pub state: String,
-    /// Name of the snapshot type (e.g. `SimSnapshot`), used in
-    /// diagnostics only — the scan is file + function-name scoped.
+    /// Name of the snapshot type (e.g. `FirmwareSnapshot`, or
+    /// `store blob` for a store codec), used in diagnostics only — the
+    /// scan is file + function-name scoped.
     pub snapshot: String,
     /// Workspace-relative file that defines the snapshot functions, and
     /// the state struct unless `state_file` names another.
@@ -331,7 +332,7 @@ files = ["crates/core/src/contain.rs"]
 
 [[snapshot_pair]]
 state = "Simulator"
-snapshot = "SimSnapshot"
+snapshot = "store blob"
 file = "crates/sim/src/simulator.rs"
 functions = ["snapshot", "diff", "apply"]
 

@@ -36,7 +36,7 @@
 use crate::environment::Collision;
 use crate::rng::SimRng;
 use crate::sensors::{Replay, SharedStream};
-use crate::simulator::{SimSnapshot, Simulator, StepOutput};
+use crate::simulator::{Simulator, StepOutput};
 use crate::vehicle::MotorCommands;
 
 /// A batch of sibling simulations advanced in lockstep over one shared
@@ -123,12 +123,12 @@ impl LaneBatch {
         id
     }
 
-    /// Captures a [`SimSnapshot`] of one lane, bit-identical to the
-    /// snapshot a scalar simulator in the same state would produce.
-    pub fn lane_snapshot(&self, id: u64) -> SimSnapshot {
+    /// Captures one lane as a scalar [`Simulator`], bit-identical to a
+    /// clone of a scalar simulator in the same state.
+    pub fn lane_snapshot(&self, id: u64) -> Simulator {
         let mut sim = self.lanes[self.slot(id)].0.clone();
         sim.sensors.rng.clone_from(&self.rng);
-        SimSnapshot { sim }
+        sim
     }
 
     /// Retires a lane: removes it from the batch and returns it as a
@@ -422,7 +422,7 @@ mod tests {
         }
         // A snapshot of lane 1 restored to a scalar simulator must track
         // the still-batched lane 1 exactly.
-        let mut restored = batch.lane_snapshot(l1).into_restored();
+        let mut restored = batch.lane_snapshot(l1);
         let mut out = batch.output(l1).clone();
         for step in 50..150 {
             restored.step_into(&script(1, step), &mut out);

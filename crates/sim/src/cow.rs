@@ -22,15 +22,18 @@ use std::sync::Arc;
 
 /// Write side of a content-addressed chunk store.
 ///
-/// [`CowVec::encode_chunked`] hands each sealed chunk's encoded bytes to
-/// the sink and records only the returned content hash inline; the sink
-/// owns deduplication (two snapshots whose histories share a chunk
-/// produce byte-identical chunk encodings, hence one stored blob).
+/// [`CowVec::encode_chunked`] hands each sealed chunk to the sink and
+/// records only the returned content hash inline; the sink owns
+/// deduplication (two snapshots whose histories share a chunk produce
+/// byte-identical chunk encodings, hence one stored blob).
 pub trait ChunkSink {
-    /// Stores (or dedups) a chunk blob, returning its FNV-1a content
-    /// hash. Implementations must return [`fnv1a`] of `bytes` so hashes
-    /// are stable across processes.
-    fn put_chunk(&mut self, bytes: Vec<u8>) -> u64;
+    /// Stores (or dedups) one sealed chunk, returning the FNV-1a content
+    /// hash ([`fnv1a`]) of its encoding, which `encode` produces. `id` is
+    /// the chunk's identity (see [`CowVec::for_each_chunk`]): a sink may
+    /// return the hash it returned for an `id` before without calling
+    /// `encode`, as long as it knows that chunk to be alive, since a
+    /// freed chunk's identity can be reused.
+    fn put_chunk(&mut self, id: usize, encode: &mut dyn FnMut() -> Vec<u8>) -> u64;
 }
 
 /// Read side of a content-addressed chunk store.
@@ -83,7 +86,8 @@ impl MemoryChunkStore {
 }
 
 impl ChunkSink for MemoryChunkStore {
-    fn put_chunk(&mut self, bytes: Vec<u8>) -> u64 {
+    fn put_chunk(&mut self, _id: usize, encode: &mut dyn FnMut() -> Vec<u8>) -> u64 {
+        let bytes = encode();
         let hash = fnv1a(&bytes);
         if let std::collections::btree_map::Entry::Vacant(slot) = self.chunks.entry(hash) {
             slot.insert(bytes);
@@ -272,25 +276,30 @@ impl<T: Clone> CowVec<T> {
     }
 
     /// Serialises the vector for the persistent store. Each sealed chunk
-    /// is encoded (element count + elements via `enc`) into its own blob
-    /// and handed to `sink`, which content-addresses it; only the chunk
-    /// hashes are written inline, so histories shared across snapshots
-    /// dedup to one stored blob per distinct chunk. The unsealed tail (if
-    /// any) is encoded inline.
+    /// is handed to `sink` with its identity and its encoding (element
+    /// count + elements via `enc`) as its own blob, which the sink
+    /// content-addresses; only the chunk hashes are written inline, so
+    /// histories shared across snapshots dedup to one stored blob per
+    /// distinct chunk, and a sink that remembers identities encodes each
+    /// shared chunk once. The unsealed tail (if any) is encoded inline.
     pub fn encode_chunked(
         &self,
         w: &mut ByteWriter,
         sink: &mut dyn ChunkSink,
         enc: &mut dyn FnMut(&mut ByteWriter, &T),
     ) {
+        let mut ids = Vec::with_capacity(self.chunks.len());
+        self.for_each_chunk(&mut |id, _| ids.push(id));
         w.usize(self.chunks.len());
-        for chunk in &self.chunks {
-            let mut cw = ByteWriter::with_capacity(16 + chunk.len() * 8);
-            cw.usize(chunk.len());
-            for item in chunk.iter() {
-                enc(&mut cw, item);
-            }
-            w.u64(sink.put_chunk(cw.into_bytes()));
+        for (chunk, id) in self.chunks.iter().zip(ids) {
+            w.u64(sink.put_chunk(id, &mut || {
+                let mut cw = ByteWriter::with_capacity(16 + chunk.len() * 8);
+                cw.usize(chunk.len());
+                for item in chunk.iter() {
+                    enc(&mut cw, item);
+                }
+                cw.into_bytes()
+            }));
         }
         w.usize(self.tail.len());
         for item in &self.tail {
@@ -556,6 +565,48 @@ mod tests {
         rebuilt_cut.for_each_chunk(&mut |id, _| cut_ids.push(id));
         assert_eq!(base_ids[0], cut_ids[0], "the shared chunk is one Arc");
         assert_ne!(cut_ids[0], cut_ids[1]);
+    }
+
+    #[test]
+    fn a_sink_that_remembers_identities_encodes_each_shared_chunk_once() {
+        use crate::codec::ByteWriter;
+
+        /// Remembers each chunk identity's hash and counts the chunks it
+        /// had to encode.
+        #[derive(Default)]
+        struct Counting(MemoryChunkStore, BTreeMap<usize, u64>, usize);
+        impl ChunkSink for Counting {
+            fn put_chunk(&mut self, id: usize, encode: &mut dyn FnMut() -> Vec<u8>) -> u64 {
+                if let Some(&hash) = self.1.get(&id) {
+                    return hash;
+                }
+                self.2 += 1;
+                let hash = self.0.put_chunk(id, encode);
+                self.1.insert(id, hash);
+                hash
+            }
+        }
+        // Five cuts along one history: cut k holds its k + 1 oldest
+        // chunks, so 15 chunk references name 5 distinct chunks.
+        let mut history = CowVec::new();
+        let cuts: Vec<CowVec<u64>> = (0..5u64)
+            .map(|k| {
+                (0..10).for_each(|i| history.push(10 * k + i));
+                history.sealed_clone()
+            })
+            .collect();
+        let (mut counting, mut plain) = (Counting::default(), MemoryChunkStore::new());
+        for cut in &cuts {
+            let (mut remembered, mut encoded) = (ByteWriter::new(), ByteWriter::new());
+            cut.encode_chunked(&mut remembered, &mut counting, &mut |w, t| w.u64(*t));
+            cut.encode_chunked(&mut encoded, &mut plain, &mut |w, t| w.u64(*t));
+            assert_eq!(remembered.into_bytes(), encoded.into_bytes());
+        }
+        assert_eq!(counting.2, 5, "each shared chunk is encoded once");
+        assert_eq!(
+            plain.dedup_hits, 10,
+            "a sink that forgets re-encodes the rest"
+        );
     }
 
     #[test]

@@ -56,7 +56,5 @@ pub use sensors::{
     SensorInstance, SensorKind, SensorNoise, SensorReading, SensorRole, SensorSuite,
     SensorSuiteConfig, SensorValue,
 };
-pub use simulator::{
-    PackedStepOutput, PhysicalState, SimConfig, SimSnapshot, Simulator, StepOutput,
-};
+pub use simulator::{PhysicalState, SimConfig, Simulator, StepOutput};
 pub use vehicle::{MotorCommands, Quadcopter, RigidBodyState, VehicleParams, GRAVITY, MOTOR_COUNT};

@@ -7,7 +7,7 @@
 //! accepts actuator outputs and computes the vehicle's next physical
 //! state.
 
-use crate::codec::{ByteReader, ByteWriter, CodecResult};
+use crate::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use crate::environment::{Collision, Environment};
 use crate::math::Vec3;
 use crate::sensors::{NoiseSource, OwnStream, SensorReading, SensorSuite, SensorSuiteConfig};
@@ -97,117 +97,43 @@ impl Default for StepOutput {
     }
 }
 
-/// A [`StepOutput`] packed for the persistent snapshot store: the sensor
-/// readings are flattened into one float array plus a compact instance
-/// list instead of a `Vec` of tagged
-/// [`SensorValue`](crate::sensors::SensorValue) enums — roughly a third
-/// of the size, bit-exactly reversible. Every persisted cut carries one.
-#[derive(Debug, Clone)]
-pub struct PackedStepOutput {
-    state: PhysicalState,
-    collision: Option<Collision>,
-    violated_fences: Vec<usize>,
-    /// Sample time shared by every reading of the step (readings are
-    /// produced by one [`SensorSuite::sample_into`] call).
-    time: f64,
-    instances: Vec<crate::sensors::SensorInstance>,
-    /// Per-reading float payload, concatenated in instance order (the
-    /// per-kind layout is fixed: accelerometer/gyroscope 3, GPS 6,
-    /// barometer/compass 1, battery 2).
-    floats: Vec<f64>,
-    /// Per-GPS-reading satellite counts, in instance order.
-    satellites: Vec<u8>,
-}
-
-impl PackedStepOutput {
-    /// Packs a step output. Readings are assumed to come from one
-    /// [`Simulator::step_into`] call (one shared sample time).
-    pub fn pack(output: &StepOutput) -> Self {
+impl StepOutput {
+    /// Writes the output bit-exactly for the persistent store. The
+    /// readings are packed: their values are flattened into one float
+    /// array beside the instance list, and their sample time is written
+    /// once (every reading of a step comes from one
+    /// [`SensorSuite::sample_into`] call), roughly a third of the size of
+    /// the tagged [`SensorValue`](crate::sensors::SensorValue)s.
+    pub fn encode(&self, w: &mut ByteWriter) {
         use crate::sensors::SensorValue;
-        let time = output.readings.first().map(|r| r.time).unwrap_or(0.0);
+        let time = self.readings.first().map_or(0.0, |r| r.time);
         debug_assert!(
-            output.readings.iter().all(|r| r.time == time),
+            self.readings.iter().all(|r| r.time == time),
             "step readings share one sample time"
         );
-        let mut packed = PackedStepOutput {
-            state: output.state,
-            collision: output.collision,
-            violated_fences: output.violated_fences.clone(),
-            time,
-            instances: Vec::with_capacity(output.readings.len()),
-            floats: Vec::with_capacity(output.readings.len() * 3),
-            satellites: Vec::new(),
-        };
-        for reading in &output.readings {
-            packed.instances.push(reading.instance);
+        let mut floats = Vec::with_capacity(self.readings.len() * 3);
+        let mut satellites = Vec::new();
+        for reading in &self.readings {
             match reading.value {
                 SensorValue::Acceleration(v) | SensorValue::AngularRate(v) => {
-                    packed.floats.extend([v.x, v.y, v.z]);
+                    floats.extend([v.x, v.y, v.z]);
                 }
                 SensorValue::GpsFix {
-                    position,
-                    velocity,
-                    satellites,
+                    position: p,
+                    velocity: v,
+                    satellites: n,
                 } => {
-                    packed.floats.extend([
-                        position.x, position.y, position.z, velocity.x, velocity.y, velocity.z,
-                    ]);
-                    packed.satellites.push(satellites);
+                    floats.extend([p.x, p.y, p.z, v.x, v.y, v.z]);
+                    satellites.push(n);
                 }
                 SensorValue::PressureAltitude(v) | SensorValue::MagneticHeading(v) => {
-                    packed.floats.push(v);
+                    floats.push(v)
                 }
                 SensorValue::BatteryStatus { voltage, remaining } => {
-                    packed.floats.extend([voltage, remaining]);
+                    floats.extend([voltage, remaining]);
                 }
             }
         }
-        packed
-    }
-
-    /// Rebuilds the exact [`StepOutput`] that was packed.
-    pub fn unpack(&self) -> StepOutput {
-        use crate::sensors::{SensorKind, SensorValue};
-        let mut readings = Vec::with_capacity(self.instances.len());
-        let mut floats = self.floats.iter().copied();
-        let mut next = || floats.next().expect("packed float count matches layout");
-        let mut satellites = self.satellites.iter().copied();
-        for &instance in &self.instances {
-            let value = match instance.kind {
-                SensorKind::Accelerometer => {
-                    SensorValue::Acceleration(Vec3::new(next(), next(), next()))
-                }
-                SensorKind::Gyroscope => {
-                    SensorValue::AngularRate(Vec3::new(next(), next(), next()))
-                }
-                SensorKind::Gps => SensorValue::GpsFix {
-                    position: Vec3::new(next(), next(), next()),
-                    velocity: Vec3::new(next(), next(), next()),
-                    satellites: satellites.next().expect("one count per GPS reading"),
-                },
-                SensorKind::Barometer => SensorValue::PressureAltitude(next()),
-                SensorKind::Compass => SensorValue::MagneticHeading(next()),
-                SensorKind::Battery => SensorValue::BatteryStatus {
-                    voltage: next(),
-                    remaining: next(),
-                },
-            };
-            readings.push(SensorReading {
-                instance,
-                time: self.time,
-                value,
-            });
-        }
-        StepOutput {
-            state: self.state,
-            readings,
-            collision: self.collision,
-            violated_fences: self.violated_fences.clone(),
-        }
-    }
-
-    /// Serialises the packed output (bit-exact) for the persistent store.
-    pub fn encode(&self, w: &mut ByteWriter) {
         w.f64(self.state.time);
         self.state.position.encode(w);
         self.state.velocity.encode(w);
@@ -216,137 +142,70 @@ impl PackedStepOutput {
         w.bool(self.state.on_ground);
         w.option(self.collision.as_ref(), |w, c| c.encode(w));
         w.seq(&self.violated_fences, |w, i| w.usize(*i));
-        w.f64(self.time);
-        w.seq(&self.instances, |w, i| i.encode(w));
-        w.seq(&self.floats, |w, v| w.f64(*v));
-        w.bytes(&self.satellites);
+        w.f64(time);
+        w.seq(&self.readings, |w, r| r.instance.encode(w));
+        w.seq(&floats, |w, v| w.f64(*v));
+        w.bytes(&satellites);
     }
 
-    /// Restores a packed output serialised by [`PackedStepOutput::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<PackedStepOutput> {
-        Ok(PackedStepOutput {
-            state: PhysicalState {
-                time: r.f64()?,
-                position: Vec3::decode(r)?,
-                velocity: Vec3::decode(r)?,
-                acceleration: Vec3::decode(r)?,
-                heading: r.f64()?,
-                on_ground: r.bool()?,
-            },
-            collision: r.option(Collision::decode)?,
-            violated_fences: r.seq(|r| r.usize())?,
+    /// Reads an output written by [`StepOutput::encode`]. A float array or
+    /// satellite list that does not match the instance list's fixed
+    /// per-kind layout (accelerometer and gyroscope 3 floats, GPS 6 and a
+    /// satellite count, barometer and compass 1, battery 2) is malformed.
+    pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<StepOutput> {
+        use crate::sensors::{SensorInstance, SensorKind, SensorValue};
+        let state = PhysicalState {
             time: r.f64()?,
-            instances: r.seq(crate::sensors::SensorInstance::decode)?,
-            floats: r.seq(|r| r.f64())?,
-            satellites: r.bytes()?,
+            position: Vec3::decode(r)?,
+            velocity: Vec3::decode(r)?,
+            acceleration: Vec3::decode(r)?,
+            heading: r.f64()?,
+            on_ground: r.bool()?,
+        };
+        let collision = r.option(Collision::decode)?;
+        let violated_fences = r.seq(|r| r.usize())?;
+        let time = r.f64()?;
+        let instances = r.seq(SensorInstance::decode)?;
+        let mut floats = r.seq(|r| r.f64())?.into_iter();
+        let mut satellites = r.bytes()?.into_iter();
+        let malformed = || CodecError::Malformed("packed reading layout mismatch");
+        let mut next = || floats.next().ok_or_else(malformed);
+        let mut readings = Vec::with_capacity(instances.len());
+        for instance in instances {
+            let value = match instance.kind {
+                SensorKind::Accelerometer => {
+                    SensorValue::Acceleration(Vec3::new(next()?, next()?, next()?))
+                }
+                SensorKind::Gyroscope => {
+                    SensorValue::AngularRate(Vec3::new(next()?, next()?, next()?))
+                }
+                SensorKind::Gps => SensorValue::GpsFix {
+                    position: Vec3::new(next()?, next()?, next()?),
+                    velocity: Vec3::new(next()?, next()?, next()?),
+                    satellites: satellites.next().ok_or_else(malformed)?,
+                },
+                SensorKind::Barometer => SensorValue::PressureAltitude(next()?),
+                SensorKind::Compass => SensorValue::MagneticHeading(next()?),
+                SensorKind::Battery => SensorValue::BatteryStatus {
+                    voltage: next()?,
+                    remaining: next()?,
+                },
+            };
+            readings.push(SensorReading {
+                instance,
+                time,
+                value,
+            });
+        }
+        if floats.next().is_some() || satellites.next().is_some() {
+            return Err(malformed());
+        }
+        Ok(StepOutput {
+            state,
+            readings,
+            collision,
+            violated_fences,
         })
-        .and_then(|packed: PackedStepOutput| {
-            // Validate the fixed per-kind layout so a corrupt blob can
-            // never panic a later unpack().
-            use crate::sensors::SensorKind;
-            let mut expected_floats = 0usize;
-            let mut expected_sats = 0usize;
-            for instance in &packed.instances {
-                expected_floats += match instance.kind {
-                    SensorKind::Accelerometer | SensorKind::Gyroscope => 3,
-                    SensorKind::Gps => {
-                        expected_sats += 1;
-                        6
-                    }
-                    SensorKind::Barometer | SensorKind::Compass => 1,
-                    SensorKind::Battery => 2,
-                };
-            }
-            if packed.floats.len() != expected_floats || packed.satellites.len() != expected_sats {
-                return Err(crate::codec::CodecError::Malformed(
-                    "packed reading layout mismatch",
-                ));
-            }
-            Ok(packed)
-        })
-    }
-}
-
-/// A point-in-time capture of a [`Simulator`], taken mid-run by
-/// [`Simulator::snapshot`]. Everything that feeds the simulation forward
-/// — vehicle rigid-body state, environment, sensor-noise RNG stream,
-/// accumulated time and collision bookkeeping — is captured, so a
-/// restored simulator continues bit-identically to the original: the same
-/// motor-command sequence produces the same [`StepOutput`]s.
-///
-/// Capture is O(1) in the environment: the simulator holds its
-/// environment behind an `Arc`, so every snapshot along a run (and every
-/// fork) shares one copy of the fence/obstacle geometry instead of
-/// cloning it.
-#[derive(Debug, Clone)]
-pub struct SimSnapshot {
-    pub(crate) sim: Simulator,
-}
-
-impl SimSnapshot {
-    /// Simulation time at which the snapshot was taken (s).
-    pub fn time(&self) -> f64 {
-        self.sim.time
-    }
-
-    /// Rebuilds the captured simulator.
-    pub fn restore(&self) -> Simulator {
-        self.sim.clone()
-    }
-
-    /// Consuming form of [`SimSnapshot::restore`], for callers that own
-    /// the snapshot and want to avoid the extra clone.
-    pub fn into_restored(self) -> Simulator {
-        self.sim
-    }
-
-    /// Approximate heap footprint *exclusively owned* by the captured
-    /// state (bytes), used by checkpoint caches to enforce their memory
-    /// budget. The sensor suite dominates; it is bounded per
-    /// configuration, so a flat estimate suffices. The environment is
-    /// `Arc`-shared across every snapshot of a run and accounted once
-    /// through [`SimSnapshot::for_each_chunk`].
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Simulator>() + self.sim.config.sensors.total_instances() * 192
-    }
-
-    /// Visits the `Arc`-shared parts of the capture as `(identity,
-    /// bytes)` pairs, so a snapshot store can charge each shared block
-    /// exactly once however many snapshots reference it.
-    pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
-        f(
-            // avis-lint: allow(d2, reason = "environment identity for memory-budget dedup only; never feeds replay, hashing or ordering")
-            Arc::as_ptr(&self.sim.env) as usize,
-            std::mem::size_of::<Environment>() + self.sim.env.fences().len() * 128,
-        );
-    }
-
-    /// Writes the capture's dynamic state — vehicle, sensor noise stream,
-    /// time and collision bookkeeping — bit-exactly for the persistent
-    /// store. The static complement (configuration, seed-time sensor
-    /// biases, the `Arc`-shared environment) is not written:
-    /// [`SimSnapshot::decode_onto`] keeps it from the genesis capture.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        let sim = &self.sim;
-        sim.quad.encode(w);
-        sim.sensors.encode(w);
-        w.f64(sim.time);
-        w.u64(sim.steps);
-        w.option(sim.first_collision.as_ref(), |w, c| c.encode(w));
-        w.bool(sim.was_airborne);
-    }
-
-    /// Reads the state [`SimSnapshot::encode`] wrote onto this capture,
-    /// which must be the genesis capture of the same run configuration.
-    pub fn decode_onto(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
-        let sim = &mut self.sim;
-        sim.quad.decode_onto(r)?;
-        sim.sensors.decode_onto(r)?;
-        sim.time = r.f64()?;
-        sim.steps = r.u64()?;
-        sim.first_collision = r.option(Collision::decode)?;
-        sim.was_airborne = r.bool()?;
-        Ok(())
     }
 }
 
@@ -452,10 +311,51 @@ impl Simulator {
         }
     }
 
-    /// Captures the simulator's complete state so a later run can resume
-    /// from this exact point (see [`SimSnapshot`]).
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot { sim: self.clone() }
+    /// Approximate heap footprint *exclusively owned* by the simulator
+    /// (bytes), used by checkpoint caches to enforce their memory budget.
+    /// The sensor suite dominates; it is bounded per configuration, so a
+    /// flat estimate suffices. The environment is `Arc`-shared across
+    /// every cut of a run and accounted once through
+    /// [`Simulator::for_each_chunk`].
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Simulator>() + self.config.sensors.total_instances() * 192
+    }
+
+    /// Visits the `Arc`-shared parts of the simulator as `(identity,
+    /// bytes)` pairs, so a snapshot cache can charge each shared block
+    /// exactly once however many cuts reference it.
+    pub fn for_each_chunk(&self, f: &mut dyn FnMut(usize, usize)) {
+        f(
+            // avis-lint: allow(d2, reason = "environment identity for memory-budget dedup only; never feeds replay, hashing or ordering")
+            Arc::as_ptr(&self.env) as usize,
+            std::mem::size_of::<Environment>() + self.env.fences().len() * 128,
+        );
+    }
+
+    /// Writes the dynamic state — vehicle, sensor noise stream, time and
+    /// collision bookkeeping — bit-exactly for the persistent store. The
+    /// static complement (configuration, seed-time sensor biases, the
+    /// `Arc`-shared environment) is not written:
+    /// [`Simulator::decode_onto`] keeps it from the genesis simulator.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        self.quad.encode(w);
+        self.sensors.encode(w);
+        w.f64(self.time);
+        w.u64(self.steps);
+        w.option(self.first_collision.as_ref(), |w, c| c.encode(w));
+        w.bool(self.was_airborne);
+    }
+
+    /// Reads the state [`Simulator::encode`] wrote onto this simulator,
+    /// which must be the genesis simulator of the same run configuration.
+    pub fn decode_onto(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        self.quad.decode_onto(r)?;
+        self.sensors.decode_onto(r)?;
+        self.time = r.f64()?;
+        self.steps = r.u64()?;
+        self.first_collision = r.option(Collision::decode)?;
+        self.was_airborne = r.bool()?;
+        Ok(())
     }
 
     /// Repositions the vehicle (scenario setup / tests only).
@@ -636,6 +536,30 @@ mod tests {
             out.readings.len(),
             SensorSuiteConfig::iris().total_instances()
         );
+    }
+
+    #[test]
+    fn step_output_codec_round_trips_and_rejects_a_foreign_layout() {
+        use crate::sensors::{SensorKind, SensorValue};
+        let mut sim = Simulator::with_defaults();
+        let mut output = sim.step(&MotorCommands::uniform(0.6));
+        let round_trip = |output: &StepOutput| {
+            let mut w = ByteWriter::new();
+            output.encode(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            StepOutput::decode(&mut r).and_then(|decoded| r.finish().map(|()| decoded))
+        };
+        assert!(output
+            .readings
+            .iter()
+            .any(|r| r.instance.kind == SensorKind::Gps));
+        assert_eq!(round_trip(&output), Ok(output.clone()));
+        // A reading whose value does not fit its instance's kind packs a
+        // float count the decoder's per-kind layout rejects.
+        assert_eq!(output.readings[0].instance.kind, SensorKind::Accelerometer);
+        output.readings[0].value = SensorValue::PressureAltitude(1.0);
+        assert!(round_trip(&output).is_err());
     }
 
     #[test]

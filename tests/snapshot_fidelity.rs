@@ -8,10 +8,10 @@
 use avis::runner::{ExperimentConfig, ExperimentRunner};
 use avis::snapshot::{CheckpointConfig, SharedSnapshotTier};
 use avis_firmware::{BugId, BugSet, Firmware, FirmwareProfile};
-use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, InjectorSnapshot, SharedInjector};
+use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, SharedInjector};
 use avis_sim::codec::{ByteReader, ByteWriter};
 use avis_sim::cow::MemoryChunkStore;
-use avis_sim::simulator::{SimConfig, SimSnapshot, Simulator, StepOutput};
+use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
 use avis_sim::{
     ChunkMemo, Environment, MotorCommands, SensorInstance, SensorKind, SensorNoise, SimRng,
 };
@@ -63,10 +63,8 @@ fn simulator_snapshot_restore_continues_bit_identically() {
         for &t in &throttles[..cut] {
             recording.step_into(&MotorCommands::uniform(t), &mut output);
         }
-        let snapshot = recording.snapshot();
-        assert_eq!(snapshot.time(), recording.time());
-        assert!(snapshot.approx_bytes() > 0);
-        let mut restored = snapshot.restore();
+        let mut restored = recording.clone();
+        assert!(restored.approx_bytes() > 0);
         for &t in &throttles[cut..] {
             restored.step_into(&MotorCommands::uniform(t), &mut output);
         }
@@ -93,7 +91,7 @@ fn injector_snapshot_restore_preserves_prefix_and_swaps_plan() {
                 injector.report_mode(t, avis_hinj::ModeCode(i as u32 / 10));
             }
         }
-        let snapshot = injector.snapshot();
+        let snapshot = injector.sealed_clone();
         assert_eq!(snapshot.plan().len(), 1);
         assert!(snapshot.approx_bytes() > 0);
 
@@ -102,7 +100,8 @@ fn injector_snapshot_restore_preserves_prefix_and_swaps_plan() {
         // plan governs future reads.
         let new_fault = FaultSpec::new(arb_instance(&mut rng), 20.0);
         let new_plan = FaultPlan::from_specs(vec![prefix_fault, new_fault]);
-        let mut restored = snapshot.restore_with_plan(new_plan.clone());
+        let mut restored = snapshot.clone();
+        restored.set_plan(new_plan.clone());
         assert_eq!(restored.plan(), &new_plan);
         assert_eq!(
             restored.mode_transitions(),
@@ -117,8 +116,8 @@ fn injector_snapshot_restore_preserves_prefix_and_swaps_plan() {
             new_plan.is_failed(new_fault.instance, 25.0)
         );
 
-        // The exact restore keeps the original plan.
-        assert_eq!(snapshot.restore().plan(), injector.plan());
+        // The capture itself keeps the original plan.
+        assert_eq!(snapshot.plan(), injector.plan());
     }
 }
 
@@ -172,9 +171,9 @@ fn firmware_snapshot_restore_continues_bit_identically() {
         let fw_snapshot = fw.snapshot();
         assert!((fw_snapshot.time() - (sim.time() - DT)).abs() < 1e-9);
         assert!(fw_snapshot.approx_bytes() > 0);
-        let restored_injector = SharedInjector::new(injector.snapshot().restore());
+        let restored_injector = SharedInjector::new(injector.sealed_clone());
         let mut restored_fw = fw_snapshot.restore(restored_injector.clone());
-        let mut restored_sim = sim.snapshot().into_restored();
+        let mut restored_sim = sim.clone();
         let mut restored_output = output.clone();
         for step in cut_steps..total_steps {
             drive_ground_station(&mut restored_fw, step);
@@ -293,26 +292,26 @@ fn forked_tail_mutation_never_perturbs_a_shared_prefix() {
                 injector.report_mode(t, avis_hinj::ModeCode(i as u32));
             }
         }
-        let snapshot = injector.snapshot();
-        let injections_at_cut = snapshot.restore().injections().to_vec();
-        let transitions_at_cut = snapshot.restore().mode_transitions().to_vec();
+        let snapshot = injector.sealed_clone();
+        let injections_at_cut = snapshot.injections().to_vec();
+        let transitions_at_cut = snapshot.mode_transitions().to_vec();
         // The original keeps running (its tail grows and reseals)…
         for i in 30..200 {
             let t = i as f64 * 0.5;
             injector.should_fail(arb_instance(&mut rng), t);
             injector.report_mode(t, avis_hinj::ModeCode(i as u32));
             if i % 13 == 0 {
-                let _ = injector.snapshot(); // reseals the shared chain
+                let _ = injector.sealed_clone(); // reseals the shared chain
             }
         }
         // …and the earlier snapshot must be byte-for-byte unchanged.
         assert_eq!(
-            snapshot.restore().injections().to_vec(),
+            snapshot.injections().to_vec(),
             injections_at_cut,
             "case {case}: injector prefix perturbed"
         );
         assert_eq!(
-            snapshot.restore().mode_transitions().to_vec(),
+            snapshot.mode_transitions().to_vec(),
             transitions_at_cut,
             "case {case}: transition prefix perturbed"
         );
@@ -365,7 +364,7 @@ fn firmware_defect_log_holds_one_entry_per_triggered_bug() {
         "one entry per triggered bug: {:?}",
         fw.defect_log()
     );
-    let restored = snapshot.restore(SharedInjector::new(injector.snapshot().restore()));
+    let restored = snapshot.restore(SharedInjector::new(injector.sealed_clone()));
     assert_eq!(
         restored.defect_log().to_vec(),
         log_at_cut,
@@ -373,9 +372,9 @@ fn firmware_defect_log_holds_one_entry_per_triggered_bug() {
     );
 }
 
-/// Encodes a capture for the persistent store and decodes it onto
-/// `genesis`, the capture of the same run at `t = 0`.
-fn sim_round_trip(genesis: &SimSnapshot, cut: &SimSnapshot) -> SimSnapshot {
+/// Encodes a simulator for the persistent store and decodes it onto
+/// `genesis`, the same run's simulator at `t = 0`.
+fn sim_round_trip(genesis: &Simulator, cut: &Simulator) -> Simulator {
     let mut w = ByteWriter::new();
     cut.encode(&mut w);
     let bytes = w.into_bytes();
@@ -386,14 +385,14 @@ fn sim_round_trip(genesis: &SimSnapshot, cut: &SimSnapshot) -> SimSnapshot {
     decoded
 }
 
-fn injector_round_trip(cut: &InjectorSnapshot) -> InjectorSnapshot {
+fn injector_round_trip(cut: &FaultInjector) -> FaultInjector {
     let mut store = MemoryChunkStore::new();
     let mut w = ByteWriter::new();
     cut.encode(&mut w, &mut store);
     let bytes = w.into_bytes();
     let mut r = ByteReader::new(&bytes);
     let decoded =
-        InjectorSnapshot::decode(&mut r, &mut store, &mut ChunkMemo::default()).expect("decode");
+        FaultInjector::decode(&mut r, &mut store, &mut ChunkMemo::default()).expect("decode");
     r.finish().expect("no trailing bytes");
     decoded
 }
@@ -412,12 +411,12 @@ fn sim_codec_restore_is_bit_identical_to_full_restore() {
         let throttles: Vec<f64> = (0..total).map(|_| rng.uniform_range(0.0, 0.9)).collect();
 
         let mut sim = make_sim(seed);
-        let genesis = sim.snapshot();
+        let genesis = sim.clone();
         let mut output = StepOutput::empty();
         for &t in &throttles[..cut_at] {
             sim.step_into(&MotorCommands::uniform(t), &mut output);
         }
-        let cut = sim.snapshot();
+        let cut = sim.clone();
         let decoded = sim_round_trip(&genesis, &cut);
         assert_eq!(decoded.time(), cut.time());
 
@@ -429,8 +428,8 @@ fn sim_codec_restore_is_bit_identical_to_full_restore() {
             (restored.physical_state(), restored.steps(), out)
         };
         assert_eq!(
-            drive(decoded.into_restored()),
-            drive(cut.restore()),
+            drive(decoded),
+            drive(cut),
             "case {case}: the decoded sim diverged from the full restore"
         );
     }
@@ -451,11 +450,11 @@ fn injector_codec_restore_is_bit_identical_to_full_restore() {
             }
             if i == 25 {
                 // Seal part of the history into a chunk of its own.
-                injector.snapshot();
+                injector.sealed_clone();
             }
         }
-        let cut = injector.snapshot();
-        let (a, b) = (injector_round_trip(&cut).restore(), cut.restore());
+        let cut = injector.sealed_clone();
+        let (a, b) = (injector_round_trip(&cut), cut);
         assert_eq!(a.plan(), b.plan(), "case {case}: plan diverged");
         assert_eq!(a.injections(), b.injections(), "case {case}");
         assert_eq!(a.mode_transitions(), b.mode_transitions(), "case {case}");
@@ -489,7 +488,7 @@ fn firmware_codec_restore_is_bit_identical_to_full_restore() {
             sim.step_into(&cmd, &mut output);
         }
         let cut = fw.snapshot();
-        let cut_injector = injector.snapshot();
+        let cut_injector = injector.sealed_clone();
         let mut w = ByteWriter::new();
         cut.encode(&mut w);
         let bytes = w.into_bytes();
@@ -502,10 +501,10 @@ fn firmware_codec_restore_is_bit_identical_to_full_restore() {
         // Drive both restores through the identical tail and compare
         // every observable.
         let drive = |firmware_snapshot: &avis_firmware::FirmwareSnapshot,
-                     injector_snapshot: &InjectorSnapshot| {
-            let shared = SharedInjector::new(injector_snapshot.restore());
+                     injector: &FaultInjector| {
+            let shared = SharedInjector::new(injector.clone());
             let mut fw = firmware_snapshot.restore(shared.clone());
-            let mut sim = sim.snapshot().into_restored();
+            let mut sim = sim.clone();
             let mut out = output.clone();
             let mut commands = Vec::new();
             for step in cut_steps..total_steps {

@@ -64,11 +64,12 @@ fn hydrated_chains(events: &[CampaignEvent]) -> u64 {
         .expect("a store-backed campaign emits StoreHydrated")
 }
 
-fn flushed_chains(events: &[CampaignEvent]) -> u64 {
+/// The chains and bytes the store holds after the campaign's flush.
+fn store_flushed(events: &[CampaignEvent]) -> (u64, u64) {
     events
         .iter()
         .find_map(|e| match e {
-            CampaignEvent::StoreFlushed { chains, .. } => Some(*chains),
+            CampaignEvent::StoreFlushed { chains, bytes, .. } => Some((*chains, *bytes)),
             _ => None,
         })
         .expect("a store-backed campaign emits StoreFlushed")
@@ -99,7 +100,7 @@ fn persisted_warm_campaign_is_bit_identical_to_cold() {
             "an empty store hydrates nothing"
         );
         assert!(
-            flushed_chains(&first_events) > 0,
+            store_flushed(&first_events).0 > 0,
             "the first session should persist its chains: {first_events:?}"
         );
 
@@ -269,8 +270,13 @@ fn warm_sessions_fork_their_profiling_runs_from_the_store() {
             let (first, _, _) = build(parallelism, SIMULATIONS, Some(&root));
             assert_eq!(cold, first, "first session ({label}) diverged from cold");
 
-            let (warm, _, stats) = build(parallelism, SIMULATIONS, Some(&root));
+            let (warm, warm_events, stats) = build(parallelism, SIMULATIONS, Some(&root));
             assert_eq!(cold, warm, "warm session ({label}) diverged from cold");
+            let store = store_flushed(&warm_events);
+            assert!(
+                store.0 > 0 && store.1 > 0,
+                "the store ({label}) holds chains"
+            );
             assert!(
                 stats.shared_hits >= PROFILING_RUNS as u64,
                 "warm profiling runs ({label}) should fork from the store: {stats:?}"
@@ -286,6 +292,13 @@ fn warm_sessions_fork_their_profiling_runs_from_the_store() {
                 (stats.forked_runs, stats.shared_hits, stats.cold_runs),
                 (PROFILING_RUNS as u64, PROFILING_RUNS as u64, 0),
                 "every warm profiling run ({label}) forks from the store: {stats:?}"
+            );
+            // It records no new cut, and still reports the store it leaves.
+            assert_eq!(store_flushed(&events), store, "flushed store ({label})");
+            assert_eq!(
+                (stats.persisted_chains, stats.store_bytes),
+                store,
+                "store statistics ({label})"
             );
             let cost = profiling_cost(&events);
             assert!(
@@ -473,7 +486,7 @@ fn store_keys_experiments_apart_by_fingerprint() {
     // fingerprint-keyed cell.
     let root = temp_root("fingerprint");
     let (_, first_events) = campaign(1, Some(&root));
-    assert!(flushed_chains(&first_events) > 0);
+    assert!(store_flushed(&first_events).0 > 0);
 
     // A different bug set → different fingerprint → fresh cell.
     let mut other = experiment();
