@@ -661,6 +661,61 @@ impl SharedSnapshotTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avis_sim::{SensorInstance, SensorKind};
+
+    fn genesis() -> RunSnapshot {
+        use crate::runner::{ExperimentConfig, ExperimentRunner};
+        use avis_firmware::{BugSet, FirmwareProfile};
+        use avis_workload::auto_box_mission;
+
+        let cfg = ExperimentConfig::new(
+            FirmwareProfile::ArduPilotLike,
+            BugSet::none(),
+            auto_box_mission(),
+        );
+        ExperimentRunner::genesis_snapshot(&cfg, 0)
+    }
+
+    fn spec(kind: SensorKind, index: u8, time: f64) -> FaultSpec {
+        FaultSpec::new(SensorInstance::new(kind, index), time)
+    }
+
+    #[test]
+    fn prefix_cache_key_is_order_independent_and_quantised() {
+        let genesis = genesis();
+        let cut = |prefix: FaultPlan| RunSnapshot {
+            time: 30.0,
+            prefix,
+            ..genesis.clone()
+        };
+        let key = |specs: Vec<FaultSpec>| {
+            SnapshotKey::for_snapshot(0, &cut(FaultPlan::from_specs(specs))).prefix
+        };
+        let a = key(vec![
+            spec(SensorKind::Gps, 0, 10.0),
+            spec(SensorKind::Barometer, 1, 20.0),
+        ]);
+        let b = key(vec![
+            spec(SensorKind::Barometer, 1, 20.0),
+            spec(SensorKind::Gps, 0, 10.0),
+        ]);
+        assert_eq!(a, b);
+        assert_eq!(key(Vec::new()), "");
+        let c = key(vec![spec(SensorKind::Gps, 0, 10.0001)]);
+        let d = key(vec![spec(SensorKind::Gps, 0, 10.0004)]);
+        // Sub-millisecond times collide in key space by design…
+        assert_eq!(c, d);
+        // …and differ at millisecond granularity.
+        assert_ne!(c, key(vec![spec(SensorKind::Gps, 0, 10.001)]));
+        // The cache compares exact prefixes before serving a cut, so a
+        // collided key never hands one plan's cut to the other.
+        let recorded = FaultPlan::from_specs(vec![spec(SensorKind::Gps, 0, 10.0001)]);
+        let sibling = FaultPlan::from_specs(vec![spec(SensorKind::Gps, 0, 10.0004)]);
+        let mut cache = SnapshotCache::new(usize::MAX);
+        cache.commit(0, vec![cut(recorded.clone())], 1);
+        assert!(cache.take_deepest(0, &sibling, 40.0).is_none());
+        assert!(cache.take_deepest(0, &recorded, 40.0).is_some());
+    }
 
     #[test]
     fn checkpoint_config_defaults_and_constructors() {
@@ -674,16 +729,7 @@ mod tests {
 
     #[test]
     fn corrupt_cut_is_quarantined_alone() {
-        use crate::runner::{ExperimentConfig, ExperimentRunner};
-        use avis_firmware::{BugSet, FirmwareProfile};
-        use avis_workload::auto_box_mission;
-
-        let cfg = ExperimentConfig::new(
-            FirmwareProfile::ArduPilotLike,
-            BugSet::none(),
-            auto_box_mission(),
-        );
-        let genesis = ExperimentRunner::genesis_snapshot(&cfg, 0);
+        let genesis = genesis();
         let cut = |time: f64| RunSnapshot {
             time,
             ..genesis.clone()
