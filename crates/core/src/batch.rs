@@ -27,8 +27,8 @@
 //! - A live lane stays batched until it **retires**: its post-terminal
 //!   grace period elapses, a watchdog trips, or simulated time runs out.
 //!   A lane whose mode or arming departs the leader's keeps stepping with
-//!   the batch; the shared-noise invariant of [`LaneBatch`] keeps it
-//!   bit-identical to its lone run however far the states diverge.
+//!   the batch, bit-identical to its lone run however far the states
+//!   diverge.
 //! - A lane that has not forked when the leader retires never will (no
 //!   fault its plan disagrees on ever fired) and rides the leader's
 //!   result.
@@ -36,13 +36,13 @@
 //! Every call steps its lanes through one [`LaneBatch`]; a lone plan is
 //! a one-lane batch. Batching is bit-identical to lone execution by
 //! construction: each lane is a plain [`Simulator`] stepping through
-//! [`Simulator::step_into`]'s code, all lanes share one experiment seed
-//! so their lone runs would draw identical sensor noise at equal
-//! simulated time (the batch draws it once and its lanes replay it), and
-//! forks reuse the snapshot-cut argument from [`crate::snapshot`] (a
-//! failure scheduled at `t` first fires at the firmware step at `t`, after
-//! a fork taken at loop-top time `t`). Like checkpointing, it is purely a
-//! speed knob and is excluded from the experiment fingerprint.
+//! [`Simulator::step_into`] itself, the sensor noise is a pure function
+//! of the experiment seed and the step (so each lane reads what its lone
+//! run reads), and forks reuse the snapshot-cut argument from
+//! [`crate::snapshot`] (a failure scheduled at `t` first fires at the
+//! firmware step at `t`, after a fork taken at loop-top time `t`). Like
+//! checkpointing, it is purely a speed knob and is excluded from the
+//! experiment fingerprint.
 
 use crate::protocol::ProtocolTracker;
 use crate::runner::{ExperimentConfig, ExperimentRunner, RunResult, RunVerdict};

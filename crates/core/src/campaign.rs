@@ -370,9 +370,9 @@ impl CampaignBuilder {
     }
 
     /// Number of sibling scenarios advanced in lockstep through one
-    /// [`avis_sim::LaneBatch`], sharing one sensor-noise draw, when a
-    /// prefix family of speculative plans runs (see the `batch` module),
-    /// on workers and on the serial path alike; `1` disables batching.
+    /// [`avis_sim::LaneBatch`] when a prefix family of speculative plans
+    /// runs (see the `batch` module), on workers and on the serial path
+    /// alike; `1` disables batching.
     /// Purely a speed knob — a batched run is bit-identical to a scalar
     /// one — so it joins neither the experiment fingerprint nor any
     /// campaign observable. Default: 4.

@@ -19,8 +19,8 @@ use avis_workload::{ScriptedWorkload, WorkloadStatus};
 use std::sync::Arc;
 
 /// Salt folded into the link fault shim's RNG seed so its stream is
-/// independent of the simulator's sensor-noise stream derived from the
-/// same experiment seed. Never derived from the fault plan: two plans
+/// independent of the simulator's sensor noise keyed by the same
+/// experiment seed. Never derived from the fault plan: two plans
 /// sharing an injection prefix must consume identical link-RNG streams
 /// up to the first divergent fault, which is what makes checkpointed
 /// link-fault runs bit-identical to cold ones.
@@ -62,11 +62,11 @@ pub struct ExperimentConfig {
     /// starve a worker forever (see [`WatchdogConfig`]).
     pub watchdog: WatchdogConfig,
     /// Number of sibling scenarios advanced in lockstep through one
-    /// [`avis_sim::LaneBatch`], sharing one sensor-noise draw, when a
-    /// prefix family of speculative plans runs (see the `batch` module).
-    /// `1` disables batching. Purely a speed knob: a batched run is
-    /// bit-identical to a scalar one, so this is excluded from the
-    /// experiment fingerprint, exactly like checkpoint placement.
+    /// [`avis_sim::LaneBatch`] when a prefix family of speculative plans
+    /// runs (see the `batch` module). `1` disables batching. Purely a
+    /// speed knob: a batched run is bit-identical to a scalar one, so
+    /// this is excluded from the experiment fingerprint, exactly like
+    /// checkpoint placement.
     pub lockstep_lanes: usize,
 }
 

@@ -105,8 +105,10 @@ const BLOB_MAGIC: &[u8; 8] = b"AVISBLB1";
 /// version hydrates nothing, and the session's flush replaces it.
 /// Version 2 carried the firmware's defect log inline instead of as
 /// chunk blobs; version 3 writes every cut whole, decoded onto genesis
-/// alone, and lists each chain's chunk blobs.
-const MANIFEST_VERSION: f64 = 3.0;
+/// alone, and lists each chain's chunk blobs; version 4 drops the sensor
+/// suite's noise generator (the noise is counter-based) and the link
+/// generator's Box-Muller spare.
+const MANIFEST_VERSION: f64 = 4.0;
 
 /// Default store byte budget: large enough for several campaigns' chains
 /// of the reference workloads, small enough to stay polite on CI hosts.
@@ -1234,11 +1236,11 @@ mod tests {
         // Nothing in a blob names its layout: a manifest of the current
         // version is read with the current layout, so a layout change
         // must bump `MANIFEST_VERSION`. This pins the layout the
-        // version-3 store writes: the genesis cut and the 30 s cut of
+        // version-4 store writes: the genesis cut and the 30 s cut of
         // the fault-free chain, written through a flush, must come out
         // as the same content hashes (cut blob hash = FNV-1a of its
         // payload) referencing the same chunk blobs.
-        const CUTS: [(i64, u64); 2] = [(3, 0xc7a4_b0bf_4c19_4972), (30_000, 0x90d4_1f94_ee3b_a422)];
+        const CUTS: [(i64, u64); 2] = [(3, 0xb4cb_68e1_b2fa_fa74), (30_000, 0xda83_aeb2_0c14_9004)];
         const CHUNKS: [u64; 12] = [
             0x00c4_24da_cf1f_4f5c,
             0x0f36_9ef7_383e_59ec,

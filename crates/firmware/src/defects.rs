@@ -400,6 +400,7 @@ mod tests {
             0.4,
             0.0,
             0.001,
+            1,
         );
         let mut specs = Vec::new();
         for &(kind, count) in kind_failures {
@@ -549,6 +550,7 @@ mod tests {
             0.4,
             0.0,
             0.001,
+            1,
         );
         let mut fe = SensorFrontend::new(SharedInjector::new(FaultInjector::new(
             FaultPlan::from_specs(vec![FaultSpec::new(

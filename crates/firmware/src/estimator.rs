@@ -491,7 +491,7 @@ mod tests {
         let mut cfg = SensorSuiteConfig::iris();
         cfg.noise = SensorNoise::noiseless();
         let mut suite = SensorSuite::new(cfg.clone(), 1);
-        let readings = suite.sample(&RigidBodyState::at_rest(Vec3::ZERO), 0.2, 0.0, DT);
+        let readings = suite.sample(&RigidBodyState::at_rest(Vec3::ZERO), 0.2, 0.0, DT, 1);
         let specs: Vec<FaultSpec> = cfg
             .instances()
             .into_iter()

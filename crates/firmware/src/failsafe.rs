@@ -289,6 +289,7 @@ mod tests {
             0.4,
             0.0,
             0.001,
+            1,
         );
         let mut specs = Vec::new();
         for &(kind, count) in kinds {

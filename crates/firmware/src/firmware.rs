@@ -700,8 +700,9 @@ impl Firmware {
                 }
             }
         }
-        // 5. Defect-forced mode change.
-        if let Some(forced) = overrides.force_mode {
+        // 5. Defect-forced mode change, while armed: a vehicle that
+        //    disarmed on the ground stays in pre-flight.
+        if let Some(forced) = overrides.force_mode.filter(|_| self.armed) {
             if forced == OperatingMode::Land {
                 self.hold_position = self.estimator.state().position;
             }
@@ -1261,6 +1262,41 @@ mod tests {
             })
         );
         assert_ne!(fw.mode(), OperatingMode::Takeoff);
+    }
+
+    #[test]
+    fn a_forced_mode_leaves_a_disarmed_vehicle_in_preflight() {
+        use avis_hinj::{FaultInjector, FaultPlan, FaultSpec};
+        use avis_sim::SensorInstance;
+        // APM-16021 latches once the climb passes 2 m with the primary
+        // accelerometer failed, then forces Land at every step and
+        // descends into the ground, where touchdown disarms the vehicle.
+        let injector = SharedInjector::new(FaultInjector::new(FaultPlan::from_specs(vec![
+            FaultSpec::new(SensorInstance::new(SensorKind::Accelerometer, 0), 0.0),
+        ])));
+        let bugs = BugSet::only(crate::bugs::BugId::Apm16021);
+        let mut fw = Firmware::new(FirmwareProfile::ArduPilotLike, bugs, injector);
+        let mut sim = make_sim();
+        run(&mut fw, &mut sim, 1.0);
+        fw.handle_message(&Message::ArmDisarm { arm: true });
+        fw.handle_message(&Message::SetMode {
+            mode: ProtocolMode::Guided,
+        });
+        fw.handle_message(&Message::CommandTakeoff { altitude: 15.0 });
+        run(&mut fw, &mut sim, 30.0);
+        assert_eq!(
+            fw.defect_log().len(),
+            1,
+            "APM-16021 latched: {:?}",
+            fw.defect_log()
+        );
+        assert!(!fw.armed(), "touchdown disarms the vehicle");
+        assert_eq!(
+            fw.mode(),
+            OperatingMode::PreFlight,
+            "modes: {:?}",
+            fw.mode_history()
+        );
     }
 
     #[test]

@@ -274,7 +274,7 @@ mod tests {
         cfg.noise = SensorNoise::noiseless();
         let mut suite = SensorSuite::new(cfg, 1);
         let state = RigidBodyState::at_rest(Vec3::new(0.0, 0.0, alt));
-        suite.sample(&state, 0.4, time, 0.001)
+        suite.sample(&state, 0.4, time, 0.001, 1)
     }
 
     fn injector_with(specs: Vec<FaultSpec>) -> SharedInjector {

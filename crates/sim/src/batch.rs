@@ -1,58 +1,38 @@
 //! Batched lockstep stepping: one [`LaneBatch`] advances N sibling
-//! scenarios ("lanes") through one shared sensor-noise draw.
-//!
-//! # The shared-noise invariant
+//! scenarios ("lanes") together.
 //!
 //! Sibling scenarios in a campaign differ only in their fault plans, not
-//! in their simulation seed: every run draws sensor noise from the same
-//! `SimRng` stream, and the number of draws per step does not depend on
-//! the vehicle's state (see `NoiseSource` in [`crate::sensors`]). Two
-//! runs at the same simulated time have therefore consumed exactly the
-//! same prefix of the stream, however far their physical states have
-//! diverged. A `LaneBatch` holds **one** stream for all lanes. Each lane
-//! is a plain [`Simulator`] stepped by [`Simulator::step_into`]'s own
-//! code: the lane in the first slot draws the step's noise from the
-//! shared stream and records each value, and every other lane replays
-//! the recorded values in the same order. Each lane's readings are the
-//! ones its lone run would compute, by construction; the draw, not the
-//! vehicle model, is what the lanes share.
-//!
-//! While a lane is batched its simulator's own noise stream goes stale.
-//! [`LaneBatch::lane_snapshot`] and [`LaneBatch::extract_lane`] write the
-//! shared stream into the simulator they hand out.
+//! in their simulation seed. Each lane is a plain [`Simulator`] stepped
+//! by [`Simulator::step_into`] itself, so each lane's readings are the
+//! ones its lone run would compute by construction. Nothing is shared
+//! between lanes: the sensor noise is a pure function of the seed, the
+//! tick and the draw's slot ([`crate::rng::noise`]), so every lane reads
+//! what its lone run reads, however far their states diverge.
 //!
 //! # Lane lifecycle
 //!
 //! Lanes are created from a scalar simulator ([`LaneBatch::from_simulator`]),
 //! forked by cloning an existing lane ([`LaneBatch::clone_lane`]), cut
 //! through [`LaneBatch::lane_snapshot`] (a checkpoint of one lane), and
-//! retired through [`LaneBatch::extract_lane`] once their run ends. A
-//! lane stays batched however far its state diverges from its
-//! siblings': the shared-noise invariant holds at any divergence. Lane
+//! retired through [`LaneBatch::extract_lane`] once their run ends. Lane
 //! ids are stable across removals; slot order (and therefore
 //! [`LaneBatch::step_lanes`] command order) follows
 //! [`LaneBatch::lane_ids`].
 
 use crate::environment::Collision;
-use crate::rng::SimRng;
-use crate::sensors::{Replay, SharedStream};
 use crate::simulator::{Simulator, StepOutput};
 use crate::vehicle::MotorCommands;
 
-/// A batch of sibling simulations advanced in lockstep over one shared
-/// sensor-noise stream. See the module docs for the invariants.
+/// A batch of sibling simulations advanced in lockstep. See the module
+/// docs for the lane lifecycle.
 #[derive(Debug, Clone)]
 pub struct LaneBatch {
-    /// The noise stream every lane's lone run would draw from.
-    rng: SimRng,
     ids: Vec<u64>,
     /// Each lane's simulator and most recent step output, in slot order.
     lanes: Vec<(Simulator, StepOutput)>,
     next_id: u64,
     /// Shared simulation time (every lane is at this time).
     time: f64,
-    // snapshot: skip(step scratch, the shared draws recorded for replay each step)
-    noise: Vec<f64>,
 }
 
 impl LaneBatch {
@@ -62,12 +42,10 @@ impl LaneBatch {
     /// into per-lane output buffers exactly like `Simulator::step_into`).
     pub fn from_simulator(sim: Simulator, output: StepOutput) -> (Self, u64) {
         let batch = LaneBatch {
-            rng: sim.sensors.rng.clone(),
             ids: vec![0],
             time: sim.time,
             lanes: vec![(sim, output)],
             next_id: 1,
-            noise: Vec::new(),
         };
         (batch, 0)
     }
@@ -111,9 +89,7 @@ impl LaneBatch {
     }
 
     /// Forks a new lane as a bit-exact copy of lane `src`, returning the
-    /// new lane's id. The shared stream is *not* duplicated — that is the
-    /// point: both lanes keep consuming the one stream their scalar
-    /// counterparts would consume identically.
+    /// new lane's id.
     pub fn clone_lane(&mut self, src: u64) -> u64 {
         let lane = self.lanes[self.slot(src)].clone();
         let id = self.next_id;
@@ -126,9 +102,7 @@ impl LaneBatch {
     /// Captures one lane as a scalar [`Simulator`], bit-identical to a
     /// clone of a scalar simulator in the same state.
     pub fn lane_snapshot(&self, id: u64) -> Simulator {
-        let mut sim = self.lanes[self.slot(id)].0.clone();
-        sim.sensors.rng.clone_from(&self.rng);
-        sim
+        self.lanes[self.slot(id)].0.clone()
     }
 
     /// Retires a lane: removes it from the batch and returns it as a
@@ -137,40 +111,21 @@ impl LaneBatch {
     pub fn extract_lane(&mut self, id: u64) -> (Simulator, StepOutput) {
         let slot = self.slot(id);
         self.ids.swap_remove(slot);
-        let (mut sim, output) = self.lanes.swap_remove(slot);
-        sim.sensors.rng.clone_from(&self.rng);
-        (sim, output)
+        self.lanes.swap_remove(slot)
     }
 
     /// Advances every lane by one fixed time-step. `commands[i]` drives
-    /// the lane at `lane_ids()[i]`. Each lane's physics, sensing and
-    /// step output are bit-identical to a scalar [`Simulator::step_into`]
-    /// with the same command.
+    /// the lane at `lane_ids()[i]`, through [`Simulator::step_into`].
     pub fn step_lanes(&mut self, commands: &[MotorCommands]) {
         debug_assert_eq!(
             commands.len(),
             self.lanes.len(),
             "one command per live lane"
         );
-        let Some(((lead, lead_output), rest)) = self.lanes.split_first_mut() else {
-            return;
-        };
-        self.noise.clear();
-        let mut shared = SharedStream {
-            rng: &mut self.rng,
-            tape: &mut self.noise,
-            record: !rest.is_empty(),
-        };
-        lead.step_with(&commands[0], lead_output, &mut shared);
-        for ((sim, output), command) in rest.iter_mut().zip(&commands[1..]) {
-            let mut replay = Replay::new(&self.noise);
-            sim.step_with(command, output, &mut replay);
-            debug_assert!(
-                replay.is_spent(),
-                "a replaying lane takes exactly the recorded draws"
-            );
+        for ((sim, output), command) in self.lanes.iter_mut().zip(commands) {
+            sim.step_into(command, output);
+            self.time = sim.time;
         }
-        self.time = lead.time;
     }
 }
 
@@ -245,7 +200,7 @@ mod tests {
     /// Per-step command scripts for up to three diverging lanes. Lane 0
     /// free-falls into a crash, lane 1 throttles up and recovers, lane 2
     /// flies asymmetrically — so the batch mixes crashed, airborne and
-    /// grounded lanes while sharing one RNG stream.
+    /// grounded lanes.
     fn script(lane: usize, step: usize) -> MotorCommands {
         match lane {
             0 => MotorCommands::uniform(0.1),
@@ -284,9 +239,8 @@ mod tests {
     /// Three independent scalar runs that share a command prefix,
     /// against one batch forked from a single lane at the divergence
     /// point. Every lane's output must equal its scalar run's at every
-    /// step, and each extracted lane must go on matching it scalar. The
-    /// forks share the leader's noise stream; equality here is exactly
-    /// the state-independent-draw invariant. Returns the scalar outputs.
+    /// step, and each extracted lane must go on matching it scalar.
+    /// Returns the scalar outputs.
     fn assert_forked_lanes_match(prime: fn() -> (Simulator, StepOutput)) -> Vec<Vec<StepOutput>> {
         const FORK: usize = 30;
         const EXTRACT: usize = 200;

@@ -44,6 +44,11 @@ impl Vec3 {
         Vec3 { x, y, z }
     }
 
+    /// A vector with every component `v`.
+    pub const fn splat(v: f64) -> Self {
+        Vec3 { x: v, y: v, z: v }
+    }
+
     /// Returns the Euclidean norm.
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()

@@ -12,7 +12,7 @@
 //! `avis-hinj` fault injector consulted from the firmware's sensor drivers.
 
 use crate::math::Vec3;
-use crate::rng::SimRng;
+use crate::rng::{noise, noise_key};
 use crate::vehicle::{RigidBodyState, GRAVITY};
 use std::fmt;
 
@@ -298,13 +298,23 @@ impl SensorSuiteConfig {
     }
 }
 
-/// The live sensor suite: holds per-instance noise state and produces a
-/// batch of readings from the true physical state each simulation step.
+/// The live sensor suite: holds per-instance biases and held GPS fixes
+/// and produces a batch of readings from the true physical state each
+/// simulation step.
+///
+/// Its noise is [`noise`] keyed by the seed, the step's tick and each
+/// draw's slot, the draw's fixed place in [`SensorSuite::sample_into`]'s
+/// order: the accelerometer and gyroscope axes, each GPS receiver's six
+/// values, the barometers, compasses and batteries. The suite keeps no
+/// generator, so two suites of one seed read the same noise at the same
+/// tick however far their states diverge.
 #[derive(Debug, Clone)]
 pub struct SensorSuite {
     // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) config: SensorSuiteConfig,
-    pub(crate) rng: SimRng,
+    /// The [`noise`] key of the run's seed.
+    // snapshot: skip(static: rebuilt from the experiment config)
+    pub(crate) key: u64,
     /// Per-accelerometer constant bias (body frame).
     // snapshot: skip(static: rebuilt from the experiment config)
     pub(crate) accel_bias: Vec<Vec3>,
@@ -421,31 +431,22 @@ impl SensorValue {
 }
 
 impl SensorSuite {
-    /// Creates a suite with per-instance biases drawn from `seed`.
+    /// Creates a suite with per-instance biases drawn from `seed`, at
+    /// tick 0 in the accelerometer and gyroscope slots. The simulator's
+    /// steps sample from tick 1.
     pub fn new(config: SensorSuiteConfig, seed: u64) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed);
+        let key = noise_key(seed);
+        let mut draws = Draws::new(key, 0);
         let accel_bias = (0..config.accelerometers)
-            .map(|_| {
-                Vec3::new(
-                    rng.normal(0.0, config.noise.accel * 0.5),
-                    rng.normal(0.0, config.noise.accel * 0.5),
-                    rng.normal(0.0, config.noise.accel * 0.5),
-                )
-            })
+            .map(|_| draws.vec3(Vec3::splat(config.noise.accel * 0.5)))
             .collect();
         let gyro_bias = (0..config.gyroscopes)
-            .map(|_| {
-                Vec3::new(
-                    rng.normal(0.0, config.noise.gyro * 0.5),
-                    rng.normal(0.0, config.noise.gyro * 0.5),
-                    rng.normal(0.0, config.noise.gyro * 0.5),
-                )
-            })
+            .map(|_| draws.vec3(Vec3::splat(config.noise.gyro * 0.5)))
             .collect();
         let last_gps = vec![None; config.gps as usize];
         SensorSuite {
             config,
-            rng,
+            key,
             accel_bias,
             gyro_bias,
             last_gps,
@@ -471,13 +472,12 @@ impl SensorSuite {
         self.battery_remaining = remaining.clamp(0.0, 1.0);
     }
 
-    /// Writes the per-run dynamic state — the noise RNG stream, the GPS
-    /// fixes held between epochs, the epoch clock and the battery charge —
-    /// bit-exactly for the persistent store. The configuration, the GPS
+    /// Writes the per-run dynamic state — the GPS fixes held between
+    /// epochs, the epoch clock and the battery charge — bit-exactly for
+    /// the persistent store. The configuration, the noise key, the GPS
     /// interval and the biases drawn at seed time are static per run and
     /// not written.
     pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
-        self.rng.encode(w);
         w.seq(&self.last_gps, |w, fix| {
             w.option(fix.as_ref(), |w, v| v.encode(w))
         });
@@ -491,15 +491,15 @@ impl SensorSuite {
         &mut self,
         r: &mut crate::codec::ByteReader<'_>,
     ) -> crate::codec::CodecResult<()> {
-        self.rng = SimRng::decode(r)?;
         self.last_gps = r.seq(|r| r.option(SensorValue::decode))?;
         self.last_gps_time = r.f64()?;
         self.battery_remaining = r.f64()?;
         Ok(())
     }
 
-    /// Samples every sensor instance at simulation time `time` given the
-    /// true rigid-body state and mean motor throttle (battery drain model).
+    /// Samples every sensor instance at simulation time `time` and step
+    /// `tick` given the true rigid-body state and mean motor throttle
+    /// (battery drain model).
     ///
     /// Allocates a fresh vector per call; hot loops should reuse a buffer
     /// through [`SensorSuite::sample_into`].
@@ -509,16 +509,19 @@ impl SensorSuite {
         mean_throttle: f64,
         time: f64,
         dt: f64,
+        tick: u64,
     ) -> Vec<SensorReading> {
         let mut readings = Vec::with_capacity(self.config.total_instances());
-        self.sample_into(&mut readings, state, mean_throttle, time, dt);
+        self.sample_into(&mut readings, state, mean_throttle, time, dt, tick);
         readings
     }
 
     /// Samples every sensor instance, appending the readings to
-    /// `readings` (which the caller clears between steps). A buffer
-    /// reused across steps reaches steady-state capacity after the first
-    /// step, making subsequent steps allocation-free.
+    /// `readings` (which the caller clears between steps), and returns
+    /// the true heading the compasses read around. A buffer reused
+    /// across steps reaches steady-state capacity after the first step,
+    /// making subsequent steps allocation-free. The noise is the draws
+    /// of `tick`, the simulator's step count.
     pub fn sample_into(
         &mut self,
         readings: &mut Vec<SensorReading>,
@@ -526,23 +529,9 @@ impl SensorSuite {
         mean_throttle: f64,
         time: f64,
         dt: f64,
-    ) {
-        self.sample_with(readings, state, mean_throttle, time, dt, &mut OwnStream);
-    }
-
-    /// [`SensorSuite::sample_into`] with each noise value taken from
-    /// `noise`, in the fixed draw order: accelerometer and gyroscope
-    /// axes, each refreshed GPS fix, barometers, compasses, batteries.
-    /// Returns the true heading the compasses read around.
-    pub(crate) fn sample_with<N: NoiseSource>(
-        &mut self,
-        readings: &mut Vec<SensorReading>,
-        state: &RigidBodyState,
-        mean_throttle: f64,
-        time: f64,
-        dt: f64,
-        noise: &mut N,
+        tick: u64,
     ) -> f64 {
+        let mut noise = Draws::new(self.key, tick);
         let sd = &self.config.noise;
 
         // Battery drain: idle draw plus throttle-proportional draw.
@@ -557,13 +546,7 @@ impl SensorSuite {
         for idx in 0..self.config.accelerometers {
             let bias = self.accel_bias[idx as usize];
             let value = SensorValue::Acceleration(
-                specific_force_body
-                    + bias
-                    + Vec3::new(
-                        noise.normal(&mut self.rng, sd.accel),
-                        noise.normal(&mut self.rng, sd.accel),
-                        noise.normal(&mut self.rng, sd.accel),
-                    ),
+                specific_force_body + bias + noise.vec3(Vec3::splat(sd.accel)),
             );
             readings.push(SensorReading {
                 instance: SensorInstance::new(SensorKind::Accelerometer, idx),
@@ -575,13 +558,7 @@ impl SensorSuite {
         for idx in 0..self.config.gyroscopes {
             let bias = self.gyro_bias[idx as usize];
             let value = SensorValue::AngularRate(
-                state.angular_velocity
-                    + bias
-                    + Vec3::new(
-                        noise.normal(&mut self.rng, sd.gyro),
-                        noise.normal(&mut self.rng, sd.gyro),
-                        noise.normal(&mut self.rng, sd.gyro),
-                    ),
+                state.angular_velocity + bias + noise.vec3(Vec3::splat(sd.gyro)),
             );
             readings.push(SensorReading {
                 instance: SensorInstance::new(SensorKind::Gyroscope, idx),
@@ -600,20 +577,17 @@ impl SensorSuite {
             if gps_epoch || self.last_gps[idx as usize].is_none() {
                 let fix = SensorValue::GpsFix {
                     position: state.position
-                        + Vec3::new(
-                            noise.normal(&mut self.rng, sd.gps_horizontal),
-                            noise.normal(&mut self.rng, sd.gps_horizontal),
-                            noise.normal(&mut self.rng, sd.gps_vertical),
-                        ),
-                    velocity: state.velocity
-                        + Vec3::new(
-                            noise.normal(&mut self.rng, sd.gps_velocity),
-                            noise.normal(&mut self.rng, sd.gps_velocity),
-                            noise.normal(&mut self.rng, sd.gps_velocity),
-                        ),
+                        + noise.vec3(Vec3::new(
+                            sd.gps_horizontal,
+                            sd.gps_horizontal,
+                            sd.gps_vertical,
+                        )),
+                    velocity: state.velocity + noise.vec3(Vec3::splat(sd.gps_velocity)),
                     satellites: 12,
                 };
                 self.last_gps[idx as usize] = Some(fix);
+            } else {
+                noise.skip(6);
             }
             readings.push(SensorReading {
                 instance: SensorInstance::new(SensorKind::Gps, idx),
@@ -623,9 +597,7 @@ impl SensorSuite {
         }
 
         for idx in 0..self.config.barometers {
-            let value = SensorValue::PressureAltitude(
-                state.position.z + noise.normal(&mut self.rng, sd.baro),
-            );
+            let value = SensorValue::PressureAltitude(state.position.z + noise.normal(sd.baro));
             readings.push(SensorReading {
                 instance: SensorInstance::new(SensorKind::Barometer, idx),
                 time,
@@ -636,7 +608,7 @@ impl SensorSuite {
         let yaw = state.attitude.yaw();
         for idx in 0..self.config.compasses {
             let value = SensorValue::MagneticHeading(crate::math::wrap_angle(
-                yaw + noise.normal(&mut self.rng, sd.compass),
+                yaw + noise.normal(sd.compass),
             ));
             readings.push(SensorReading {
                 instance: SensorInstance::new(SensorKind::Compass, idx),
@@ -649,7 +621,7 @@ impl SensorSuite {
             // Simple LiPo-like discharge curve: 12.6 V full, 10.5 V empty,
             // with additional sag proportional to throttle.
             let voltage = 10.5 + 2.1 * self.battery_remaining - 0.4 * mean_throttle
-                + noise.normal(&mut self.rng, sd.battery_voltage);
+                + noise.normal(sd.battery_voltage);
             let value = SensorValue::BatteryStatus {
                 voltage,
                 remaining: self.battery_remaining,
@@ -664,78 +636,40 @@ impl SensorSuite {
     }
 }
 
-/// Where [`SensorSuite::sample_with`] takes its noise values from.
-/// Statically dispatched, so a lone simulator's sampling compiles to
-/// direct draws on its own stream.
-///
-/// How many values a step takes does not depend on the vehicle's state:
-/// noise is drawn even at zero standard deviation, and the GPS epoch
-/// clock is purely time-driven. So two suites of one seed at equal
-/// simulated time take the same values from their streams however far
-/// their states diverge, which is what lets lockstep lanes
-/// ([`crate::LaneBatch`]) share one stream: one lane draws and records
-/// each step's values, the others replay them.
-pub(crate) trait NoiseSource {
-    /// The next noise value, a draw of `N(0, std_dev)`; `own` is the
-    /// sampling suite's own stream.
-    fn normal(&mut self, own: &mut SimRng, std_dev: f64) -> f64;
+/// One tick's noise draws, each taking the next slot in sampling order.
+struct Draws {
+    key: u64,
+    tick: u64,
+    slot: u32,
 }
 
-/// The suite's own stream: a lone simulator.
-pub(crate) struct OwnStream;
+impl Draws {
+    fn new(key: u64, tick: u64) -> Self {
+        Draws { key, tick, slot: 0 }
+    }
 
-impl NoiseSource for OwnStream {
+    /// A draw of `N(0, std_dev)`.
     #[inline(always)]
-    fn normal(&mut self, own: &mut SimRng, std_dev: f64) -> f64 {
-        own.normal(0.0, std_dev)
+    fn normal(&mut self, std_dev: f64) -> f64 {
+        let z = noise(self.key, self.tick, self.slot);
+        self.slot += 1;
+        std_dev * z
     }
-}
 
-/// A stream shared by lockstep lanes, standing in for the drawing lane's
-/// own. With `record` set, every value drawn is also appended to `tape`
-/// for the sibling lanes to [`Replay`].
-pub(crate) struct SharedStream<'a> {
-    pub(crate) rng: &'a mut SimRng,
-    pub(crate) tape: &'a mut Vec<f64>,
-    pub(crate) record: bool,
-}
-
-impl NoiseSource for SharedStream<'_> {
+    /// Three draws, one per axis, of the per-axis standard deviations.
     #[inline(always)]
-    fn normal(&mut self, _own: &mut SimRng, std_dev: f64) -> f64 {
-        let value = self.rng.normal(0.0, std_dev);
-        if self.record {
-            self.tape.push(value);
-        }
-        value
-    }
-}
-
-/// The values a [`SharedStream`] recorded this step, returned in order:
-/// the exact `f64`s the draws returned, so a replaying suite computes
-/// the readings its lone run would.
-pub(crate) struct Replay<'a> {
-    tape: &'a [f64],
-    cursor: usize,
-}
-
-impl<'a> Replay<'a> {
-    pub(crate) fn new(tape: &'a [f64]) -> Self {
-        Replay { tape, cursor: 0 }
+    fn vec3(&mut self, std_dev: Vec3) -> Vec3 {
+        Vec3::new(
+            self.normal(std_dev.x),
+            self.normal(std_dev.y),
+            self.normal(std_dev.z),
+        )
     }
 
-    /// Whether every recorded value was taken.
-    pub(crate) fn is_spent(&self) -> bool {
-        self.cursor == self.tape.len()
-    }
-}
-
-impl NoiseSource for Replay<'_> {
-    #[inline(always)]
-    fn normal(&mut self, _own: &mut SimRng, _std_dev: f64) -> f64 {
-        let value = self.tape[self.cursor];
-        self.cursor += 1;
-        value
+    /// Passes over `slots` draws not taken this tick (a GPS receiver
+    /// holding its fix), so each later draw keeps its fixed slot.
+    fn skip(&mut self, slots: u32) {
+        self.slot += slots;
     }
 }
 
@@ -796,7 +730,7 @@ mod tests {
     #[test]
     fn sample_produces_one_reading_per_instance() {
         let mut suite = noiseless_suite(SensorSuiteConfig::iris());
-        let readings = suite.sample(&level_state_at(10.0), 0.4, 0.0, 0.001);
+        let readings = suite.sample(&level_state_at(10.0), 0.4, 0.0, 0.001, 1);
         assert_eq!(readings.len(), SensorSuiteConfig::iris().total_instances());
         // All instances distinct.
         let mut seen: Vec<SensorInstance> = readings.iter().map(|r| r.instance).collect();
@@ -808,7 +742,7 @@ mod tests {
     #[test]
     fn noiseless_level_hover_measurements() {
         let mut suite = noiseless_suite(SensorSuiteConfig::minimal());
-        let readings = suite.sample(&level_state_at(20.0), 0.4, 0.0, 0.001);
+        let readings = suite.sample(&level_state_at(20.0), 0.4, 0.0, 0.001, 1);
         for r in readings {
             match r.value {
                 SensorValue::Acceleration(a) => {
@@ -840,8 +774,8 @@ mod tests {
     fn gps_updates_at_slower_rate() {
         let mut suite = SensorSuite::new(SensorSuiteConfig::iris(), 3);
         let state = level_state_at(15.0);
-        let first = suite.sample(&state, 0.4, 0.0, 0.001);
-        let second = suite.sample(&state, 0.4, 0.001, 0.001);
+        let first = suite.sample(&state, 0.4, 0.0, 0.001, 1);
+        let second = suite.sample(&state, 0.4, 0.001, 0.001, 2);
         let gps_first = first
             .iter()
             .find(|r| r.instance.kind == SensorKind::Gps)
@@ -855,7 +789,7 @@ mod tests {
         // Between epochs the fix is repeated exactly (noise included).
         assert_eq!(gps_first, gps_second);
         // After the epoch interval the fix refreshes.
-        let third = suite.sample(&state, 0.4, 0.25, 0.001);
+        let third = suite.sample(&state, 0.4, 0.25, 0.001, 251);
         let gps_third = third
             .iter()
             .find(|r| r.instance.kind == SensorKind::Gps)
@@ -869,13 +803,13 @@ mod tests {
         let mut suite = noiseless_suite(SensorSuiteConfig::minimal());
         let state = level_state_at(5.0);
         for step in 0..10_000 {
-            suite.sample(&state, 0.8, step as f64 * 0.01, 0.01);
+            suite.sample(&state, 0.8, step as f64 * 0.01, 0.01, step);
         }
         assert!(suite.battery_remaining() < 1.0);
         assert!(suite.battery_remaining() > 0.0);
         let mut idle = noiseless_suite(SensorSuiteConfig::minimal());
         for step in 0..10_000 {
-            idle.sample(&state, 0.0, step as f64 * 0.01, 0.01);
+            idle.sample(&state, 0.0, step as f64 * 0.01, 0.01, step);
         }
         assert!(idle.battery_remaining() > suite.battery_remaining());
     }
@@ -898,8 +832,8 @@ mod tests {
         for step in 0..50 {
             let t = step as f64 * 0.001;
             assert_eq!(
-                a.sample(&state, 0.5, t, 0.001),
-                b.sample(&state, 0.5, t, 0.001)
+                a.sample(&state, 0.5, t, 0.001, step + 1),
+                b.sample(&state, 0.5, t, 0.001, step + 1)
             );
         }
     }

@@ -10,7 +10,7 @@
 use crate::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use crate::environment::{Collision, Environment};
 use crate::math::Vec3;
-use crate::sensors::{NoiseSource, OwnStream, SensorReading, SensorSuite, SensorSuiteConfig};
+use crate::sensors::{SensorReading, SensorSuite, SensorSuiteConfig};
 use crate::vehicle::{MotorCommands, Quadcopter, RigidBodyState, VehicleParams};
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ pub struct SimConfig {
     pub vehicle: VehicleParams,
     /// Sensor complement and noise.
     pub sensors: SensorSuiteConfig,
-    /// RNG seed for sensor noise.
+    /// Seed of the sensor noise and the seed-time sensor biases.
     pub seed: u64,
 }
 
@@ -332,10 +332,11 @@ impl Simulator {
         );
     }
 
-    /// Writes the dynamic state — vehicle, sensor noise stream, time and
-    /// collision bookkeeping — bit-exactly for the persistent store. The
-    /// static complement (configuration, seed-time sensor biases, the
-    /// `Arc`-shared environment) is not written:
+    /// Writes the dynamic state — vehicle, held sensor state, time, step
+    /// count and collision bookkeeping — bit-exactly for the persistent
+    /// store. The static complement (configuration, the noise key and
+    /// seed-time sensor biases, the `Arc`-shared environment) is not
+    /// written:
     /// [`Simulator::decode_onto`] keeps it from the genesis simulator.
     pub fn encode(&self, w: &mut ByteWriter) {
         self.quad.encode(w);
@@ -380,20 +381,9 @@ impl Simulator {
     /// into `output`. The `readings` and `violated_fences` buffers are
     /// cleared and refilled in place, so a buffer reused across steps
     /// reaches its steady-state capacity after the first step and the
-    /// loop performs no further heap allocations.
+    /// loop performs no further heap allocations. The sensors sample the
+    /// noise of tick [`Simulator::steps`], counted after this step.
     pub fn step_into(&mut self, commands: &MotorCommands, output: &mut StepOutput) {
-        self.step_with(commands, output, &mut OwnStream);
-    }
-
-    /// [`Simulator::step_into`] with the sensor noise taken from `noise`
-    /// (see [`NoiseSource`]); the one step every simulator and every
-    /// lockstep lane flies.
-    pub(crate) fn step_with<N: NoiseSource>(
-        &mut self,
-        commands: &MotorCommands,
-        output: &mut StepOutput,
-        noise: &mut N,
-    ) {
         let dt = self.config.dt;
         let wind = self.env.wind().at(self.time);
         let airborne_before = !self.quad.on_ground();
@@ -436,13 +426,13 @@ impl Simulator {
         }
 
         output.readings.clear();
-        let heading = self.sensors.sample_with(
+        let heading = self.sensors.sample_into(
             &mut output.readings,
             &new_state,
             commands.mean(),
             self.time,
             dt,
-            noise,
+            self.steps,
         );
         output.violated_fences.clear();
         self.env

@@ -172,7 +172,7 @@ fn older_manifest(text: &str, version: f64) -> String {
     };
     let current = fields.iter_mut().find(|(key, _)| key == "version");
     let (_, current) = current.expect("the manifest names its version");
-    assert_eq!(*current, Json::Number(3.0));
+    assert_eq!(*current, Json::Number(4.0));
     *current = Json::Number(version);
     json.to_pretty()
 }
@@ -188,6 +188,13 @@ fn version_2_manifest_hydrates_nothing_once() {
     // Version 2 stores write each cut but a chain's first as a delta
     // from the cut before it.
     stale_manifest_costs_only_the_warm_start("version-2", |text| older_manifest(text, 2.0));
+}
+
+#[test]
+fn version_3_manifest_hydrates_nothing_once() {
+    // Version 3 stores write the sensor suite's noise generator, and the
+    // link generator's Box-Muller spare, into every cut.
+    stale_manifest_costs_only_the_warm_start("version-3", |text| older_manifest(text, 3.0));
 }
 
 /// An arm storm on the command link at t = 40 s: the pinned link-fault
