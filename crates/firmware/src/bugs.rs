@@ -182,13 +182,11 @@ impl BugId {
     /// Structured description of the defect (firmware, symptom, trigger).
     pub fn info(self) -> BugInfo {
         use BugSymptom::*;
-        use FirmwareProfile::*;
         use ModeCategory::*;
         use SensorKind::*;
         match self {
             BugId::Apm16020 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 FlyAway,
                 Gps,
                 Takeoff,
@@ -200,7 +198,6 @@ impl BugId {
             ),
             BugId::Apm16021 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 Crash,
                 Accelerometer,
                 Takeoff,
@@ -213,7 +210,6 @@ impl BugId {
             ),
             BugId::Apm16027 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 FlyAway,
                 Barometer,
                 Takeoff,
@@ -225,7 +221,6 @@ impl BugId {
             ),
             BugId::Apm16967 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 Crash,
                 Compass,
                 Waypoint,
@@ -237,7 +232,6 @@ impl BugId {
             ),
             BugId::Apm16682 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 Crash,
                 Accelerometer,
                 Land,
@@ -250,7 +244,6 @@ impl BugId {
             ),
             BugId::Apm16953 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 Crash,
                 Gyroscope,
                 Land,
@@ -262,7 +255,6 @@ impl BugId {
             ),
             BugId::Px417046 => BugInfo::new(
                 self,
-                Px4Like,
                 FlyAway,
                 Gyroscope,
                 Waypoint,
@@ -273,7 +265,6 @@ impl BugId {
             ),
             BugId::Px417057 => BugInfo::new(
                 self,
-                Px4Like,
                 Crash,
                 Gyroscope,
                 Takeoff,
@@ -285,7 +276,6 @@ impl BugId {
             ),
             BugId::Px417192 => BugInfo::new(
                 self,
-                Px4Like,
                 TakeoffFailure,
                 Compass,
                 Takeoff,
@@ -297,7 +287,6 @@ impl BugId {
             ),
             BugId::Px417181 => BugInfo::new(
                 self,
-                Px4Like,
                 TakeoffFailure,
                 Barometer,
                 Takeoff,
@@ -309,7 +298,6 @@ impl BugId {
             ),
             BugId::Apm4455 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 FlyAway,
                 Gps,
                 Manual,
@@ -320,7 +308,6 @@ impl BugId {
             ),
             BugId::Apm4679 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 Crash,
                 Accelerometer,
                 Waypoint,
@@ -331,7 +318,6 @@ impl BugId {
             ),
             BugId::Apm5428 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 Crash,
                 Barometer,
                 Land,
@@ -342,7 +328,6 @@ impl BugId {
             ),
             BugId::Apm9349 => BugInfo::new(
                 self,
-                ArduPilotLike,
                 FlyAway,
                 Compass,
                 Waypoint,
@@ -353,7 +338,6 @@ impl BugId {
             ),
             BugId::Px413291 => BugInfo::new(
                 self,
-                Px4Like,
                 FlyAway,
                 Battery,
                 Waypoint,
@@ -366,7 +350,6 @@ impl BugId {
             ),
             BugId::ProtoDoubleArm => BugInfo::new(
                 self,
-                ArduPilotLike,
                 Crash,
                 // Not a sensor bug: the trigger is a duplicated ArmDisarm
                 // on the command link, which the sensor-fault model cannot
@@ -385,7 +368,6 @@ impl BugId {
             ),
             BugId::ProtoPanicOnStaleEkf => BugInfo::new(
                 self,
-                ArduPilotLike,
                 Crash,
                 Gps,
                 Takeoff,
@@ -403,9 +385,38 @@ impl BugId {
         }
     }
 
+    /// The firmware stack the defect belongs to ([`BugInfo::firmware`]).
+    pub fn firmware(self) -> FirmwareProfile {
+        match self {
+            BugId::Px417046
+            | BugId::Px417057
+            | BugId::Px417192
+            | BugId::Px417181
+            | BugId::Px413291 => FirmwareProfile::Px4Like,
+            BugId::Apm16020
+            | BugId::Apm16021
+            | BugId::Apm16027
+            | BugId::Apm16967
+            | BugId::Apm16682
+            | BugId::Apm16953
+            | BugId::Apm4455
+            | BugId::Apm4679
+            | BugId::Apm5428
+            | BugId::Apm9349
+            | BugId::ProtoDoubleArm
+            | BugId::ProtoPanicOnStaleEkf => FirmwareProfile::ArduPilotLike,
+        }
+    }
+
+    /// Whether this is a seeded protocol defect, reachable only through
+    /// the message handlers rather than a sensor failure.
+    pub fn is_protocol(self) -> bool {
+        matches!(self, BugId::ProtoDoubleArm | BugId::ProtoPanicOnStaleEkf)
+    }
+
     /// Whether this defect exists in the given firmware profile.
     pub fn applies_to(self, profile: FirmwareProfile) -> bool {
-        self.info().firmware == profile
+        self.firmware() == profile
     }
 }
 
@@ -440,7 +451,6 @@ impl BugInfo {
     #[allow(clippy::too_many_arguments)]
     fn new(
         id: BugId,
-        firmware: FirmwareProfile,
         symptom: BugSymptom,
         sensor: SensorKind,
         window_category: ModeCategory,
@@ -450,7 +460,7 @@ impl BugInfo {
     ) -> Self {
         BugInfo {
             id,
-            firmware,
+            firmware: id.firmware(),
             symptom,
             sensor,
             window_category,

@@ -3,10 +3,12 @@
 //! [`crate::bugs`] describes *what* each bug is (its trigger sensor, mode
 //! window and symptom); this module implements *how* an enabled bug
 //! corrupts the firmware's behaviour once its trigger condition is met.
-//! The [`DefectEngine`] is consulted once per control step and produces a
+//! The [`DefectEngine`] is consulted once per control step and fills a
 //! set of [`DefectOverrides`] that the main loop applies on top of the
 //! correct behaviour: forcing a mode, replacing the navigation setpoint,
-//! suppressing a failsafe, or cutting the motors.
+//! suppressing a failsafe, or cutting the motors. The firmware keeps one
+//! set of overrides and the engine refills it in place each step, so a
+//! latched defect costs no allocation.
 //!
 //! Each defect is written so that:
 //!
@@ -66,6 +68,16 @@ impl DefectOverrides {
     /// Returns `true` if no defect altered behaviour this step.
     pub fn is_empty(&self) -> bool {
         self.active.is_empty()
+    }
+
+    /// Resets every override, keeping `active`'s capacity.
+    pub fn clear(&mut self) {
+        self.force_mode = None;
+        self.setpoint = None;
+        self.suppress_failsafes = false;
+        self.cut_motors = false;
+        self.disable_altitude_reached = false;
+        self.active.clear();
     }
 
     /// Serialise the overrides bit-exactly.
@@ -141,36 +153,37 @@ impl DefectEngine {
         })
     }
 
-    /// Evaluates every enabled defect for this step.
-    pub fn evaluate(&mut self, ctx: &DefectContext<'_>) -> DefectOverrides {
-        let mut overrides = DefectOverrides::default();
-        // Walk the catalog in declaration order (= the enabled set's
-        // BTreeSet order) instead of collecting the set into a Vec: this
-        // runs once per control step and must not allocate.
-        for bug in BugId::UNKNOWN.into_iter().chain(BugId::KNOWN) {
-            if !self.bugs.is_enabled(bug) {
+    /// Evaluates every enabled defect for this step into `out`, which is
+    /// cleared first: the caller keeps one set of overrides across steps,
+    /// so this runs without allocating once `out.active` has grown.
+    pub fn evaluate(&mut self, ctx: &DefectContext<'_>, out: &mut DefectOverrides) {
+        out.clear();
+        // The enabled set iterates in catalog order. Protocol defects
+        // never trigger here; they live in the message handlers (see
+        // `Firmware::handle_arm`).
+        for bug in self.bugs.iter() {
+            if bug.is_protocol() || bug.firmware() != ctx.profile {
                 continue;
             }
-            if bug.info().firmware != ctx.profile {
-                continue;
-            }
-            let since = self.activation(bug, ctx);
-            if let Some(elapsed) = since {
-                overrides.active.push(bug);
-                self.apply(bug, elapsed, ctx, &mut overrides);
+            if let Some(elapsed) = Self::activation(&mut self.triggered_at, bug, ctx) {
+                out.active.push(bug);
+                Self::apply(bug, elapsed, ctx, out);
             }
         }
-        overrides
     }
 
     /// Returns the seconds since `bug` triggered, triggering it now if its
     /// condition holds for the first time.
-    fn activation(&mut self, bug: BugId, ctx: &DefectContext<'_>) -> Option<f64> {
-        if let Some(&t0) = self.triggered_at.get(&bug) {
+    fn activation(
+        triggered_at: &mut BTreeMap<BugId, f64>,
+        bug: BugId,
+        ctx: &DefectContext<'_>,
+    ) -> Option<f64> {
+        if let Some(&t0) = triggered_at.get(&bug) {
             return Some(ctx.time - t0);
         }
-        if self.trigger_condition(bug, ctx) {
-            self.triggered_at.insert(bug, ctx.time);
+        if Self::trigger_condition(bug, ctx) {
+            triggered_at.insert(bug, ctx.time);
             return Some(0.0);
         }
         None
@@ -178,7 +191,7 @@ impl DefectEngine {
 
     /// The per-bug trigger condition: the sensor failure inside the mode
     /// window listed in Tables II and V.
-    fn trigger_condition(&self, bug: BugId, ctx: &DefectContext<'_>) -> bool {
+    fn trigger_condition(bug: BugId, ctx: &DefectContext<'_>) -> bool {
         use OperatingMode as M;
         use SensorKind as K;
         let primary = |k: K| ctx.health.primary_failed(k);
@@ -219,15 +232,13 @@ impl DefectEngine {
                 // failsafe engages.
                 primary(K::Gps) && ctx.health.kind_failed(K::Battery) && ctx.battery_failsafe_fired
             }
-            // Protocol defects never trigger through the per-step sensor
-            // evaluation; they live in the message handlers (see
-            // `Firmware::handle_arm`).
+            // Skipped by `evaluate`.
             BugId::ProtoDoubleArm | BugId::ProtoPanicOnStaleEkf => false,
         }
     }
 
     /// Applies the behavioural corruption of an active bug.
-    fn apply(&self, bug: BugId, elapsed: f64, ctx: &DefectContext<'_>, out: &mut DefectOverrides) {
+    fn apply(bug: BugId, elapsed: f64, ctx: &DefectContext<'_>, out: &mut DefectOverrides) {
         let est = ctx.estimate;
         let hold = Vec3::new(est.position.x, est.position.y, 0.0);
         match bug {
@@ -389,7 +400,11 @@ mod tests {
     use super::*;
     use crate::frontend::SensorFrontend;
     use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, SharedInjector};
-    use avis_sim::{RigidBodyState, SensorInstance, SensorNoise, SensorSuite, SensorSuiteConfig};
+    use avis_sim::codec::fnv1a;
+    use avis_sim::{
+        RigidBodyState, SensorInstance, SensorNoise, SensorReading, SensorSuite, SensorSuiteConfig,
+        SensorValue,
+    };
 
     fn health_with(kind_failures: &[(SensorKind, u8)]) -> SensorHealth {
         let mut cfg = SensorSuiteConfig::iris();
@@ -448,13 +463,17 @@ mod tests {
         let mut engine = DefectEngine::new(BugSet::none());
         let health = health_with(&[(SensorKind::Gps, 2)]);
         let est = estimate_at(15.0);
-        let out = engine.evaluate(&ctx(
-            OperatingMode::Auto { leg: 0 },
-            &health,
-            &est,
-            FirmwareProfile::ArduPilotLike,
-            10.0,
-        ));
+        let mut out = DefectOverrides::default();
+        engine.evaluate(
+            &ctx(
+                OperatingMode::Auto { leg: 0 },
+                &health,
+                &est,
+                FirmwareProfile::ArduPilotLike,
+                10.0,
+            ),
+            &mut out,
+        );
         assert!(out.is_empty());
     }
 
@@ -463,22 +482,29 @@ mod tests {
         let mut engine = DefectEngine::new(BugSet::only(BugId::Px417181));
         let health = health_with(&[(SensorKind::Barometer, 1)]);
         let est = estimate_at(0.0);
+        let mut out = DefectOverrides::default();
         // ArduPilot profile: the PX4 bug never activates.
-        let out = engine.evaluate(&ctx(
-            OperatingMode::Takeoff,
-            &health,
-            &est,
-            FirmwareProfile::ArduPilotLike,
-            1.0,
-        ));
+        engine.evaluate(
+            &ctx(
+                OperatingMode::Takeoff,
+                &health,
+                &est,
+                FirmwareProfile::ArduPilotLike,
+                1.0,
+            ),
+            &mut out,
+        );
         assert!(out.is_empty());
-        let out = engine.evaluate(&ctx(
-            OperatingMode::Takeoff,
-            &health,
-            &est,
-            FirmwareProfile::Px4Like,
-            1.0,
-        ));
+        engine.evaluate(
+            &ctx(
+                OperatingMode::Takeoff,
+                &health,
+                &est,
+                FirmwareProfile::Px4Like,
+                1.0,
+            ),
+            &mut out,
+        );
         assert_eq!(out.active, vec![BugId::Px417181]);
         assert!(out.disable_altitude_reached);
         assert!(matches!(out.setpoint, Some(Setpoint::RawThrottle { .. })));
@@ -488,25 +514,32 @@ mod tests {
     fn apm16682_requires_low_altitude_landing() {
         let mut engine = DefectEngine::new(BugSet::only(BugId::Apm16682));
         let health = health_with(&[(SensorKind::Accelerometer, 1)]);
+        let mut out = DefectOverrides::default();
         // High altitude: not triggered (the window is the final metres).
         let est = estimate_at(10.0);
-        let out = engine.evaluate(&ctx(
-            OperatingMode::Land,
-            &health,
-            &est,
-            FirmwareProfile::ArduPilotLike,
-            50.0,
-        ));
+        engine.evaluate(
+            &ctx(
+                OperatingMode::Land,
+                &health,
+                &est,
+                FirmwareProfile::ArduPilotLike,
+                50.0,
+            ),
+            &mut out,
+        );
         assert!(out.is_empty());
         // Low altitude: triggered, forces RTL with a fast descent.
         let est = estimate_at(1.5);
-        let out = engine.evaluate(&ctx(
-            OperatingMode::Land,
-            &health,
-            &est,
-            FirmwareProfile::ArduPilotLike,
-            51.0,
-        ));
+        engine.evaluate(
+            &ctx(
+                OperatingMode::Land,
+                &health,
+                &est,
+                FirmwareProfile::ArduPilotLike,
+                51.0,
+            ),
+            &mut out,
+        );
         assert_eq!(out.active, vec![BugId::Apm16682]);
         assert_eq!(out.force_mode, Some(OperatingMode::ReturnToLaunch));
         match out.setpoint {
@@ -529,13 +562,14 @@ mod tests {
                 t,
             )
         };
-        let first = engine.evaluate(&c(10.0));
-        assert!(matches!(first.setpoint, Some(Setpoint::VerticalSpeed { rate, .. }) if rate > 0.0));
-        assert_eq!(first.force_mode, None);
+        let mut out = DefectOverrides::default();
+        engine.evaluate(&c(10.0), &mut out);
+        assert!(matches!(out.setpoint, Some(Setpoint::VerticalSpeed { rate, .. }) if rate > 0.0));
+        assert_eq!(out.force_mode, None);
         // After the overshoot phase the bug forces a fast landing.
-        let later = engine.evaluate(&c(13.0));
-        assert_eq!(later.force_mode, Some(OperatingMode::Land));
-        assert!(matches!(later.setpoint, Some(Setpoint::VerticalSpeed { rate, .. }) if rate < 0.0));
+        engine.evaluate(&c(13.0), &mut out);
+        assert_eq!(out.force_mode, Some(OperatingMode::Land));
+        assert!(matches!(out.setpoint, Some(Setpoint::VerticalSpeed { rate, .. }) if rate < 0.0));
     }
 
     #[test]
@@ -560,13 +594,17 @@ mod tests {
         )));
         fe.ingest(&readings, 0.0);
         let est = estimate_at(15.0);
-        let out = engine.evaluate(&ctx(
-            OperatingMode::Auto { leg: 0 },
-            fe.health(),
-            &est,
-            FirmwareProfile::ArduPilotLike,
-            5.0,
-        ));
+        let mut out = DefectOverrides::default();
+        engine.evaluate(
+            &ctx(
+                OperatingMode::Auto { leg: 0 },
+                fe.health(),
+                &est,
+                FirmwareProfile::ArduPilotLike,
+                5.0,
+            ),
+            &mut out,
+        );
         assert!(out.is_empty(), "a backup-only failure is handled correctly");
     }
 
@@ -574,6 +612,7 @@ mod tests {
     fn px413291_requires_both_failures_and_battery_failsafe() {
         let mut engine = DefectEngine::new(BugSet::only(BugId::Px413291));
         let est = estimate_at(15.0);
+        let mut out = DefectOverrides::default();
         // Only GPS failed: not triggered.
         let health = health_with(&[(SensorKind::Gps, 2)]);
         let mut c = ctx(
@@ -584,7 +623,8 @@ mod tests {
             5.0,
         );
         c.battery_failsafe_fired = true;
-        assert!(engine.evaluate(&c).is_empty());
+        engine.evaluate(&c, &mut out);
+        assert!(out.is_empty());
         // GPS + battery failed and the battery failsafe fired: triggered.
         let health = health_with(&[(SensorKind::Gps, 2), (SensorKind::Battery, 1)]);
         let mut c = ctx(
@@ -595,7 +635,7 @@ mod tests {
             6.0,
         );
         c.battery_failsafe_fired = true;
-        let out = engine.evaluate(&c);
+        engine.evaluate(&c, &mut out);
         assert_eq!(out.active, vec![BugId::Px413291]);
         assert!(out.suppress_failsafes);
         // Without the battery failsafe flag: not triggered.
@@ -607,7 +647,11 @@ mod tests {
             FirmwareProfile::Px4Like,
             6.0,
         );
-        assert!(engine2.evaluate(&c2).is_empty());
+        engine2.evaluate(&c2, &mut out);
+        assert!(
+            out.is_empty(),
+            "evaluate clears the previous step's overrides"
+        );
     }
 
     #[test]
@@ -615,30 +659,61 @@ mod tests {
         let mut engine = DefectEngine::new(BugSet::only(BugId::Apm16953));
         let health = health_with(&[(SensorKind::Gyroscope, 1)]);
         let est = estimate_at(8.0);
-        let out = engine.evaluate(&ctx(
-            OperatingMode::Land,
-            &health,
-            &est,
-            FirmwareProfile::ArduPilotLike,
-            30.0,
-        ));
+        let mut out = DefectOverrides::default();
+        engine.evaluate(
+            &ctx(
+                OperatingMode::Land,
+                &health,
+                &est,
+                FirmwareProfile::ArduPilotLike,
+                30.0,
+            ),
+            &mut out,
+        );
         assert!(!out.is_empty());
         // Later, in a different mode, the bug remains active (latched).
-        let out = engine.evaluate(&ctx(
-            OperatingMode::AltHold,
-            &health,
-            &est,
-            FirmwareProfile::ArduPilotLike,
-            31.0,
-        ));
-        assert!(!out.is_empty());
+        engine.evaluate(
+            &ctx(
+                OperatingMode::AltHold,
+                &health,
+                &est,
+                FirmwareProfile::ArduPilotLike,
+                31.0,
+            ),
+            &mut out,
+        );
+        assert_eq!(out.active, vec![BugId::Apm16953]);
         assert_eq!(engine.triggered().len(), 1);
+    }
+
+    #[test]
+    fn protocol_defects_never_trigger_on_a_step() {
+        let mut engine = DefectEngine::new(BugSet::with_bugs([
+            BugId::ProtoDoubleArm,
+            BugId::ProtoPanicOnStaleEkf,
+        ]));
+        let health = health_with(&[(SensorKind::Gps, 2)]);
+        let est = estimate_at(0.0);
+        let mut out = DefectOverrides::default();
+        engine.evaluate(
+            &ctx(
+                OperatingMode::Takeoff,
+                &health,
+                &est,
+                FirmwareProfile::ArduPilotLike,
+                1.0,
+            ),
+            &mut out,
+        );
+        assert!(out.is_empty());
+        assert!(engine.triggered().is_empty());
     }
 
     #[test]
     fn every_unknown_bug_has_a_trigger_and_behaviour() {
         // Smoke test: for each unknown bug, construct its nominal trigger
         // context and check it activates and produces an override.
+        let mut out = DefectOverrides::default();
         for bug in BugId::UNKNOWN {
             let info = bug.info();
             let mode = match bug {
@@ -658,12 +733,97 @@ mod tests {
             let health = health_with(&[(info.sensor, 1)]);
             let est = estimate_at(altitude);
             let mut engine = DefectEngine::new(BugSet::only(bug));
-            let out = engine.evaluate(&ctx(mode, &health, &est, info.firmware, 10.0));
+            engine.evaluate(&ctx(mode, &health, &est, info.firmware, 10.0), &mut out);
             assert_eq!(out.active, vec![bug], "{bug} should trigger in its window");
             assert!(
                 out.setpoint.is_some() || out.cut_motors || out.force_mode.is_some(),
                 "{bug} should corrupt behaviour"
             );
         }
+    }
+
+    /// The readings of a noiseless iris suite at rest, plus a hand-built
+    /// compass past the 64 instances a `u64` mask holds.
+    fn scripted_readings(time: f64) -> Vec<SensorReading> {
+        let mut cfg = SensorSuiteConfig::iris();
+        cfg.noise = SensorNoise::noiseless();
+        let mut suite = SensorSuite::new(cfg, 1);
+        let state = RigidBodyState::at_rest(Vec3::new(0.0, 0.0, 10.0));
+        let mut readings = suite.sample(&state, 0.4, time, 0.001, 1);
+        readings.push(SensorReading {
+            instance: SensorInstance::new(SensorKind::Compass, 70),
+            time,
+            value: SensorValue::MagneticHeading(0.25),
+        });
+        readings
+    }
+
+    #[test]
+    fn health_and_defect_bytes_are_pinned() {
+        // GPS 0 fails, then both barometers, then compass 70; APM-16020
+        // triggers on the GPS failure in the first mission leg. The last
+        // pass reads the suite backwards, so the per-kind lists come out
+        // in another order. The hashes (FNV-1a over every step's
+        // encoding) were recorded with the `BTreeSet`/`Vec` bookkeeping
+        // the per-kind tables replaced; the store writes these bytes, so
+        // they must not change without a `MANIFEST_VERSION` bump.
+        const HEALTH: u64 = 0x63ad_face_a754_fb4f;
+        const ENGINE: u64 = 0x8c1e_6c7d_eb72_06a0;
+        let plan = FaultPlan::from_specs([
+            FaultSpec::new(SensorInstance::new(SensorKind::Gps, 0), 1.0),
+            FaultSpec::new(SensorInstance::new(SensorKind::Barometer, 0), 2.0),
+            FaultSpec::new(SensorInstance::new(SensorKind::Barometer, 1), 2.0),
+            FaultSpec::new(SensorInstance::new(SensorKind::Compass, 70), 3.0),
+        ]);
+        let mut frontend = SensorFrontend::new(SharedInjector::new(FaultInjector::new(plan)));
+        let mut engine =
+            DefectEngine::new(BugSet::current_code_base(FirmwareProfile::ArduPilotLike));
+        let estimate = estimate_at(15.0);
+        let mut out = DefectOverrides::default();
+        let (mut health_bytes, mut engine_bytes) = (ByteWriter::new(), ByteWriter::new());
+        for (time, reversed) in [
+            (0.5, false),
+            (1.0, false),
+            (2.0, false),
+            (3.0, false),
+            (3.5, true),
+        ] {
+            let mut readings = scripted_readings(time);
+            if reversed {
+                readings.reverse();
+            }
+            frontend.ingest(&readings, time);
+            engine.evaluate(
+                &ctx(
+                    OperatingMode::Auto { leg: 0 },
+                    frontend.health(),
+                    &estimate,
+                    FirmwareProfile::ArduPilotLike,
+                    time,
+                ),
+                &mut out,
+            );
+            frontend.health().encode(&mut health_bytes);
+            engine.encode(&mut engine_bytes);
+        }
+        assert_eq!(engine.triggered().get(&BugId::Apm16020), Some(&1.0));
+        assert_eq!(frontend.health().failed_count(SensorKind::Compass), 1);
+        let health_bytes = health_bytes.into_bytes();
+        let engine_bytes = engine_bytes.into_bytes();
+        assert_eq!(
+            (fnv1a(&health_bytes), fnv1a(&engine_bytes)),
+            (HEALTH, ENGINE),
+            "the sensor-health or defect-engine bytes changed"
+        );
+
+        // Both decode back to what they encode.
+        let mut w = ByteWriter::new();
+        frontend.health().encode(&mut w);
+        engine.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(&SensorHealth::decode(&mut r).unwrap(), frontend.health());
+        assert_eq!(DefectEngine::decode(&mut r).unwrap(), engine);
+        r.finish().unwrap();
     }
 }

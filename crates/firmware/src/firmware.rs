@@ -236,6 +236,9 @@ pub struct Firmware {
     /// The steps at which a bug was first active (see
     /// [`Firmware::log_defects`]).
     defect_log: Vec<(f64, DefectOverrides)>,
+    /// This step's defect overrides, refilled in place by every step.
+    // snapshot: skip(scratch: cleared and refilled by every step before use)
+    overrides: DefectOverrides,
 }
 
 impl Firmware {
@@ -272,6 +275,7 @@ impl Firmware {
             last_status: -10.0,
             last_selected: SelectedSensors::default(),
             defect_log: Vec::new(),
+            overrides: DefectOverrides::default(),
         };
         fw.record_mode(0.0);
         fw
@@ -423,7 +427,8 @@ impl Firmware {
         if self.armed && self.defects.bugs().is_enabled(BugId::ProtoDoubleArm) {
             self.armed = false;
             self.transition_to(OperatingMode::PreFlight);
-            self.log_defects(
+            Self::log_defects(
+                &mut self.defect_log,
                 self.time,
                 &DefectOverrides {
                     active: vec![BugId::ProtoDoubleArm],
@@ -500,7 +505,8 @@ impl Firmware {
             && self.defects.bugs().is_enabled(BugId::ProtoPanicOnStaleEkf)
             && !self.estimator.state().position_ok
         {
-            self.log_defects(
+            Self::log_defects(
+                &mut self.defect_log,
                 self.time,
                 &DefectOverrides {
                     active: vec![BugId::ProtoPanicOnStaleEkf],
@@ -627,18 +633,15 @@ impl Firmware {
         self.record_mode(self.time);
     }
 
-    /// Logs `overrides` at `time` when it holds a bug that no earlier
-    /// entry holds. The log's readers only ask which bugs triggered, so
-    /// the first step of each is enough: a latched defect would otherwise
-    /// add an entry at every control step for as long as it stays active.
-    fn log_defects(&mut self, time: f64, overrides: &DefectOverrides) {
-        let logged = |bug: &BugId| {
-            self.defect_log
-                .iter()
-                .any(|(_, entry)| entry.active.contains(bug))
-        };
+    /// Logs `overrides` at `time` in `log` when it holds a bug that no
+    /// earlier entry holds. The log's readers only ask which bugs
+    /// triggered, so the first step of each is enough: a latched defect
+    /// would otherwise add an entry at every control step for as long as
+    /// it stays active.
+    fn log_defects(log: &mut Vec<(f64, DefectOverrides)>, time: f64, overrides: &DefectOverrides) {
+        let logged = |bug: &BugId| log.iter().any(|(_, entry)| entry.active.contains(bug));
         if !overrides.active.iter().all(logged) {
-            self.defect_log.push((time, overrides.clone()));
+            log.push((time, overrides.clone()));
         }
     }
 
@@ -660,19 +663,25 @@ impl Firmware {
         //    defects suppress them).
         let battery_failsafe_fired = self.failsafes.has_fired(FailsafeCause::BatteryLow)
             || self.failsafes.has_fired(FailsafeCause::BatteryCritical);
-        let overrides = {
-            let ctx = DefectContext {
-                mode: self.mode,
-                health: self.frontend.health(),
-                estimate: &estimate,
-                time,
-                home: self.home,
-                battery_failsafe_fired,
-                profile: self.profile,
-            };
-            self.defects.evaluate(&ctx)
+        let ctx = DefectContext {
+            mode: self.mode,
+            health: self.frontend.health(),
+            estimate: &estimate,
+            time,
+            home: self.home,
+            battery_failsafe_fired,
+            profile: self.profile,
         };
-        self.log_defects(time, &overrides);
+        self.defects.evaluate(&ctx, &mut self.overrides);
+        Self::log_defects(&mut self.defect_log, time, &self.overrides);
+        let DefectOverrides {
+            force_mode,
+            setpoint: defect_setpoint,
+            suppress_failsafes,
+            cut_motors,
+            disable_altitude_reached,
+            ..
+        } = self.overrides;
         // 4. Failsafes (unless an active defect suppresses them).
         if let Some(event) = self.failsafes.evaluate(
             self.mode,
@@ -683,7 +692,7 @@ impl Firmware {
             self.armed,
             time,
         ) {
-            if !overrides.suppress_failsafes {
+            if !suppress_failsafes {
                 if let Some(new_mode) = FailsafeEngine::mode_for_action(event.action, self.mode) {
                     match new_mode {
                         OperatingMode::ReturnToLaunch => self.enter_rtl(),
@@ -702,16 +711,16 @@ impl Firmware {
         }
         // 5. Defect-forced mode change, while armed: a vehicle that
         //    disarmed on the ground stays in pre-flight.
-        if let Some(forced) = overrides.force_mode.filter(|_| self.armed) {
+        if let Some(forced) = force_mode.filter(|_| self.armed) {
             if forced == OperatingMode::Land {
                 self.hold_position = self.estimator.state().position;
             }
             self.transition_to(forced);
         }
         // 6. Mode logic -> setpoint.
-        let mut setpoint = self.mode_setpoint(&overrides, dt);
+        let mut setpoint = self.mode_setpoint(disable_altitude_reached, dt);
         // 7. Defect setpoint override.
-        if let Some(sp) = overrides.setpoint {
+        if let Some(sp) = defect_setpoint {
             if self.armed {
                 setpoint = sp;
             }
@@ -719,7 +728,7 @@ impl Firmware {
         // 8. Telemetry.
         self.emit_telemetry(time);
         // 9. Motor output.
-        if overrides.cut_motors {
+        if cut_motors {
             return MotorCommands::IDLE;
         }
         let rates = self.last_selected.gyro.unwrap_or(Vec3::ZERO);
@@ -728,8 +737,9 @@ impl Firmware {
     }
 
     /// Computes the navigation setpoint for the current mode, advancing the
-    /// mission / takeoff / landing state machines as needed.
-    fn mode_setpoint(&mut self, overrides: &DefectOverrides, dt: f64) -> Setpoint {
+    /// mission / takeoff / landing state machines as needed. A defect that
+    /// sets `disable_altitude_reached` keeps a takeoff from completing.
+    fn mode_setpoint(&mut self, disable_altitude_reached: bool, dt: f64) -> Setpoint {
         let est = *self.estimator.state();
         if !self.armed {
             return Setpoint::Idle;
@@ -738,14 +748,14 @@ impl Firmware {
             OperatingMode::PreFlight | OperatingMode::Crashed => Setpoint::GroundIdle,
             OperatingMode::Takeoff => {
                 let reached = est.altitude >= self.takeoff_target - self.params.altitude_acceptance;
-                if reached && !overrides.disable_altitude_reached {
+                if reached && !disable_altitude_reached {
                     let next = self.after_takeoff;
                     if next.is_auto() {
                         self.advance_mission();
                     } else {
                         self.transition_to(next);
                     }
-                    return self.mode_setpoint(overrides, dt);
+                    return self.mode_setpoint(disable_altitude_reached, dt);
                 }
                 Setpoint::ClimbTo {
                     altitude: self.takeoff_target,
@@ -760,7 +770,7 @@ impl Firmware {
                         && (est.altitude - z).abs() < self.params.altitude_acceptance * 2.0;
                     if reached {
                         self.advance_mission();
-                        return self.mode_setpoint(overrides, dt);
+                        return self.mode_setpoint(disable_altitude_reached, dt);
                     }
                     Setpoint::GotoPosition {
                         target,
@@ -771,7 +781,7 @@ impl Firmware {
                     // The current item is not a waypoint: let the mission
                     // state machine pick the right mode for it.
                     self.start_current_mission_item();
-                    self.mode_setpoint(overrides, dt)
+                    self.mode_setpoint(disable_altitude_reached, dt)
                 }
             },
             OperatingMode::Guided => match self.guided_target {

@@ -7,11 +7,18 @@
 //! instance of the same kind — the behaviour the sensor-instance-symmetry
 //! pruning policy relies on (the firmware reacts to the *role* of the
 //! failed sensor, not to which physical instance failed).
+//!
+//! A step's read pass runs under one lock of the shared injector
+//! ([`SharedInjector::with`]) instead of one per reading. The per-read
+//! semantics are those of the paper's drivers: every read consults the
+//! injector and is counted, and the first failed read of each instance is
+//! recorded. The health bookkeeping is a fixed table per sensor kind, so
+//! the queries the estimator, failsafes and defects make every step are
+//! array reads.
 
 use avis_hinj::SharedInjector;
-use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
+use avis_sim::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use avis_sim::{SensorInstance, SensorKind, SensorReading, SensorValue, Vec3};
-use std::collections::BTreeSet;
 
 /// A GPS solution selected by the frontend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,58 +97,89 @@ impl SelectedSensors {
     }
 }
 
+/// Number of sensor kinds: the length of every per-kind table.
+const KINDS: usize = SensorKind::ALL.len();
+
+/// A kind's slot in the per-kind tables ([`SensorKind::ALL`] order).
+fn slot(kind: SensorKind) -> usize {
+    kind as usize
+}
+
+/// The failed instances of one kind: bit `i` is instance index `i`.
+type InstanceMask = [u64; 4];
+
+/// Sensor kinds in the order a read pass first reached them: the order in
+/// which [`SensorHealth::encode`] writes a per-kind list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct KindOrder {
+    slots: [u8; KINDS],
+    len: u8,
+}
+
+impl KindOrder {
+    fn push(&mut self, kind: SensorKind) {
+        self.slots[usize::from(self.len)] = slot(kind) as u8;
+        self.len += 1;
+    }
+
+    fn kinds(&self) -> impl Iterator<Item = SensorKind> + '_ {
+        self.slots[..usize::from(self.len)]
+            .iter()
+            .map(|&s| SensorKind::ALL[usize::from(s)])
+    }
+}
+
 /// Health summary per sensor kind.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SensorHealth {
-    failed_instances: BTreeSet<SensorInstance>,
-    active: Vec<(SensorKind, SensorInstance)>,
-    total_per_kind: Vec<(SensorKind, u8)>,
+    /// Every instance failed so far, one mask per kind.
+    failed: [InstanceMask; KINDS],
+    /// The instance in use per kind in the last read pass.
+    active: [Option<SensorInstance>; KINDS],
+    /// Instances read per kind in the last read pass.
+    totals: [u8; KINDS],
+    /// The order of `active`'s entries in the last read pass.
+    active_order: KindOrder,
+    /// The order of `totals`' entries in the last read pass.
+    total_order: KindOrder,
 }
 
 impl SensorHealth {
     /// Whether at least one instance of `kind` is still healthy.
     pub fn kind_available(&self, kind: SensorKind) -> bool {
-        self.active.iter().any(|(k, _)| *k == kind)
+        self.active[slot(kind)].is_some()
     }
 
     /// Whether the *primary* instance (index 0) of `kind` has failed.
     pub fn primary_failed(&self, kind: SensorKind) -> bool {
-        self.failed_instances
-            .contains(&SensorInstance::new(kind, 0))
+        self.failed[slot(kind)][0] & 1 != 0
     }
 
     /// Whether every instance of `kind` has failed.
     pub fn kind_failed(&self, kind: SensorKind) -> bool {
-        !self.kind_available(kind) && self.total_of(kind) > 0
+        !self.kind_available(kind) && self.totals[slot(kind)] > 0
     }
 
     /// The instance currently used for `kind`, if any.
     pub fn active_instance(&self, kind: SensorKind) -> Option<SensorInstance> {
-        self.active
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, i)| *i)
+        self.active[slot(kind)]
     }
 
-    /// Every failed instance observed so far.
+    /// Every failed instance observed so far, in instance order.
     pub fn failed_instances(&self) -> impl Iterator<Item = SensorInstance> + '_ {
-        self.failed_instances.iter().copied()
+        SensorKind::ALL.into_iter().flat_map(move |kind| {
+            (0..=u8::MAX)
+                .filter(move |&i| self.is_failed(SensorInstance::new(kind, i)))
+                .map(move |i| SensorInstance::new(kind, i))
+        })
     }
 
     /// Number of failed instances of `kind`.
     pub fn failed_count(&self, kind: SensorKind) -> usize {
-        self.failed_instances
+        self.failed[slot(kind)]
             .iter()
-            .filter(|i| i.kind == kind)
-            .count()
-    }
-
-    fn total_of(&self, kind: SensorKind) -> u8 {
-        self.total_per_kind
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
+            .map(|word| word.count_ones() as usize)
+            .sum()
     }
 
     /// Whether the inertial measurement unit (accelerometer + gyroscope)
@@ -150,27 +188,74 @@ impl SensorHealth {
         self.kind_failed(SensorKind::Accelerometer) || self.kind_failed(SensorKind::Gyroscope)
     }
 
-    /// Serialise the health bookkeeping in deterministic order.
+    fn is_failed(&self, instance: SensorInstance) -> bool {
+        let i = usize::from(instance.index);
+        self.failed[slot(instance.kind)][i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn mark_failed(&mut self, instance: SensorInstance) {
+        let i = usize::from(instance.index);
+        self.failed[slot(instance.kind)][i / 64] |= 1 << (i % 64);
+    }
+
+    /// Serialise the health bookkeeping in deterministic order: the
+    /// failed instances in instance order, then the active instances and
+    /// the per-kind totals, each in the order the last read pass reached
+    /// its kinds.
     pub fn encode(&self, w: &mut ByteWriter) {
-        let failed: Vec<&SensorInstance> = self.failed_instances.iter().collect();
+        let failed: Vec<SensorInstance> = self.failed_instances().collect();
         w.seq(&failed, |w, i| i.encode(w));
-        w.seq(&self.active, |w, (k, i)| {
-            k.encode(w);
+        let active: Vec<SensorInstance> = self
+            .active_order
+            .kinds()
+            .filter_map(|kind| self.active[slot(kind)])
+            .collect();
+        w.seq(&active, |w, i| {
+            i.kind.encode(w);
             i.encode(w);
         });
-        w.seq(&self.total_per_kind, |w, (k, n)| {
-            k.encode(w);
-            w.u8(*n);
+        let kinds: Vec<SensorKind> = self.total_order.kinds().collect();
+        w.seq(&kinds, |w, kind| {
+            kind.encode(w);
+            w.u8(self.totals[slot(*kind)]);
         });
     }
 
     /// Decode health previously written by [`SensorHealth::encode`].
+    /// A per-kind list naming a kind twice, or an active entry whose
+    /// instance is of another kind, is malformed.
     pub fn decode(r: &mut ByteReader<'_>) -> CodecResult<SensorHealth> {
-        Ok(SensorHealth {
-            failed_instances: r.seq(SensorInstance::decode)?.into_iter().collect(),
-            active: r.seq(|r| Ok((SensorKind::decode(r)?, SensorInstance::decode(r)?)))?,
-            total_per_kind: r.seq(|r| Ok((SensorKind::decode(r)?, r.u8()?)))?,
-        })
+        let mut health = SensorHealth::default();
+        for instance in r.seq(SensorInstance::decode)? {
+            health.mark_failed(instance);
+        }
+        for (kind, instance) in
+            r.seq(|r| Ok((SensorKind::decode(r)?, SensorInstance::decode(r)?)))?
+        {
+            let entry = &mut health.active[slot(kind)];
+            if instance.kind != kind || entry.is_some() {
+                return Err(CodecError::Malformed("sensor health active entry"));
+            }
+            *entry = Some(instance);
+            health.active_order.push(kind);
+        }
+        for (kind, total) in r.seq(|r| Ok((SensorKind::decode(r)?, r.u8()?)))? {
+            if health.total_order.kinds().any(|k| k == kind) {
+                return Err(CodecError::Malformed("sensor health total entry"));
+            }
+            health.totals[slot(kind)] = total;
+            health.total_order.push(kind);
+        }
+        Ok(health)
+    }
+
+    /// Forgets the last read pass (active instances and totals), keeping
+    /// the failed set: failures are permanent.
+    fn begin_pass(&mut self) {
+        self.active = [None; KINDS];
+        self.totals = [0; KINDS];
+        self.active_order = KindOrder::default();
+        self.total_order = KindOrder::default();
     }
 }
 
@@ -211,54 +296,46 @@ impl SensorFrontend {
     }
 
     /// Processes one step's raw readings: every read consults the fault
-    /// injector (the instrumented driver path); surviving readings are
-    /// reduced to one selected measurement per kind, preferring the lowest
-    /// healthy instance index (primary first, then backups in order).
+    /// injector (the instrumented driver path), all under one lock of it;
+    /// surviving readings are reduced to one selected measurement per
+    /// kind, preferring the first healthy reading of each kind (readings
+    /// arrive ordered by kind and index, so the primary, then the backups
+    /// in order).
     pub fn ingest(&mut self, readings: &[SensorReading], time: f64) -> SelectedSensors {
         let mut selected = SelectedSensors::default();
-        // The per-kind bookkeeping lives in the health struct's vectors and
-        // is rebuilt in place each step, so the control loop performs no
-        // per-step heap allocations once the vectors reach capacity.
-        self.health.active.clear();
-        self.health.total_per_kind.clear();
-
-        // Readings arrive ordered by kind and instance index from the
-        // simulator; iterate in order so instance 0 wins when healthy.
-        for reading in readings {
-            let kind = reading.instance.kind;
-            match self
-                .health
-                .total_per_kind
-                .iter_mut()
-                .find(|(k, _)| *k == kind)
-            {
-                Some((_, n)) => *n += 1,
-                None => self.health.total_per_kind.push((kind, 1)),
-            }
-            let failed = self.injector.should_fail(reading.instance, time);
-            if failed {
-                self.health.failed_instances.insert(reading.instance);
-                continue;
-            }
-            let already_chosen = self.health.active.iter().any(|(k, _)| *k == kind);
-            if already_chosen {
-                continue;
-            }
-            self.health.active.push((kind, reading.instance));
-            match reading.value {
-                SensorValue::Acceleration(v) => selected.accel = Some(v),
-                SensorValue::AngularRate(v) => selected.gyro = Some(v),
-                SensorValue::GpsFix {
-                    position, velocity, ..
-                } => selected.gps = Some(GpsSolution { position, velocity }),
-                SensorValue::PressureAltitude(alt) => selected.baro_altitude = Some(alt),
-                SensorValue::MagneticHeading(h) => selected.heading = Some(h),
-                SensorValue::BatteryStatus { voltage, remaining } => {
-                    selected.battery = Some(BatteryState { voltage, remaining })
+        let health = &mut self.health;
+        health.begin_pass();
+        self.injector.with(|injector| {
+            for reading in readings {
+                let kind = reading.instance.kind;
+                let k = slot(kind);
+                if health.totals[k] == 0 && !health.total_order.kinds().any(|seen| seen == kind) {
+                    health.total_order.push(kind);
+                }
+                health.totals[k] += 1;
+                if injector.should_fail(reading.instance, time) {
+                    health.mark_failed(reading.instance);
+                    continue;
+                }
+                if health.active[k].is_some() {
+                    continue;
+                }
+                health.active[k] = Some(reading.instance);
+                health.active_order.push(kind);
+                match reading.value {
+                    SensorValue::Acceleration(v) => selected.accel = Some(v),
+                    SensorValue::AngularRate(v) => selected.gyro = Some(v),
+                    SensorValue::GpsFix {
+                        position, velocity, ..
+                    } => selected.gps = Some(GpsSolution { position, velocity }),
+                    SensorValue::PressureAltitude(alt) => selected.baro_altitude = Some(alt),
+                    SensorValue::MagneticHeading(h) => selected.heading = Some(h),
+                    SensorValue::BatteryStatus { voltage, remaining } => {
+                        selected.battery = Some(BatteryState { voltage, remaining })
+                    }
                 }
             }
-        }
-
+        });
         selected
     }
 }

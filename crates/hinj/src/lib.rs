@@ -18,7 +18,17 @@
 //! In the paper this interface is an RPC between the C-instrumented
 //! firmware and the checker process; here both live in one process, so the
 //! interface is a [`SharedInjector`] handle (an `Arc<Mutex<_>>`) held by
-//! both the firmware's sensor frontend and the experiment runner.
+//! both the firmware's sensor frontend and the experiment runner. The
+//! frontend takes the lock once per control step and answers the whole
+//! step's reads through [`SharedInjector::with`]; the per-read semantics
+//! are unchanged, since every read is still counted and the first failed
+//! read of each instance is still recorded.
+//!
+//! A read's answer is a bit test: the injector keeps the plan's failed
+//! instances of each sensor kind as a bitmask, rebuilt only when the
+//! query time leaves the span between the plan's neighbouring onsets, and
+//! the instances already in the injection log as a second one. Both are
+//! derived from the plan and the log, so they are not stored.
 //!
 //! # Example
 //!
@@ -49,7 +59,7 @@ pub use link::{
 };
 
 use avis_sim::codec::{ByteReader, ByteWriter, CodecResult};
-use avis_sim::{ChunkMemo, ChunkSink, ChunkSource, CowVec, SensorInstance};
+use avis_sim::{ChunkMemo, ChunkSink, ChunkSource, CowVec, SensorInstance, SensorKind};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -344,6 +354,74 @@ pub struct ModeTransitionRecord {
     pub to: ModeCode,
 }
 
+/// Instance indices below this have a bit in the injector's per-kind
+/// masks; a higher index falls back to the plan lookup and the log scan.
+const MASK_BITS: u8 = u64::BITS as u8;
+
+/// Bit of `instance` in its kind's mask: the `u64` at the kind's slot
+/// ([`SensorKind::ALL`] order) and the bit at its index, or `None` past
+/// [`MASK_BITS`].
+fn mask_bit(instance: SensorInstance) -> Option<(usize, u64)> {
+    (instance.index < MASK_BITS).then(|| (instance.kind as usize, 1 << instance.index))
+}
+
+/// The plan's failed instances of each sensor kind at some query time,
+/// valid for every query time in `[from, until)`: the span between the
+/// neighbouring onsets around that time, over which the failed set cannot
+/// change. Instances at or past [`MASK_BITS`] are not in the mask.
+#[derive(Debug, Clone, Copy)]
+struct FailedMask {
+    bits: [u64; SensorKind::ALL.len()],
+    from: f64,
+    until: f64,
+}
+
+impl FailedMask {
+    /// A mask valid for no query time: the next query rebuilds it.
+    const STALE: FailedMask = FailedMask {
+        bits: [0; SensorKind::ALL.len()],
+        from: f64::INFINITY,
+        until: f64::NEG_INFINITY,
+    };
+
+    /// Whether the mask answers queries at `time` (never for NaN).
+    fn covers(&self, time: f64) -> bool {
+        self.from <= time && time < self.until
+    }
+
+    /// The failed set of `plan` at `time`, with its span: the latest
+    /// onset at or before `time` to the earliest after it. A NaN time
+    /// fails nothing (as [`FaultPlan::is_failed`] says) and gets a stale
+    /// span; a NaN onset never fails and bounds no span.
+    fn at(plan: &FaultPlan, time: f64) -> FailedMask {
+        if time.is_nan() {
+            return FailedMask::STALE;
+        }
+        let mut mask = FailedMask {
+            bits: [0; SensorKind::ALL.len()],
+            from: f64::NEG_INFINITY,
+            until: f64::INFINITY,
+        };
+        for (&instance, &onset) in &plan.faults {
+            if time >= onset {
+                if let Some((kind, bit)) = mask_bit(instance) {
+                    mask.bits[kind] |= bit;
+                }
+                mask.from = mask.from.max(onset);
+            } else if onset > time {
+                mask.until = mask.until.min(onset);
+            }
+        }
+        mask
+    }
+}
+
+impl Default for FailedMask {
+    fn default() -> Self {
+        FailedMask::STALE
+    }
+}
+
 /// The fault injector: decides per-read whether a sensor instance has
 /// failed and records mode transitions and delivered injections.
 #[derive(Debug, Clone, Default)]
@@ -354,6 +432,11 @@ pub struct FaultInjector {
     current_mode: Option<ModeCode>,
     reads: u64,
     failed_reads: u64,
+    // snapshot: skip(derived: the plan's failed set, reset by new, set_plan, take_plan and decode)
+    failed: FailedMask,
+    /// The instances in `injections`, one mask per kind.
+    // snapshot: skip(derived: rebuilt from the injection log by new and decode)
+    recorded: [u64; SensorKind::ALL.len()],
 }
 
 impl FaultInjector {
@@ -379,6 +462,7 @@ impl FaultInjector {
     /// experiment runner uses this to hand the plan back to the caller at
     /// the end of a run without cloning it up front.
     pub fn take_plan(&mut self) -> FaultPlan {
+        self.failed = FailedMask::STALE;
         std::mem::take(&mut self.plan)
     }
 
@@ -389,6 +473,7 @@ impl FaultInjector {
     /// swaps in the new scenario's plan for the remainder of the run.
     pub fn set_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
+        self.failed = FailedMask::STALE;
     }
 
     /// Captures the injector's complete state — plan, delivered
@@ -404,14 +489,32 @@ impl FaultInjector {
     }
 
     /// Called from an instrumented sensor-driver read. Returns `true` if
-    /// the read must be reported as failed, and records the first failed
-    /// read per instance for the replay log.
+    /// the read must be reported as failed (as [`FaultPlan::is_failed`]
+    /// says), and records the first failed read per instance for the
+    /// replay log. Queries may come in any time order.
     pub fn should_fail(&mut self, instance: SensorInstance, time: f64) -> bool {
         self.reads += 1;
-        let failed = self.plan.is_failed(instance, time);
+        let slot = mask_bit(instance);
+        let failed = match slot {
+            Some((kind, bit)) => {
+                if !self.failed.covers(time) {
+                    self.failed = FailedMask::at(&self.plan, time);
+                }
+                self.failed.bits[kind] & bit != 0
+            }
+            None => self.plan.is_failed(instance, time),
+        };
         if failed {
             self.failed_reads += 1;
-            if !self.injections.iter().any(|r| r.instance == instance) {
+            let first = match slot {
+                Some((kind, bit)) => {
+                    let first = self.recorded[kind] & bit == 0;
+                    self.recorded[kind] |= bit;
+                    first
+                }
+                None => !self.injections.iter().any(|r| r.instance == instance),
+            };
+            if first {
                 self.injections.push(InjectionRecord {
                     instance,
                     first_failed_read: time,
@@ -419,6 +522,16 @@ impl FaultInjector {
             }
         }
         failed
+    }
+
+    /// Rebuilds the recorded-instance masks from the injection log.
+    fn index_records(&mut self) {
+        self.recorded = Default::default();
+        for record in self.injections.iter() {
+            if let Some((kind, bit)) = mask_bit(record.instance) {
+                self.recorded[kind] |= bit;
+            }
+        }
     }
 
     /// Called from the firmware's set-mode routine (the
@@ -505,7 +618,7 @@ impl FaultInjector {
         source: &mut dyn ChunkSource,
         memo: &mut ChunkMemo,
     ) -> CodecResult<FaultInjector> {
-        Ok(FaultInjector {
+        let mut injector = FaultInjector {
             plan: FaultPlan::decode(r)?,
             injections: CowVec::decode_chunked(r, source, memo, &mut InjectionRecord::decode)?,
             transitions: CowVec::decode_chunked(
@@ -517,7 +630,10 @@ impl FaultInjector {
             current_mode: r.option(|r| Ok(ModeCode(r.u32()?)))?,
             reads: r.u64()?,
             failed_reads: r.u64()?,
-        })
+            ..Default::default()
+        };
+        injector.index_records();
+        Ok(injector)
     }
 }
 

@@ -10,13 +10,18 @@
 use avis::campaign::{Campaign, CampaignBuilder};
 use avis::checker::{Approach, Budget};
 use avis::pruning::RoleSignature;
-use avis_hinj::{FaultPlan, FaultSpec};
+use avis_firmware::{SensorFrontend, SensorHealth};
+use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, InjectionRecord, SharedInjector};
 use avis_mavlite::{
     decode_frame, encode_frame, Endpoint, Link, Message, MissionCommand, MissionItem, ProtocolMode,
     FRAME_MAGIC,
 };
+use avis_sim::cow::MemoryChunkStore;
 use avis_sim::math::{wrap_angle, Quat, Vec3};
-use avis_sim::{SensorInstance, SensorKind, SimRng};
+use avis_sim::{
+    ByteReader, ByteWriter, ChunkMemo, SensorInstance, SensorKind, SensorReading, SensorValue,
+    SimRng,
+};
 
 const CASES: usize = 300;
 
@@ -472,5 +477,367 @@ fn builder_permutations_match_fixed_order_builder() {
              parallelism={parallelism} seed={seed} diverged between the fixed-order \
              and a permuted builder"
         );
+    }
+}
+
+/// An instance of any kind whose index may be one the iris suite lacks
+/// (it has at most three per kind) or one past a 64-bit instance mask.
+fn arb_wide_instance(rng: &mut SimRng) -> SensorInstance {
+    const INDICES: [u8; 11] = [0, 1, 2, 3, 5, 63, 64, 65, 127, 200, 255];
+    SensorInstance::new(arb_sensor_kind(rng), INDICES[rng.index(INDICES.len())])
+}
+
+/// A fault onset or query time: NaN, ±∞, an earlier draw again, a time
+/// exactly on a 2.5 ms step, or any time around the flight.
+fn arb_edge_time(rng: &mut SimRng, earlier: &[f64]) -> f64 {
+    match rng.index(10) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 | 4 if !earlier.is_empty() => earlier[rng.index(earlier.len())],
+        3..=6 => rng.index(400) as f64 * 0.0025,
+        _ => rng.uniform_range(-0.1, 1.1),
+    }
+}
+
+/// A plan of 0–4 faults on wide instances at edge times; the onsets are
+/// appended to `times`, so later draws repeat them.
+fn arb_edge_plan(rng: &mut SimRng, times: &mut Vec<f64>) -> FaultPlan {
+    let mut plan = FaultPlan::empty();
+    for _ in 0..rng.index(5) {
+        let time = arb_edge_time(rng, times);
+        times.push(time);
+        plan.add(FaultSpec::new(arb_wide_instance(rng), time));
+    }
+    plan
+}
+
+/// The injector's semantics written out: a plan lookup per read and a
+/// scan of the log for each instance's first failed read.
+#[derive(Clone)]
+struct InjectorModel {
+    plan: FaultPlan,
+    injections: Vec<InjectionRecord>,
+    reads: u64,
+    failed_reads: u64,
+}
+
+impl InjectorModel {
+    fn new(plan: FaultPlan) -> Self {
+        InjectorModel {
+            plan,
+            injections: Vec::new(),
+            reads: 0,
+            failed_reads: 0,
+        }
+    }
+
+    fn should_fail(&mut self, instance: SensorInstance, time: f64) -> bool {
+        self.reads += 1;
+        let failed = self.plan.is_failed(instance, time);
+        if failed {
+            self.failed_reads += 1;
+            if !self.injections.iter().any(|r| r.instance == instance) {
+                self.injections.push(InjectionRecord {
+                    instance,
+                    first_failed_read: time,
+                });
+            }
+        }
+        failed
+    }
+
+    fn assert_matches(&self, injector: &FaultInjector, context: &str) {
+        assert_eq!(injector.total_reads(), self.reads, "{context}");
+        assert_eq!(injector.failed_reads(), self.failed_reads, "{context}");
+        assert_eq!(injector.injections().to_vec(), self.injections, "{context}");
+    }
+}
+
+/// The store round trip of a run's injector, as a cut takes it.
+fn injector_round_trip(injector: &mut FaultInjector) -> FaultInjector {
+    let mut store = MemoryChunkStore::new();
+    let mut w = ByteWriter::new();
+    injector.sealed_clone().encode(&mut w, &mut store);
+    let bytes = w.into_bytes();
+    let mut r = ByteReader::new(&bytes);
+    let decoded =
+        FaultInjector::decode(&mut r, &mut store, &mut ChunkMemo::default()).expect("decode");
+    r.finish().expect("no trailing bytes");
+    decoded
+}
+
+/// Every read the injector answers equals the plan lookup, and its read
+/// counters and injection log equal a log scan, whatever the query order,
+/// onsets, instance indices, forks and store round trips.
+#[test]
+fn fault_injector_answers_equal_the_plan() {
+    let mut rng = SimRng::seed_from_u64(0xD1);
+    for case in 0..CASES {
+        let mut times = Vec::new();
+        let plan = arb_edge_plan(&mut rng, &mut times);
+        let mut injector = FaultInjector::new(plan.clone());
+        let mut model = InjectorModel::new(plan);
+        let mut clock = 0.0;
+        for op in 0..150 {
+            let context = format!("case {case} op {op}: plan {:?}", model.plan);
+            match rng.index(20) {
+                // A fork: the prefix's records, another plan.
+                0 => {
+                    let plan = if rng.chance(0.3) {
+                        model.plan.clone()
+                    } else {
+                        arb_edge_plan(&mut rng, &mut times)
+                    };
+                    let mut fork = injector.sealed_clone();
+                    fork.set_plan(plan.clone());
+                    injector = fork;
+                    model.plan = plan;
+                }
+                1 => injector = injector_round_trip(&mut injector),
+                2 => {
+                    let plan = injector.take_plan();
+                    // Bitwise, since a NaN onset equals nothing.
+                    let bits = |plan: &FaultPlan| -> Vec<(SensorInstance, u64)> {
+                        plan.specs()
+                            .map(|s| (s.instance, s.time.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(&plan), bits(&model.plan), "{context}");
+                    if rng.chance(0.5) {
+                        injector.set_plan(plan);
+                    } else {
+                        model.plan = FaultPlan::empty();
+                    }
+                }
+                // A read: mostly at the 400 Hz clock, sometimes anywhere.
+                _ => {
+                    let specs: Vec<FaultSpec> = model.plan.specs().collect();
+                    let instance = if !specs.is_empty() && rng.chance(0.6) {
+                        specs[rng.index(specs.len())].instance
+                    } else {
+                        arb_wide_instance(&mut rng)
+                    };
+                    let time = if rng.chance(0.7) {
+                        if rng.chance(0.5) {
+                            clock += 0.0025;
+                        }
+                        clock
+                    } else {
+                        arb_edge_time(&mut rng, &times)
+                    };
+                    let context = format!("{context}: {instance} at {time}");
+                    assert_eq!(
+                        injector.should_fail(instance, time),
+                        model.should_fail(instance, time),
+                        "{context}"
+                    );
+                }
+            }
+            model.assert_matches(&injector, &context);
+        }
+    }
+}
+
+/// The sensor health's bookkeeping written out: a failed set, and the
+/// active instances and per-kind totals as lists rebuilt by linear search
+/// at every read pass.
+#[derive(Default)]
+struct HealthModel {
+    failed: std::collections::BTreeSet<SensorInstance>,
+    active: Vec<(SensorKind, SensorInstance)>,
+    totals: Vec<(SensorKind, u8)>,
+}
+
+impl HealthModel {
+    /// One read pass; returns the first healthy reading of each kind.
+    fn ingest(
+        &mut self,
+        readings: &[SensorReading],
+        injector: &mut InjectorModel,
+        time: f64,
+    ) -> Vec<SensorReading> {
+        let mut chosen = Vec::new();
+        self.active.clear();
+        self.totals.clear();
+        for reading in readings {
+            let kind = reading.instance.kind;
+            match self.totals.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => self.totals.push((kind, 1)),
+            }
+            if injector.should_fail(reading.instance, time) {
+                self.failed.insert(reading.instance);
+                continue;
+            }
+            if !self.active.iter().any(|(k, _)| *k == kind) {
+                self.active.push((kind, reading.instance));
+                chosen.push(*reading);
+            }
+        }
+        chosen
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        let failed: Vec<SensorInstance> = self.failed.iter().copied().collect();
+        w.seq(&failed, |w, i| i.encode(w));
+        w.seq(&self.active, |w, (k, i)| {
+            k.encode(w);
+            i.encode(w);
+        });
+        w.seq(&self.totals, |w, (k, n)| {
+            k.encode(w);
+            w.u8(*n);
+        });
+        w.into_bytes()
+    }
+
+    fn assert_matches(&self, health: &SensorHealth, context: &str) {
+        let available = |kind| self.active.iter().any(|(k, _)| *k == kind);
+        let kind_failed =
+            |kind| !available(kind) && self.totals.iter().any(|&(k, n)| k == kind && n > 0);
+        for kind in SensorKind::ALL {
+            let context = format!("{context}: {kind}");
+            assert_eq!(health.kind_available(kind), available(kind), "{context}");
+            assert_eq!(health.kind_failed(kind), kind_failed(kind), "{context}");
+            assert_eq!(
+                health.primary_failed(kind),
+                self.failed.contains(&SensorInstance::new(kind, 0)),
+                "{context}"
+            );
+            assert_eq!(
+                health.active_instance(kind),
+                self.active
+                    .iter()
+                    .find(|(k, _)| *k == kind)
+                    .map(|(_, i)| *i),
+                "{context}"
+            );
+            assert_eq!(
+                health.failed_count(kind),
+                self.failed.iter().filter(|i| i.kind == kind).count(),
+                "{context}"
+            );
+        }
+        assert_eq!(
+            health.imu_failed(),
+            kind_failed(SensorKind::Accelerometer) || kind_failed(SensorKind::Gyroscope),
+            "{context}"
+        );
+        assert_eq!(
+            health.failed_instances().collect::<Vec<_>>(),
+            self.failed.iter().copied().collect::<Vec<_>>(),
+            "{context}"
+        );
+        let mut w = ByteWriter::new();
+        health.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, self.encode(), "{context}: encoded bytes");
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            &SensorHealth::decode(&mut r).expect("decode"),
+            health,
+            "{context}"
+        );
+        r.finish().expect("no trailing bytes");
+    }
+}
+
+fn arb_reading(rng: &mut SimRng, instance: SensorInstance, time: f64) -> SensorReading {
+    let x = rng.uniform_range(-10.0, 10.0);
+    let value = match instance.kind {
+        SensorKind::Accelerometer => SensorValue::Acceleration(Vec3::new(x, 0.0, 9.8)),
+        SensorKind::Gyroscope => SensorValue::AngularRate(Vec3::new(0.0, x, 0.0)),
+        SensorKind::Gps => SensorValue::GpsFix {
+            position: Vec3::new(x, 1.0, 2.0),
+            velocity: Vec3::new(0.0, 0.0, x),
+            satellites: 9,
+        },
+        SensorKind::Barometer => SensorValue::PressureAltitude(x),
+        SensorKind::Compass => SensorValue::MagneticHeading(x),
+        SensorKind::Battery => SensorValue::BatteryStatus {
+            voltage: 12.0 + x,
+            remaining: 0.5,
+        },
+    };
+    SensorReading {
+        instance,
+        time,
+        value,
+    }
+}
+
+/// After every read pass, the frontend's selection and each health query
+/// equal a linear scan of the readings against the plan, and the health
+/// encodes to the bytes of the list-based bookkeeping, whatever the
+/// readings' order, kinds, duplicates and instance indices.
+#[test]
+fn sensor_health_queries_equal_a_linear_scan() {
+    let mut rng = SimRng::seed_from_u64(0xD2);
+    for case in 0..CASES {
+        let mut times = Vec::new();
+        let plan = arb_edge_plan(&mut rng, &mut times);
+        let shared = SharedInjector::new(FaultInjector::new(plan.clone()));
+        let mut frontend = SensorFrontend::new(shared.clone());
+        let mut injector = InjectorModel::new(plan.clone());
+        let mut model = HealthModel::default();
+        // Readings mostly of the plan's instances, plus a suite of up to
+        // three kinds.
+        let kinds: Vec<SensorKind> = (0..1 + rng.index(3))
+            .map(|_| arb_sensor_kind(&mut rng))
+            .collect();
+        for pass in 0..12 {
+            let time = arb_edge_time(&mut rng, &times);
+            let mut readings = Vec::new();
+            for spec in plan.specs() {
+                if rng.chance(0.8) {
+                    readings.push(arb_reading(&mut rng, spec.instance, time));
+                }
+            }
+            for _ in 0..rng.index(12) {
+                let mut instance = arb_wide_instance(&mut rng);
+                instance.kind = kinds[rng.index(kinds.len())];
+                readings.push(arb_reading(&mut rng, instance, time));
+            }
+            for i in (1..readings.len()).rev() {
+                readings.swap(i, rng.index(i + 1));
+            }
+            let context = format!("case {case} pass {pass}: plan {plan:?} at {time}");
+            let selected = frontend.ingest(&readings, time);
+            let chosen = model.ingest(&readings, &mut injector, time);
+            let value = |kind| {
+                chosen
+                    .iter()
+                    .find(|r| r.instance.kind == kind)
+                    .map(|r| r.value)
+            };
+            let expected = (
+                value(SensorKind::Accelerometer),
+                value(SensorKind::Gyroscope),
+                value(SensorKind::Gps),
+                value(SensorKind::Barometer),
+                value(SensorKind::Compass),
+                value(SensorKind::Battery),
+            );
+            let got = (
+                selected.accel.map(SensorValue::Acceleration),
+                selected.gyro.map(SensorValue::AngularRate),
+                selected.gps.map(|g| SensorValue::GpsFix {
+                    position: g.position,
+                    velocity: g.velocity,
+                    satellites: 9,
+                }),
+                selected.baro_altitude.map(SensorValue::PressureAltitude),
+                selected.heading.map(SensorValue::MagneticHeading),
+                selected.battery.map(|b| SensorValue::BatteryStatus {
+                    voltage: b.voltage,
+                    remaining: b.remaining,
+                }),
+            );
+            assert_eq!(got, expected, "{context}");
+            model.assert_matches(frontend.health(), &context);
+            shared.with(|live| injector.assert_matches(live, &context));
+        }
     }
 }

@@ -180,3 +180,70 @@ fn firmware_in_the_loop_step_is_allocation_free_between_telemetry_bursts() {
         "firmware loop allocated {grew} times over {steps} steps"
     );
 }
+
+/// Flies `steps` firmware-in-the-loop steps on reused buffers.
+fn fly(
+    firmware: &mut avis_firmware::Firmware,
+    sim: &mut avis_sim::Simulator,
+    output: &mut avis_sim::StepOutput,
+    telemetry: &mut Vec<avis_mavlite::Message>,
+    steps: usize,
+) {
+    let dt = sim.config().dt;
+    for _ in 0..steps {
+        let time = sim.time();
+        firmware.drain_outbox_into(telemetry);
+        let motor = firmware.step(&output.readings, time, dt);
+        sim.step_into(&motor, output);
+    }
+}
+
+#[test]
+fn firmware_step_with_a_failed_primary_and_a_latched_defect_is_allocation_free() {
+    use avis_firmware::{BugId, BugSet, Firmware, FirmwareProfile};
+    use avis_hinj::{FaultInjector, FaultPlan, FaultSpec, SharedInjector};
+    use avis_sim::simulator::{SimConfig, Simulator, StepOutput};
+    use avis_sim::{Environment, MotorCommands, SensorInstance, SensorKind};
+
+    // The primary barometer fails at once; on the current ArduPilot code
+    // base APM-16027 then latches in pre-flight and stays active at every
+    // later step, with the failed read recorded and the backup in use.
+    let mut sim = Simulator::new(
+        SimConfig {
+            dt: 0.0025,
+            ..SimConfig::default()
+        },
+        Environment::open_field(),
+    );
+    let baro0 = SensorInstance::new(SensorKind::Barometer, 0);
+    let injector =
+        SharedInjector::new(FaultInjector::new(FaultPlan::from_specs([FaultSpec::new(
+            baro0, 0.0,
+        )])));
+    let mut firmware = Firmware::new(
+        FirmwareProfile::ArduPilotLike,
+        BugSet::current_code_base(FirmwareProfile::ArduPilotLike),
+        injector.clone(),
+    );
+    let mut output = StepOutput::empty();
+    let mut telemetry = Vec::new();
+    sim.step_into(&MotorCommands::IDLE, &mut output);
+
+    // Warm-up: the defect triggers, and the buffers and logs reach their
+    // steady capacity.
+    fly(&mut firmware, &mut sim, &mut output, &mut telemetry, 2000);
+    let log = firmware.defect_log();
+    assert_eq!(log.len(), 1, "defect log: {log:?}");
+    assert_eq!(log[0].1.active, vec![BugId::Apm16027]);
+    assert_eq!(injector.injections().len(), 1);
+    assert_eq!(injector.injections()[0].instance, baro0);
+
+    let before = allocations();
+    let steps = 20_000;
+    fly(&mut firmware, &mut sim, &mut output, &mut telemetry, steps);
+    let grew = allocations() - before;
+    assert_eq!(
+        grew, 0,
+        "the faulted firmware loop allocated {grew} times over {steps} steps"
+    );
+}
